@@ -34,11 +34,6 @@ from .discretization import (
     ElementSystem,
     ProblemAssumptionWarning,
     ProblemSpec,
-    assemble_linear,
-    history_coeffs,
-    local_jacobian,
-    local_residual,
-    rhs_coeffs,
     validate_problem,
 )
 from .mesh import Mesh, locate, sigma, uniform_mesh
@@ -92,11 +87,6 @@ __all__ = [
     "ElementSystem",
     "ProblemAssumptionWarning",
     "ProblemSpec",
-    "assemble_linear",
-    "history_coeffs",
-    "local_jacobian",
-    "local_residual",
-    "rhs_coeffs",
     "validate_problem",
     "Mesh",
     "locate",

@@ -8,14 +8,13 @@ is exhausted.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+# bench names are looked up at call time, so perfbench/tracing.py can wrap them
+from . import bench
 from .discretization import ProblemSpec
 from .mesh import Mesh
 from .solver import PiecewiseSolution, SolverOptions, evaluate, solve
@@ -33,6 +32,13 @@ ERROR_METRICS = ("E1_vs_reference", "E2_vs_reference", "successive_diff")
 
 #: sample count per element for the successive-difference estimate
 SUCCESSIVE_DIFF_SAMPLES = 33
+
+_TRACE_COLUMNS = ("step", "N", "degrees", "L", "estimate", "elapsed_s")
+_TRACE_CELLS = {
+    "degrees": lambda degrees: ";".join(str(m) for m in degrees),
+    "estimate": "{:.6e}".format,
+    "elapsed_s": "{:.4f}".format,
+}
 
 
 @dataclass(frozen=True)
@@ -68,40 +74,25 @@ class AdaptiveTrace:
             raise ValueError("unknown count must not decrease across steps")
         self.steps.append(step)
 
-    def to_json(self) -> str:
-        return json.dumps(
+    def _write(self, fmt: str) -> str:
+        records = [
             {
-                "steps": [
-                    {
-                        "step": i,
-                        "N": s.mesh.N,
-                        "degrees": [int(m) for m in s.mesh.degrees],
-                        "L": s.L,
-                        "estimate": s.estimate,
-                        "elapsed_s": s.elapsed_s,
-                    }
-                    for i, s in enumerate(self.steps)
-                ]
-            },
-            indent=2,
-        )
+                "step": i,
+                "N": s.mesh.N,
+                "degrees": [int(m) for m in s.mesh.degrees],
+                "L": s.L,
+                "estimate": s.estimate,
+                "elapsed_s": s.elapsed_s,
+            }
+            for i, s in enumerate(self.steps)
+        ]
+        return bench._write_rows(fmt, records, _TRACE_COLUMNS, _TRACE_CELLS, {}, "steps")
+
+    def to_json(self) -> str:
+        return self._write("json")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["step", "N", "degrees", "L", "estimate", "elapsed_s"])
-        for i, s in enumerate(self.steps):
-            writer.writerow(
-                [
-                    i,
-                    s.mesh.N,
-                    ";".join(str(int(m)) for m in s.mesh.degrees),
-                    s.L,
-                    f"{s.estimate:.6e}",
-                    f"{s.elapsed_s:.4f}",
-                ]
-            )
-        return buf.getvalue()
+        return self._write("csv")
 
 
 class BudgetExceededError(RuntimeError):
@@ -111,15 +102,6 @@ class BudgetExceededError(RuntimeError):
         super().__init__(
             f"refinement budget exhausted with error estimate {estimate:.3e}"
         )
-
-
-def _sample_grid(mesh: Mesh, per_element: int) -> np.ndarray:
-    pts = []
-    for n in range(1, mesh.N + 1):
-        e = mesh.element(n)
-        i = np.arange(per_element)
-        pts.append(e.left + e.width * (i + 0.5) / (per_element - 0.5))
-    return np.concatenate(pts)
 
 
 def _tail_indicator(solution: PiecewiseSolution) -> np.ndarray:
@@ -158,8 +140,6 @@ def adaptive_solve(
     ``alternate`` interleaves the two (degree raise first).  Deterministic
     for fixed inputs.
     """
-    from .bench import error_E1, error_E2  # local import to avoid a cycle
-
     if options.error_metric.endswith("_vs_reference") and reference is None:
         raise ValueError(f"metric {options.error_metric} needs a reference solution")
     if options.max_L < initial_mesh.L:
@@ -173,14 +153,14 @@ def adaptive_solve(
         tic = time.perf_counter()
         solution = solve(problem, mesh, solver_options)
         if options.error_metric == "E1_vs_reference":
-            estimate = error_E1(solution, reference)
+            estimate = bench.error_E1(solution, reference)
         elif options.error_metric == "E2_vs_reference":
-            estimate = error_E2(solution, reference)
+            estimate = bench.error_E2(solution, reference)
         else:
             if previous is None:
                 estimate = np.inf
             else:
-                grid = _sample_grid(mesh, SUCCESSIVE_DIFF_SAMPLES)
+                grid = bench._sample_grid(mesh, SUCCESSIVE_DIFF_SAMPLES).ravel()
                 estimate = float(
                     np.max(np.abs(evaluate(solution, grid) - evaluate(previous, grid)))
                 )

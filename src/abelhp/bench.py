@@ -49,8 +49,6 @@ __all__ = [
     "run_mesh",
     "mesh_for",
     "parse_noise",
-    "report_to_csv",
-    "report_to_json",
 ]
 
 PROBLEM_IDS = (
@@ -110,11 +108,25 @@ class BenchReport:
     def any_failed(self) -> bool:
         return any(r.failed for r in self.rows)
 
+    def _records(self) -> list[dict]:
+        records = []
+        for r in self.rows:
+            d = {c: getattr(r, c) for c in _REPORT_COLUMNS}
+            if r.failed:
+                d["failed"] = True
+                d["error"] = r.error
+            records.append(d)
+        return records
+
+    def _write(self, fmt: str) -> str:
+        return _write_rows(fmt, self._records(), _REPORT_COLUMNS, _REPORT_CELLS,
+                           {"problem": self.problem_id}, "rows")
+
     def to_csv(self) -> str:
-        return report_to_csv(self)
+        return self._write("csv")
 
     def to_json(self) -> str:
-        return report_to_json(self)
+        return self._write("json")
 
 
 # ---------------------------------------------------------------------------
@@ -122,37 +134,38 @@ class BenchReport:
 # ---------------------------------------------------------------------------
 
 
-def error_E1(solution: PiecewiseSolution, exact_fn, mesh: Mesh | None = None) -> float:
-    """Discrete L2 error at the per-element Gauss-Legendre nodes."""
-    mesh = mesh or solution.mesh
-    total = 0.0
-    for n in range(1, mesh.N + 1):
-        elem = mesh.element(n)
-        rule = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, elem.degree)
-        pts = shift_nodes(rule, elem)
-        diff = np.asarray(exact_fn(pts), dtype=float) - evaluate(solution, pts)
-        total += 0.5 * elem.width * float(rule.weights @ diff**2)
-    return math.sqrt(total)
+def _sample_grid(mesh: Mesh, per_element: int) -> np.ndarray:
+    """Equispaced points per element, one row per element.
 
-
-def error_E2(solution: PiecewiseSolution, exact_fn, samples_per_element: int = 65) -> float:
-    """Max-norm error on per-element equispaced grids.
-
-    Each grid includes the element's right endpoint; the left endpoint is
+    Each row includes the element's right endpoint; the left endpoint is
     approached from inside by half a grid step, matching the half-open
     element convention.
     """
-    if samples_per_element < 2:
-        raise ValueError("need at least two samples per element")
+    i = np.arange(per_element)
+    return mesh.breakpoints[:-1, None] + mesh.widths[:, None] * (i + 0.5) / (per_element - 0.5)
+
+
+def error_E1(solution: PiecewiseSolution, exact_fn) -> float:
+    """Discrete L2 error at the per-element Gauss-Legendre nodes."""
     mesh = solution.mesh
-    worst = 0.0
-    i = np.arange(samples_per_element)
+    pts, wts = [], []
     for n in range(1, mesh.N + 1):
         elem = mesh.element(n)
-        pts = elem.left + elem.width * (i + 0.5) / (samples_per_element - 0.5)
-        diff = np.asarray(exact_fn(pts), dtype=float) - evaluate(solution, pts)
-        worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
+        rule = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, elem.degree)
+        pts.append(shift_nodes(rule, elem))
+        wts.append(0.5 * elem.width * rule.weights)
+    pts = np.concatenate(pts)
+    diff = np.asarray(exact_fn(pts), dtype=float) - evaluate(solution, pts)
+    return math.sqrt(float(np.concatenate(wts) @ diff**2))
+
+
+def error_E2(solution: PiecewiseSolution, exact_fn, samples_per_element: int = 65) -> float:
+    """Max-norm error on the per-element equispaced grids of ``_sample_grid``."""
+    if samples_per_element < 2:
+        raise ValueError("need at least two samples per element")
+    pts = _sample_grid(solution.mesh, samples_per_element).ravel()
+    diff = np.asarray(exact_fn(pts), dtype=float) - evaluate(solution, pts)
+    return float(np.max(np.abs(diff)))
 
 
 def convergence_order(E_coarse: float, E_fine: float) -> float:
@@ -462,7 +475,6 @@ def run_mesh(
     mesh: Mesh,
     options: SolverOptions | None = None,
     noise=None,
-    samples_per_element: int = 65,
     M_label: int | None = None,
 ) -> BenchRow:
     """Solve the benchmark on one mesh and return the filled report row."""
@@ -481,7 +493,7 @@ def run_mesh(
         row.runtime_s = time.perf_counter() - tic
         ref = reference_solution(bench)
         row.E1 = error_E1(solution, ref)
-        row.E2 = error_E2(solution, ref, samples_per_element)
+        row.E2 = error_E2(solution, ref)
     except SolverError as exc:
         row.runtime_s = time.perf_counter() - tic
         row.failed = True
@@ -495,7 +507,6 @@ def run_sweep(
     options: SolverOptions | None = None,
     noise=None,
     alpha: float | None = None,
-    samples_per_element: int = 65,
 ) -> BenchReport:
     """Solve one configuration per (N, M) pair and report errors and orders.
 
@@ -510,7 +521,7 @@ def run_sweep(
     prev: BenchRow | None = None
     for N, M in sweep:
         mesh = mesh_for(bench, int(N), int(M))
-        row = run_mesh(bench, mesh, opts, noise, samples_per_element, M_label=int(M))
+        row = run_mesh(bench, mesh, opts, noise, M_label=int(M))
         row.N = int(N)
         if (
             prev is not None
@@ -527,45 +538,32 @@ def run_sweep(
     return report
 
 
-def _fmt(value, spec="{:.2e}"):
-    return "" if value is None else spec.format(value)
+def _fmt(spec):
+    return lambda value: "" if value is None else spec.format(value)
 
 
-def report_to_csv(report: BenchReport) -> str:
+_REPORT_COLUMNS = ("N", "M", "L", "E1", "E2", "rho_N", "delta", "runtime_s")
+_REPORT_CELLS = {
+    "E1": _fmt("{:.2e}"),
+    "E2": _fmt("{:.2e}"),
+    "rho_N": _fmt("{:.2f}"),
+    "delta": _fmt("{:.2e}"),
+    "runtime_s": "{:.3f}".format,
+}
+
+
+def _write_rows(fmt: str, records: list[dict], columns, cells: dict, head: dict, key: str) -> str:
+    """The one report writer: CSV or JSON text from a list of row records.
+
+    CSV writes ``columns`` of each record, rendered by ``cells[column]`` where
+    given and by ``str`` otherwise.  JSON keeps the raw records and nests them
+    under ``key`` after the ``head`` entries.
+    """
+    if fmt == "json":
+        return json.dumps({**head, key: records}, indent=2)
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["N", "M", "L", "E1", "E2", "rho_N", "delta", "runtime_s"])
-    for r in report.rows:
-        writer.writerow(
-            [
-                r.N,
-                r.M,
-                r.L,
-                _fmt(r.E1),
-                _fmt(r.E2),
-                _fmt(r.rho_N, "{:.2f}"),
-                _fmt(r.delta),
-                f"{r.runtime_s:.3f}",
-            ]
-        )
+    writer.writerow(columns)
+    for rec in records:
+        writer.writerow([cells.get(c, str)(rec[c]) for c in columns])
     return buf.getvalue()
-
-
-def report_to_json(report: BenchReport) -> str:
-    rows = []
-    for r in report.rows:
-        d = {
-            "N": r.N,
-            "M": r.M,
-            "L": r.L,
-            "E1": r.E1,
-            "E2": r.E2,
-            "rho_N": r.rho_N,
-            "delta": r.delta,
-            "runtime_s": r.runtime_s,
-        }
-        if r.failed:
-            d["failed"] = True
-            d["error"] = r.error
-        rows.append(d)
-    return json.dumps({"problem": report.problem_id, "rows": rows}, indent=2)

@@ -28,8 +28,6 @@ from .bench import (
     make_benchmark,
     mesh_for,
     reference_solution,
-    report_to_csv,
-    report_to_json,
     run_mesh,
     run_sweep,
 )
@@ -68,7 +66,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--tol", type=float, help="adaptive target error")
     run.add_argument("--adaptive", choices=("p_first", "h_first", "alternate"),
                      help="run the adaptive loop from the first (N, M) pair")
-    run.add_argument("--max-L", type=int, default=200, help="adaptive unknown budget")
+    run.add_argument("--max-L", type=int, help="adaptive unknown budget (default: 200)")
     run.add_argument("--format", choices=("csv", "json"))
     run.add_argument("--out", help="output path (default: stdout)")
     run.add_argument("--config", help="JSON config file; flags override its entries")
@@ -91,6 +89,18 @@ def _sweep_pairs(Ns, Ms):
     if len(Ms) == 1:
         return [(n, Ms[0]) for n in Ns]
     raise _UsageError("--N and --M lists must have equal length (or one be scalar)")
+
+
+def _explicit_mesh(mesh_cfg: dict, T: float) -> Mesh:
+    """Mesh from explicit breakpoints; a scalar or list "M" counts basis functions."""
+    mesh_cfg = dict(mesh_cfg)
+    if "degrees" not in mesh_cfg and "M" in mesh_cfg:
+        M = mesh_cfg.pop("M")
+        mesh_cfg["degrees"] = int(M) - 1 if np.isscalar(M) else [int(m) - 1 for m in M]
+    try:
+        return Mesh.from_config(mesh_cfg, T=T)
+    except ValueError as exc:
+        raise _UsageError(f"bad mesh config: {exc}") from exc
 
 
 def _cmd_list(out) -> int:
@@ -168,7 +178,7 @@ def _cmd_run(args) -> int:
     explicit_mesh = None
     sweep = None
     if "breakpoints" in mesh_cfg and not (Ns or Ms or "sweep" in cfg):
-        explicit_mesh = Mesh.from_config(mesh_cfg, T=bench.spec.T)
+        explicit_mesh = _explicit_mesh(mesh_cfg, bench.spec.T)
     elif "sweep" in cfg and not (Ns or Ms):
         sweep = [(int(n), int(m)) for n, m in cfg["sweep"]]
     else:
@@ -192,7 +202,7 @@ def _cmd_run(args) -> int:
         else:
             N0, M0 = sweep[0]
             mesh = mesh_for(bench, N0, M0)
-        max_L = cfg.get("adaptive", {}).get("max_L", args.max_L)
+        max_L = args.max_L if args.max_L is not None else cfg.get("adaptive", {}).get("max_L", 200)
         report = _adaptive_report(bench, mesh, options, tol, strategy, max_L)
     elif explicit_mesh is not None:
         report = BenchReport(bench.id)
@@ -201,7 +211,7 @@ def _cmd_run(args) -> int:
         report = run_sweep(bench, sweep, options=options, noise=noise)
 
     fmt = args.format or cfg.get("format", "csv")
-    text = report_to_json(report) if fmt == "json" else report_to_csv(report)
+    text = report.to_json() if fmt == "json" else report.to_csv()
     out_path = args.out or cfg.get("out")
     if out_path:
         with open(out_path, "w") as fh:

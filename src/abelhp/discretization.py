@@ -10,7 +10,7 @@ of the history accumulated over elements 1..n-1.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,15 +21,11 @@ from .quadrature import RuleKind, gauss_rule, history_weights_batch, shift_nodes
 
 __all__ = [
     "ProblemSpec",
+    "ElementOperator",
     "ElementSystem",
     "ElementSolution",
     "ProblemAssumptionWarning",
-    "element_operator",
-    "rhs_coeffs",
-    "history_coeffs",
-    "local_residual",
-    "local_jacobian",
-    "assemble_linear",
+    "element_system",
     "validate_problem",
 ]
 
@@ -46,7 +42,8 @@ class ProblemSpec:
     = f(t)`` on (0, T].  All callables must accept numpy arrays and broadcast;
     ``psi`` and ``dpsi_du`` take the evaluation time t as first argument since
     some nonlinearities couple t into the integrand.  Set ``linear`` when
-    psi(t, s, u) == u to enable the direct linear-solve path.
+    psi(t, s, u) == u (so dpsi_du == 1) to enable the direct linear-solve
+    path, which takes the Jacobian at u = 0 as the system matrix.
     """
 
     alpha: float
@@ -67,6 +64,8 @@ class ProblemSpec:
             u = np.array([-1.3, -0.2, 0.4, 2.0])
             if np.max(np.abs(self.psi(s, s, u) - u)) > 1e-12:
                 raise ValueError("linear flag set but psi(t, s, u) != u")
+            if np.max(np.abs(self.dpsi_du(s, s, u) - 1.0)) > 1e-12:
+                raise ValueError("linear flag set but dpsi_du(t, s, u) != 1")
 
 
 @dataclass
@@ -93,7 +92,6 @@ class ElementSystem:
     jacobian: Callable[[np.ndarray], np.ndarray]
     history: np.ndarray
     rhs: np.ndarray
-    operator: "ElementOperator" = field(repr=False)
 
 
 class ElementOperator:
@@ -145,6 +143,7 @@ class ElementOperator:
         return self.sys_scale * (self.P @ (self.prefac * inner))
 
     def jacobian(self, coeffs: np.ndarray) -> np.ndarray:
+        """Derivative of the element residual with respect to the coefficients."""
         dpsi = self.problem.dpsi_du(
             self.t_nodes[:, None], self.sigma_nodes, self.u_at_sigma(coeffs)
         )
@@ -152,19 +151,16 @@ class ElementOperator:
         J = np.einsum("pi,ij,qij->pq", self.P * self.prefac[None, :], core, self.Q)
         return self.sys_scale[:, None] * J
 
-    def linear_matrix(self) -> np.ndarray:
-        core = self.kappa_grid * self.w_inner[None, :]
-        A = np.einsum("pi,ij,qij->pq", self.P * self.prefac[None, :], core, self.Q)
-        return self.sys_scale[:, None] * A
-
     def project(self, values_at_nodes: np.ndarray) -> np.ndarray:
         """Discrete Legendre coefficients of values sampled at the Gauss nodes."""
         return self.proj_scale * (self.P @ (self.gl.weights * values_at_nodes))
 
     def rhs(self) -> np.ndarray:
+        """Legendre moments of f on the element (Gauss-point projection)."""
         return self.project(np.broadcast_to(self.problem.f(self.t_nodes), self.t_nodes.shape))
 
     def history(self, prior: Sequence[ElementSolution]) -> np.ndarray:
+        """Legendre moments of the history integral over elements 1..n-1."""
         if not prior:
             return np.zeros(self.elem.degree + 1)
         if len(prior) != self.n - 1:
@@ -196,10 +192,6 @@ def _history_value(problem: ProblemSpec, mesh: Mesh, t: float, prior) -> float:
     return total
 
 
-def element_operator(problem: ProblemSpec, mesh: Mesh, n: int) -> ElementOperator:
-    return ElementOperator(problem, mesh, n)
-
-
 def element_system(
     problem: ProblemSpec, mesh: Mesh, n: int, prior: Sequence[ElementSolution]
 ) -> ElementSystem:
@@ -214,48 +206,7 @@ def element_system(
     def residual(coeffs):
         return op.weighted_moments(np.asarray(coeffs, dtype=float)) - target
 
-    return ElementSystem(n, residual, op.jacobian, hist, rhs, op)
-
-
-def rhs_coeffs(problem: ProblemSpec, mesh: Mesh, n: int) -> np.ndarray:
-    """Legendre moments of f on element n (Gauss-point projection)."""
-    return ElementOperator(problem, mesh, n).rhs()
-
-
-def history_coeffs(
-    problem: ProblemSpec, mesh: Mesh, n: int, prior: Sequence[ElementSolution]
-) -> np.ndarray:
-    """Legendre moments of the accumulated history integral on element n."""
-    return ElementOperator(problem, mesh, n).history(prior)
-
-
-def local_residual(
-    problem: ProblemSpec, mesh: Mesh, n: int, history: np.ndarray, coeffs
-) -> np.ndarray:
-    """Collocation residual of element n at the given coefficient vector."""
-    op = ElementOperator(problem, mesh, n)
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (op.elem.degree + 1,):
-        raise ValueError("coefficient vector must have degree+1 entries")
-    return op.weighted_moments(coeffs) - op.rhs() + np.asarray(history, dtype=float)
-
-
-def local_jacobian(problem: ProblemSpec, mesh: Mesh, n: int, coeffs) -> np.ndarray:
-    """Derivative of the element residual with respect to the coefficients."""
-    return ElementOperator(problem, mesh, n).jacobian(np.asarray(coeffs, dtype=float))
-
-
-def assemble_linear(
-    problem: ProblemSpec, mesh: Mesh, n: int, prior: Sequence[ElementSolution] = ()
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Matrix and load vectors (A, history, rhs) of the linear-case system.
-
-    The element coefficients solve ``A u = rhs - history``.
-    """
-    if not problem.linear:
-        raise ValueError("assemble_linear requires the linear flag")
-    op = ElementOperator(problem, mesh, n)
-    return op.linear_matrix(), op.history(prior), op.rhs()
+    return ElementSystem(n, residual, op.jacobian, hist, rhs)
 
 
 def _quiet_eval(fn, *args):

@@ -205,14 +205,18 @@ def _nu_batch(c: np.ndarray, alpha: float, pmax: int) -> np.ndarray:
     return nu
 
 
-def modified_moments(elem: Element, t: float, alpha: float, max_degree: int) -> np.ndarray:
-    """Moments of (t-s)^(alpha-1) against the element's shifted Legendre basis."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
+def _check_history_args(elem: Element, t: float, alpha: float):
     if t < elem.right - DOMAIN_TOL * max(1.0, abs(elem.right)):
         raise ValueError("evaluation point must lie at or beyond the element")
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
+
+
+def modified_moments(elem: Element, t: float, alpha: float, max_degree: int) -> np.ndarray:
+    """Moments of (t-s)^(alpha-1) against the element's shifted Legendre basis."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    _check_history_args(elem, t, alpha)
     c = (2.0 * t - elem.left - elem.right) / elem.width
     return (0.5 * elem.width) ** alpha * _nu_batch(np.array([c]), alpha, max_degree)[0]
 
@@ -240,8 +244,20 @@ def lobatto_lagrange_coeffs(degree: int) -> np.ndarray:
     return C
 
 
-def _constant_moment(left, right, t, alpha):
-    return ((t - left) ** alpha - np.maximum(t - right, 0.0) ** alpha) / alpha
+def _check_constant_sum(weights, lefts, rights, t: float, alpha: float):
+    """Each weight row must sum to the integral of the kernel over its element."""
+    weights = np.atleast_2d(weights)
+    lefts = np.atleast_1d(np.asarray(lefts, dtype=float))
+    rights = np.atleast_1d(np.asarray(rights, dtype=float))
+    expected = ((t - lefts) ** alpha - np.maximum(t - rights, 0.0) ** alpha) / alpha
+    err = np.abs(weights.sum(axis=1) - expected)
+    bad = err > 1e-10 * expected + 1e-16 * np.abs(weights).sum(axis=1)
+    if np.any(bad):
+        k = int(np.argmax(err / expected))
+        raise HistoryAccuracyError(
+            f"constant-sum check failed for element [{lefts[k]}, {rights[k]}] "
+            f"at t={t}: error {err[k]:.3e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -259,20 +275,15 @@ class HistoryWeights:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        expected = _constant_moment(
-            self.element.left, self.element.right, self.eval_point, self.alpha
+        _check_constant_sum(
+            self.values, self.element.left, self.element.right, self.eval_point, self.alpha
         )
-        err = abs(float(np.sum(self.values)) - expected)
-        if err > 1e-10 * expected + 1e-16 * float(np.sum(np.abs(self.values))):
-            raise HistoryAccuracyError(
-                f"constant-sum check failed: |sum w - {expected:.6e}| = {err:.3e}"
-            )
 
 
 def history_weights(elem: Element, t: float, alpha: float) -> HistoryWeights:
     """Exact singular-kernel weights for the Lobatto points of a past element."""
-    mu = modified_moments(elem, t, alpha, elem.degree)
-    values = mu @ lobatto_lagrange_coeffs(elem.degree)
+    _check_history_args(elem, t, alpha)
+    values = history_weights_batch([elem.left], [elem.right], elem.degree, t, alpha)[0]
     return HistoryWeights(elem, float(t), float(alpha), values)
 
 
@@ -280,8 +291,8 @@ def history_weights_batch(lefts, rights, degree: int, t: float, alpha: float) ->
     """Weights for many same-degree elements at once; rows follow the inputs.
 
     Hot path of history assembly: moments are vectorized over elements and a
-    single basis-change matrix serves the whole group.  Each row satisfies
-    the same constant-sum check as :func:`history_weights`.
+    single basis-change matrix serves the whole group.  Each row passes the
+    constant-sum check of :class:`HistoryWeights`.
     """
     lefts = np.asarray(lefts, dtype=float)
     rights = np.asarray(rights, dtype=float)
@@ -290,14 +301,5 @@ def history_weights_batch(lefts, rights, degree: int, t: float, alpha: float) ->
     nu = _nu_batch(c, alpha, degree)
     mu = (0.5 * widths)[:, None] ** alpha * nu
     weights = mu @ lobatto_lagrange_coeffs(degree)
-
-    expected = _constant_moment(lefts, rights, t, alpha)
-    err = np.abs(weights.sum(axis=1) - expected)
-    bad = err > 1e-10 * expected + 1e-16 * np.abs(weights).sum(axis=1)
-    if np.any(bad):
-        k = int(np.argmax(err / expected))
-        raise HistoryAccuracyError(
-            f"constant-sum check failed for element [{lefts[k]}, {rights[k]}] "
-            f"at t={t}: error {err[k]:.3e}"
-        )
+    _check_constant_sum(weights, lefts, rights, t, alpha)
     return weights

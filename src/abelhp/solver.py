@@ -77,7 +77,6 @@ class SolverOptions:
     newton_max_iter: int = 50
     descent_steps: int = 50
     descent_step_size: float = 1e-2
-    linear_solver: str = "lu_partial_pivot"
     init_constant: float = 0.0
 
     def __post_init__(self):
@@ -85,8 +84,6 @@ class SolverOptions:
             raise ValueError("newton_tol must be positive")
         if self.newton_max_iter < 1 or self.descent_steps < 0:
             raise ValueError("iteration counts out of range")
-        if self.linear_solver != "lu_partial_pivot":
-            raise ValueError(f"unknown linear solver {self.linear_solver!r}")
 
 
 @dataclass
@@ -237,7 +234,8 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
         system = element_system(problem, mesh, n, solved)
         dim = mesh.element(n).degree + 1
         if problem.linear:
-            A = system.operator.linear_matrix()
+            # dpsi_du == 1, so the Jacobian at any point is the system matrix
+            A = system.jacobian(np.zeros(dim))
             try:
                 coeffs = np.linalg.solve(A, system.rhs - system.history)
             except np.linalg.LinAlgError:

@@ -161,9 +161,9 @@ def test_history_projection_matches_quadrature_oracle():
     b2 = bench.make_benchmark("ex2")
     mesh = uniform_mesh(2, 1.0, 5)
     sol = solve(b2.spec, mesh)
-    from abelhp.discretization import history_coeffs
+    from abelhp.discretization import ElementOperator
 
-    got = history_coeffs(b2.spec, mesh, 2, sol.elements[:1])
+    got = ElementOperator(b2.spec, mesh, 2).history(sol.elements[:1])
     u1 = lambda s: evaluate(sol, s)
     elem = mesh.element(2)
     x, w = leggauss(6)

@@ -121,3 +121,30 @@ def test_explicit_mesh_config(tmp_path, capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 1 and rows[0]["L"] == "14"
     assert float(rows[0]["E1"]) < 1e-4
+
+
+def test_max_L_flag_overrides_config(tmp_path, capsys):
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps({"adaptive": {"max_L": 300}}))
+    code, out, _ = run_cli(
+        capsys, "run", "--config", str(path), "--problem", "ex4", "--N", "1", "--M", "2",
+        "--adaptive", "p_first", "--tol", "1e-13", "--max-L", "3",
+    )
+    assert code == 2
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["L"] for r in rows] == ["2", "3"]
+
+
+def test_explicit_breakpoints_read_M_as_basis_count(tmp_path, capsys):
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(
+        {"problem": "ex3", "mesh": {"breakpoints": [0.0, 0.5, 1.0], "M": 3}}
+    ))
+    code, out, _ = run_cli(capsys, "run", "--config", str(path))
+    assert code == 0
+    via_config = list(csv.DictReader(io.StringIO(out)))
+    code, out, _ = run_cli(capsys, "run", "--problem", "ex3", "--N", "2", "--M", "3")
+    assert code == 0
+    via_flags = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["M"], r["L"]) for r in via_config] == [("3", "6")]
+    assert [(r["M"], r["L"]) for r in via_flags] == [("3", "6")]

@@ -3,15 +3,11 @@ import pytest
 from scipy.integrate import dblquad
 
 from abelhp.discretization import (
+    ElementOperator,
     ElementSolution,
     ProblemAssumptionWarning,
     ProblemSpec,
-    assemble_linear,
     element_system,
-    history_coeffs,
-    local_jacobian,
-    local_residual,
-    rhs_coeffs,
     validate_problem,
 )
 from abelhp.mesh import Mesh, uniform_mesh
@@ -47,15 +43,15 @@ def _solution_on(mesh, n, coeffs):
 def test_rhs_constant_and_mode_pickoff():
     p = _identity_problem(0.5, 1.0, lambda t: np.ones_like(np.asarray(t, dtype=float)))
     m = uniform_mesh(2, 1.0, 3)
-    f0 = rhs_coeffs(p, m, 1)
+    f0 = ElementOperator(p, m, 1).rhs()
     assert f0[0] == pytest.approx(1.0, abs=1e-14)
     assert np.max(np.abs(f0[1:])) < 1e-14
 
     # f equal to one shifted Legendre mode projects onto exactly that mode
     elem = m.element(2)
     f2 = lambda t: legendre_table(2, (2 * np.asarray(t) - elem.left - elem.right) / elem.width)[2]
-    fh = rhs_coeffs(ProblemSpec(0.5, 1.0, _ones, lambda t, s, u: u,
-                                lambda t, s, u: np.ones_like(u), f2, True), m, 2)
+    fh = ElementOperator(ProblemSpec(0.5, 1.0, _ones, lambda t, s, u: u,
+                                     lambda t, s, u: np.ones_like(u), f2, True), m, 2).rhs()
     expected = np.zeros(4)
     expected[2] = 1.0
     assert fh == pytest.approx(expected, abs=1e-13)
@@ -64,14 +60,14 @@ def test_rhs_constant_and_mode_pickoff():
 def test_rhs_linear_function():
     p = _identity_problem(0.5, 1.0, lambda t: np.asarray(t, dtype=float))
     m = uniform_mesh(1, 1.0, 3)
-    fh = rhs_coeffs(p, m, 1)
+    fh = ElementOperator(p, m, 1).rhs()
     assert fh == pytest.approx([0.5, 0.5, 0.0, 0.0], abs=1e-14)
 
 
 def test_history_empty_for_first_element():
     p = _identity_problem(0.5, 1.0, lambda t: np.asarray(t, dtype=float))
     m = uniform_mesh(3, 1.0, 2)
-    assert np.array_equal(history_coeffs(p, m, 1, []), np.zeros(3))
+    assert np.array_equal(ElementOperator(p, m, 1).history([]), np.zeros(3))
 
 
 def test_history_constant_prior_alpha_one():
@@ -79,7 +75,7 @@ def test_history_constant_prior_alpha_one():
     m = uniform_mesh(2, 1.0, 2)
     c = 3.0
     prior = [_solution_on(m, 1, [c, 0.0, 0.0])]
-    b = history_coeffs(p, m, 2, prior)
+    b = ElementOperator(p, m, 2).history(prior)
     assert b == pytest.approx([c * 0.5, 0.0, 0.0], abs=1e-13)
 
 
@@ -89,7 +85,7 @@ def test_history_closed_form_projection():
     p = _identity_problem(0.5, 2.0, lambda t: np.asarray(t, dtype=float))
     m = uniform_mesh(2, 2.0, 4)
     prior = [_solution_on(m, 1, [1.0, 0.0, 0.0, 0.0, 0.0])]
-    b = history_coeffs(p, m, 2, prior)
+    b = ElementOperator(p, m, 2).history(prior)
 
     rule = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, 4)
     ti = shift_nodes(rule, m.element(2))
@@ -105,27 +101,28 @@ def test_history_superposition():
     rng = np.random.default_rng(0)
     p1 = _solution_on(m, 1, rng.uniform(0, 0.1, 4))
     p2 = _solution_on(m, 2, rng.uniform(0, 0.1, 4))
-    both = history_coeffs(b3.spec, m, 3, [p1, p2])
+    op = ElementOperator(b3.spec, m, 3)
+    both = op.history([p1, p2])
     # additivity over prior elements: zeroing one element's values removes
     # exactly its contribution
     z1 = ElementSolution(1, p1.coeffs * 0.0, p1.lobatto_points, p1.lobatto_u * 0.0)
     z2 = ElementSolution(2, p2.coeffs * 0.0, p2.lobatto_points, p2.lobatto_u * 0.0)
-    only2 = history_coeffs(b3.spec, m, 3, [z1, p2])
-    only1 = history_coeffs(b3.spec, m, 3, [p1, z2])
+    only2 = op.history([z1, p2])
+    only1 = op.history([p1, z2])
     assert both == pytest.approx(only1 + only2, abs=1e-12)
 
 
 def test_local_residual_vanishes_on_exact_polynomial_alpha_one():
     p = _identity_problem(1.0, 1.0, lambda t: np.asarray(t, dtype=float) ** 2 / 2.0)
     m = uniform_mesh(1, 1.0, 1)
-    r = local_residual(p, m, 1, np.zeros(2), [0.5, 0.5])
+    r = element_system(p, m, 1, []).residual([0.5, 0.5])
     assert np.max(np.abs(r)) < 1e-13
 
 
 def test_local_residual_vanishes_on_constant_sqrt_rhs():
     p = _identity_problem(0.5, 1.0, lambda t: 2.0 * np.sqrt(np.asarray(t, dtype=float)))
     m = uniform_mesh(1, 1.0, 1)
-    r = local_residual(p, m, 1, np.zeros(2), [1.0, 0.0])
+    r = element_system(p, m, 1, []).residual([1.0, 0.0])
     assert np.max(np.abs(r)) < 1e-13
 
 
@@ -133,11 +130,12 @@ def test_linear_consistency_of_residual():
     bench = pytest.importorskip("abelhp.bench").make_benchmark("ex2")
     m = uniform_mesh(2, 1.0, 3)
     prior = [_solution_on(m, 1, [0.3, -0.1, 0.05, 0.0])]
-    A, b, c = assemble_linear(bench.spec, m, 2, prior)
+    system = element_system(bench.spec, m, 2, prior)
+    A, b, c = system.jacobian(np.zeros(4)), system.history, system.rhs
     rng = np.random.default_rng(1)
     for _ in range(5):
         u = rng.uniform(-1.0, 1.0, 4)
-        direct = local_residual(bench.spec, m, 2, b, u)
+        direct = system.residual(u)
         assert np.max(np.abs(direct - (A @ u - c + b))) < 1e-11
 
 
@@ -162,11 +160,12 @@ def test_jacobian_matches_finite_differences():
 def test_jacobian_constant_for_linear_problems():
     bench = pytest.importorskip("abelhp.bench").make_benchmark("ex2")
     m = uniform_mesh(2, 1.0, 3)
-    A, _, _ = assemble_linear(bench.spec, m, 1)
+    op = ElementOperator(bench.spec, m, 1)
+    A = op.jacobian(np.zeros(4))
     rng = np.random.default_rng(9)
     for _ in range(3):
         u = rng.uniform(-1, 1, 4)
-        assert local_jacobian(bench.spec, m, 1, u) == pytest.approx(A, abs=1e-13)
+        assert op.jacobian(u) == pytest.approx(A, abs=1e-13)
 
 
 def test_jacobian_zero_at_zero_for_square_nonlinearity():
@@ -179,27 +178,24 @@ def test_jacobian_zero_at_zero_for_square_nonlinearity():
         f=lambda t: np.asarray(t, dtype=float),
     )
     m = uniform_mesh(1, 1.0, 3)
-    J = local_jacobian(p, m, 1, np.zeros(4))
+    J = ElementOperator(p, m, 1).jacobian(np.zeros(4))
     assert np.max(np.abs(J)) < 1e-14
 
 
 def test_assemble_linear_matrix_action_and_independence():
     p = _identity_problem(1.0, 1.0, lambda t: np.asarray(t, dtype=float) ** 2 / 2.0)
     m = uniform_mesh(1, 1.0, 1)
-    A, b, c = assemble_linear(p, m, 1)
+    op = ElementOperator(p, m, 1)
+    A, b, c = op.jacobian(np.zeros(2)), op.history([]), op.rhs()
     # A maps the coefficients of u = t onto those of t^2/2 (degree <= 1 part)
     assert A @ [0.5, 0.5] == pytest.approx([1 / 6, 1 / 4], rel=1e-12)
     assert b == pytest.approx(np.zeros(2), abs=1e-15)
 
     p_other = _identity_problem(1.0, 1.0, lambda t: np.cos(np.asarray(t, dtype=float)))
-    A2, _, c2 = assemble_linear(p_other, m, 1)
+    op_other = ElementOperator(p_other, m, 1)
+    A2, c2 = op_other.jacobian(np.zeros(2)), op_other.rhs()
     assert np.array_equal(A, A2)
     assert not np.allclose(c, c2)
-
-    with pytest.raises(ValueError):
-        assemble_linear(
-            ProblemSpec(1.0, 1.0, _ones, lambda t, s, u: u**2,
-                        lambda t, s, u: 2 * u, lambda t: t), m, 1)
 
 
 def test_assemble_linear_entries_against_2d_quadrature():
@@ -207,7 +203,7 @@ def test_assemble_linear_entries_against_2d_quadrature():
     # int_0^t L_q, exact for these degrees, so it matches the 2-D integral
     p = _identity_problem(1.0, 1.0, lambda t: np.asarray(t, dtype=float))
     m = uniform_mesh(1, 1.0, 2)
-    A, _, _ = assemble_linear(p, m, 1)
+    A = ElementOperator(p, m, 1).jacobian(np.zeros(3))
     for pp in range(3):
         for q in range(3):
             unit_p = np.zeros(pp + 1)
@@ -240,8 +236,6 @@ def test_quadrature_consistency_low_degree_integrand():
         linear=True,
     )
     m = uniform_mesh(1, 1.0, 3)
-    from abelhp.discretization import ElementOperator
-
     op = ElementOperator(p, m, 1)
     coeffs = np.array([0.5, 0.5, 0.0, 0.0])  # u(t) = t
     mine = op.weighted_moments(coeffs)
@@ -283,10 +277,13 @@ def test_problemspec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(0.5, 1.0, _ones, lambda t, s, u: u**2,
                     lambda t, s, u: 2 * u, lambda t: t, linear=True)
+    with pytest.raises(ValueError):
+        ProblemSpec(0.5, 1.0, _ones, lambda t, s, u: u,
+                    lambda t, s, u: 2.0 * np.ones_like(u), lambda t: t, linear=True)
 
 
 def test_missing_prior_raises():
     p = _identity_problem(0.5, 1.0, lambda t: np.asarray(t, dtype=float))
     m = uniform_mesh(3, 1.0, 2)
     with pytest.raises(ValueError):
-        history_coeffs(p, m, 3, [_solution_on(m, 1, [1.0, 0.0, 0.0])])
+        ElementOperator(p, m, 3).history([_solution_on(m, 1, [1.0, 0.0, 0.0])])

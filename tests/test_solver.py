@@ -261,5 +261,3 @@ def test_solver_options_validation():
         SolverOptions(newton_tol=0.0)
     with pytest.raises(ValueError):
         SolverOptions(newton_max_iter=0)
-    with pytest.raises(ValueError):
-        SolverOptions(linear_solver="qr")
