@@ -160,36 +160,24 @@ class ElementOperator:
         return self.project(np.broadcast_to(self.problem.f(self.t_nodes), self.t_nodes.shape))
 
     def history(self, prior: Sequence[ElementSolution]) -> np.ndarray:
-        """Legendre moments of the history integral over elements 1..n-1."""
-        if not prior:
-            return np.zeros(self.elem.degree + 1)
+        """Legendre moments of the history integral over elements 1..n-1.
+
+        One contraction per distinct degree among the solved elements: a
+        single batched weight call serves all Gauss nodes of this element.
+        """
         if len(prior) != self.n - 1:
             raise ValueError(f"element {self.n} needs solutions for 1..{self.n - 1}")
-        vals = np.array([_history_value(self.problem, self.mesh, t, prior)
-                         for t in self.t_nodes])
+        problem, bp = self.problem, self.mesh.breakpoints
+        degrees = self.mesh.degrees[: self.n - 1]
+        t = self.t_nodes[:, None, None]
+        vals = np.zeros(self.t_nodes.size)
+        for d in np.unique(degrees):
+            idx = np.flatnonzero(degrees == d)
+            w = history_weights_batch(bp[idx], bp[idx + 1], int(d), self.t_nodes, problem.alpha)
+            S = np.array([prior[k].lobatto_points for k in idx])
+            U = np.array([prior[k].lobatto_u for k in idx])
+            vals += np.sum(w * problem.kappa(t, S) * problem.psi(t, S, U), axis=(1, 2))
         return self.project(vals)
-
-
-def _history_value(problem: ProblemSpec, mesh: Mesh, t: float, prior) -> float:
-    """Accumulated singular integral over all solved elements at time t."""
-    alpha = problem.alpha
-    bp = mesh.breakpoints
-    total = 0.0
-    # group contiguous runs of equal degree so the weight solve is batched
-    k = 0
-    while k < len(prior):
-        d = prior[k].lobatto_points.size - 1
-        k_end = k
-        while k_end < len(prior) and prior[k_end].lobatto_points.size - 1 == d:
-            k_end += 1
-        lefts = bp[k:k_end]
-        rights = bp[k + 1 : k_end + 1]
-        w = history_weights_batch(lefts, rights, d, t, alpha)
-        S = np.stack([prior[m].lobatto_points for m in range(k, k_end)])
-        U = np.stack([prior[m].lobatto_u for m in range(k, k_end)])
-        total += float(np.sum(w * problem.kappa(t, S) * problem.psi(t, S, U)))
-        k = k_end
-    return total
 
 
 def element_system(

@@ -244,19 +244,24 @@ def lobatto_lagrange_coeffs(degree: int) -> np.ndarray:
     return C
 
 
-def _check_constant_sum(weights, lefts, rights, t: float, alpha: float):
-    """Each weight row must sum to the integral of the kernel over its element."""
-    weights = np.atleast_2d(weights)
-    lefts = np.atleast_1d(np.asarray(lefts, dtype=float))
-    rights = np.atleast_1d(np.asarray(rights, dtype=float))
+def _check_constant_sum(weights, lefts, rights, t, alpha: float):
+    """Each weight row must sum to the integral of the kernel over its element.
+
+    ``t`` broadcasts against ``lefts``/``rights``; the last axis of
+    ``weights`` runs over the Lobatto points of one element.
+    """
+    t = np.asarray(t, dtype=float)
+    lefts = np.asarray(lefts, dtype=float)
+    rights = np.asarray(rights, dtype=float)
     expected = ((t - lefts) ** alpha - np.maximum(t - rights, 0.0) ** alpha) / alpha
-    err = np.abs(weights.sum(axis=1) - expected)
-    bad = err > 1e-10 * expected + 1e-16 * np.abs(weights).sum(axis=1)
+    err = np.abs(weights.sum(axis=-1) - expected)
+    bad = err > 1e-10 * expected + 1e-16 * np.abs(weights).sum(axis=-1)
     if np.any(bad):
-        k = int(np.argmax(err / expected))
+        k = np.unravel_index(np.argmax(err / expected), err.shape)
+        left, right, at = (np.broadcast_to(v, err.shape)[k] for v in (lefts, rights, t))
         raise HistoryAccuracyError(
-            f"constant-sum check failed for element [{lefts[k]}, {rights[k]}] "
-            f"at t={t}: error {err[k]:.3e}"
+            f"constant-sum check failed for element [{left}, {right}] "
+            f"at t={at}: error {err[k]:.3e}"
         )
 
 
@@ -287,18 +292,22 @@ def history_weights(elem: Element, t: float, alpha: float) -> HistoryWeights:
     return HistoryWeights(elem, float(t), float(alpha), values)
 
 
-def history_weights_batch(lefts, rights, degree: int, t: float, alpha: float) -> np.ndarray:
-    """Weights for many same-degree elements at once; rows follow the inputs.
+def history_weights_batch(lefts, rights, degree: int, t, alpha: float) -> np.ndarray:
+    """Weights for many same-degree elements at one or many times t.
 
-    Hot path of history assembly: moments are vectorized over elements and a
-    single basis-change matrix serves the whole group.  Each row passes the
-    constant-sum check of :class:`HistoryWeights`.
+    ``t`` is a scalar or an array of evaluation times; the result has shape
+    ``t.shape + (len(lefts), degree + 1)``, and ``result[..., k, :]`` holds
+    the weights of element k at that time.  Hot path of history assembly:
+    moments are vectorized over times and elements, and a single
+    basis-change matrix serves the whole group.  Every (time, element) row
+    passes the constant-sum check of :class:`HistoryWeights`.
     """
+    t = np.asarray(t, dtype=float)[..., None]
     lefts = np.asarray(lefts, dtype=float)
     rights = np.asarray(rights, dtype=float)
     widths = rights - lefts
     c = (2.0 * t - lefts - rights) / widths
-    nu = _nu_batch(c, alpha, degree)
+    nu = _nu_batch(c.ravel(), alpha, degree).reshape(c.shape + (degree + 1,))
     mu = (0.5 * widths)[:, None] ** alpha * nu
     weights = mu @ lobatto_lagrange_coeffs(degree)
     _check_constant_sum(weights, lefts, rights, t, alpha)

@@ -1,9 +1,9 @@
 """Independent reference computations shared by the test modules.
 
-Everything here deliberately avoids the package's own quadrature machinery:
-closed-form moments come from 50-digit mpmath sums, singular integrals from
-QUADPACK's weighted adaptive routines, and low-degree Jacobi values from the
-explicit hypergeometric sum.
+Everything here except ``history_by_node`` deliberately avoids the package's
+own quadrature machinery: closed-form moments come from 50-digit mpmath sums,
+singular integrals from QUADPACK's weighted adaptive routines, and low-degree
+Jacobi values from the explicit hypergeometric sum.
 """
 
 import math
@@ -99,3 +99,30 @@ def legendre_l2_projection(fn, a, b, degree, tol=1e-12):
         )[0]
         coeffs[p] = (2 * p + 1) / (b - a) * val
     return coeffs
+
+
+def history_by_node(op, prior):
+    """History moments of element ``op.n`` by the plain per-node loop.
+
+    For each Gauss node t it walks the solved elements in runs of equal
+    degree and takes one scalar-t weight call per run.  It shares the weight
+    routine with the package, so it checks the batched contraction of
+    ``ElementOperator.history``, not the weights themselves.
+    """
+    from abelhp.quadrature import history_weights_batch
+
+    problem, bp = op.problem, op.mesh.breakpoints
+    vals = np.zeros(op.t_nodes.size)
+    for i, t in enumerate(op.t_nodes):
+        k = 0
+        while k < len(prior):
+            d = prior[k].lobatto_points.size - 1
+            k_end = k
+            while k_end < len(prior) and prior[k_end].lobatto_points.size - 1 == d:
+                k_end += 1
+            w = history_weights_batch(bp[k:k_end], bp[k + 1 : k_end + 1], d, t, problem.alpha)
+            S = np.stack([e.lobatto_points for e in prior[k:k_end]])
+            U = np.stack([e.lobatto_u for e in prior[k:k_end]])
+            vals[i] += float(np.sum(w * problem.kappa(t, S) * problem.psi(t, S, U)))
+            k = k_end
+    return op.project(vals)

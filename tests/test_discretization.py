@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+from abelhp.bench import make_benchmark
 from abelhp.discretization import (
     ElementOperator,
     ElementSolution,
@@ -15,7 +18,7 @@ from abelhp.orthopoly import legendre_table
 from abelhp.quadrature import RuleKind, gauss_rule, shift_nodes
 from abelhp.solver import _lobatto_cache
 
-from oracles import singular_history_integral
+from oracles import history_by_node, singular_history_integral
 
 
 def _ones(t, s):
@@ -287,3 +290,22 @@ def test_missing_prior_raises():
     m = uniform_mesh(3, 1.0, 2)
     with pytest.raises(ValueError):
         ElementOperator(p, m, 3).history([_solution_on(m, 1, [1.0, 0.0, 0.0])])
+    with pytest.raises(ValueError):
+        ElementOperator(p, m, 3).history([])
+
+
+def test_history_matches_per_node_loop_on_mixed_degrees():
+    # interleaved degrees, so equal-degree elements are not contiguous, with
+    # ex3's t-dependent nonlinearity and ex1's t-dependent kernel
+    ex1, ex3 = make_benchmark("ex1", 0.3), make_benchmark("ex3")
+    problem = dataclasses.replace(ex3.spec, alpha=ex1.spec.alpha, kappa=ex1.spec.kappa)
+    degrees = [2, 4, 2, 3, 4, 2]
+    mesh = Mesh(np.linspace(0.0, 1.0, len(degrees) + 1), degrees)
+    rng = np.random.default_rng(11)
+    prior = [_solution_on(mesh, n, rng.uniform(-1.0, 1.0, d + 1))
+             for n, d in enumerate(degrees[:-1], start=1)]
+    for n in range(2, len(degrees) + 1):
+        op = ElementOperator(problem, mesh, n)
+        batched = op.history(prior[: n - 1])
+        looped = history_by_node(op, prior[: n - 1])
+        assert np.max(np.abs(batched - looped)) <= 1e-14 * np.max(np.abs(looped))

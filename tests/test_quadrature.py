@@ -221,6 +221,18 @@ def test_lagrange_transform_consistency():
     assert w1 == pytest.approx(mu @ C, rel=1e-14)
 
 
+def test_history_weights_batch_array_t_matches_scalar_rows():
+    # times both near (c <= 1.2) and far from the elements, degree > 1 so
+    # both moment branches run
+    lefts, rights = np.array([0.0, 0.25, 0.4]), np.array([0.25, 0.4, 0.5])
+    ts = np.array([[0.5, 0.505], [0.7, 3.0]])
+    w = history_weights_batch(lefts, rights, 5, ts, 0.4)
+    assert w.shape == ts.shape + (3, 6)
+    for idx in np.ndindex(ts.shape):
+        row = history_weights_batch(lefts, rights, 5, ts[idx], 0.4)
+        assert w[idx] == pytest.approx(row, rel=1e-14, abs=0.0)
+
+
 def test_history_weights_reject_bad_sum():
     elem = Element(0.0, 1.0, 3)
     good = history_weights(elem, 2.0, 0.5)
