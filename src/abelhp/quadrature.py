@@ -178,15 +178,29 @@ def _far_field_table(pmax: int):
     return entry
 
 
+def _kernel_mass(gap, width, alpha: float):
+    """((gap + width)^alpha - gap^alpha) / alpha for gap >= 0.
+
+    This is the integral of (t-s)^(alpha-1) over an element of the given
+    width whose right end lies gap before t.  Past gap = width / 10 the two
+    powers cancel to a relative error of about eps * gap / width; the
+    factored form gap^alpha expm1(alpha log1p(width / gap)) / alpha keeps
+    full relative accuracy there.
+    """
+    far = gap > 0.1 * width
+    safe = np.where(far, gap, width)
+    factored = safe**alpha * np.expm1(alpha * np.log1p(width / safe)) / alpha
+    return np.where(far, factored, ((gap + width) ** alpha - gap**alpha) / alpha)
+
+
 def _nu_batch(c: np.ndarray, alpha: float, pmax: int) -> np.ndarray:
     """Moments nu_p(c), p = 0..pmax, for an array of offsets c >= 1."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
     cm1 = np.maximum(c - 1.0, 0.0)  # clamp negative rounding at c ~ 1
-    cp1 = c + 1.0
     nu = np.empty((c.size, pmax + 1))
-    nu[:, 0] = (cp1**alpha - cm1**alpha) / alpha
+    nu[:, 0] = _kernel_mass(cm1, 2.0, alpha)
     if pmax >= 1:
-        i0 = (cp1 ** (alpha + 1.0) - cm1 ** (alpha + 1.0)) / (alpha + 1.0)
+        i0 = _kernel_mass(cm1, 2.0, alpha + 1.0)
         nu[:, 1] = c * nu[:, 0] - i0
     if pmax <= 1:
         return nu
@@ -253,7 +267,7 @@ def _check_constant_sum(weights, lefts, rights, t, alpha: float):
     t = np.asarray(t, dtype=float)
     lefts = np.asarray(lefts, dtype=float)
     rights = np.asarray(rights, dtype=float)
-    expected = ((t - lefts) ** alpha - np.maximum(t - rights, 0.0) ** alpha) / alpha
+    expected = _kernel_mass(np.maximum(t - rights, 0.0), rights - lefts, alpha)
     err = np.abs(weights.sum(axis=-1) - expected)
     bad = err > 1e-10 * expected + 1e-16 * np.abs(weights).sum(axis=-1)
     if np.any(bad):

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -234,10 +235,33 @@ def test_history_weights_batch_array_t_matches_scalar_rows():
 
 
 def test_history_weights_reject_bad_sum():
-    elem = Element(0.0, 1.0, 3)
-    good = history_weights(elem, 2.0, 0.5)
-    with pytest.raises(HistoryAccuracyError):
-        HistoryWeights(elem, 2.0, 0.5, good.values * (1.0 + 1e-6))
+    for elem, t, rel in ((Element(0.0, 1.0, 3), 2.0, 1e-6), (Element(0.0, 1e-7, 4), 1.0, 1e-8)):
+        good = history_weights(elem, t, 0.5)
+        with pytest.raises(HistoryAccuracyError):
+            HistoryWeights(elem, t, 0.5, good.values * (1.0 + rel))
+
+
+def test_zeroth_moment_far_from_element_matches_mpmath():
+    # nu_0(c) = ((c+1)^alpha - (c-1)^alpha) / alpha subtracts two nearly
+    # equal powers once c >> 1; the computed value must keep full precision
+    from abelhp.quadrature import _nu_batch
+
+    c = np.geomspace(1e3, 1e9, 13)
+    for alpha in (0.1, 0.3, 0.5, 0.9):
+        nu0 = _nu_batch(c, alpha, 0)[:, 0]
+        with mp.workdps(50):
+            exact = [float(((mp.mpf(x) + 1) ** alpha - (mp.mpf(x) - 1) ** alpha) / alpha)
+                     for x in c]
+        assert nu0 == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+
+def test_history_weights_on_small_elements_far_from_t():
+    # elements far narrower than their distance to t, as on graded meshes
+    for degree in (1, 4, 12):
+        for alpha in (0.1, 0.3, 0.5, 0.9):
+            for width in (1e-5, 1e-7, 1e-9):
+                w = history_weights(Element(0.0, width, degree), 1.0, alpha).values
+                assert np.all(np.isfinite(w))
 
 
 def test_rule_cache_returns_same_object():

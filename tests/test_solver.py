@@ -3,7 +3,7 @@ import pytest
 
 import abelhp.bench as bench
 from abelhp.discretization import ProblemSpec
-from abelhp.mesh import uniform_mesh
+from abelhp.mesh import Mesh, uniform_mesh
 from abelhp.solver import (
     NewtonDivergedError,
     SingularJacobianError,
@@ -254,6 +254,18 @@ def test_mixed_degree_mesh():
     sol = solve(b5.spec, mesh, b5.solver_options())
     assert mesh.L == 15
     assert bench.error_E1(sol, b5.exact) < 1e-6
+
+
+def test_geometric_mesh_solves():
+    # elements down to 0.15^8 wide near t = 0; their history weights at later
+    # times must pass the constant-sum check.  The error bounds are set by the
+    # wide last element (0.15, 1].
+    bp = np.array([0.0] + [0.15**k for k in range(8, 0, -1)] + [1.0])
+    mesh = Mesh(bp, np.full(bp.size - 1, 4))
+    for pid, alpha, bound in (("ex1", 0.3, 5e-4), ("ex2", None, 2e-3), ("ex3", None, 1e-9)):
+        b = bench.make_benchmark(pid, alpha)
+        sol = solve(b.spec, mesh, b.solver_options())
+        assert bench.error_E2(sol, b.exact) < bound
 
 
 def test_solver_options_validation():
