@@ -24,7 +24,7 @@ from scipy.special import gamma as _gamma
 from .discretization import ProblemSpec
 from .mesh import Mesh, uniform_mesh
 from .orthopoly import legendre_table
-from .quadrature import RuleKind, gauss_rule, shift_nodes
+from .quadrature import HistoryAccuracyError, RuleKind, gauss_rule, shift_nodes
 from .solver import (
     PiecewiseSolution,
     SolverError,
@@ -494,7 +494,7 @@ def run_mesh(
         ref = reference_solution(bench)
         row.E1 = error_E1(solution, ref)
         row.E2 = error_E2(solution, ref)
-    except SolverError as exc:
+    except (SolverError, HistoryAccuracyError) as exc:
         row.runtime_s = time.perf_counter() - tic
         row.failed = True
         row.error = str(exc)

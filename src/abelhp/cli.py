@@ -27,12 +27,14 @@ from .bench import (
     BenchRow,
     make_benchmark,
     mesh_for,
+    parse_noise,
     reference_solution,
     run_mesh,
     run_sweep,
 )
 from .mesh import Mesh
-from .solver import SolverOptions
+from .quadrature import HistoryAccuracyError
+from .solver import SolverError, SolverOptions
 
 
 class _UsageError(Exception):
@@ -125,10 +127,9 @@ def _cmd_list(out) -> int:
     return 0
 
 
-def _adaptive_report(bench, mesh: Mesh, options, tol, strategy, max_L) -> BenchReport:
+def _adaptive_report(bench, mesh: Mesh, options, adapt: AdaptiveOptions) -> BenchReport:
     reference = reference_solution(bench)
-    adapt = AdaptiveOptions(tol=tol, strategy=strategy, max_L=max_L,
-                            error_metric="E2_vs_reference")
+    report = BenchReport(bench.id)
     budget_hit = False
     try:
         solution, trace = adaptive_solve(
@@ -136,7 +137,10 @@ def _adaptive_report(bench, mesh: Mesh, options, tol, strategy, max_L) -> BenchR
         )
     except BudgetExceededError as exc:
         trace, budget_hit = exc.trace, True
-    report = BenchReport(bench.id)
+    except (SolverError, HistoryAccuracyError) as exc:
+        report.rows.append(BenchRow(N=mesh.N, M=int(np.max(mesh.degrees)) + 1, L=mesh.L,
+                                    failed=True, error=str(exc)))
+        return report
     for step in trace.steps:
         report.rows.append(
             BenchRow(
@@ -190,20 +194,33 @@ def _cmd_run(args) -> int:
             raise _UsageError("need --N and --M (or config mesh/sweep entries)")
         sweep = _sweep_pairs(Ns, Ms)
 
+    if sweep is not None and any(n < 1 or m < 2 for n, m in sweep):
+        raise _UsageError("need N >= 1 and M >= 2 (M counts basis functions per element)")
     noise = args.noise if args.noise is not None else cfg.get("noise")
+    try:
+        parse_noise(noise, 1.0)
+    except (TypeError, ValueError) as exc:
+        raise _UsageError(f"bad noise {noise!r}: {exc}") from exc
     strategy = args.adaptive or cfg.get("adaptive", {}).get("strategy")
     tol = args.tol if args.tol is not None else cfg.get("adaptive", {}).get("tol")
 
     if strategy:
         if tol is None:
             raise _UsageError("adaptive runs need --tol")
+        max_L = args.max_L if args.max_L is not None else cfg.get("adaptive", {}).get("max_L", 200)
+        try:
+            adapt = AdaptiveOptions(tol=tol, strategy=strategy, max_L=max_L,
+                                    error_metric="E2_vs_reference")
+        except (TypeError, ValueError) as exc:
+            raise _UsageError(f"bad adaptive options: {exc}") from exc
         if explicit_mesh is not None:
             mesh = explicit_mesh
         else:
             N0, M0 = sweep[0]
             mesh = mesh_for(bench, N0, M0)
-        max_L = args.max_L if args.max_L is not None else cfg.get("adaptive", {}).get("max_L", 200)
-        report = _adaptive_report(bench, mesh, options, tol, strategy, max_L)
+        if max_L < mesh.L:
+            raise _UsageError(f"max_L {max_L} is below the initial unknown count {mesh.L}")
+        report = _adaptive_report(bench, mesh, options, adapt)
     elif explicit_mesh is not None:
         report = BenchReport(bench.id)
         report.rows.append(run_mesh(bench, explicit_mesh, options, noise))

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import abelhp.bench as bench
+import abelhp.discretization
 from abelhp.mesh import uniform_mesh
+from abelhp.quadrature import HistoryAccuracyError
 from abelhp.solver import SolverError, evaluate, forward_apply, solve
 
 from oracles import legendre_l2_projection
@@ -208,6 +210,16 @@ def test_run_sweep_marks_failed_rows_and_continues():
     assert report.any_failed
     assert all(r.failed for r in report.rows)
     assert all(r.error for r in report.rows)
+
+
+def test_run_mesh_marks_history_failure(monkeypatch):
+    def reject(*args):
+        raise HistoryAccuracyError("rejected")
+
+    monkeypatch.setattr(abelhp.discretization, "history_weights_batch", reject)
+    b = bench.make_benchmark("ex2")
+    row = bench.run_mesh(b, uniform_mesh(3, b.spec.T, 1))
+    assert row.failed and row.error == "rejected" and row.E2 is None
 
 
 def test_mesh_for_inserts_required_breakpoints():

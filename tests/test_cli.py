@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import abelhp.discretization
 from abelhp.cli import main
+from abelhp.quadrature import HistoryAccuracyError
 
 
 def run_cli(capsys, *argv):
@@ -89,13 +91,22 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "run", "--problem", "ex4", "--N", "1", "--M", "2",
                    "--adaptive", "p_first")[0] == 1
     assert run_cli(capsys, "run", "--config", "/nonexistent.json")[0] == 1
+    assert run_cli(capsys, "run", "--problem", "ex3", "--N", "0", "--M", "2")[0] == 1
+    assert run_cli(capsys, "run", "--problem", "ex3", "--N", "2", "--M", "1")[0] == 1
+    assert run_cli(capsys, "run", "--problem", "ex4", "--N", "1", "--M", "2",
+                   "--adaptive", "p_first", "--tol", "-1")[0] == 1
+    assert run_cli(capsys, "run", "--problem", "ex4", "--N", "2", "--M", "3",
+                   "--adaptive", "p_first", "--tol", "1e-9", "--max-L", "3")[0] == 1
+    code, _, err = run_cli(capsys, "run", "--problem", "ex3", "--N", "2", "--M", "2",
+                           "--noise", "abc")
+    assert code == 1 and err.startswith("abel-hp: error:")
 
 
 def test_no_arguments_is_usage_error(capsys):
     assert run_cli(capsys)[0] == 1
 
 
-def test_failed_row_exits_two(capsys, tmp_path):
+def test_failed_row_exits_two(capsys, tmp_path, monkeypatch):
     cfg = {
         "problem": "ex3",
         "sweep": [[2, 3]],
@@ -107,6 +118,17 @@ def test_failed_row_exits_two(capsys, tmp_path):
     assert code == 2
     rows = list(csv.DictReader(io.StringIO(out)))
     assert rows[0]["E1"] == ""
+
+    # a history-weight failure inside an adaptive run is a failed row too
+    def reject(*args):
+        raise HistoryAccuracyError("rejected")
+
+    monkeypatch.setattr(abelhp.discretization, "history_weights_batch", reject)
+    code, out, _ = run_cli(capsys, "run", "--problem", "ex4", "--N", "2", "--M", "2",
+                           "--adaptive", "p_first", "--tol", "1e-13")
+    assert code == 2
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 1 and rows[0]["E2"] == ""
 
 
 def test_explicit_mesh_config(tmp_path, capsys):
