@@ -108,7 +108,6 @@ class ElementOperator:
         self.mesh = mesh
         self.n = n
         elem = mesh.element(n)
-        self.elem = elem
         a, h, M = elem.left, elem.width, elem.degree
         alpha = problem.alpha
 
@@ -162,8 +161,8 @@ class ElementOperator:
     def history(self, prior: Sequence[ElementSolution]) -> np.ndarray:
         """Legendre moments of the history integral over elements 1..n-1.
 
-        One contraction per distinct degree among the solved elements: a
-        single batched weight call serves all Gauss nodes of this element.
+        One weight call and one contraction per distinct prior degree, for
+        all Gauss nodes at once.
         """
         if len(prior) != self.n - 1:
             raise ValueError(f"element {self.n} needs solutions for 1..{self.n - 1}")

@@ -16,6 +16,7 @@ singular factor against shifted Legendre polynomials.
 from __future__ import annotations
 
 import enum
+import functools
 import threading
 from dataclasses import dataclass, field
 
@@ -165,27 +166,20 @@ def singular_element_integral(g_at_mapped_nodes, elem: Element, t: float, alpha:
 
 _NEAR_FIELD_C = 1.2
 _FAR_FIELD_POINTS = 64
-_far_cache: dict[int, tuple] = {}
 
 
+@functools.lru_cache(maxsize=None)
 def _far_field_table(pmax: int):
-    entry = _far_cache.get(pmax)
-    if entry is None:
-        x, w = roots_legendre(_FAR_FIELD_POINTS)
-        entry = (x, w, legendre_table(pmax, x))
-        with _rule_lock:
-            _far_cache.setdefault(pmax, entry)
-    return entry
+    x, w = roots_legendre(_FAR_FIELD_POINTS)
+    return x, w, legendre_table(pmax, x)
 
 
 def _kernel_mass(gap, width, alpha: float):
-    """((gap + width)^alpha - gap^alpha) / alpha for gap >= 0.
+    """((gap + width)^alpha - gap^alpha) / alpha: the integral of (t-s)^(alpha-1)
+    over an element of that width whose right end lies gap >= 0 before t.
 
-    This is the integral of (t-s)^(alpha-1) over an element of the given
-    width whose right end lies gap before t.  Past gap = width / 10 the two
-    powers cancel to a relative error of about eps * gap / width; the
-    factored form gap^alpha expm1(alpha log1p(width / gap)) / alpha keeps
-    full relative accuracy there.
+    Past gap = width / 10 the two powers cancel to a relative error of about
+    eps * gap / width; gap^alpha expm1(alpha log1p(width / gap)) / alpha does not.
     """
     far = gap > 0.1 * width
     safe = np.where(far, gap, width)
@@ -194,8 +188,7 @@ def _kernel_mass(gap, width, alpha: float):
 
 
 def _nu_batch(c: np.ndarray, alpha: float, pmax: int) -> np.ndarray:
-    """Moments nu_p(c), p = 0..pmax, for an array of offsets c >= 1."""
-    c = np.atleast_1d(np.asarray(c, dtype=float))
+    """Moments nu_p(c), p = 0..pmax, for a 1-d array of offsets c >= 1."""
     cm1 = np.maximum(c - 1.0, 0.0)  # clamp negative rounding at c ~ 1
     nu = np.empty((c.size, pmax + 1))
     nu[:, 0] = _kernel_mass(cm1, 2.0, alpha)
@@ -235,9 +228,7 @@ def modified_moments(elem: Element, t: float, alpha: float, max_degree: int) -> 
     return (0.5 * elem.width) ** alpha * _nu_batch(np.array([c]), alpha, max_degree)[0]
 
 
-_lagrange_cache: dict[int, np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def lobatto_lagrange_coeffs(degree: int) -> np.ndarray:
     """Legendre expansion of the Lagrange basis on the Lobatto nodes.
 
@@ -245,30 +236,17 @@ def lobatto_lagrange_coeffs(degree: int) -> np.ndarray:
     Lagrange polynomial; exact via the discrete Lobatto transform (the top
     mode uses the modified discrete norm 2/degree).
     """
-    C = _lagrange_cache.get(degree)
-    if C is not None:
-        return C
     rule = gauss_rule(RuleKind.GAUSS_LOBATTO, None, degree)
     table = legendre_table(degree, rule.nodes)
     scale = (2.0 * np.arange(degree + 1) + 1.0) / 2.0
     scale[degree] = degree / 2.0
-    C = scale[:, None] * table * rule.weights[None, :]
-    with _rule_lock:
-        _lagrange_cache.setdefault(degree, C)
-    return C
+    return scale[:, None] * table * rule.weights[None, :]
 
 
 def _check_constant_sum(weights, lefts, rights, t, alpha: float):
-    """Each weight row must sum to the integral of the kernel over its element.
-
-    ``t`` broadcasts against ``lefts``/``rights``; the last axis of
-    ``weights`` runs over the Lobatto points of one element.
-    """
-    t = np.asarray(t, dtype=float)
-    lefts = np.asarray(lefts, dtype=float)
-    rights = np.asarray(rights, dtype=float)
+    """Each weight row (last axis) must sum to the kernel integral over its element."""
     expected = _kernel_mass(np.maximum(t - rights, 0.0), rights - lefts, alpha)
-    err = np.abs(weights.sum(axis=-1) - expected)
+    err = np.abs(np.sum(weights, axis=-1) - expected)
     bad = err > 1e-10 * expected + 1e-16 * np.abs(weights).sum(axis=-1)
     if np.any(bad):
         k = np.unravel_index(np.argmax(err / expected), err.shape)
@@ -307,14 +285,13 @@ def history_weights(elem: Element, t: float, alpha: float) -> HistoryWeights:
 
 
 def history_weights_batch(lefts, rights, degree: int, t, alpha: float) -> np.ndarray:
-    """Weights for many same-degree elements at one or many times t.
+    """Weights for many same-degree elements at a scalar or an array of times t.
 
-    ``t`` is a scalar or an array of evaluation times; the result has shape
-    ``t.shape + (len(lefts), degree + 1)``, and ``result[..., k, :]`` holds
-    the weights of element k at that time.  Hot path of history assembly:
-    moments are vectorized over times and elements, and a single
-    basis-change matrix serves the whole group.  Every (time, element) row
-    passes the constant-sum check of :class:`HistoryWeights`.
+    The result has shape ``t.shape + (len(lefts), degree + 1)``: row
+    ``[..., k, :]`` holds element k's weights at that time.  Hot path of
+    history assembly: moments are vectorized over times and elements, one
+    basis-change matrix serves them all, and every (time, element) row passes
+    the constant-sum check of :class:`HistoryWeights`.
     """
     t = np.asarray(t, dtype=float)[..., None]
     lefts = np.asarray(lefts, dtype=float)
