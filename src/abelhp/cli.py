@@ -209,6 +209,7 @@ def _cmd_run(args) -> int:
             raise _UsageError("adaptive runs need --tol")
         max_L = args.max_L if args.max_L is not None else cfg.get("adaptive", {}).get("max_L", 200)
         try:
+            max_L = int(max_L)
             adapt = AdaptiveOptions(tol=tol, strategy=strategy, max_L=max_L,
                                     error_metric="E2_vs_reference")
         except (TypeError, ValueError) as exc:

@@ -175,11 +175,11 @@ def _far_field_table(pmax: int):
 
 
 def _kernel_mass(gap, width, alpha: float):
-    """((gap + width)^alpha - gap^alpha) / alpha: the integral of (t-s)^(alpha-1)
-    over an element of that width whose right end lies gap >= 0 before t.
+    """Integral of (t-s)^(alpha-1) over an element of this width ending gap >= 0 before t.
 
-    Past gap = width / 10 the two powers cancel to a relative error of about
-    eps * gap / width; gap^alpha expm1(alpha log1p(width / gap)) / alpha does not.
+    That is ((gap + width)^alpha - gap^alpha) / alpha.  Past gap = width / 10
+    the two powers cancel to a relative error of about eps * gap / width, so
+    there it is computed as gap^alpha expm1(alpha log1p(width / gap)) / alpha.
     """
     far = gap > 0.1 * width
     safe = np.where(far, gap, width)

@@ -82,7 +82,7 @@ def test_config_file(tmp_path, capsys):
     assert len(payload["rows"]) == 2
 
 
-def test_usage_errors_exit_one(capsys):
+def test_usage_errors_exit_one(capsys, tmp_path):
     assert run_cli(capsys, "run", "--problem", "nosuch", "--N", "1", "--M", "2")[0] == 1
     assert run_cli(capsys, "run", "--problem", "ex3")[0] == 1
     assert run_cli(capsys, "run", "--problem", "ex1", "--N", "1", "--M", "2")[0] == 1
@@ -100,6 +100,10 @@ def test_usage_errors_exit_one(capsys):
     code, _, err = run_cli(capsys, "run", "--problem", "ex3", "--N", "2", "--M", "2",
                            "--noise", "abc")
     assert code == 1 and err.startswith("abel-hp: error:")
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps({"adaptive": {"max_L": "many"}}))
+    assert run_cli(capsys, "run", "--config", str(path), "--problem", "ex4", "--N", "1",
+                   "--M", "2", "--adaptive", "p_first", "--tol", "1e-13")[0] == 1
 
 
 def test_no_arguments_is_usage_error(capsys):

@@ -7,6 +7,7 @@ from abelhp.quadrature import (
     HistoryAccuracyError,
     HistoryWeights,
     RuleKind,
+    _nu_batch,
     gauss_rule,
     history_weights,
     history_weights_batch,
@@ -244,8 +245,6 @@ def test_history_weights_reject_bad_sum():
 def test_zeroth_moment_far_from_element_matches_mpmath():
     # nu_0(c) = ((c+1)^alpha - (c-1)^alpha) / alpha subtracts two nearly
     # equal powers once c >> 1; the computed value must keep full precision
-    from abelhp.quadrature import _nu_batch
-
     c = np.geomspace(1e3, 1e9, 13)
     for alpha in (0.1, 0.3, 0.5, 0.9):
         nu0 = _nu_batch(c, alpha, 0)[:, 0]
