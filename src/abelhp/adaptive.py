@@ -17,7 +17,8 @@ import numpy as np
 from . import bench
 from .discretization import ProblemSpec
 from .mesh import Mesh
-from .solver import PiecewiseSolution, SolverOptions, evaluate, solve
+from .quadrature import HistoryAccuracyError
+from .solver import PiecewiseSolution, SolverError, SolverOptions, evaluate, solve
 
 __all__ = [
     "AdaptiveOptions",
@@ -139,6 +140,10 @@ def adaptive_solve(
     bisects the element with the largest spectral-tail indicator, and
     ``alternate`` interleaves the two (degree raise first).  Deterministic
     for fixed inputs.
+
+    A ``SolverError`` or ``HistoryAccuracyError`` raised by a solve leaves
+    with two attributes added: ``trace``, the steps solved before it, and
+    ``mesh``, the mesh whose solve raised.
     """
     if options.error_metric.endswith("_vs_reference") and reference is None:
         raise ValueError(f"metric {options.error_metric} needs a reference solution")
@@ -151,7 +156,11 @@ def adaptive_solve(
     step_index = 0
     while True:
         tic = time.perf_counter()
-        solution = solve(problem, mesh, solver_options)
+        try:
+            solution = solve(problem, mesh, solver_options)
+        except (SolverError, HistoryAccuracyError) as exc:
+            exc.trace, exc.mesh = trace, mesh
+            raise
         if options.error_metric == "E1_vs_reference":
             estimate = bench.error_E1(solution, reference)
         elif options.error_metric == "E2_vs_reference":

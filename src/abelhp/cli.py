@@ -131,16 +131,15 @@ def _adaptive_report(bench, mesh: Mesh, options, adapt: AdaptiveOptions) -> Benc
     reference = reference_solution(bench)
     report = BenchReport(bench.id)
     budget_hit = False
+    failure = None
     try:
-        solution, trace = adaptive_solve(
+        _, trace = adaptive_solve(
             bench.spec, mesh, adapt, reference=reference, solver_options=options
         )
     except BudgetExceededError as exc:
         trace, budget_hit = exc.trace, True
     except (SolverError, HistoryAccuracyError) as exc:
-        report.rows.append(BenchRow(N=mesh.N, M=int(np.max(mesh.degrees)) + 1, L=mesh.L,
-                                    failed=True, error=str(exc)))
-        return report
+        trace, failure = exc.trace, exc
     for step in trace.steps:
         report.rows.append(
             BenchRow(
@@ -151,7 +150,11 @@ def _adaptive_report(bench, mesh: Mesh, options, adapt: AdaptiveOptions) -> Benc
                 runtime_s=step.elapsed_s,
             )
         )
-    if budget_hit and report.rows:
+    if failure is not None:
+        failed_mesh = failure.mesh
+        report.rows.append(BenchRow(N=failed_mesh.N, M=int(np.max(failed_mesh.degrees)) + 1,
+                                    L=failed_mesh.L, failed=True, error=str(failure)))
+    elif budget_hit and report.rows:
         report.rows[-1].failed = True
         report.rows[-1].error = "refinement budget exhausted before reaching tol"
     return report

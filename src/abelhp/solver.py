@@ -1,8 +1,11 @@
-"""Element-marching driver: damped Newton with a descent-based initial guess.
+"""Element-marching driver: damped Newton from a warm start, with a descent
+phase as recovery.
 
 Elements are solved in causal order; each solved element caches its values at
 the shifted Lobatto points so that later elements assemble their history term
-without re-expanding earlier solutions.
+without re-expanding earlier solutions.  Newton starts from the previous
+element's coefficients; only when it fails there does a steepest-descent
+phase run and hand Newton a second starting point.
 """
 
 from __future__ import annotations
@@ -71,6 +74,8 @@ class SolverOptions:
     ``init_constant`` seeds the first element with the constant function of
     that value; nonlinearities whose derivative vanishes at u = 0 (powers of
     u) or that are undefined there (logarithms, roots) need a nonzero seed.
+    ``descent_steps`` and ``descent_step_size`` govern the recovery phase,
+    which runs only on an element where Newton from the warm start raised.
     """
 
     newton_tol: float = 1e-12
@@ -167,21 +172,15 @@ def steepest_descent_init(
     options: SolverOptions,
     warm_start=None,
 ):
-    """Descent phase producing Newton's starting point (best effort).
+    """Descent phase producing a starting point for Newton (best effort).
 
     Runs fixed-step gradient descent on g(u) = ||r(u)||^2 / 2 with gradient
-    J^T r, halving the step when g would increase, and returns the iterate
-    with the smallest g seen.  A stationary start (zero gradient) is returned
-    unchanged.
+    J^T r from ``warm_start`` (``dim`` zeros when None), halving the step when
+    g would increase, and returns the iterate with the smallest g seen.  A
+    stationary start (zero gradient) is returned unchanged.  ``solve`` runs it
+    only to recover an element where Newton from the warm start failed.
     """
-    if warm_start is None:
-        u = np.zeros(dim)
-    else:
-        u = np.array(warm_start, dtype=float).ravel()
-        if u.size != dim:
-            padded = np.zeros(dim)
-            padded[: min(dim, u.size)] = u[: min(dim, u.size)]
-            u = padded
+    u = np.zeros(dim) if warm_start is None else np.array(warm_start, dtype=float).ravel()
     r, norm = _residual_norm(residual_fn, u)
     if not np.isfinite(norm):
         return u
@@ -222,9 +221,13 @@ def _lobatto_cache(mesh: Mesh, n: int, coeffs: np.ndarray):
 def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None) -> PiecewiseSolution:
     """March elements 1..N, solving each local collocation system.
 
-    Linear problems take one LU solve per element; nonlinear ones run the
-    descent initializer followed by damped Newton.  Later elements warm-start
-    from the previous element's coefficients.
+    Linear problems take one LU solve per element.  Nonlinear ones run damped
+    Newton from a warm start: the previous element's coefficients, zero-padded
+    or truncated to this element's degree (the constant ``init_constant`` on
+    the first element).  Only if that Newton raises does the descent phase run
+    from the same warm start, followed by a second Newton whose error is the
+    one that propagates; when descent leaves the start unchanged, the first
+    error is re-raised instead.
     """
     options = options or SolverOptions()
     validate_problem(problem, mesh)
@@ -241,15 +244,21 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
             except np.linalg.LinAlgError:
                 raise SingularJacobianError(n, 0) from None
         else:
+            warm = np.zeros(dim)
             if prev_coeffs is None:
-                warm = np.zeros(dim)
                 warm[0] = options.init_constant
             else:
-                warm = prev_coeffs
-            start = steepest_descent_init(
-                system.residual, system.jacobian, dim, options, warm_start=warm
-            )
-            coeffs = newton(system.residual, system.jacobian, start, options, n=n)
+                k = min(dim, prev_coeffs.size)
+                warm[:k] = prev_coeffs[:k]
+            try:
+                coeffs = newton(system.residual, system.jacobian, warm, options, n=n)
+            except (NewtonDivergedError, SingularJacobianError):
+                start = steepest_descent_init(
+                    system.residual, system.jacobian, dim, options, warm_start=warm
+                )
+                if np.array_equal(start, warm):
+                    raise  # descent did not move: Newton would fail the same way
+                coeffs = newton(system.residual, system.jacobian, start, options, n=n)
         pts, vals = _lobatto_cache(mesh, n, coeffs)
         solved.append(ElementSolution(n, coeffs, pts, vals))
         prev_coeffs = coeffs

@@ -135,6 +135,21 @@ def test_failed_row_exits_two(capsys, tmp_path, monkeypatch):
     assert len(rows) == 1 and rows[0]["E2"] == ""
 
 
+def test_adaptive_solver_failure_keeps_solved_steps(capsys):
+    # h_first on ex5 solves a few bisections, then a Newton solve fails; the
+    # report keeps every solved step and adds one failed row for the mesh
+    # whose solve raised
+    code, out, _ = run_cli(capsys, "run", "--problem", "ex5", "--N", "2", "--M", "2",
+                           "--adaptive", "h_first", "--tol", "1e-9", "--format", "json")
+    assert code == 2
+    rows = json.loads(out)["rows"]
+    assert len(rows) >= 2
+    assert [r["N"] for r in rows] == list(range(2, 2 + len(rows)))
+    assert all(not r.get("failed") and r["E2"] is not None for r in rows[:-1])
+    assert rows[-1]["failed"] and rows[-1]["error"]
+    assert rows[-1]["L"] == 2 * rows[-1]["N"]
+
+
 def test_explicit_mesh_config(tmp_path, capsys):
     cfg = {
         "problem": "ex5",

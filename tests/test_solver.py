@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import abelhp.bench as bench
+import abelhp.solver
 from abelhp.discretization import ProblemSpec
 from abelhp.mesh import Mesh, uniform_mesh
 from abelhp.solver import (
@@ -266,6 +267,63 @@ def test_geometric_mesh_solves():
         b = bench.make_benchmark(pid, alpha)
         sol = solve(b.spec, mesh, b.solver_options())
         assert bench.error_E2(sol, b.exact) < bound
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap ``abelhp.solver.<name>`` and return the list its calls append to."""
+    calls = []
+    original = getattr(abelhp.solver, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(kwargs.get("n"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(abelhp.solver, name, wrapped)
+    return calls
+
+
+def test_newton_from_warm_start_needs_no_descent(monkeypatch):
+    b = bench.make_benchmark("ex3")
+    descents = _count_calls(monkeypatch, "steepest_descent_init")
+    newtons = _count_calls(monkeypatch, "newton")
+    sol = solve(b.spec, uniform_mesh(40, 1.0, 2), b.solver_options())
+    assert descents == []
+    assert newtons == list(range(1, 41))
+    assert bench.error_E2(sol, b.exact) < 2e-6
+
+
+def test_descent_recovers_a_failed_newton(monkeypatch):
+    b = bench.make_benchmark("ex3")
+    mesh = uniform_mesh(6, 1.0, 2)
+    plain = solve(b.spec, mesh, b.solver_options())
+
+    newtons = []
+    newton = abelhp.solver.newton
+
+    def fail_first(*args, **kwargs):
+        newtons.append(kwargs["n"])
+        if len(newtons) == 1:
+            raise NewtonDivergedError(1, 1.0)
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(abelhp.solver, "newton", fail_first)
+    descents = _count_calls(monkeypatch, "steepest_descent_init")
+    recovered = solve(b.spec, mesh, b.solver_options())
+    assert len(descents) == 1
+    assert newtons == [1, 1, 2, 3, 4, 5, 6]
+    for e1, e2 in zip(plain.elements, recovered.elements):
+        assert np.max(np.abs(e1.coeffs - e2.coeffs)) <= 1e-9 * np.max(np.abs(e1.coeffs))
+
+
+def test_failed_newton_not_repeated_when_descent_stays_put(monkeypatch):
+    # with no descent steps the recovery start is the warm start itself, so a
+    # second Newton from it would fail the same way
+    b = bench.make_benchmark("ex3")
+    newtons = _count_calls(monkeypatch, "newton")
+    with pytest.raises(NewtonDivergedError) as err:
+        solve(b.spec, uniform_mesh(2, 1.0, 2), SolverOptions(newton_max_iter=1, descent_steps=0))
+    assert err.value.n == 1
+    assert newtons == [1]
 
 
 def test_solver_options_validation():

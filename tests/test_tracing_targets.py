@@ -25,3 +25,22 @@ def test_tracer_targets_resolve():
     ]
     assert missing == []
     assert isinstance(abelhp.quadrature._rule_cache, dict)
+
+
+def test_tracer_sees_newton_without_descent():
+    # the per-layer counts of the benchmark read the solver's call path:
+    # one Newton call per element and no descent phase on a problem Newton
+    # solves from the warm start
+    tracing = _tracing_module()
+    b = abelhp.bench.make_benchmark("ex3")
+    mesh = abelhp.mesh.uniform_mesh(8, 1.0, 2)
+    tracer = tracing.Tracer(abelhp)
+    tracer.install()
+    try:
+        abelhp.solver.solve(b.spec, mesh, b.solver_options())
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    assert summary["solver.newton"]["calls"] == mesh.N
+    assert summary.get("solver.steepest_descent_init", {"calls": 0})["calls"] == 0
+    assert summary["solver.newton"]["jacobian_evals"] >= mesh.N
