@@ -9,6 +9,7 @@ of the history accumulated over elements 1..n-1.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -17,7 +18,7 @@ import numpy as np
 
 from .mesh import Mesh
 from .orthopoly import JacobiParams, legendre_table
-from .quadrature import RuleKind, gauss_rule, history_weights_batch, shift_nodes
+from .quadrature import QuadRule, RuleKind, gauss_rule, history_weights_batch, shift_nodes
 
 __all__ = [
     "ProblemSpec",
@@ -74,7 +75,9 @@ class ElementSolution:
 
     The cached solution values at the shifted Lobatto points are what later
     elements contract against the product-integration weights, so history
-    assembly never re-evaluates the local expansion.
+    assembly never re-evaluates the local expansion.  In a solution returned
+    by ``solve``, ``lobatto_u`` is a view of the solve's one contiguous array
+    of Lobatto values.
     """
 
     n: int
@@ -94,13 +97,45 @@ class ElementSystem:
     rhs: np.ndarray
 
 
-class ElementOperator:
-    """Precomputed quadrature tables for one element.
+@dataclass(frozen=True)
+class _ReferenceTables:
+    """Tables of a degree-M element on [-1, 1]; the same for every mesh."""
 
-    Everything that does not depend on the coefficient vector (node images,
-    Legendre tables, the kernel values at the tensor quadrature grid) is
-    built once; residual and Jacobian evaluations are then a handful of
-    vectorized contractions.
+    gl: QuadRule
+    gj: QuadRule
+    node_product: np.ndarray  # (1 + x_gl_i)(1 + x_gj_j)
+    P: np.ndarray  # (p, i): Legendre table at the Gauss-Legendre nodes
+    Q: np.ndarray  # (q, i, j): Legendre table at the rescaled inner nodes
+    proj_scale: np.ndarray
+    sys_scale: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_tables(M: int, alpha: float) -> _ReferenceTables:
+    """Build (once per degree and alpha) the read-only reference tables."""
+    gl = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, M)
+    gj = gauss_rule(RuleKind.GAUSS_JACOBI, JacobiParams(alpha - 1.0, 0.0), M)
+    node_product = (1.0 + gl.nodes)[:, None] * (1.0 + gj.nodes)[None, :]
+    tables = (
+        node_product,
+        legendre_table(M, gl.nodes),
+        legendre_table(M, 0.5 * node_product - 1.0),
+        (2.0 * np.arange(M + 1) + 1.0) / 2.0,
+        (2.0 * np.arange(M + 1) + 1.0) / 2.0 ** (1.0 + alpha),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return _ReferenceTables(gl, gj, *tables)
+
+
+class ElementOperator:
+    """Quadrature tables for one element.
+
+    The reference tables come from a cache shared by every element of the
+    same degree and alpha; only the affine images (node positions, the
+    kernel values at the tensor quadrature grid) are built per element.
+    Residual and Jacobian evaluations are then a handful of vectorized
+    contractions.
     """
 
     def __init__(self, problem: ProblemSpec, mesh: Mesh, n: int):
@@ -108,23 +143,18 @@ class ElementOperator:
         self.mesh = mesh
         self.n = n
         elem = mesh.element(n)
-        a, h, M = elem.left, elem.width, elem.degree
+        a, h = elem.left, elem.width
         alpha = problem.alpha
-
-        gl = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, M)
-        gj = gauss_rule(RuleKind.GAUSS_JACOBI, JacobiParams(alpha - 1.0, 0.0), M)
-        self.gl = gl
-        self.t_nodes = shift_nodes(gl, elem)
-        # reference image of the rescaled inner nodes is mesh independent
-        x_sigma = 0.5 * (1.0 + gl.nodes)[:, None] * (1.0 + gj.nodes)[None, :] - 1.0
-        self.sigma_nodes = a + 0.25 * h * (1.0 + gl.nodes)[:, None] * (1.0 + gj.nodes)[None, :]
-        self.P = legendre_table(M, gl.nodes)            # (p, i)
-        self.Q = legendre_table(M, x_sigma)             # (q, i, j)
+        ref = _reference_tables(elem.degree, alpha)
+        self.gl = ref.gl
+        self.t_nodes = shift_nodes(ref.gl, elem)
+        self.sigma_nodes = a + 0.25 * h * ref.node_product
+        self.P, self.Q = ref.P, ref.Q
         # (t_i - t_{n-1})^alpha from the width, not a difference of times
-        self.prefac = (0.5 * h * (1.0 + gl.nodes)) ** alpha * gl.weights
-        self.w_inner = gj.weights
-        self.proj_scale = (2.0 * np.arange(M + 1) + 1.0) / 2.0
-        self.sys_scale = (2.0 * np.arange(M + 1) + 1.0) / 2.0 ** (1.0 + alpha)
+        self.prefac = (0.5 * h * (1.0 + ref.gl.nodes)) ** alpha * ref.gl.weights
+        self.w_inner = ref.gj.weights
+        self.proj_scale = ref.proj_scale
+        self.sys_scale = ref.sys_scale
         self.kappa_grid = np.broadcast_to(
             problem.kappa(self.t_nodes[:, None], self.sigma_nodes),
             self.sigma_nodes.shape,
@@ -158,34 +188,42 @@ class ElementOperator:
         """Legendre moments of f on the element (Gauss-point projection)."""
         return self.project(np.broadcast_to(self.problem.f(self.t_nodes), self.t_nodes.shape))
 
-    def history(self, prior: Sequence[ElementSolution]) -> np.ndarray:
+    def history(self, prior_u: np.ndarray) -> np.ndarray:
         """Legendre moments of the history integral over elements 1..n-1.
 
-        One weight call and one contraction per distinct prior degree, for
-        all Gauss nodes at once.
+        ``prior_u`` holds the solution values at the shifted Lobatto points of
+        elements 1..n-1, concatenated in the ``mesh.offsets`` layout.  One
+        weight call and one contraction per distinct prior degree, for all
+        Gauss nodes at once; the prior Lobatto points are rebuilt from the
+        breakpoints exactly as ``shift_nodes`` places them.
         """
-        if len(prior) != self.n - 1:
-            raise ValueError(f"element {self.n} needs solutions for 1..{self.n - 1}")
-        problem, bp = self.problem, self.mesh.breakpoints
-        degrees = self.mesh.degrees[: self.n - 1]
+        mesh, problem = self.mesh, self.problem
+        offsets = mesh.offsets[: self.n]
+        prior_u = np.asarray(prior_u, dtype=float)
+        if prior_u.shape != (offsets[-1],):
+            raise ValueError(
+                f"element {self.n} needs the {offsets[-1]} Lobatto values of "
+                f"elements 1..{self.n - 1}, got shape {prior_u.shape}"
+            )
+        bp, degrees = mesh.breakpoints, mesh.degrees[: self.n - 1]
         t = self.t_nodes[:, None, None]
         vals = np.zeros(self.t_nodes.size)
         for d in np.unique(degrees):
+            d = int(d)
             idx = np.flatnonzero(degrees == d)
-            w = history_weights_batch(bp[idx], bp[idx + 1], int(d), self.t_nodes, problem.alpha)
-            S = np.array([prior[k].lobatto_points for k in idx])
-            U = np.array([prior[k].lobatto_u for k in idx])
+            lefts, rights = bp[idx], bp[idx + 1]
+            w = history_weights_batch(lefts, rights, d, self.t_nodes, problem.alpha)
+            x = gauss_rule(RuleKind.GAUSS_LOBATTO, None, d).nodes
+            S = 0.5 * ((rights - lefts)[:, None] * x + lefts[:, None] + rights[:, None])
+            U = prior_u[offsets[idx, None] + np.arange(d + 1)]
             vals += np.sum(w * problem.kappa(t, S) * problem.psi(t, S, U), axis=(1, 2))
         return self.project(vals)
 
 
-def element_system(
-    problem: ProblemSpec, mesh: Mesh, n: int, prior: Sequence[ElementSolution]
-) -> ElementSystem:
-    """Assemble residual and Jacobian closures for element n."""
+def _element_system(problem: ProblemSpec, mesh: Mesh, n: int, prior_u) -> ElementSystem:
     op = ElementOperator(problem, mesh, n)
     rhs = op.rhs()
-    hist = op.history(prior)
+    hist = op.history(prior_u)
     # the accumulated history enters the element equation on the right-hand
     # side with a negative sign: current-element moments = rhs - history
     target = rhs - hist
@@ -194,6 +232,19 @@ def element_system(
         return op.weighted_moments(np.asarray(coeffs, dtype=float)) - target
 
     return ElementSystem(n, residual, op.jacobian, hist, rhs)
+
+
+def element_system(
+    problem: ProblemSpec, mesh: Mesh, n: int, prior: Sequence[ElementSolution]
+) -> ElementSystem:
+    """Assemble residual and Jacobian closures for element n.
+
+    ``prior`` holds the solutions of elements 1..n-1 in order.
+    """
+    if len(prior) != n - 1:
+        raise ValueError(f"element {n} needs solutions for 1..{n - 1}")
+    prior_u = np.concatenate([e.lobatto_u for e in prior]) if prior else np.empty(0)
+    return _element_system(problem, mesh, n, prior_u)
 
 
 def _quiet_eval(fn, *args):

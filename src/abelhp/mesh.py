@@ -63,6 +63,17 @@ class Mesh:
         """Total number of unknown coefficients."""
         return int(np.sum(self.degrees + 1))
 
+    @property
+    def offsets(self) -> np.ndarray:
+        """Block starts of a flat per-element array with degree + 1 entries each.
+
+        Element n owns ``offsets[n-1]:offsets[n]``; ``offsets[N]`` is ``L``.
+        Solved Lobatto values and Legendre coefficients are laid out this way.
+        """
+        out = np.zeros(self.N + 1, dtype=int)
+        np.cumsum(self.degrees + 1, out=out[1:])
+        return out
+
     def element(self, n: int) -> Element:
         """The n-th element, n = 1..N."""
         if not 1 <= n <= self.N:

@@ -123,7 +123,11 @@ def gauss_rule(kind: RuleKind | str, params: JacobiParams | None, order: int) ->
         pm = legendre_table(order, x)[order]
         w = 2.0 / (order * (order + 1) * pm**2)
 
-    rule = QuadRule(kind, params, order, np.asarray(x), np.asarray(w))
+    # cached rules are shared by every caller, so their arrays are read-only
+    x, w = np.array(x, dtype=float), np.array(w, dtype=float)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    rule = QuadRule(kind, params, order, x, w)
     with _rule_lock:
         _rule_cache.setdefault(key, rule)
     return rule
@@ -166,35 +170,82 @@ def singular_element_integral(g_at_mapped_nodes, elem: Element, t: float, alpha:
 
 _NEAR_FIELD_C = 1.2
 _FAR_FIELD_POINTS = 64
+# From here on nu_1 comes from its series in 1/c, which is free of the
+# cancellation in c nu_0 - I_0; below it that subtraction loses at most
+# about eps * c relative to nu_0.  _NU1_TERMS terms leave a truncation error
+# below 64^-9 of the leading term.
+_NU1_SERIES_C = 8.0
+_NU1_TERMS = 9
 
 
 @functools.lru_cache(maxsize=None)
 def _far_field_table(pmax: int):
     x, w = roots_legendre(_FAR_FIELD_POINTS)
-    return x, w, legendre_table(pmax, x)
+    table = legendre_table(pmax, x)
+    for a in (x, w, table):
+        a.flags.writeable = False
+    return x, w, table
 
 
-def _kernel_mass(gap, width, alpha: float):
+def _kernel_mass_log(gap, width):
+    """The far mask, the safe gap and log1p(width / gap) of :func:`_kernel_mass`.
+
+    They depend on the gap and width only, so masses for several exponents at
+    one gap can share them.
+    """
+    far = gap > 0.1 * width
+    safe = np.where(far, gap, width)
+    return far, safe, np.log1p(width / safe)
+
+
+def _kernel_mass(gap, width, alpha: float, log_parts=None):
     """Integral of (t-s)^(alpha-1) over an element of this width ending gap >= 0 before t.
 
     That is ((gap + width)^alpha - gap^alpha) / alpha.  Past gap = width / 10
     the two powers cancel to a relative error of about eps * gap / width, so
     there it is computed as gap^alpha expm1(alpha log1p(width / gap)) / alpha.
+    ``log_parts`` passes in :func:`_kernel_mass_log` of the same gap and width.
     """
-    far = gap > 0.1 * width
-    safe = np.where(far, gap, width)
-    factored = safe**alpha * np.expm1(alpha * np.log1p(width / safe)) / alpha
+    far, safe, log_ratio = _kernel_mass_log(gap, width) if log_parts is None else log_parts
+    factored = safe**alpha * np.expm1(alpha * log_ratio) / alpha
     return np.where(far, factored, ((gap + width) ** alpha - gap**alpha) / alpha)
+
+
+@functools.lru_cache(maxsize=None)
+def _nu1_series_coeffs(alpha: float) -> tuple[float, ...]:
+    """-binom(alpha-1, k) 2 / (k + 2) for odd k = 1, 3, ..., 2 _NU1_TERMS - 1."""
+    i = np.arange(1.0, 2.0 * _NU1_TERMS)
+    binom = np.cumprod((alpha - i) / i)  # binom(alpha-1, i), i = 1, 2, ...
+    return tuple((-2.0 * binom[::2] / (i[::2] + 2.0)).tolist())
+
+
+def _nu1_series(c: np.ndarray, alpha: float) -> np.ndarray:
+    """nu_1(c) from the odd terms of its binomial series; for c >= _NU1_SERIES_C.
+
+    (c - x)^(alpha-1) = c^(alpha-1) sum_k binom(alpha-1, k) (-x/c)^k, and only
+    odd k survive against x on [-1, 1], each term contributing
+    -binom(alpha-1, k) 2 / ((k + 2) c^k).  For alpha < 1 all these terms are
+    positive, so nothing cancels.
+    """
+    inv_c = 1.0 / c
+    inv_c2 = inv_c * inv_c
+    *rest, last = _nu1_series_coeffs(alpha)
+    total = np.full(c.shape, last)
+    for a in reversed(rest):  # Horner's rule in 1/c^2
+        total *= inv_c2
+        total += a
+    return c ** (alpha - 1.0) * inv_c * total
 
 
 def _nu_batch(c: np.ndarray, alpha: float, pmax: int) -> np.ndarray:
     """Moments nu_p(c), p = 0..pmax, for a 1-d array of offsets c >= 1."""
     cm1 = np.maximum(c - 1.0, 0.0)  # clamp negative rounding at c ~ 1
+    log_parts = _kernel_mass_log(cm1, 2.0)
     nu = np.empty((c.size, pmax + 1))
-    nu[:, 0] = _kernel_mass(cm1, 2.0, alpha)
+    nu[:, 0] = _kernel_mass(cm1, 2.0, alpha, log_parts)
     if pmax >= 1:
-        i0 = _kernel_mass(cm1, 2.0, alpha + 1.0)
-        nu[:, 1] = c * nu[:, 0] - i0
+        i0 = _kernel_mass(cm1, 2.0, alpha + 1.0, log_parts)
+        nu[:, 1] = np.where(c >= _NU1_SERIES_C, _nu1_series(c, alpha), c * nu[:, 0] - i0)
     if pmax <= 1:
         return nu
 
@@ -240,7 +291,9 @@ def lobatto_lagrange_coeffs(degree: int) -> np.ndarray:
     table = legendre_table(degree, rule.nodes)
     scale = (2.0 * np.arange(degree + 1) + 1.0) / 2.0
     scale[degree] = degree / 2.0
-    return scale[:, None] * table * rule.weights[None, :]
+    coeffs = scale[:, None] * table * rule.weights[None, :]
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def _check_constant_sum(weights, lefts, rights, t, alpha: float):

@@ -1,11 +1,12 @@
 """Element-marching driver: damped Newton from a warm start, with a descent
 phase as recovery.
 
-Elements are solved in causal order; each solved element caches its values at
-the shifted Lobatto points so that later elements assemble their history term
-without re-expanding earlier solutions.  Newton starts from the previous
-element's coefficients; only when it fails there does a steepest-descent
-phase run and hand Newton a second starting point.
+Elements are solved in causal order; each solved element writes its values at
+the shifted Lobatto points into one contiguous array, from which later
+elements assemble their history term without re-expanding earlier solutions.
+Newton starts from the previous element's coefficients; only when it fails
+there does a steepest-descent phase run and hand Newton a second starting
+point.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .discretization import (
     ElementSolution,
     ProblemSpec,
-    element_system,
+    _element_system,
     validate_problem,
 )
 from .mesh import Mesh, locate
@@ -232,9 +233,14 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
     options = options or SolverOptions()
     validate_problem(problem, mesh)
     solved: list[ElementSolution] = []
+    # Lobatto values of the solved elements, contiguous in the mesh.offsets
+    # layout: element n's history reads the prefix before offsets[n-1]
+    offsets = mesh.offsets
+    lobatto_u = np.empty(mesh.L)
     prev_coeffs = None
     for n in range(1, mesh.N + 1):
-        system = element_system(problem, mesh, n, solved)
+        lo, hi = offsets[n - 1], offsets[n]
+        system = _element_system(problem, mesh, n, lobatto_u[:lo])
         dim = mesh.element(n).degree + 1
         if problem.linear:
             # dpsi_du == 1, so the Jacobian at any point is the system matrix
@@ -260,9 +266,15 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
                     raise  # descent did not move: Newton would fail the same way
                 coeffs = newton(system.residual, system.jacobian, start, options, n=n)
         pts, vals = _lobatto_cache(mesh, n, coeffs)
-        solved.append(ElementSolution(n, coeffs, pts, vals))
+        lobatto_u[lo:hi] = vals
+        solved.append(ElementSolution(n, coeffs, pts, lobatto_u[lo:hi]))
         prev_coeffs = coeffs
     return PiecewiseSolution(mesh, solved)
+
+
+# evaluate works through the points in blocks of this many, so its
+# temporaries stay small however many points are asked for
+_EVAL_BLOCK = 2048
 
 
 def evaluate(solution: PiecewiseSolution, t):
@@ -272,17 +284,28 @@ def evaluate(solution: PiecewiseSolution, t):
     """
     mesh = solution.mesh
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    idx = locate(np.where(t_arr <= 0.0, mesh.breakpoints[1], t_arr), mesh)
+    # 0-based element of each point; t <= 0 is sent to element 1
+    elem_idx = locate(np.where(t_arr <= 0.0, mesh.breakpoints[1], t_arr), mesh) - 1
     if np.any(t_arr < 0.0):
         raise ValueError("evaluation point below 0")
-    idx = np.where(t_arr <= 0.0, 1, idx)
+    coeffs = np.concatenate([e.coeffs for e in solution.elements])
+    offsets, bp = mesh.offsets, mesh.breakpoints
+    if coeffs.size != offsets[-1]:
+        raise ValueError("each element needs degree + 1 coefficients")
     out = np.empty_like(t_arr)
-    for n in np.unique(idx):
-        elem = mesh.element(int(n))
-        sel = idx == n
-        x = np.clip((2.0 * t_arr[sel] - elem.left - elem.right) / elem.width, -1.0, 1.0)
-        coeffs = solution.elements[int(n) - 1].coeffs
-        out[sel] = coeffs @ legendre_table(elem.degree, x)
+    for start in range(0, t_arr.size, _EVAL_BLOCK):
+        block = slice(start, start + _EVAL_BLOCK)
+        k, t_blk = elem_idx[block], t_arr[block]
+        deg = mesh.degrees[k]
+        res = out[block]
+        for d in np.unique(deg):
+            d = int(d)
+            sel = np.flatnonzero(deg == d)
+            ks = k[sel]
+            left, right = bp[ks], bp[ks + 1]
+            x = np.clip((2.0 * t_blk[sel] - left - right) / (right - left), -1.0, 1.0)
+            C = coeffs[offsets[ks, None] + np.arange(d + 1)]
+            res[sel] = np.einsum("kp,pk->k", C, legendre_table(d, x))
     return float(out[0]) if np.ndim(t) == 0 else out
 
 

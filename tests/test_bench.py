@@ -165,7 +165,7 @@ def test_history_projection_matches_quadrature_oracle():
     sol = solve(b2.spec, mesh)
     from abelhp.discretization import ElementOperator
 
-    got = ElementOperator(b2.spec, mesh, 2).history(sol.elements[:1])
+    got = ElementOperator(b2.spec, mesh, 2).history(sol.elements[0].lobatto_u)
     u1 = lambda s: evaluate(sol, s)
     elem = mesh.element(2)
     x, w = leggauss(6)

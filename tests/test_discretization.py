@@ -16,7 +16,7 @@ from abelhp.discretization import (
 from abelhp.mesh import Mesh, uniform_mesh
 from abelhp.orthopoly import legendre_table
 from abelhp.quadrature import RuleKind, gauss_rule, shift_nodes
-from abelhp.solver import _lobatto_cache
+from abelhp.solver import _lobatto_cache, newton, solve
 
 from oracles import history_by_node, singular_history_integral
 
@@ -41,6 +41,11 @@ def _solution_on(mesh, n, coeffs):
     coeffs = np.asarray(coeffs, dtype=float)
     pts, vals = _lobatto_cache(mesh, n, coeffs)
     return ElementSolution(n, coeffs, pts, vals)
+
+
+def _flat(prior):
+    """Lobatto values of solved elements, concatenated as history() reads them."""
+    return np.concatenate([e.lobatto_u for e in prior]) if prior else np.empty(0)
 
 
 def test_rhs_constant_and_mode_pickoff():
@@ -70,7 +75,7 @@ def test_rhs_linear_function():
 def test_history_empty_for_first_element():
     p = _identity_problem(0.5, 1.0, lambda t: np.asarray(t, dtype=float))
     m = uniform_mesh(3, 1.0, 2)
-    assert np.array_equal(ElementOperator(p, m, 1).history([]), np.zeros(3))
+    assert np.array_equal(ElementOperator(p, m, 1).history(np.empty(0)), np.zeros(3))
 
 
 def test_history_constant_prior_alpha_one():
@@ -78,7 +83,7 @@ def test_history_constant_prior_alpha_one():
     m = uniform_mesh(2, 1.0, 2)
     c = 3.0
     prior = [_solution_on(m, 1, [c, 0.0, 0.0])]
-    b = ElementOperator(p, m, 2).history(prior)
+    b = ElementOperator(p, m, 2).history(_flat(prior))
     assert b == pytest.approx([c * 0.5, 0.0, 0.0], abs=1e-13)
 
 
@@ -88,7 +93,7 @@ def test_history_closed_form_projection():
     p = _identity_problem(0.5, 2.0, lambda t: np.asarray(t, dtype=float))
     m = uniform_mesh(2, 2.0, 4)
     prior = [_solution_on(m, 1, [1.0, 0.0, 0.0, 0.0, 0.0])]
-    b = ElementOperator(p, m, 2).history(prior)
+    b = ElementOperator(p, m, 2).history(_flat(prior))
 
     rule = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, 4)
     ti = shift_nodes(rule, m.element(2))
@@ -105,13 +110,13 @@ def test_history_superposition():
     p1 = _solution_on(m, 1, rng.uniform(0, 0.1, 4))
     p2 = _solution_on(m, 2, rng.uniform(0, 0.1, 4))
     op = ElementOperator(b3.spec, m, 3)
-    both = op.history([p1, p2])
+    both = op.history(_flat([p1, p2]))
     # additivity over prior elements: zeroing one element's values removes
     # exactly its contribution
     z1 = ElementSolution(1, p1.coeffs * 0.0, p1.lobatto_points, p1.lobatto_u * 0.0)
     z2 = ElementSolution(2, p2.coeffs * 0.0, p2.lobatto_points, p2.lobatto_u * 0.0)
-    only2 = op.history([z1, p2])
-    only1 = op.history([p1, z2])
+    only2 = op.history(_flat([z1, p2]))
+    only1 = op.history(_flat([p1, z2]))
     assert both == pytest.approx(only1 + only2, abs=1e-12)
 
 
@@ -189,7 +194,7 @@ def test_assemble_linear_matrix_action_and_independence():
     p = _identity_problem(1.0, 1.0, lambda t: np.asarray(t, dtype=float) ** 2 / 2.0)
     m = uniform_mesh(1, 1.0, 1)
     op = ElementOperator(p, m, 1)
-    A, b, c = op.jacobian(np.zeros(2)), op.history([]), op.rhs()
+    A, b, c = op.jacobian(np.zeros(2)), op.history(np.empty(0)), op.rhs()
     # A maps the coefficients of u = t onto those of t^2/2 (degree <= 1 part)
     assert A @ [0.5, 0.5] == pytest.approx([1 / 6, 1 / 4], rel=1e-12)
     assert b == pytest.approx(np.zeros(2), abs=1e-15)
@@ -289,9 +294,11 @@ def test_missing_prior_raises():
     p = _identity_problem(0.5, 1.0, lambda t: np.asarray(t, dtype=float))
     m = uniform_mesh(3, 1.0, 2)
     with pytest.raises(ValueError):
-        ElementOperator(p, m, 3).history([_solution_on(m, 1, [1.0, 0.0, 0.0])])
+        ElementOperator(p, m, 3).history(_flat([_solution_on(m, 1, [1.0, 0.0, 0.0])]))
     with pytest.raises(ValueError):
-        ElementOperator(p, m, 3).history([])
+        ElementOperator(p, m, 3).history(np.empty(0))
+    with pytest.raises(ValueError):
+        element_system(p, m, 3, [_solution_on(m, 1, [1.0, 0.0, 0.0])])
 
 
 def test_history_matches_per_node_loop_on_mixed_degrees():
@@ -306,6 +313,35 @@ def test_history_matches_per_node_loop_on_mixed_degrees():
              for n, d in enumerate(degrees[:-1], start=1)]
     for n in range(2, len(degrees) + 1):
         op = ElementOperator(problem, mesh, n)
-        batched = op.history(prior[: n - 1])
+        batched = op.history(_flat(prior[: n - 1]))
         looped = history_by_node(op, prior[: n - 1])
         assert np.max(np.abs(batched - looped)) <= 1e-14 * np.max(np.abs(looped))
+
+
+def test_solve_store_matches_list_march():
+    # solve reads the history from one contiguous buffer of Lobatto values;
+    # element_system flattens a list of solved elements.  Marching the list
+    # path from the same priors must give the same coefficients.
+    cases = [
+        (make_benchmark("ex2"), uniform_mesh(64, 1.0, 2)),
+        (make_benchmark("ex3"), Mesh(np.linspace(0.0, 1.0, 7), [2, 4, 2, 3, 4, 2])),
+    ]
+    for bench, mesh in cases:
+        options = bench.solver_options()
+        sol = solve(bench.spec, mesh, options)
+        for n in range(1, mesh.N + 1):
+            system = element_system(bench.spec, mesh, n, sol.elements[: n - 1])
+            dim = mesh.element(n).degree + 1
+            if bench.spec.linear:
+                A = system.jacobian(np.zeros(dim))
+                coeffs = np.linalg.solve(A, system.rhs - system.history)
+            else:
+                warm = np.zeros(dim)
+                if n == 1:
+                    warm[0] = options.init_constant
+                else:
+                    prev = sol.elements[n - 2].coeffs
+                    warm[: min(dim, prev.size)] = prev[:dim]
+                coeffs = newton(system.residual, system.jacobian, warm, options, n=n)
+            mine = sol.elements[n - 1].coeffs
+            assert np.max(np.abs(coeffs - mine)) <= 1e-14 * np.max(np.abs(mine))

@@ -254,6 +254,49 @@ def test_zeroth_moment_far_from_element_matches_mpmath():
         assert nu0 == pytest.approx(exact, rel=1e-15, abs=0.0)
 
 
+def test_first_moment_far_from_element_matches_mpmath():
+    # nu_1 = c nu_0 - I_0 subtracts two values of size ~2 c^alpha to get one
+    # of size ~c^(alpha-2); the computed nu_1 must stay accurate relative to
+    # nu_0 at every distance
+    c = np.array([1.5, 3.0, 10.0, 1e3, 1e6, 1e9])
+    for alpha in (0.1, 0.3, 0.5, 0.9):
+        nu = _nu_batch(c, alpha, 1)
+        exact = []
+        with mp.workdps(60):
+            a = mp.mpf(alpha)
+            for x in map(mp.mpf, c):
+                nu0 = ((x + 1) ** a - (x - 1) ** a) / a
+                i0 = ((x + 1) ** (a + 1) - (x - 1) ** (a + 1)) / (a + 1)
+                exact.append(float(x * nu0 - i0))
+        assert np.all(np.abs(nu[:, 1] - exact) <= 1e-14 * np.abs(nu[:, 0]))
+
+
+def test_cached_tables_are_read_only():
+    # cached arrays are shared by every later call; an in-place write by one
+    # caller must fail instead of corrupting the rest of the process
+    from abelhp.discretization import _reference_tables
+    from abelhp.quadrature import _far_field_table
+
+    rule = gauss_rule(RuleKind.GAUSS_JACOBI, JacobiParams(-0.3, 0.0), 5)
+    ref = _reference_tables(3, 0.7)
+    arrays = [
+        rule.nodes,
+        rule.weights,
+        lobatto_lagrange_coeffs(4),
+        *_far_field_table(4),
+        ref.gl.nodes,
+        ref.gj.weights,
+        ref.node_product,
+        ref.P,
+        ref.Q,
+        ref.proj_scale,
+        ref.sys_scale,
+    ]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[...] = arr.copy()
+
+
 def test_history_weights_on_small_elements_far_from_t():
     # elements far narrower than their distance to t, as on graded meshes
     for degree in (1, 4, 12):

@@ -153,6 +153,36 @@ def test_evaluate_matches_gauss_nodal_values():
     assert evaluate(sol, pts) == pytest.approx(direct, abs=1e-14)
 
 
+def test_evaluate_gathers_mixed_degrees_in_blocks():
+    # unsorted points on an interleaved-degree mesh, more of them than one
+    # evaluation block, plus t = 0 and every element's right endpoint, against
+    # the per-element Legendre sum
+    from abelhp.discretization import ElementSolution
+    from abelhp.orthopoly import legendre_table
+    from abelhp.solver import PiecewiseSolution, _lobatto_cache
+
+    mesh = Mesh(np.array([0.0, 0.1, 0.25, 0.5, 0.6, 0.85, 1.0]), np.array([2, 4, 2, 3, 4, 2]))
+    rng = np.random.default_rng(5)
+    elements = []
+    for n in range(1, mesh.N + 1):
+        coeffs = rng.uniform(-1.0, 1.0, mesh.element(n).degree + 1)
+        elements.append(ElementSolution(n, coeffs, *_lobatto_cache(mesh, n, coeffs)))
+    sol = PiecewiseSolution(mesh, elements)
+    t = np.concatenate((rng.uniform(0.0, 1.0, 10_000), [0.0], mesh.breakpoints[1:]))
+    rng.shuffle(t)
+
+    idx = np.maximum(np.searchsorted(mesh.breakpoints, t, side="left"), 1)
+    expected = np.empty_like(t)
+    for n in range(1, mesh.N + 1):
+        elem, sel = mesh.element(n), idx == n
+        expected[sel] = elements[n - 1].coeffs @ legendre_table(
+            elem.degree, elem.to_reference(t[sel])
+        )
+    got = evaluate(sol, t)
+    assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
+    assert evaluate(sol, 0.0) == expected[t == 0.0][0]
+
+
 def test_forward_apply_closed_forms():
     b = bench.make_benchmark("ex2")
     # identity nonlinearity, unit kernel
