@@ -10,6 +10,7 @@ API itself works with degrees.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -188,47 +189,25 @@ def perturb_rhs(problem: ProblemSpec, delta: float) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 
 
-class _ManufacturedRHS:
-    """Right-hand side computed by applying the operator to a known solution.
+def _manufactured(exact, alpha, T, kappa, psi, dpsi, breakpoints=()):
+    """Problem whose right-hand side applies the operator to ``exact``.
 
     Values are memoized per evaluation time; scalar and array arguments are
-    supported.  The owning problem is bound after construction because the
-    operator needs the final kappa/psi callables.
+    supported.
     """
 
-    def __init__(self, exact, breakpoints=(), rel_tol=1e-10):
-        self.exact = exact
-        self.breakpoints = tuple(breakpoints)
-        self.rel_tol = rel_tol
-        self.problem: ProblemSpec | None = None
-        self._cache: dict[float, float] = {}
+    @functools.lru_cache(maxsize=None)
+    def f_at(t: float) -> float:
+        # forward_apply is looked up in this module at call time, so a
+        # wrapper installed on bench.forward_apply sees every evaluation
+        return forward_apply(spec, exact, t, breakpoints=breakpoints)
 
-    def bind(self, problem: ProblemSpec):
-        self.problem = problem
+    def f(t):
+        t_arr = np.asarray(t, dtype=float)
+        out = np.array([f_at(float(v)) for v in t_arr.ravel()]).reshape(t_arr.shape)
+        return float(out) if out.ndim == 0 else out
 
-    def _one(self, t: float) -> float:
-        val = self._cache.get(t)
-        if val is None:
-            val = forward_apply(
-                self.problem,
-                self.exact,
-                t,
-                rel_tol=self.rel_tol,
-                breakpoints=self.breakpoints,
-            )
-            self._cache[t] = val
-        return val
-
-    def __call__(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.array([self._one(float(v)) for v in t_arr])
-        return float(out[0]) if np.ndim(t) == 0 else out
-
-
-def _manufactured(exact, alpha, T, kappa, psi, dpsi, breakpoints=()):
-    rhs = _ManufacturedRHS(exact, breakpoints)
-    spec = ProblemSpec(alpha=alpha, T=T, kappa=kappa, psi=psi, dpsi_du=dpsi, f=rhs)
-    rhs.bind(spec)
+    spec = ProblemSpec(alpha=alpha, T=T, kappa=kappa, psi=psi, dpsi_du=dpsi, f=f)
     return spec
 
 

@@ -309,48 +309,39 @@ def evaluate(solution: PiecewiseSolution, t):
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def _spend_panel(budget):
+def _rule_sum(F, a, b, t, alpha, order):
+    """One rule of degree ``order`` for int_a^b (t-s)^(alpha-1) F(s) ds.
+
+    The final panel (b == t) takes Gauss-Jacobi, which absorbs the singular
+    factor; earlier panels take Gauss-Legendre with the factor written into
+    the integrand.
+    """
+    if b == t:
+        rule = gauss_rule(RuleKind.GAUSS_JACOBI, JacobiParams(alpha - 1.0, 0.0), order)
+        s = t - 0.5 * (t - a) * (1.0 - rule.nodes)
+        return (0.5 * (t - a)) ** alpha * float(rule.weights @ F(s))
+    rule = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, order)
+    half = 0.5 * (b - a)
+    s = 0.5 * (a + b) + half * rule.nodes
+    return half * float(rule.weights @ ((t - s) ** (alpha - 1.0) * F(s)))
+
+
+def _panel(F, a, b, t, alpha, npts, tol, depth, budget):
+    """Adaptive panel [a, b]: npts against 2 * npts nodes, bisected while
+    the two sums disagree by more than tol."""
     budget[0] -= 1
     if budget[0] < 0:
         raise QuadratureConvergenceError("panel refinement did not converge")
-
-
-def _panel_regular(F, a, b, npts, tol, depth, budget):
-    """Adaptive Gauss-Legendre panel for a smooth stretch of the integrand."""
-    _spend_panel(budget)
-    r1 = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, npts - 1)
-    r2 = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, 2 * npts - 1)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    i1 = half * float(r1.weights @ F(mid + half * r1.nodes))
-    i2 = half * float(r2.weights @ F(mid + half * r2.nodes))
+    i1 = _rule_sum(F, a, b, t, alpha, npts - 1)
+    i2 = _rule_sum(F, a, b, t, alpha, 2 * npts - 1)
     if abs(i2 - i1) <= tol or (b - a) < 1e-15 * max(1.0, abs(b)):
         return i2
     if depth <= 0:
         raise QuadratureConvergenceError("panel refinement did not converge")
     m = 0.5 * (a + b)
-    return _panel_regular(F, a, m, npts, 0.5 * tol, depth - 1, budget) + _panel_regular(
-        F, m, b, npts, 0.5 * tol, depth - 1, budget
+    return _panel(F, a, m, t, alpha, npts, 0.5 * tol, depth - 1, budget) + _panel(
+        F, m, b, t, alpha, npts, 0.5 * tol, depth - 1, budget
     )
-
-
-def _panel_singular(F, a, t, alpha, npts, tol, depth, budget):
-    """Adaptive Gauss-Jacobi panel [a, t] absorbing the (t-s)^(alpha-1) factor."""
-    _spend_panel(budget)
-
-    def gj(n):
-        rule = gauss_rule(RuleKind.GAUSS_JACOBI, JacobiParams(alpha - 1.0, 0.0), n - 1)
-        s = t - 0.5 * (t - a) * (1.0 - rule.nodes)
-        return (0.5 * (t - a)) ** alpha * float(rule.weights @ F(s))
-
-    i1, i2 = gj(npts), gj(2 * npts)
-    if abs(i2 - i1) <= tol or (t - a) < 1e-15 * max(1.0, abs(t)):
-        return i2
-    if depth <= 0:
-        raise QuadratureConvergenceError("singular panel refinement did not converge")
-    m = 0.5 * (a + t)
-    return _panel_regular(
-        lambda s: (t - s) ** (alpha - 1.0) * F(s), a, m, npts, 0.5 * tol, depth - 1, budget
-    ) + _panel_singular(F, m, t, alpha, npts, 0.5 * tol, depth - 1, budget)
 
 
 def forward_apply(
@@ -375,33 +366,19 @@ def forward_apply(
     alpha = problem.alpha
 
     def F(s):
-        s = np.asarray(s, dtype=float)
         u = np.asarray(u_fn(s), dtype=float)
         return np.broadcast_to(problem.kappa(t, s) * problem.psi(t, s, u), s.shape)
 
-    def W(s):
-        # history panels carry the kernel factor explicitly
-        return (t - np.asarray(s, dtype=float)) ** (alpha - 1.0) * F(s)
-
     edges = [0.0] + sorted({float(b) for b in breakpoints if 0.0 < b < t}) + [t]
+    panels = list(zip(edges[:-1], edges[1:]))
     # crude first pass fixes the absolute tolerance for panel acceptance
+    # (plain loops: sum() of floats is compensated on Python >= 3.12)
     coarse = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b == t:
-            rule = gauss_rule(RuleKind.GAUSS_JACOBI, JacobiParams(alpha - 1.0, 0.0), oracle_order)
-            s = t - 0.5 * (t - a) * (1.0 - rule.nodes)
-            coarse += (0.5 * (t - a)) ** alpha * float(rule.weights @ F(s))
-        else:
-            rule = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, oracle_order)
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            coarse += half * float(rule.weights @ W(mid + half * rule.nodes))
-    tol = rel_tol * max(abs(coarse), 1e-30) / max(len(edges) - 1, 1)
-
+    for a, b in panels:
+        coarse += _rule_sum(F, a, b, t, alpha, oracle_order)
+    tol = rel_tol * max(abs(coarse), 1e-30) / len(panels)
     total = 0.0
     budget = [4000]  # shared panel allowance; exceeding it means stagnation
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b == t:
-            total += _panel_singular(F, a, t, alpha, oracle_order, tol, 40, budget)
-        else:
-            total += _panel_regular(W, a, b, oracle_order, tol, 40, budget)
+    for a, b in panels:
+        total += _panel(F, a, b, t, alpha, oracle_order, tol, 40, budget)
     return total
