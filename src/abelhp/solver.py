@@ -360,6 +360,10 @@ def forward_apply(
     node-doubling estimate converges.  ``breakpoints`` force panel edges,
     e.g. at kinks of u or of the kernel.  Used for manufactured right-hand
     sides and residual audits.
+
+    ``rel_tol`` is relative to the integral of the absolute integrand
+    |(t-s)^(alpha-1) kappa psi|, estimated by one coarse pass, so an
+    integral near zero is still resolved to an absolute accuracy.
     """
     if t <= 0.0:
         return 0.0
@@ -371,12 +375,14 @@ def forward_apply(
 
     edges = [0.0] + sorted({float(b) for b in breakpoints if 0.0 < b < t}) + [t]
     panels = list(zip(edges[:-1], edges[1:]))
-    # crude first pass fixes the absolute tolerance for panel acceptance
+    # crude first pass over |F| fixes the absolute tolerance for panel
+    # acceptance; (t-s)^(alpha-1) > 0, so it integrates the absolute
+    # integrand and does not collapse where the integral crosses zero
     # (plain loops: sum() of floats is compensated on Python >= 3.12)
     coarse = 0.0
     for a, b in panels:
-        coarse += _rule_sum(F, a, b, t, alpha, oracle_order)
-    tol = rel_tol * max(abs(coarse), 1e-30) / len(panels)
+        coarse += _rule_sum(lambda s: np.abs(F(s)), a, b, t, alpha, oracle_order)
+    tol = rel_tol * max(coarse, 1e-30) / len(panels)
     total = 0.0
     budget = [4000]  # shared panel allowance; exceeding it means stagnation
     for a, b in panels:

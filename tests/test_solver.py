@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.special import gamma
 
 import abelhp.bench as bench
 import abelhp.solver
@@ -200,11 +203,39 @@ def test_forward_apply_closed_forms():
         assert forward_apply(spec, ones, t) == pytest.approx(2 * np.sqrt(t), rel=1e-11)
     cubic = lambda s: np.asarray(s, dtype=float) ** 3
     assert forward_apply(spec, cubic, 1.0) == pytest.approx(32.0 / 35.0, rel=1e-10)
+    # u = s^beta: the singular panel is split and the regular one refined
+    # down to s = 0, where u is not smooth
+    for beta in (0.5, 1.3):
+        power = lambda s, beta=beta: np.asarray(s, dtype=float) ** beta
+        for alpha in (0.3, 0.5, 0.8):
+            spec_a = dataclasses.replace(spec, alpha=alpha)
+            c = gamma(alpha) * gamma(beta + 1.0) / gamma(alpha + beta + 1.0)
+            for t in (0.3, 1.0):
+                assert forward_apply(spec_a, power, t) == pytest.approx(
+                    c * t ** (alpha + beta), rel=1e-12
+                )
     # reference pair: the registered linear problem reproduces its own f
     for t in (0.25, 0.5, 1.0):
         assert forward_apply(b.spec, b.exact, t) == pytest.approx(
             float(b.spec.f(t)), abs=1e-8
         )
+
+
+def test_forward_apply_integral_through_zero():
+    # int_0^t (t-s)^(alpha-1) (s - c) ds = t^alpha / alpha * (t / (alpha+1) - c)
+    # vanishes at t = c (alpha + 1); the tolerance scales with the integral
+    # of the absolute integrand, so it does not collapse there
+    spec = ProblemSpec(
+        alpha=0.3,
+        T=1.0,
+        kappa=_ones,
+        psi=lambda t, s, u: u,
+        dpsi_du=lambda t, s, u: np.ones_like(np.asarray(u, dtype=float)),
+        f=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        linear=True,
+    )
+    u = lambda s: np.asarray(s, dtype=float) - 0.5
+    assert abs(forward_apply(spec, u, 0.65)) <= 1e-12
 
 
 def test_forward_apply_zero_time():
