@@ -129,6 +129,28 @@ def test_benchmark_closed_form_values():
     )
 
 
+def test_manufactured_rhs_memoized_per_time(monkeypatch):
+    calls = []
+
+    def counting(problem, u_fn, t, **kwargs):
+        calls.append(t)
+        return forward_apply(problem, u_fn, t, **kwargs)
+
+    monkeypatch.setattr(bench, "forward_apply", counting)
+    f = bench.make_benchmark("ex1", alpha=0.5).spec.f
+    t = np.array([0.2, 0.4, 0.2, 0.4, 0.6])
+    first = f(t)
+    assert sorted(calls) == [0.2, 0.4, 0.6]
+    assert first.shape == t.shape and first[0] == first[2] and first[1] == first[3]
+    assert np.array_equal(f(t), first)
+    assert len(calls) == 3
+    scalar = f(0.4)
+    assert isinstance(scalar, float) and scalar == first[1]
+    grid = f(t[:4].reshape(2, 2))
+    assert grid.shape == (2, 2) and np.array_equal(grid.ravel(), first[:4])
+    assert len(calls) == 3
+
+
 def test_ex1_manufactured_rhs_against_independent_oracles():
     import mpmath as mp
 

@@ -1,7 +1,10 @@
 """The benchmark tracer in perfbench/ patches abelhp names; they must resolve."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 import abelhp
 
@@ -44,3 +47,26 @@ def test_tracer_sees_newton_without_descent():
     assert summary["solver.newton"]["calls"] == mesh.N
     assert summary.get("solver.steepest_descent_init", {"calls": 0})["calls"] == 0
     assert summary["solver.newton"]["jacobian_evals"] >= mesh.N
+
+
+def test_tracer_counts_one_forward_apply_per_distinct_rhs_time():
+    # solver.forward_apply.calls counts manufactured right-hand-side values:
+    # one per distinct time the solve asks f for, as the values are memoized
+    tracing = _tracing_module()
+    b = abelhp.bench.make_benchmark("ex1", alpha=0.5)
+    f = b.spec.f
+    times = set()
+
+    def recording_f(t):
+        times.update(np.atleast_1d(np.asarray(t, dtype=float)).tolist())
+        return f(t)
+
+    spec = dataclasses.replace(b.spec, f=recording_f)
+    tracer = tracing.Tracer(abelhp)
+    tracer.install()
+    try:
+        abelhp.solver.solve(spec, abelhp.mesh.uniform_mesh(4, 1.0, 3), b.solver_options())
+    finally:
+        tracer.uninstall()
+    assert len(times) > 0
+    assert tracer.summary()["solver.forward_apply"]["calls"] == len(times)
