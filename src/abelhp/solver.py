@@ -327,8 +327,7 @@ def _rule_sum(F, a, b, t, alpha, order):
 
 
 def _panel(F, a, b, t, alpha, npts, tol, depth, budget):
-    """Adaptive panel [a, b]: npts against 2 * npts nodes, bisected while
-    the two sums disagree by more than tol."""
+    """Adaptive panel [a, b]: npts against 2 * npts nodes, bisected until they agree."""
     budget[0] -= 1
     if budget[0] < 0:
         raise QuadratureConvergenceError("panel refinement did not converge")
@@ -361,9 +360,8 @@ def forward_apply(
     e.g. at kinks of u or of the kernel.  Used for manufactured right-hand
     sides and residual audits.
 
-    ``rel_tol`` is relative to the integral of the absolute integrand
-    |(t-s)^(alpha-1) kappa psi|, estimated by one coarse pass, so an
-    integral near zero is still resolved to an absolute accuracy.
+    ``rel_tol`` is relative to the integral of the absolute integrand, so
+    an integral that crosses zero is still resolved.
     """
     if t <= 0.0:
         return 0.0
@@ -375,10 +373,9 @@ def forward_apply(
 
     edges = [0.0] + sorted({float(b) for b in breakpoints if 0.0 < b < t}) + [t]
     panels = list(zip(edges[:-1], edges[1:]))
-    # crude first pass over |F| fixes the absolute tolerance for panel
-    # acceptance; (t-s)^(alpha-1) > 0, so it integrates the absolute
-    # integrand and does not collapse where the integral crosses zero
-    # (plain loops: sum() of floats is compensated on Python >= 3.12)
+    # a crude first pass over |F| (the kernel factor is positive) fixes the
+    # absolute acceptance tolerance; plain loops, as sum() of floats is
+    # compensated on Python >= 3.12
     coarse = 0.0
     for a, b in panels:
         coarse += _rule_sum(lambda s: np.abs(F(s)), a, b, t, alpha, oracle_order)
