@@ -58,7 +58,7 @@ def test_tracer_counts_one_forward_apply_per_distinct_rhs_time():
     times = set()
 
     def recording_f(t):
-        times.update(np.atleast_1d(np.asarray(t, dtype=float)).tolist())
+        times.update(np.asarray(t, dtype=float).ravel().tolist())
         return f(t)
 
     spec = dataclasses.replace(b.spec, f=recording_f)
