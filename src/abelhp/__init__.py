@@ -29,13 +29,7 @@ from .bench import (
     perturb_rhs,
     run_sweep,
 )
-from .discretization import (
-    ElementSolution,
-    ElementSystem,
-    ProblemAssumptionWarning,
-    ProblemSpec,
-    validate_problem,
-)
+from .discretization import ProblemAssumptionWarning, ProblemSpec, validate_problem
 from .mesh import Mesh, locate, sigma, uniform_mesh
 from .orthopoly import (
     Element,
@@ -83,8 +77,6 @@ __all__ = [
     "make_benchmark",
     "perturb_rhs",
     "run_sweep",
-    "ElementSolution",
-    "ElementSystem",
     "ProblemAssumptionWarning",
     "ProblemSpec",
     "validate_problem",

@@ -108,12 +108,8 @@ class BudgetExceededError(RuntimeError):
 def _tail_indicator(solution: PiecewiseSolution) -> np.ndarray:
     """Per-element norm of the top Legendre mode (spectral tail)."""
     mesh = solution.mesh
-    out = np.empty(mesh.N)
-    for n in range(1, mesh.N + 1):
-        e = mesh.element(n)
-        top = solution.elements[n - 1].coeffs[-1]
-        out[n - 1] = abs(top) * np.sqrt(e.width / (2.0 * e.degree + 1.0))
-    return out
+    top = solution.coeffs[mesh.offsets[1:] - 1]
+    return np.abs(top) * np.sqrt(mesh.widths / (2.0 * mesh.degrees + 1.0))
 
 
 def _refine(mesh: Mesh, solution: PiecewiseSolution, mode: str) -> Mesh:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -23,10 +23,7 @@ from .quadrature import QuadRule, RuleKind, gauss_rule, history_weights_batch, s
 __all__ = [
     "ProblemSpec",
     "ElementOperator",
-    "ElementSystem",
-    "ElementSolution",
     "ProblemAssumptionWarning",
-    "element_system",
     "validate_problem",
 ]
 
@@ -67,34 +64,6 @@ class ProblemSpec:
                 raise ValueError("linear flag set but psi(t, s, u) != u")
             if np.max(np.abs(self.dpsi_du(s, s, u) - 1.0)) > 1e-12:
                 raise ValueError("linear flag set but dpsi_du(t, s, u) != 1")
-
-
-@dataclass
-class ElementSolution:
-    """Solved coefficients of one element plus cached Lobatto-point samples.
-
-    The cached solution values at the shifted Lobatto points are what later
-    elements contract against the product-integration weights, so history
-    assembly never re-evaluates the local expansion.  In a solution returned
-    by ``solve``, ``lobatto_u`` is a view of the solve's one contiguous array
-    of Lobatto values.
-    """
-
-    n: int
-    coeffs: np.ndarray
-    lobatto_points: np.ndarray
-    lobatto_u: np.ndarray
-
-
-@dataclass
-class ElementSystem:
-    """Residual/Jacobian closure for one element's nonlinear system."""
-
-    n: int
-    residual: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
-    history: np.ndarray
-    rhs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -218,33 +187,6 @@ class ElementOperator:
             U = prior_u[offsets[idx, None] + np.arange(d + 1)]
             vals += np.sum(w * problem.kappa(t, S) * problem.psi(t, S, U), axis=(1, 2))
         return self.project(vals)
-
-
-def _element_system(problem: ProblemSpec, mesh: Mesh, n: int, prior_u) -> ElementSystem:
-    op = ElementOperator(problem, mesh, n)
-    rhs = op.rhs()
-    hist = op.history(prior_u)
-    # the accumulated history enters the element equation on the right-hand
-    # side with a negative sign: current-element moments = rhs - history
-    target = rhs - hist
-
-    def residual(coeffs):
-        return op.weighted_moments(np.asarray(coeffs, dtype=float)) - target
-
-    return ElementSystem(n, residual, op.jacobian, hist, rhs)
-
-
-def element_system(
-    problem: ProblemSpec, mesh: Mesh, n: int, prior: Sequence[ElementSolution]
-) -> ElementSystem:
-    """Assemble residual and Jacobian closures for element n.
-
-    ``prior`` holds the solutions of elements 1..n-1 in order.
-    """
-    if len(prior) != n - 1:
-        raise ValueError(f"element {n} needs solutions for 1..{n - 1}")
-    prior_u = np.concatenate([e.lobatto_u for e in prior]) if prior else np.empty(0)
-    return _element_system(problem, mesh, n, prior_u)
 
 
 def _quiet_eval(fn, *args):

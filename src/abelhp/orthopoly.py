@@ -39,9 +39,6 @@ class JacobiParams:
             raise ValueError(f"Jacobi exponents must exceed -1, got {self}")
 
 
-LEGENDRE = JacobiParams(0.0, 0.0)
-
-
 @dataclass(frozen=True)
 class Element:
     """One mesh subinterval (left, right] carrying a polynomial degree."""

@@ -72,12 +72,6 @@ class QuadRule:
         ):
             raise ValueError("Lobatto endpoints must be exactly +-1")
 
-    @property
-    def degree_of_exactness(self) -> int:
-        if self.kind is RuleKind.GAUSS_LOBATTO:
-            return 2 * self.order - 1
-        return 2 * self.order + 1
-
 
 _rule_cache: dict[tuple, QuadRule] = {}
 _rule_lock = threading.Lock()

@@ -12,19 +12,14 @@ point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .discretization import (
-    ElementSolution,
-    ProblemSpec,
-    _element_system,
-    validate_problem,
-)
+from .discretization import ElementOperator, ProblemSpec, validate_problem
 from .mesh import Mesh, locate
 from .orthopoly import JacobiParams, legendre_table
-from .quadrature import RuleKind, gauss_rule, shift_nodes
+from .quadrature import RuleKind, gauss_rule
 
 __all__ = [
     "SolverOptions",
@@ -94,20 +89,32 @@ class SolverOptions:
 
 @dataclass
 class PiecewiseSolution:
-    """Per-element shifted-Legendre expansions, evaluable on (0, T]."""
+    """Per-element shifted-Legendre expansions, evaluable on (0, T].
+
+    ``coeffs`` holds the coefficients of every element in one flat array in
+    the ``mesh.offsets`` layout: element n owns ``offsets[n-1]:offsets[n]``.
+    """
 
     mesh: Mesh
-    elements: list[ElementSolution] = field(repr=False)
+    coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if len(self.elements) != self.mesh.N:
-            raise ValueError("solution must carry one entry per element")
+        self.coeffs = np.asarray(self.coeffs, dtype=float)
+        if self.coeffs.shape != (self.mesh.L,):
+            raise ValueError(
+                f"solution needs the mesh's {self.mesh.L} coefficients, "
+                f"got shape {self.coeffs.shape}"
+            )
 
     def __call__(self, t):
         return evaluate(self, t)
 
     def coefficients(self, n: int) -> np.ndarray:
-        return self.elements[n - 1].coeffs
+        """Writable view of element n's coefficients (n = 1..N)."""
+        if not 1 <= n <= self.mesh.N:
+            raise IndexError(f"element index {n} outside 1..{self.mesh.N}")
+        offsets = self.mesh.offsets
+        return self.coeffs[offsets[n - 1] : offsets[n]]
 
 
 def _max_norm(r) -> float:
@@ -211,12 +218,10 @@ def steepest_descent_init(
     return best_u
 
 
-def _lobatto_cache(mesh: Mesh, n: int, coeffs: np.ndarray):
-    elem = mesh.element(n)
-    rule = gauss_rule(RuleKind.GAUSS_LOBATTO, None, elem.degree)
-    pts = shift_nodes(rule, elem)
-    vals = coeffs @ legendre_table(elem.degree, rule.nodes)
-    return pts, vals
+def _lobatto_values(coeffs: np.ndarray, degree: int) -> np.ndarray:
+    """Values of one element's expansion at its Lobatto points."""
+    nodes = gauss_rule(RuleKind.GAUSS_LOBATTO, None, degree).nodes
+    return coeffs @ legendre_table(degree, nodes)
 
 
 def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None) -> PiecewiseSolution:
@@ -232,44 +237,50 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
     """
     options = options or SolverOptions()
     validate_problem(problem, mesh)
-    solved: list[ElementSolution] = []
-    # Lobatto values of the solved elements, contiguous in the mesh.offsets
-    # layout: element n's history reads the prefix before offsets[n-1]
+    # coefficients and Lobatto values of the solved elements, both in the
+    # mesh.offsets layout: element n's history reads the prefix before
+    # offsets[n-1]
     offsets = mesh.offsets
+    coeffs = np.empty(mesh.L)
     lobatto_u = np.empty(mesh.L)
-    prev_coeffs = None
     for n in range(1, mesh.N + 1):
         lo, hi = offsets[n - 1], offsets[n]
-        system = _element_system(problem, mesh, n, lobatto_u[:lo])
-        dim = mesh.element(n).degree + 1
+        degree = mesh.element(n).degree
+        dim = degree + 1
+        op = ElementOperator(problem, mesh, n)
+        # the accumulated history enters the element equation on the
+        # right-hand side: current-element moments = rhs - history
+        target = op.rhs() - op.history(lobatto_u[:lo])
         if problem.linear:
             # dpsi_du == 1, so the Jacobian at any point is the system matrix
-            A = system.jacobian(np.zeros(dim))
             try:
-                coeffs = np.linalg.solve(A, system.rhs - system.history)
+                u = np.linalg.solve(op.jacobian(np.zeros(dim)), target)
             except np.linalg.LinAlgError:
                 raise SingularJacobianError(n, 0) from None
         else:
             warm = np.zeros(dim)
-            if prev_coeffs is None:
+            if n == 1:
                 warm[0] = options.init_constant
             else:
-                k = min(dim, prev_coeffs.size)
-                warm[:k] = prev_coeffs[:k]
+                prev = coeffs[offsets[n - 2] : lo]
+                k = min(dim, prev.size)
+                warm[:k] = prev[:k]
+
+            def residual(c):
+                return op.weighted_moments(c) - target
+
             try:
-                coeffs = newton(system.residual, system.jacobian, warm, options, n=n)
+                u = newton(residual, op.jacobian, warm, options, n=n)
             except (NewtonDivergedError, SingularJacobianError):
                 start = steepest_descent_init(
-                    system.residual, system.jacobian, dim, options, warm_start=warm
+                    residual, op.jacobian, dim, options, warm_start=warm
                 )
                 if np.array_equal(start, warm):
                     raise  # descent did not move: Newton would fail the same way
-                coeffs = newton(system.residual, system.jacobian, start, options, n=n)
-        pts, vals = _lobatto_cache(mesh, n, coeffs)
-        lobatto_u[lo:hi] = vals
-        solved.append(ElementSolution(n, coeffs, pts, lobatto_u[lo:hi]))
-        prev_coeffs = coeffs
-    return PiecewiseSolution(mesh, solved)
+                u = newton(residual, op.jacobian, start, options, n=n)
+        coeffs[lo:hi] = u
+        lobatto_u[lo:hi] = _lobatto_values(u, degree)
+    return PiecewiseSolution(mesh, coeffs)
 
 
 # evaluate works through the points in blocks of this many, so its
@@ -288,10 +299,7 @@ def evaluate(solution: PiecewiseSolution, t):
     elem_idx = locate(np.where(t_arr <= 0.0, mesh.breakpoints[1], t_arr), mesh) - 1
     if np.any(t_arr < 0.0):
         raise ValueError("evaluation point below 0")
-    coeffs = np.concatenate([e.coeffs for e in solution.elements])
-    offsets, bp = mesh.offsets, mesh.breakpoints
-    if coeffs.size != offsets[-1]:
-        raise ValueError("each element needs degree + 1 coefficients")
+    coeffs, offsets, bp = solution.coeffs, mesh.offsets, mesh.breakpoints
     out = np.empty_like(t_arr)
     for start in range(0, t_arr.size, _EVAL_BLOCK):
         block = slice(start, start + _EVAL_BLOCK)
@@ -343,13 +351,14 @@ def _panel(F, a, b, t, alpha, npts, tol, depth, budget):
     )
 
 
+# forward_apply's base rule size and its acceptance tolerance, which is
+# relative to the integral of the absolute integrand
+_FORWARD_ORDER = 16
+_FORWARD_REL_TOL = 1e-10
+
+
 def forward_apply(
-    problem: ProblemSpec,
-    u_fn,
-    t: float,
-    oracle_order: int = 16,
-    rel_tol: float = 1e-10,
-    breakpoints: Sequence[float] = (),
+    problem: ProblemSpec, u_fn, t: float, breakpoints: Sequence[float] = ()
 ) -> float:
     """Apply the integral operator to an arbitrary function at time t.
 
@@ -360,8 +369,8 @@ def forward_apply(
     e.g. at kinks of u or of the kernel.  Used for manufactured right-hand
     sides and residual audits.
 
-    ``rel_tol`` is relative to the integral of the absolute integrand, so
-    an integral that crosses zero is still resolved.
+    The acceptance tolerance is relative to the integral of the absolute
+    integrand, so an integral that crosses zero is still resolved.
     """
     if t <= 0.0:
         return 0.0
@@ -378,10 +387,10 @@ def forward_apply(
     # compensated on Python >= 3.12
     coarse = 0.0
     for a, b in panels:
-        coarse += _rule_sum(lambda s: np.abs(F(s)), a, b, t, alpha, oracle_order)
-    tol = rel_tol * max(coarse, 1e-30) / len(panels)
+        coarse += _rule_sum(lambda s: np.abs(F(s)), a, b, t, alpha, _FORWARD_ORDER)
+    tol = _FORWARD_REL_TOL * max(coarse, 1e-30) / len(panels)
     total = 0.0
     budget = [4000]  # shared panel allowance; exceeding it means stagnation
     for a, b in panels:
-        total += _panel(F, a, b, t, alpha, oracle_order, tol, 40, budget)
+        total += _panel(F, a, b, t, alpha, _FORWARD_ORDER, tol, 40, budget)
     return total

@@ -101,28 +101,37 @@ def legendre_l2_projection(fn, a, b, degree, tol=1e-12):
     return coeffs
 
 
-def history_by_node(op, prior):
+def history_by_node(op, prior_u):
     """History moments of element ``op.n`` by the plain per-node loop.
 
-    For each Gauss node t it walks the solved elements in runs of equal
-    degree and takes one scalar-t weight call per run.  It shares the weight
-    routine with the package, so it checks the batched contraction of
-    ``ElementOperator.history``, not the weights themselves.
+    ``prior_u`` holds the Lobatto values of elements 1..n-1 in the
+    ``mesh.offsets`` layout.  For each Gauss node t it walks the solved
+    elements in runs of equal degree, places their Lobatto points with
+    ``shift_nodes``, and takes one scalar-t weight call per run.  It shares
+    the weight routine with the package, so it checks the batched contraction
+    of ``ElementOperator.history``, not the weights themselves.
     """
-    from abelhp.quadrature import history_weights_batch
+    from abelhp.quadrature import RuleKind, gauss_rule, history_weights_batch, shift_nodes
 
-    problem, bp = op.problem, op.mesh.breakpoints
+    problem, mesh = op.problem, op.mesh
+    bp, offsets, prior = mesh.breakpoints, mesh.offsets, op.n - 1
+    degrees = [int(d) for d in mesh.degrees[:prior]]
+    points = [
+        shift_nodes(gauss_rule(RuleKind.GAUSS_LOBATTO, None, d), mesh.element(k + 1))
+        for k, d in enumerate(degrees)
+    ]
+    values = [prior_u[offsets[k] : offsets[k + 1]] for k in range(prior)]
     vals = np.zeros(op.t_nodes.size)
     for i, t in enumerate(op.t_nodes):
         k = 0
-        while k < len(prior):
-            d = prior[k].lobatto_points.size - 1
+        while k < prior:
+            d = degrees[k]
             k_end = k
-            while k_end < len(prior) and prior[k_end].lobatto_points.size - 1 == d:
+            while k_end < prior and degrees[k_end] == d:
                 k_end += 1
             w = history_weights_batch(bp[k:k_end], bp[k + 1 : k_end + 1], d, t, problem.alpha)
-            S = np.stack([e.lobatto_points for e in prior[k:k_end]])
-            U = np.stack([e.lobatto_u for e in prior[k:k_end]])
+            S = np.stack(points[k:k_end])
+            U = np.stack(values[k:k_end])
             vals[i] += float(np.sum(w * problem.kappa(t, S) * problem.psi(t, S, U)))
             k = k_end
     return op.project(vals)

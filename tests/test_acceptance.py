@@ -215,7 +215,7 @@ def test_criterion_8_property_suite():
     s0 = solve(b3.spec, mesh, b3.solver_options())
     s1 = solve(bumped, mesh, b3.solver_options())
     causal = all(
-        np.array_equal(s0.elements[k].coeffs, s1.elements[k].coeffs) for k in (0, 1)
+        np.array_equal(s0.coefficients(k + 1), s1.coefficients(k + 1)) for k in (0, 1)
     )
     checks.append(("causality (early elements bitwise equal)", causal))
 
@@ -226,31 +226,35 @@ def test_criterion_8_property_suite():
         m = uniform_mesh(4, 1.0, 3)
         direct = solve(bb.spec, m)
         newton_path = solve(dataclasses.replace(bb.spec, linear=False), m)
-        for e1, e2 in zip(direct.elements, newton_path.elements):
-            worst_lin = max(worst_lin, float(np.max(np.abs(e1.coeffs - e2.coeffs))))
+        for k in range(m.N):
+            e1, e2 = direct.coefficients(k + 1), newton_path.coefficients(k + 1)
+            worst_lin = max(worst_lin, float(np.max(np.abs(e1 - e2))))
     checks.append((f"linear path equivalence {worst_lin:.2e} <= 1e-11", worst_lin <= 1e-11))
 
     # analytic Jacobian vs central finite differences
-    from abelhp.discretization import element_system
-    from abelhp.solver import _lobatto_cache
-    from abelhp.discretization import ElementSolution
+    from abelhp.discretization import ElementOperator
+    from abelhp.solver import _lobatto_values
 
     m = uniform_mesh(2, 1.0, 3)
     c1 = np.array([0.01, 0.02, 0.0, 0.0])
-    prior = [ElementSolution(1, c1, *_lobatto_cache(m, 1, c1))]
-    system = element_system(b3.spec, m, 2, prior)
+    op = ElementOperator(b3.spec, m, 2)
+    target = op.rhs() - op.history(_lobatto_values(c1, 3))
+
+    def residual(u):
+        return op.weighted_moments(u) - target
+
     rng = np.random.default_rng(3)
     worst_jac = 0.0
     for _ in range(3):
         u = rng.uniform(-0.5, 0.5, 4)
-        J = system.jacobian(u)
+        J = op.jacobian(u)
         fd = np.empty_like(J)
         for q in range(4):
             hstep = 1e-7 * (1.0 + abs(u[q]))
             up, um = u.copy(), u.copy()
             up[q] += hstep
             um[q] -= hstep
-            fd[:, q] = (system.residual(up) - system.residual(um)) / (2 * hstep)
+            fd[:, q] = (residual(up) - residual(um)) / (2 * hstep)
         worst_jac = max(worst_jac, float(np.max(np.abs(J - fd)) / max(1.0, np.max(np.abs(J)))))
     checks.append((f"Jacobian vs finite differences {worst_jac:.2e} <= 1e-6", worst_jac <= 1e-6))
 
@@ -263,7 +267,7 @@ def test_criterion_8_property_suite():
         elem = sol.mesh.element(n)
         x, w = leggauss(elem.degree + 1)
         pts = 0.5 * (elem.width * x + elem.left + elem.right)
-        diff = b3.exact(pts) - legval(x, sol.elements[n - 1].coeffs)
+        diff = b3.exact(pts) - legval(x, sol.coefficients(n))
         total += 0.5 * elem.width * float(w @ diff**2)
     gap = abs(bench.error_E1(sol, b3.exact) - np.sqrt(total))
     checks.append((f"E1 double-path consistency {gap:.2e} <= 1e-12", gap <= 1e-12))

@@ -54,7 +54,7 @@ def test_error_E1_two_path_consistency():
         elem = mesh.element(n)
         x, w = leggauss(elem.degree + 1)
         pts = 0.5 * (elem.width * x + elem.left + elem.right)
-        approx = legval(x, sol.elements[n - 1].coeffs)
+        approx = legval(x, sol.coefficients(n))
         diff = b.exact(pts) - approx
         total += 0.5 * elem.width * float(w @ diff**2)
     assert bench.error_E1(sol, b.exact) == pytest.approx(np.sqrt(total), abs=1e-12)
@@ -77,7 +77,7 @@ def test_perturb_rhs():
     same = bench.perturb_rhs(b.spec, 0.0)
     mesh = uniform_mesh(4, 1.0, 1)
     assert np.array_equal(
-        solve(same, mesh).elements[2].coeffs, solve(b.spec, mesh).elements[2].coeffs
+        solve(same, mesh).coefficients(3), solve(b.spec, mesh).coefficients(3)
     )
     assert bench.parse_noise("h^2.5", 1.0 / 32.0) == pytest.approx(1.7263349150062197e-4)
     assert bench.parse_noise("h^2.5", 1.0 / 2048.0) == pytest.approx(5.268356063861754e-9)
@@ -186,8 +186,9 @@ def test_history_projection_matches_quadrature_oracle():
     mesh = uniform_mesh(2, 1.0, 5)
     sol = solve(b2.spec, mesh)
     from abelhp.discretization import ElementOperator
+    from abelhp.solver import _lobatto_values
 
-    got = ElementOperator(b2.spec, mesh, 2).history(sol.elements[0].lobatto_u)
+    got = ElementOperator(b2.spec, mesh, 2).history(_lobatto_values(sol.coefficients(1), 5))
     u1 = lambda s: evaluate(sol, s)
     elem = mesh.element(2)
     x, w = leggauss(6)

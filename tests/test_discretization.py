@@ -7,16 +7,14 @@ from scipy.integrate import dblquad
 from abelhp.bench import make_benchmark
 from abelhp.discretization import (
     ElementOperator,
-    ElementSolution,
     ProblemAssumptionWarning,
     ProblemSpec,
-    element_system,
     validate_problem,
 )
 from abelhp.mesh import Mesh, uniform_mesh
 from abelhp.orthopoly import legendre_table
 from abelhp.quadrature import RuleKind, gauss_rule, shift_nodes
-from abelhp.solver import _lobatto_cache, newton, solve
+from abelhp.solver import _lobatto_values, newton, solve
 
 from oracles import history_by_node, singular_history_integral
 
@@ -37,15 +35,19 @@ def _identity_problem(alpha, T, f, linear=True):
     )
 
 
-def _solution_on(mesh, n, coeffs):
-    coeffs = np.asarray(coeffs, dtype=float)
-    pts, vals = _lobatto_cache(mesh, n, coeffs)
-    return ElementSolution(n, coeffs, pts, vals)
+def _prior(mesh, *coeffs):
+    """Lobatto values of elements 1..k with these coefficients, flat as history() reads them."""
+    vals = [
+        _lobatto_values(np.asarray(c, dtype=float), mesh.element(n).degree)
+        for n, c in enumerate(coeffs, start=1)
+    ]
+    return np.concatenate(vals) if vals else np.empty(0)
 
 
-def _flat(prior):
-    """Lobatto values of solved elements, concatenated as history() reads them."""
-    return np.concatenate([e.lobatto_u for e in prior]) if prior else np.empty(0)
+def _element_residual(op, prior_u):
+    """Residual of element op.n as solve forms it: moments - (rhs - history)."""
+    target = op.rhs() - op.history(prior_u)
+    return lambda u: op.weighted_moments(np.asarray(u, dtype=float)) - target
 
 
 def test_rhs_constant_and_mode_pickoff():
@@ -82,8 +84,7 @@ def test_history_constant_prior_alpha_one():
     p = _identity_problem(1.0, 1.0, lambda t: np.asarray(t, dtype=float))
     m = uniform_mesh(2, 1.0, 2)
     c = 3.0
-    prior = [_solution_on(m, 1, [c, 0.0, 0.0])]
-    b = ElementOperator(p, m, 2).history(_flat(prior))
+    b = ElementOperator(p, m, 2).history(_prior(m, [c, 0.0, 0.0]))
     assert b == pytest.approx([c * 0.5, 0.0, 0.0], abs=1e-13)
 
 
@@ -92,8 +93,7 @@ def test_history_closed_form_projection():
     # 2 (sqrt(t) - sqrt(t-1)); its Gauss-point projection is the reference
     p = _identity_problem(0.5, 2.0, lambda t: np.asarray(t, dtype=float))
     m = uniform_mesh(2, 2.0, 4)
-    prior = [_solution_on(m, 1, [1.0, 0.0, 0.0, 0.0, 0.0])]
-    b = ElementOperator(p, m, 2).history(_flat(prior))
+    b = ElementOperator(p, m, 2).history(_prior(m, [1.0, 0.0, 0.0, 0.0, 0.0]))
 
     rule = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, 4)
     ti = shift_nodes(rule, m.element(2))
@@ -107,61 +107,60 @@ def test_history_superposition():
     b3 = pytest.importorskip("abelhp.bench").make_benchmark("ex3")
     m = uniform_mesh(3, 1.0, 3)
     rng = np.random.default_rng(0)
-    p1 = _solution_on(m, 1, rng.uniform(0, 0.1, 4))
-    p2 = _solution_on(m, 2, rng.uniform(0, 0.1, 4))
+    c1 = rng.uniform(0, 0.1, 4)
+    c2 = rng.uniform(0, 0.1, 4)
     op = ElementOperator(b3.spec, m, 3)
-    both = op.history(_flat([p1, p2]))
+    both = op.history(_prior(m, c1, c2))
     # additivity over prior elements: zeroing one element's values removes
     # exactly its contribution
-    z1 = ElementSolution(1, p1.coeffs * 0.0, p1.lobatto_points, p1.lobatto_u * 0.0)
-    z2 = ElementSolution(2, p2.coeffs * 0.0, p2.lobatto_points, p2.lobatto_u * 0.0)
-    only2 = op.history(_flat([z1, p2]))
-    only1 = op.history(_flat([p1, z2]))
+    only2 = op.history(_prior(m, c1 * 0.0, c2))
+    only1 = op.history(_prior(m, c1, c2 * 0.0))
     assert both == pytest.approx(only1 + only2, abs=1e-12)
 
 
 def test_local_residual_vanishes_on_exact_polynomial_alpha_one():
     p = _identity_problem(1.0, 1.0, lambda t: np.asarray(t, dtype=float) ** 2 / 2.0)
     m = uniform_mesh(1, 1.0, 1)
-    r = element_system(p, m, 1, []).residual([0.5, 0.5])
+    r = _element_residual(ElementOperator(p, m, 1), np.empty(0))([0.5, 0.5])
     assert np.max(np.abs(r)) < 1e-13
 
 
 def test_local_residual_vanishes_on_constant_sqrt_rhs():
     p = _identity_problem(0.5, 1.0, lambda t: 2.0 * np.sqrt(np.asarray(t, dtype=float)))
     m = uniform_mesh(1, 1.0, 1)
-    r = element_system(p, m, 1, []).residual([1.0, 0.0])
+    r = _element_residual(ElementOperator(p, m, 1), np.empty(0))([1.0, 0.0])
     assert np.max(np.abs(r)) < 1e-13
 
 
 def test_linear_consistency_of_residual():
     bench = pytest.importorskip("abelhp.bench").make_benchmark("ex2")
     m = uniform_mesh(2, 1.0, 3)
-    prior = [_solution_on(m, 1, [0.3, -0.1, 0.05, 0.0])]
-    system = element_system(bench.spec, m, 2, prior)
-    A, b, c = system.jacobian(np.zeros(4)), system.history, system.rhs
+    prior = _prior(m, [0.3, -0.1, 0.05, 0.0])
+    op = ElementOperator(bench.spec, m, 2)
+    residual = _element_residual(op, prior)
+    A, b, c = op.jacobian(np.zeros(4)), op.history(prior), op.rhs()
     rng = np.random.default_rng(1)
     for _ in range(5):
         u = rng.uniform(-1.0, 1.0, 4)
-        direct = system.residual(u)
+        direct = residual(u)
         assert np.max(np.abs(direct - (A @ u - c + b))) < 1e-11
 
 
 def test_jacobian_matches_finite_differences():
     bench = pytest.importorskip("abelhp.bench").make_benchmark("ex3")
     m = uniform_mesh(2, 1.0, 3)
-    prior = [_solution_on(m, 1, [0.01, 0.02, 0.0, 0.0])]
-    sys2 = element_system(bench.spec, m, 2, prior)
+    op = ElementOperator(bench.spec, m, 2)
+    residual = _element_residual(op, _prior(m, [0.01, 0.02, 0.0, 0.0]))
     rng = np.random.default_rng(2)
     u = rng.uniform(-0.5, 0.5, 4)
-    J = sys2.jacobian(u)
+    J = op.jacobian(u)
     fd = np.empty_like(J)
     for q in range(4):
         h = 1e-7 * (1.0 + abs(u[q]))
         up, um = u.copy(), u.copy()
         up[q] += h
         um[q] -= h
-        fd[:, q] = (sys2.residual(up) - sys2.residual(um)) / (2 * h)
+        fd[:, q] = (residual(up) - residual(um)) / (2 * h)
     assert np.max(np.abs(J - fd)) <= 1e-6 * max(1.0, np.max(np.abs(J)))
 
 
@@ -294,11 +293,11 @@ def test_missing_prior_raises():
     p = _identity_problem(0.5, 1.0, lambda t: np.asarray(t, dtype=float))
     m = uniform_mesh(3, 1.0, 2)
     with pytest.raises(ValueError):
-        ElementOperator(p, m, 3).history(_flat([_solution_on(m, 1, [1.0, 0.0, 0.0])]))
+        ElementOperator(p, m, 3).history(_prior(m, [1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         ElementOperator(p, m, 3).history(np.empty(0))
-    with pytest.raises(ValueError):
-        element_system(p, m, 3, [_solution_on(m, 1, [1.0, 0.0, 0.0])])
+    with pytest.raises(ValueError):  # element 3's own values are not history
+        ElementOperator(p, m, 3).history(np.ones(m.L))
 
 
 def test_history_matches_per_node_loop_on_mixed_degrees():
@@ -309,19 +308,19 @@ def test_history_matches_per_node_loop_on_mixed_degrees():
     degrees = [2, 4, 2, 3, 4, 2]
     mesh = Mesh(np.linspace(0.0, 1.0, len(degrees) + 1), degrees)
     rng = np.random.default_rng(11)
-    prior = [_solution_on(mesh, n, rng.uniform(-1.0, 1.0, d + 1))
-             for n, d in enumerate(degrees[:-1], start=1)]
+    prior = _prior(mesh, *(rng.uniform(-1.0, 1.0, d + 1) for d in degrees[:-1]))
     for n in range(2, len(degrees) + 1):
         op = ElementOperator(problem, mesh, n)
-        batched = op.history(_flat(prior[: n - 1]))
-        looped = history_by_node(op, prior[: n - 1])
+        prior_u = prior[: mesh.offsets[n - 1]]
+        batched = op.history(prior_u)
+        looped = history_by_node(op, prior_u)
         assert np.max(np.abs(batched - looped)) <= 1e-14 * np.max(np.abs(looped))
 
 
 def test_solve_store_matches_list_march():
-    # solve reads the history from one contiguous buffer of Lobatto values;
-    # element_system flattens a list of solved elements.  Marching the list
-    # path from the same priors must give the same coefficients.
+    # solve fills its buffer of Lobatto values as it marches; marching
+    # ElementOperator from Lobatto values rebuilt from the solved
+    # coefficients must give the same coefficients.
     cases = [
         (make_benchmark("ex2"), uniform_mesh(64, 1.0, 2)),
         (make_benchmark("ex3"), Mesh(np.linspace(0.0, 1.0, 7), [2, 4, 2, 3, 4, 2])),
@@ -329,19 +328,22 @@ def test_solve_store_matches_list_march():
     for bench, mesh in cases:
         options = bench.solver_options()
         sol = solve(bench.spec, mesh, options)
+        prior = _prior(mesh, *(sol.coefficients(n) for n in range(1, mesh.N + 1)))
         for n in range(1, mesh.N + 1):
-            system = element_system(bench.spec, mesh, n, sol.elements[: n - 1])
+            op = ElementOperator(bench.spec, mesh, n)
+            prior_u = prior[: mesh.offsets[n - 1]]
             dim = mesh.element(n).degree + 1
             if bench.spec.linear:
-                A = system.jacobian(np.zeros(dim))
-                coeffs = np.linalg.solve(A, system.rhs - system.history)
+                A = op.jacobian(np.zeros(dim))
+                coeffs = np.linalg.solve(A, op.rhs() - op.history(prior_u))
             else:
                 warm = np.zeros(dim)
                 if n == 1:
                     warm[0] = options.init_constant
                 else:
-                    prev = sol.elements[n - 2].coeffs
+                    prev = sol.coefficients(n - 1)
                     warm[: min(dim, prev.size)] = prev[:dim]
-                coeffs = newton(system.residual, system.jacobian, warm, options, n=n)
-            mine = sol.elements[n - 1].coeffs
+                residual = _element_residual(op, prior_u)
+                coeffs = newton(residual, op.jacobian, warm, options, n=n)
+            mine = sol.coefficients(n)
             assert np.max(np.abs(coeffs - mine)) <= 1e-14 * np.max(np.abs(mine))

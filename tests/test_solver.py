@@ -89,8 +89,9 @@ def test_linear_flag_matches_newton_path():
         import dataclasses
 
         newton_path = solve(dataclasses.replace(b.spec, linear=False), mesh)
-        for e1, e2 in zip(direct.elements, newton_path.elements):
-            assert np.max(np.abs(e1.coeffs - e2.coeffs)) < 1e-11
+        for n in range(1, mesh.N + 1):
+            e1, e2 = direct.coefficients(n), newton_path.coefficients(n)
+            assert np.max(np.abs(e1 - e2)) < 1e-11
 
 
 def test_manufactured_cubic_nonlinearity():
@@ -126,7 +127,7 @@ def test_evaluate_basics():
     mesh = uniform_mesh(2, 1.0, 3)
     sol = solve(b.spec, mesh)
     # constant-coefficient element evaluates to the constant
-    sol.elements[0].coeffs[:] = [2.5, 0.0, 0.0, 0.0]
+    sol.coefficients(1)[:] = [2.5, 0.0, 0.0, 0.0]
     assert evaluate(sol, 0.3) == pytest.approx(2.5)
     assert evaluate(sol, 0.0) == pytest.approx(2.5)  # limit into element 1
     with pytest.raises(ValueError):
@@ -139,7 +140,7 @@ def test_evaluate_legendre_coefficients():
     b = bench.make_benchmark("ex4")
     mesh = uniform_mesh(1, 1.0, 3)
     sol = solve(b.spec, mesh)
-    sol.elements[0].coeffs[:] = [0.5, 0.5, 0.0, 0.0]  # u(t) = t on [0, 1]
+    sol.coefficients(1)[:] = [0.5, 0.5, 0.0, 0.0]  # u(t) = t on [0, 1]
     assert evaluate(sol, 0.25) == pytest.approx(0.25, abs=1e-14)
 
 
@@ -152,7 +153,7 @@ def test_evaluate_matches_gauss_nodal_values():
 
     rule = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, 2)
     pts = shift_nodes(rule, mesh.element(2))
-    direct = sol.elements[1].coeffs @ legendre_table(2, rule.nodes)
+    direct = sol.coefficients(2) @ legendre_table(2, rule.nodes)
     assert evaluate(sol, pts) == pytest.approx(direct, abs=1e-14)
 
 
@@ -160,17 +161,14 @@ def test_evaluate_gathers_mixed_degrees_in_blocks():
     # unsorted points on an interleaved-degree mesh, more of them than one
     # evaluation block, plus t = 0 and every element's right endpoint, against
     # the per-element Legendre sum
-    from abelhp.discretization import ElementSolution
     from abelhp.orthopoly import legendre_table
-    from abelhp.solver import PiecewiseSolution, _lobatto_cache
+    from abelhp.solver import PiecewiseSolution
 
     mesh = Mesh(np.array([0.0, 0.1, 0.25, 0.5, 0.6, 0.85, 1.0]), np.array([2, 4, 2, 3, 4, 2]))
     rng = np.random.default_rng(5)
-    elements = []
-    for n in range(1, mesh.N + 1):
-        coeffs = rng.uniform(-1.0, 1.0, mesh.element(n).degree + 1)
-        elements.append(ElementSolution(n, coeffs, *_lobatto_cache(mesh, n, coeffs)))
-    sol = PiecewiseSolution(mesh, elements)
+    sol = PiecewiseSolution(mesh, np.concatenate(
+        [rng.uniform(-1.0, 1.0, mesh.element(n).degree + 1) for n in range(1, mesh.N + 1)]
+    ))
     t = np.concatenate((rng.uniform(0.0, 1.0, 10_000), [0.0], mesh.breakpoints[1:]))
     rng.shuffle(t)
 
@@ -178,12 +176,29 @@ def test_evaluate_gathers_mixed_degrees_in_blocks():
     expected = np.empty_like(t)
     for n in range(1, mesh.N + 1):
         elem, sel = mesh.element(n), idx == n
-        expected[sel] = elements[n - 1].coeffs @ legendre_table(
+        expected[sel] = sol.coefficients(n) @ legendre_table(
             elem.degree, elem.to_reference(t[sel])
         )
     got = evaluate(sol, t)
     assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
     assert evaluate(sol, 0.0) == expected[t == 0.0][0]
+
+
+def test_solution_coefficients_index_checked():
+    # element n owns offsets[n-1]:offsets[n] of the flat array; n outside 1..N
+    # raises instead of wrapping around to the last elements
+    from abelhp.solver import PiecewiseSolution
+
+    b = bench.make_benchmark("ex3")
+    mesh = uniform_mesh(4, 1.0, 2)
+    sol = solve(b.spec, mesh, b.solver_options())
+    for n in (0, -1, mesh.N + 1):
+        with pytest.raises(IndexError):
+            sol.coefficients(n)
+    sol.coefficients(mesh.N)[:] = 0.0
+    assert np.array_equal(sol.coeffs[-3:], np.zeros(3))
+    with pytest.raises(ValueError):
+        PiecewiseSolution(mesh, np.zeros(mesh.L - 1))
 
 
 def test_forward_apply_closed_forms():
@@ -254,8 +269,8 @@ def test_causality():
     s_base = solve(b.spec, mesh, b.solver_options())
     s_pert = solve(perturbed, mesh, b.solver_options())
     for n in (0, 1):  # elements entirely before the perturbation
-        assert np.array_equal(s_base.elements[n].coeffs, s_pert.elements[n].coeffs)
-    assert not np.allclose(s_base.elements[2].coeffs, s_pert.elements[2].coeffs)
+        assert np.array_equal(s_base.coefficients(n + 1), s_pert.coefficients(n + 1))
+    assert not np.allclose(s_base.coefficients(3), s_pert.coefficients(3))
 
 
 def test_polynomial_reproduction():
@@ -372,8 +387,9 @@ def test_descent_recovers_a_failed_newton(monkeypatch):
     recovered = solve(b.spec, mesh, b.solver_options())
     assert len(descents) == 1
     assert newtons == [1, 1, 2, 3, 4, 5, 6]
-    for e1, e2 in zip(plain.elements, recovered.elements):
-        assert np.max(np.abs(e1.coeffs - e2.coeffs)) <= 1e-9 * np.max(np.abs(e1.coeffs))
+    for n in range(1, mesh.N + 1):
+        e1, e2 = plain.coefficients(n), recovered.coefficients(n)
+        assert np.max(np.abs(e1 - e2)) <= 1e-9 * np.max(np.abs(e1))
 
 
 def test_failed_newton_not_repeated_when_descent_stays_put(monkeypatch):
