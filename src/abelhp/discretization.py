@@ -97,6 +97,12 @@ def _reference_tables(M: int, alpha: float) -> _ReferenceTables:
     return _ReferenceTables(gl, gj, *tables)
 
 
+@functools.lru_cache(maxsize=None)
+def _lobatto_nodes(degree: int) -> np.ndarray:
+    """Read-only Lobatto nodes of a degree on [-1, 1], without the rule lookup."""
+    return gauss_rule(RuleKind.GAUSS_LOBATTO, None, degree).nodes
+
+
 class ElementOperator:
     """Quadrature tables for one element.
 
@@ -167,22 +173,23 @@ class ElementOperator:
         breakpoints exactly as ``shift_nodes`` places them.
         """
         mesh, problem = self.mesh, self.problem
-        offsets = mesh.offsets[: self.n]
+        offsets, prior = mesh.offsets, self.n - 1
         prior_u = np.asarray(prior_u, dtype=float)
-        if prior_u.shape != (offsets[-1],):
+        if prior_u.shape != (offsets[prior],):
             raise ValueError(
-                f"element {self.n} needs the {offsets[-1]} Lobatto values of "
-                f"elements 1..{self.n - 1}, got shape {prior_u.shape}"
+                f"element {self.n} needs the {offsets[prior]} Lobatto values of "
+                f"elements 1..{prior}, got shape {prior_u.shape}"
             )
-        bp, degrees = mesh.breakpoints, mesh.degrees[: self.n - 1]
+        bp = mesh.breakpoints
         t = self.t_nodes[:, None, None]
         vals = np.zeros(self.t_nodes.size)
-        for d in np.unique(degrees):
-            d = int(d)
-            idx = np.flatnonzero(degrees == d)
+        for d, idx in mesh.degree_groups:
+            idx = idx[: np.searchsorted(idx, prior)]  # elements 1..n-1 of degree d
+            if idx.size == 0:
+                continue
             lefts, rights = bp[idx], bp[idx + 1]
             w = history_weights_batch(lefts, rights, d, self.t_nodes, problem.alpha)
-            x = gauss_rule(RuleKind.GAUSS_LOBATTO, None, d).nodes
+            x = _lobatto_nodes(d)
             S = 0.5 * ((rights - lefts)[:, None] * x + lefts[:, None] + rights[:, None])
             U = prior_u[offsets[idx, None] + np.arange(d + 1)]
             vals += np.sum(w * problem.kappa(t, S) * problem.psi(t, S, U), axis=(1, 2))

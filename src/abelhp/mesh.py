@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,15 +17,17 @@ class Mesh:
     """Breakpoints 0 = t_0 < ... < t_N = T and polynomial degrees M_1..M_N.
 
     Element n (1-based) is the half-open interval (t_{n-1}, t_n]; immutable
-    after construction and freely shareable.
+    after construction and freely shareable.  The mesh keeps read-only copies
+    of the breakpoints and degrees, so the per-mesh tables derived from them
+    (``offsets``, ``degree_groups``) cannot go stale.
     """
 
     breakpoints: np.ndarray
     degrees: np.ndarray
 
     def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        deg = np.asarray(self.degrees, dtype=int)
+        bp = np.array(self.breakpoints, dtype=float)
+        deg = np.array(self.degrees, dtype=int)
         if bp.ndim != 1 or bp.size < 2:
             raise ValueError("need at least two breakpoints")
         if bp[0] != 0.0:
@@ -35,6 +38,8 @@ class Mesh:
             raise ValueError("need one degree per element")
         if np.any(deg < 1):
             raise ValueError("element degrees must be >= 1")
+        bp.flags.writeable = False
+        deg.flags.writeable = False
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "degrees", deg)
 
@@ -63,16 +68,34 @@ class Mesh:
         """Total number of unknown coefficients."""
         return int(np.sum(self.degrees + 1))
 
-    @property
+    @functools.cached_property
     def offsets(self) -> np.ndarray:
         """Block starts of a flat per-element array with degree + 1 entries each.
 
         Element n owns ``offsets[n-1]:offsets[n]``; ``offsets[N]`` is ``L``.
         Solved Lobatto values and Legendre coefficients are laid out this way.
+        Built once per mesh and read-only.
         """
         out = np.zeros(self.N + 1, dtype=int)
         np.cumsum(self.degrees + 1, out=out[1:])
+        out.flags.writeable = False
         return out
+
+    @functools.cached_property
+    def degree_groups(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """``(degree, indices)`` for each distinct degree, ascending.
+
+        ``indices`` are the 0-based positions (element n is n - 1) of the
+        elements of that degree, ascending, so the elements before element n
+        are the prefix of each array below n - 1.  Built once per mesh and
+        read-only.
+        """
+        groups = []
+        for d in np.unique(self.degrees):
+            idx = np.flatnonzero(self.degrees == d)
+            idx.flags.writeable = False
+            groups.append((int(d), idx))
+        return tuple(groups)
 
     def element(self, n: int) -> Element:
         """The n-th element, n = 1..N."""
@@ -85,7 +108,7 @@ class Mesh:
         )
 
     def with_degrees(self, degrees) -> "Mesh":
-        return Mesh(self.breakpoints.copy(), np.asarray(degrees, dtype=int))
+        return Mesh(self.breakpoints, degrees)
 
     def to_config(self) -> dict:
         return {

@@ -181,28 +181,25 @@ def _far_field_table(pmax: int):
     return x, w, table
 
 
-def _kernel_mass_log(gap, width):
-    """The far mask, the safe gap and log1p(width / gap) of :func:`_kernel_mass`.
+def _kernel_mass(gap, width, alpha: float, orders: int = 1) -> list:
+    """Integrals of (t-s)^(a-1) over an element of this width ending gap >= 0 before t.
 
-    They depend on the gap and width only, so masses for several exponents at
-    one gap can share them.
+    Returns one array per exponent a = alpha, alpha + 1, ..., alpha + orders - 1,
+    each (gap + width)^a (1 - (gap / (gap + width))^a) / a.  The bracket is
+    -expm1(-a log1p(width / gap)), so no two powers cancel at any gap, and at
+    gap = 0 the log is inf and the bracket exactly 1.  The exponents share the
+    log and the power.
     """
-    far = gap > 0.1 * width
-    safe = np.where(far, gap, width)
-    return far, safe, np.log1p(width / safe)
-
-
-def _kernel_mass(gap, width, alpha: float, log_parts=None):
-    """Integral of (t-s)^(alpha-1) over an element of this width ending gap >= 0 before t.
-
-    That is ((gap + width)^alpha - gap^alpha) / alpha.  Past gap = width / 10
-    the two powers cancel to a relative error of about eps * gap / width, so
-    there it is computed as gap^alpha expm1(alpha log1p(width / gap)) / alpha.
-    ``log_parts`` passes in :func:`_kernel_mass_log` of the same gap and width.
-    """
-    far, safe, log_ratio = _kernel_mass_log(gap, width) if log_parts is None else log_parts
-    factored = safe**alpha * np.expm1(alpha * log_ratio) / alpha
-    return np.where(far, factored, ((gap + width) ** alpha - gap**alpha) / alpha)
+    with np.errstate(divide="ignore", over="ignore"):
+        log_ratio = np.log1p(width / gap)
+    end = gap + width
+    power = end**alpha
+    masses = []
+    for k in range(orders):
+        a = alpha + k
+        masses.append(power * -np.expm1(-a * log_ratio) / a)
+        power = power * end
+    return masses
 
 
 @functools.lru_cache(maxsize=None)
@@ -234,11 +231,9 @@ def _nu1_series(c: np.ndarray, alpha: float) -> np.ndarray:
 def _nu_batch(c: np.ndarray, alpha: float, pmax: int) -> np.ndarray:
     """Moments nu_p(c), p = 0..pmax, for a 1-d array of offsets c >= 1."""
     cm1 = np.maximum(c - 1.0, 0.0)  # clamp negative rounding at c ~ 1
-    log_parts = _kernel_mass_log(cm1, 2.0)
     nu = np.empty((c.size, pmax + 1))
-    nu[:, 0] = _kernel_mass(cm1, 2.0, alpha, log_parts)
+    nu[:, 0], i0 = _kernel_mass(cm1, 2.0, alpha, orders=2)  # nu_0 and int (c - x)^alpha
     if pmax >= 1:
-        i0 = _kernel_mass(cm1, 2.0, alpha + 1.0, log_parts)
         nu[:, 1] = np.where(c >= _NU1_SERIES_C, _nu1_series(c, alpha), c * nu[:, 0] - i0)
     if pmax <= 1:
         return nu
@@ -292,9 +287,12 @@ def lobatto_lagrange_coeffs(degree: int) -> np.ndarray:
 
 def _check_constant_sum(weights, lefts, rights, t, alpha: float):
     """Each weight row (last axis) must sum to the kernel integral over its element."""
-    expected = _kernel_mass(np.maximum(t - rights, 0.0), rights - lefts, alpha)
-    err = np.abs(np.sum(weights, axis=-1) - expected)
-    bad = err > 1e-10 * expected + 1e-16 * np.abs(weights).sum(axis=-1)
+    (expected,) = _kernel_mass(np.maximum(t - rights, 0.0), rights - lefts, alpha)
+    # row sums as a matrix-vector product: np.sum over a last axis only
+    # degree + 1 long costs over ten times more on thousands of rows
+    ones = np.ones(weights.shape[-1])
+    err = np.abs(weights @ ones - expected)
+    bad = err > 1e-10 * expected + 1e-16 * (np.abs(weights) @ ones)
     if np.any(bad):
         k = np.unravel_index(np.argmax(err / expected), err.shape)
         left, right, at = (np.broadcast_to(v, err.shape)[k] for v in (lefts, rights, t))

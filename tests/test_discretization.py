@@ -317,6 +317,24 @@ def test_history_matches_per_node_loop_on_mixed_degrees():
         assert np.max(np.abs(batched - looped)) <= 1e-14 * np.max(np.abs(looped))
 
 
+def test_history_matches_per_node_loop_on_graded_hp_mesh():
+    # geometric grading toward t = 0 with degrees rising 1..9: widths from
+    # 2.6e-7 to 0.85, so the rows span the near-field recurrence (c <= 1.2),
+    # nu_1 = c nu_0 - I_0 (1.2 < c < 8) and the nu_1 series (c >= 8)
+    ex1 = make_benchmark("ex1", 0.3)
+    bp = np.array([0.0] + [0.15**k for k in range(8, 0, -1)] + [1.0])
+    degrees = list(range(1, bp.size))
+    mesh = Mesh(bp, degrees)
+    rng = np.random.default_rng(5)
+    prior = _prior(mesh, *(rng.uniform(-1.0, 1.0, d + 1) for d in degrees[:-1]))
+    for n in range(2, mesh.N + 1):
+        op = ElementOperator(ex1.spec, mesh, n)
+        prior_u = prior[: mesh.offsets[n - 1]]
+        batched = op.history(prior_u)
+        looped = history_by_node(op, prior_u)
+        assert np.max(np.abs(batched - looped)) <= 1e-14 * np.max(np.abs(looped))
+
+
 def test_solve_store_matches_list_march():
     # solve fills its buffer of Lobatto values as it marches; marching
     # ElementOperator from Lobatto values rebuilt from the solved

@@ -28,6 +28,29 @@ def test_mesh_validation():
         Mesh(np.array([0.0, 1.0]), np.array([1, 1]))
 
 
+def test_mesh_arrays_are_read_only_copies():
+    # offsets and the degree groups are built once per mesh from these
+    # arrays, so they must not change under it; the caller's arrays are copied
+    bp, degrees = np.array([0.0, 0.3, 1.0]), np.array([2, 3])
+    m = Mesh(bp, degrees)
+    for arr in (m.breakpoints, m.degrees, m.offsets):
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
+    bp[1], degrees[0] = 0.4, 5
+    assert m.breakpoints[1] == 0.3 and m.degrees[0] == 2
+    assert m.offsets is m.offsets
+    assert list(m.offsets) == [0, 3, 7]
+
+
+def test_degree_groups_list_elements_by_degree():
+    m = Mesh(np.linspace(0.0, 1.0, 6), [3, 1, 3, 2, 1])
+    groups = [(d, list(idx)) for d, idx in m.degree_groups]
+    assert groups == [(1, [1, 4]), (2, [3]), (3, [0, 2])]
+    assert m.degree_groups is m.degree_groups
+    with pytest.raises(ValueError):
+        m.degree_groups[0][1][0] = 0
+
+
 def test_sigma_endpoints_and_value():
     m = Mesh(np.array([0.0, 1.0, 2.0]), np.array([2, 2]))
     elem = m.element(2)

@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from abelhp.quadrature import (
     HistoryAccuracyError,
     HistoryWeights,
     RuleKind,
+    _kernel_mass,
     _nu_batch,
     gauss_rule,
     history_weights,
@@ -254,6 +257,36 @@ def test_zeroth_moment_far_from_element_matches_mpmath():
         assert nu0 == pytest.approx(exact, rel=1e-15, abs=0.0)
 
 
+def test_kernel_mass_matches_mpmath_at_every_gap():
+    # one formula serves every gap, from t on the element's right end
+    # (gap = 0) through the near field to elements far narrower than their
+    # distance to t; both exponents used by the moments are checked
+    ratios = [0.0, 1e-300, 1e-12, 1e-6, 0.0999, 0.1, 0.1001, 1.0, 10.0, 1e3, 1e6, 1e9, 1e12]
+    for width in (2.0, 1e-7):
+        gap = np.array(ratios) * width
+        for alpha in (0.1, 0.3, 0.5, 0.9, 1.0):
+            masses = _kernel_mass(gap, width, alpha, orders=2)
+            with mp.workdps(60):
+                for k, mass in enumerate(masses):
+                    a = mp.mpf(alpha) + k
+                    w = mp.mpf(width)
+                    exact = [float(((mp.mpf(g) + w) ** a - mp.mpf(g) ** a) / a) for g in gap]
+                    assert mass == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+
+def test_history_weights_at_the_element_end():
+    # t = elem.right is c = 1: nu_0 = 2^alpha / alpha, reached through
+    # log1p(width / 0) = inf without a floating-point warning
+    elem = Element(0.25, 0.75, 3)
+    for alpha in (0.1, 0.5, 1.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nu0 = _nu_batch(np.array([1.0]), alpha, 3)[0, 0]
+            w = history_weights(elem, elem.right, alpha).values
+        assert nu0 == pytest.approx(2.0**alpha / alpha, rel=1e-15)
+        assert np.sum(w) == pytest.approx(elem.width**alpha / alpha, rel=1e-14)
+
+
 def test_first_moment_far_from_element_matches_mpmath():
     # nu_1 = c nu_0 - I_0 subtracts two values of size ~2 c^alpha to get one
     # of size ~c^(alpha-2); the computed nu_1 must stay accurate relative to
@@ -274,7 +307,7 @@ def test_first_moment_far_from_element_matches_mpmath():
 def test_cached_tables_are_read_only():
     # cached arrays are shared by every later call; an in-place write by one
     # caller must fail instead of corrupting the rest of the process
-    from abelhp.discretization import _reference_tables
+    from abelhp.discretization import _lobatto_nodes, _reference_tables
     from abelhp.quadrature import _far_field_table
 
     rule = gauss_rule(RuleKind.GAUSS_JACOBI, JacobiParams(-0.3, 0.0), 5)
@@ -283,6 +316,7 @@ def test_cached_tables_are_read_only():
         rule.nodes,
         rule.weights,
         lobatto_lagrange_coeffs(4),
+        _lobatto_nodes(4),
         *_far_field_table(4),
         ref.gl.nodes,
         ref.gj.weights,
