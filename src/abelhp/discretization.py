@@ -75,6 +75,7 @@ class _ReferenceTables:
     node_product: np.ndarray  # (1 + x_gl_i)(1 + x_gj_j)
     P: np.ndarray  # (p, i): Legendre table at the Gauss-Legendre nodes
     Q: np.ndarray  # (q, i, j): Legendre table at the rescaled inner nodes
+    Qflat: np.ndarray  # (q, (i, j)): Q with the inner grid flattened row-major
     proj_scale: np.ndarray
     sys_scale: np.ndarray
 
@@ -85,10 +86,12 @@ def _reference_tables(M: int, alpha: float) -> _ReferenceTables:
     gl = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, M)
     gj = gauss_rule(RuleKind.GAUSS_JACOBI, JacobiParams(alpha - 1.0, 0.0), M)
     node_product = (1.0 + gl.nodes)[:, None] * (1.0 + gj.nodes)[None, :]
+    Q = legendre_table(M, 0.5 * node_product - 1.0)
     tables = (
         node_product,
         legendre_table(M, gl.nodes),
-        legendre_table(M, 0.5 * node_product - 1.0),
+        Q,
+        Q.reshape(M + 1, -1),
         (2.0 * np.arange(M + 1) + 1.0) / 2.0,
         (2.0 * np.arange(M + 1) + 1.0) / 2.0 ** (1.0 + alpha),
     )
@@ -109,8 +112,10 @@ class ElementOperator:
     The reference tables come from a cache shared by every element of the
     same degree and alpha; only the affine images (node positions, the
     kernel values at the tensor quadrature grid) are built per element.
-    Residual and Jacobian evaluations are then a handful of vectorized
-    contractions.
+    They are folded once into the matrix ``B`` of shape (M+1, (M+1)^2), so
+    that a residual evaluation is the one product ``B @ psi`` and a Jacobian
+    the one product ``(B * dpsi_du) @ Qflat.T``, with psi and dpsi_du taken
+    on the flattened grid.
     """
 
     def __init__(self, problem: ProblemSpec, mesh: Mesh, n: int):
@@ -122,38 +127,35 @@ class ElementOperator:
         alpha = problem.alpha
         ref = _reference_tables(elem.degree, alpha)
         self.gl = ref.gl
-        self.t_nodes = shift_nodes(ref.gl, elem)
-        self.sigma_nodes = a + 0.25 * h * ref.node_product
-        self.P, self.Q = ref.P, ref.Q
-        # (t_i - t_{n-1})^alpha from the width, not a difference of times
-        self.prefac = (0.5 * h * (1.0 + ref.gl.nodes)) ** alpha * ref.gl.weights
-        self.w_inner = ref.gj.weights
+        self.P, self.Qflat = ref.P, ref.Qflat
         self.proj_scale = ref.proj_scale
-        self.sys_scale = ref.sys_scale
-        self.kappa_grid = np.broadcast_to(
-            problem.kappa(self.t_nodes[:, None], self.sigma_nodes),
-            self.sigma_nodes.shape,
-        )
+        self.t_nodes = shift_nodes(ref.gl, elem)
+        # the tensor grid (t_i, sigma_ij), flattened row-major as Qflat's columns
+        sigma = a + 0.25 * h * ref.node_product
+        self.t_grid = np.repeat(self.t_nodes, sigma.shape[1])
+        self.sigma_grid = sigma.ravel()
+        kappa = np.broadcast_to(problem.kappa(self.t_nodes[:, None], sigma), sigma.shape)
+        # (t_i - t_{n-1})^alpha from the width, not a difference of times
+        prefac = (0.5 * h * (1.0 + ref.gl.nodes)) ** alpha * ref.gl.weights
+        outer = ref.sys_scale[:, None] * ref.P * prefac  # (p, i)
+        inner = kappa * ref.gj.weights  # (i, j)
+        # B[p, (i, j)] = sys_scale_p P_pi prefac_i kappa(t_i, sigma_ij) w_j
+        self.B = (outer[:, :, None] * inner).reshape(outer.shape[0], -1)
 
     def u_at_sigma(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.einsum("q,qij->ij", coeffs, self.Q)
+        return coeffs @ self.Qflat
 
     def weighted_moments(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficient-space image of the current-element singular integral."""
-        psi = self.problem.psi(
-            self.t_nodes[:, None], self.sigma_nodes, self.u_at_sigma(coeffs)
-        )
-        inner = (self.kappa_grid * psi) @ self.w_inner
-        return self.sys_scale * (self.P @ (self.prefac * inner))
+        psi = self.problem.psi(self.t_grid, self.sigma_grid, self.u_at_sigma(coeffs))
+        if np.shape(psi) != self.sigma_grid.shape:
+            psi = np.broadcast_to(psi, self.sigma_grid.shape)
+        return self.B @ psi
 
     def jacobian(self, coeffs: np.ndarray) -> np.ndarray:
         """Derivative of the element residual with respect to the coefficients."""
-        dpsi = self.problem.dpsi_du(
-            self.t_nodes[:, None], self.sigma_nodes, self.u_at_sigma(coeffs)
-        )
-        core = self.kappa_grid * dpsi * self.w_inner[None, :]
-        J = np.einsum("pi,ij,qij->pq", self.P * self.prefac[None, :], core, self.Q)
-        return self.sys_scale[:, None] * J
+        dpsi = self.problem.dpsi_du(self.t_grid, self.sigma_grid, self.u_at_sigma(coeffs))
+        return (self.B * dpsi) @ self.Qflat.T
 
     def project(self, values_at_nodes: np.ndarray) -> np.ndarray:
         """Discrete Legendre coefficients of values sampled at the Gauss nodes."""

@@ -11,12 +11,14 @@ point.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .discretization import ElementOperator, ProblemSpec, validate_problem
+from .discretization import ElementOperator, ProblemSpec, _lobatto_nodes, validate_problem
 from .mesh import Mesh, locate
 from .orthopoly import JacobiParams, legendre_table
 from .quadrature import RuleKind, gauss_rule
@@ -117,16 +119,11 @@ class PiecewiseSolution:
         return self.coeffs[offsets[n - 1] : offsets[n]]
 
 
-def _max_norm(r) -> float:
-    r = np.asarray(r, dtype=float)
-    return float(np.max(np.abs(r))) if r.size else 0.0
-
-
 def _residual_norm(residual_fn, u):
-    with np.errstate(all="ignore"):
-        r = np.asarray(residual_fn(u), dtype=float)
-    norm = _max_norm(r) if np.all(np.isfinite(r)) else np.inf
-    return r, norm
+    """The residual at u and its max-norm; a NaN or inf entry makes the norm inf."""
+    r = np.asarray(residual_fn(u), dtype=float)
+    norm = float(np.abs(r).max(initial=0.0))
+    return r, (norm if norm < math.inf else math.inf)
 
 
 def newton(residual_fn, jacobian_fn, init, options: SolverOptions, n: int | None = None):
@@ -137,37 +134,38 @@ def newton(residual_fn, jacobian_fn, init, options: SolverOptions, n: int | None
     non-finite.  Convergence is declared on the residual max-norm.
     """
     u = np.array(init, dtype=float).ravel()
-    r, norm = _residual_norm(residual_fn, u)
-    g = float(r @ r) if np.isfinite(norm) else np.inf
-    for it in range(options.newton_max_iter):
-        if norm <= options.newton_tol:
-            return u
-        if not np.isfinite(norm):
-            raise NewtonDivergedError(n, norm)
-        with np.errstate(all="ignore"):
+    # non-finite values are caught by the checks below, not warned about
+    with np.errstate(all="ignore"):
+        r, norm = _residual_norm(residual_fn, u)
+        g = float(r @ r) if norm < math.inf else math.inf
+        for it in range(options.newton_max_iter):
+            if norm <= options.newton_tol:
+                return u
+            if norm == math.inf:
+                raise NewtonDivergedError(n, norm)
             J = np.atleast_2d(np.asarray(jacobian_fn(u), dtype=float))
-        if not np.all(np.isfinite(J)):
-            raise SingularJacobianError(n, it)
-        try:
-            step = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            raise SingularJacobianError(n, it) from None
-        if not np.all(np.isfinite(step)):
-            raise SingularJacobianError(n, it)
+            if not np.all(np.isfinite(J)):
+                raise SingularJacobianError(n, it)
+            try:
+                step = np.linalg.solve(J, -r)
+            except np.linalg.LinAlgError:
+                raise SingularJacobianError(n, it) from None
+            if not np.all(np.isfinite(step)):
+                raise SingularJacobianError(n, it)
 
-        # the Newton direction is a descent direction for g = |r|^2 / 2, so
-        # backtracking on g succeeds whenever J is nonsingular
-        scale = 1.0
-        for _ in range(20):
-            cand = u + scale * step
-            r_new, norm_new = _residual_norm(residual_fn, cand)
-            g_new = float(r_new @ r_new) if np.isfinite(norm_new) else np.inf
-            if g_new < g * (1.0 - 1e-4 * scale) or norm_new <= options.newton_tol:
-                u, r, norm, g = cand, r_new, norm_new, g_new
-                break
-            scale *= 0.5
-        else:
-            raise NewtonDivergedError(n, norm)
+            # the Newton direction is a descent direction for g = |r|^2 / 2, so
+            # backtracking on g succeeds whenever J is nonsingular
+            scale = 1.0
+            for _ in range(20):
+                cand = u + scale * step
+                r_new, norm_new = _residual_norm(residual_fn, cand)
+                g_new = float(r_new @ r_new) if norm_new < math.inf else math.inf
+                if g_new < g * (1.0 - 1e-4 * scale) or norm_new <= options.newton_tol:
+                    u, r, norm, g = cand, r_new, norm_new, g_new
+                    break
+                scale *= 0.5
+            else:
+                raise NewtonDivergedError(n, norm)
     if norm <= options.newton_tol:
         return u
     raise NewtonDivergedError(n, norm)
@@ -189,39 +187,46 @@ def steepest_descent_init(
     only to recover an element where Newton from the warm start failed.
     """
     u = np.zeros(dim) if warm_start is None else np.array(warm_start, dtype=float).ravel()
-    r, norm = _residual_norm(residual_fn, u)
-    if not np.isfinite(norm):
-        return u
-    g = 0.5 * float(r @ r)
-    best_u, best_g = u.copy(), g
-    for _ in range(options.descent_steps):
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        r, norm = _residual_norm(residual_fn, u)
+        if norm == math.inf:
+            return u
+        g = 0.5 * float(r @ r)
+        best_u, best_g = u.copy(), g
+        for _ in range(options.descent_steps):
             J = np.atleast_2d(np.asarray(jacobian_fn(u), dtype=float))
-        if not np.all(np.isfinite(J)):
-            break
-        grad = J.T @ r
-        if not np.all(np.isfinite(grad)) or np.all(grad == 0.0):
-            break
-        step = options.descent_step_size
-        for _ in range(30):
-            cand = u - step * grad
-            r_c, norm_c = _residual_norm(residual_fn, cand)
-            g_c = 0.5 * float(r_c @ r_c) if np.isfinite(norm_c) else np.inf
-            if g_c < g:
+            if not np.all(np.isfinite(J)):
                 break
-            step *= 0.5
-        else:
-            break
-        u, r, g = cand, r_c, g_c
-        if g < best_g:
-            best_u, best_g = u.copy(), g
+            grad = J.T @ r
+            if not np.all(np.isfinite(grad)) or np.all(grad == 0.0):
+                break
+            step = options.descent_step_size
+            for _ in range(30):
+                cand = u - step * grad
+                r_c, norm_c = _residual_norm(residual_fn, cand)
+                g_c = 0.5 * float(r_c @ r_c) if norm_c < math.inf else math.inf
+                if g_c < g:
+                    break
+                step *= 0.5
+            else:
+                break
+            u, r, g = cand, r_c, g_c
+            if g < best_g:
+                best_u, best_g = u.copy(), g
     return best_u
+
+
+@functools.lru_cache(maxsize=None)
+def _lobatto_table(degree: int) -> np.ndarray:
+    """Read-only Legendre table of a degree at its Lobatto nodes."""
+    table = legendre_table(degree, _lobatto_nodes(degree))
+    table.flags.writeable = False
+    return table
 
 
 def _lobatto_values(coeffs: np.ndarray, degree: int) -> np.ndarray:
     """Values of one element's expansion at its Lobatto points."""
-    nodes = gauss_rule(RuleKind.GAUSS_LOBATTO, None, degree).nodes
-    return coeffs @ legendre_table(degree, nodes)
+    return coeffs @ _lobatto_table(degree)
 
 
 def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None) -> PiecewiseSolution:

@@ -135,3 +135,47 @@ def history_by_node(op, prior_u):
             vals[i] += float(np.sum(w * problem.kappa(t, S) * problem.psi(t, S, U)))
             k = k_end
     return op.project(vals)
+
+
+def _element_grid(op):
+    """Tables of element ``op.n`` rebuilt from its rules, as separate factors.
+
+    Returns the Gauss nodes t_i, the inner nodes sigma_ij, the kernel there,
+    the Legendre tables P (Gauss nodes) and Q (inner nodes), the singular
+    prefactor, the inner Gauss-Jacobi weights and the system scale.
+    """
+    from abelhp.orthopoly import JacobiParams, legendre_table
+    from abelhp.quadrature import RuleKind, gauss_rule, shift_nodes
+
+    problem, elem = op.problem, op.mesh.element(op.n)
+    M, alpha, h = elem.degree, problem.alpha, elem.width
+    gl = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, M)
+    gj = gauss_rule(RuleKind.GAUSS_JACOBI, JacobiParams(alpha - 1.0, 0.0), M)
+    node_product = (1.0 + gl.nodes)[:, None] * (1.0 + gj.nodes)[None, :]
+    t = shift_nodes(gl, elem)
+    sigma = elem.left + 0.25 * h * node_product
+    kappa = np.broadcast_to(problem.kappa(t[:, None], sigma), sigma.shape)
+    P = legendre_table(M, gl.nodes)
+    Q = legendre_table(M, 0.5 * node_product - 1.0)
+    prefac = (0.5 * h * (1.0 + gl.nodes)) ** alpha * gl.weights
+    sys_scale = (2.0 * np.arange(M + 1) + 1.0) / 2.0 ** (1.0 + alpha)
+    return t, sigma, kappa, P, Q, prefac, gj.weights, sys_scale
+
+
+def weighted_moments_einsum(op, coeffs):
+    """Current-element moments by separate contractions, factor by factor."""
+    t, sigma, kappa, P, Q, prefac, w_inner, sys_scale = _element_grid(op)
+    u = np.einsum("q,qij->ij", coeffs, Q)
+    psi = op.problem.psi(t[:, None], sigma, u)
+    inner = (kappa * psi) @ w_inner
+    return sys_scale * (P @ (prefac * inner))
+
+
+def jacobian_einsum(op, coeffs):
+    """Element Jacobian by one three-factor einsum over the (i, j) grid."""
+    t, sigma, kappa, P, Q, prefac, w_inner, sys_scale = _element_grid(op)
+    u = np.einsum("q,qij->ij", coeffs, Q)
+    dpsi = op.problem.dpsi_du(t[:, None], sigma, u)
+    core = kappa * dpsi * w_inner[None, :]
+    J = np.einsum("pi,ij,qij->pq", P * prefac[None, :], core, Q)
+    return sys_scale[:, None] * J

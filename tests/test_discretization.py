@@ -16,7 +16,12 @@ from abelhp.orthopoly import legendre_table
 from abelhp.quadrature import RuleKind, gauss_rule, shift_nodes
 from abelhp.solver import _lobatto_values, newton, solve
 
-from oracles import history_by_node, singular_history_integral
+from oracles import (
+    history_by_node,
+    jacobian_einsum,
+    singular_history_integral,
+    weighted_moments_einsum,
+)
 
 
 def _ones(t, s):
@@ -253,6 +258,57 @@ def test_quadrature_consistency_low_degree_integrand():
         )
     oracle = op.project(vals)
     assert mine == pytest.approx(oracle, rel=1e-10)
+
+
+def test_fused_operator_matches_factorwise_contractions():
+    # the per-element matrix folds kernel, weights, prefactor and system
+    # scale into one product; the factor-by-factor einsum forms are the
+    # oracle, on a mesh with every degree 1..8 and each problem's own psi
+    degrees = [3, 1, 8, 2, 6, 4, 7, 5]
+    rng = np.random.default_rng(17)
+    for bench in (make_benchmark("ex1", 0.3), make_benchmark("ex3"),
+                  make_benchmark("ex5"), make_benchmark("ex6")):
+        T = bench.spec.T
+        mesh = Mesh(np.linspace(0.0, T, len(degrees) + 1), degrees)
+        for n, d in enumerate(degrees, start=1):
+            op = ElementOperator(bench.spec, mesh, n)
+            # |L_k| <= 1, so u = 1 + sum of terms below 0.1 in size stays
+            # positive, as ex6's log and square root of u require
+            coeffs = np.concatenate(([1.0], rng.uniform(-0.1, 0.1, d) / d))
+            for fused, oracle in (
+                (op.weighted_moments(coeffs), weighted_moments_einsum(op, coeffs)),
+                (op.jacobian(coeffs), jacobian_einsum(op, coeffs)),
+            ):
+                assert fused.shape == oracle.shape
+                assert np.max(np.abs(fused - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+
+def test_broadcasting_callables_solve_like_full_arrays():
+    # a scalar kernel and a scalar dpsi_du broadcast over the quadrature
+    # grid, on the one-LU path and through Newton alike
+    f = lambda t: np.asarray(t, dtype=float) ** 1.5
+    mesh = Mesh([0.0, 0.2, 0.5, 1.0], [2, 4, 3])
+    for linear in (True, False):
+        full = _identity_problem(0.5, 1.0, f, linear=linear)
+        scalar = dataclasses.replace(
+            full, kappa=lambda t, s: 1.0, dpsi_du=lambda t, s, u: 1.0
+        )
+        a, b = solve(full, mesh).coeffs, solve(scalar, mesh).coeffs
+        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(a))
+
+    # a constant psi broadcasts in the residual as well
+    const = dataclasses.replace(
+        _identity_problem(0.5, 1.0, f, linear=False),
+        psi=lambda t, s, u: 2.0,
+        dpsi_du=lambda t, s, u: 0.0,
+    )
+    twin = dataclasses.replace(const, psi=lambda t, s, u: np.full_like(u, 2.0))
+    for n in (1, 3):
+        c = np.array([0.3, -0.2, 0.1, 0.05])[: mesh.degrees[n - 1] + 1]
+        got = ElementOperator(const, mesh, n).weighted_moments(c)
+        want = ElementOperator(twin, mesh, n).weighted_moments(c)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(ElementOperator(const, mesh, n).jacobian(c), np.zeros((c.size, c.size)))
 
 
 def test_degenerate_kernel_warns_never_raises():

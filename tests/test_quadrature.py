@@ -309,6 +309,7 @@ def test_cached_tables_are_read_only():
     # caller must fail instead of corrupting the rest of the process
     from abelhp.discretization import _lobatto_nodes, _reference_tables
     from abelhp.quadrature import _far_field_table
+    from abelhp.solver import _lobatto_table
 
     rule = gauss_rule(RuleKind.GAUSS_JACOBI, JacobiParams(-0.3, 0.0), 5)
     ref = _reference_tables(3, 0.7)
@@ -317,12 +318,14 @@ def test_cached_tables_are_read_only():
         rule.weights,
         lobatto_lagrange_coeffs(4),
         _lobatto_nodes(4),
+        _lobatto_table(4),
         *_far_field_table(4),
         ref.gl.nodes,
         ref.gj.weights,
         ref.node_product,
         ref.P,
         ref.Q,
+        ref.Qflat,
         ref.proj_scale,
         ref.sys_scale,
     ]

@@ -56,6 +56,20 @@ def test_newton_divergence_reports_norm():
     assert np.isfinite(err.value.last_residual_norm)
 
 
+def test_newton_backtracks_from_non_finite_residual():
+    # from u = 9 the full step lands at u = -3, where sqrt gives NaN: the
+    # step is halved instead, silently, and Newton still reaches the root
+    res = lambda u: np.sqrt(u) - 1.0
+    jac = lambda u: np.atleast_2d(0.5 / np.sqrt(u))
+    out = newton(res, jac, np.array([9.0]), SolverOptions())
+    assert out[0] == pytest.approx(1.0, abs=1e-12)
+
+    # a start where the residual is NaN has nothing to backtrack to
+    with pytest.raises(NewtonDivergedError) as err:
+        newton(res, jac, np.array([-1.0]), SolverOptions())
+    assert err.value.last_residual_norm == np.inf
+
+
 def test_descent_zero_steps_returns_warm_start():
     opts = SolverOptions(descent_steps=0)
     warm = np.array([1.0, 2.0])

@@ -47,6 +47,11 @@ def test_tracer_sees_newton_without_descent():
     assert summary["solver.newton"]["calls"] == mesh.N
     assert summary.get("solver.steepest_descent_init", {"calls": 0})["calls"] == 0
     assert summary["solver.newton"]["jacobian_evals"] >= mesh.N
+    # every residual and Jacobian evaluation passes through the patched
+    # ElementOperator methods and is charged to the Newton phase
+    newton = summary["solver.newton"]
+    assert summary["discretization.residual"]["calls"] == newton["residual_evals"] > 0
+    assert summary["discretization.jacobian"]["calls"] == newton["jacobian_evals"] > 0
 
 
 def test_tracer_counts_one_forward_apply_per_distinct_rhs_time():
