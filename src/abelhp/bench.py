@@ -25,7 +25,7 @@ from scipy.special import gamma as _gamma
 from .discretization import ProblemSpec
 from .mesh import Mesh, uniform_mesh
 from .orthopoly import legendre_table
-from .quadrature import HistoryAccuracyError, RuleKind, gauss_rule, shift_nodes
+from .quadrature import HistoryAccuracyError, RuleKind, _shift_rows, gauss_rule
 from .solver import (
     PiecewiseSolution,
     SolverError,
@@ -149,15 +149,16 @@ def _sample_grid(mesh: Mesh, per_element: int) -> np.ndarray:
 def error_E1(solution: PiecewiseSolution, exact_fn) -> float:
     """Discrete L2 error at the per-element Gauss-Legendre nodes."""
     mesh = solution.mesh
-    pts, wts = [], []
-    for n in range(1, mesh.N + 1):
-        elem = mesh.element(n)
-        rule = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, elem.degree)
-        pts.append(shift_nodes(rule, elem))
-        wts.append(0.5 * elem.width * rule.weights)
-    pts = np.concatenate(pts)
+    bp, offsets = mesh.breakpoints, mesh.offsets
+    # an element has degree + 1 Gauss points, so they fill the offsets layout
+    pts, wts = np.empty(mesh.L), np.empty(mesh.L)
+    for d, idx in mesh.degree_groups:
+        rule = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, d)
+        cols = offsets[idx, None] + np.arange(d + 1)
+        pts[cols] = _shift_rows(rule.nodes, bp[idx], bp[idx + 1])
+        wts[cols] = (0.5 * (bp[idx + 1] - bp[idx]))[:, None] * rule.weights
     diff = np.asarray(exact_fn(pts), dtype=float) - evaluate(solution, pts)
-    return math.sqrt(float(np.concatenate(wts) @ diff**2))
+    return math.sqrt(float(wts @ diff**2))
 
 
 def error_E2(solution: PiecewiseSolution, exact_fn, samples_per_element: int = 65) -> float:

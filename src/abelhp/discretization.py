@@ -18,11 +18,20 @@ import numpy as np
 
 from .mesh import Mesh
 from .orthopoly import JacobiParams, legendre_table
-from .quadrature import QuadRule, RuleKind, gauss_rule, history_weights_batch, shift_nodes
+from .quadrature import (
+    QuadRule,
+    RuleKind,
+    _shift_rows,
+    gauss_rule,
+    history_weights_batch,
+    shift_nodes,
+)
 
 __all__ = [
     "ProblemSpec",
     "ElementOperator",
+    "HistoryRun",
+    "history_runs",
     "ProblemAssumptionWarning",
     "validate_problem",
 ]
@@ -169,33 +178,117 @@ class ElementOperator:
         """Legendre moments of the history integral over elements 1..n-1.
 
         ``prior_u`` holds the solution values at the shifted Lobatto points of
-        elements 1..n-1, concatenated in the ``mesh.offsets`` layout.  One
-        weight call and one contraction per distinct prior degree, for all
-        Gauss nodes at once; the prior Lobatto points are rebuilt from the
-        breakpoints exactly as ``shift_nodes`` places them.
+        elements 1..n-1, concatenated in the ``mesh.offsets`` layout.  This is
+        the one-element run of :class:`HistoryRun`.
         """
-        mesh, problem = self.mesh, self.problem
-        offsets, prior = mesh.offsets, self.n - 1
+        run = HistoryRun(self.problem, self.mesh, self.n, self.n, prior_u)
+        return self.project(run.at_nodes(self.n, prior_u))
+
+
+# solve assembles the history in runs of consecutive elements; a run closes
+# before its (Gauss node, earlier Lobatto point) pairs would exceed this
+# many, which bounds the largest temporaries of its assembly
+_HISTORY_BLOCK = 2**14
+
+
+def history_runs(mesh: Mesh) -> list[tuple[int, int]]:
+    """Runs ``(n0, n1)`` of consecutive equal-degree elements (1-based, inclusive).
+
+    Element n pairs each of its degree + 1 Gauss nodes with the
+    ``offsets[n-1]`` Lobatto points before it.  A run closes at a change of
+    degree, or before the sum of these pairs over its elements would exceed
+    ``_HISTORY_BLOCK``; an element whose own pairs exceed it forms a run
+    alone.  The runs cover elements 1..N in order.
+    """
+    offsets, degrees = mesh.offsets, mesh.degrees.tolist()
+    pairs = ((offsets[1:] - offsets[:-1]) * offsets[:-1]).tolist()
+    runs, n0, total = [], 1, 0
+    for n, count in enumerate(pairs, start=1):
+        if n > n0 and (degrees[n - 1] != degrees[n0 - 1] or total + count > _HISTORY_BLOCK):
+            runs.append((n0, n - 1))
+            n0, total = n, 0
+        total += count
+    runs.append((n0, mesh.N))
+    return runs
+
+
+class HistoryRun:
+    """History integrals at the Gauss nodes of the equal-degree elements n0..n1.
+
+    Built once elements 1..n0-1 are solved, from their Lobatto values
+    ``prior_u`` (``offsets[n0-1]`` of them, in the ``mesh.offsets`` layout):
+
+    * far part: for each prior degree, one weight call covers every Gauss node
+      of the run against every element before n0, and weights, kernel and psi
+      are contracted at once;
+    * near part: one pairwise weight call covers every Gauss node of each run
+      element against each run element before it, and keeps the
+      solution-independent products of weight and kernel.
+
+    ``at_nodes(n, lobatto_u)`` adds element n's near sum to its far part; it
+    needs only the values of run elements n0..n-1.
+    """
+
+    def __init__(self, problem: ProblemSpec, mesh: Mesh, n0: int, n1: int, prior_u):
+        offsets, bp, alpha = mesh.offsets, mesh.breakpoints, problem.alpha
         prior_u = np.asarray(prior_u, dtype=float)
-        if prior_u.shape != (offsets[prior],):
+        lo = offsets[n0 - 1]
+        if prior_u.shape != (lo,):
             raise ValueError(
-                f"element {self.n} needs the {offsets[prior]} Lobatto values of "
-                f"elements 1..{prior}, got shape {prior_u.shape}"
+                f"element {n0} needs the {lo} Lobatto values of "
+                f"elements 1..{n0 - 1}, got shape {prior_u.shape}"
             )
-        bp = mesh.breakpoints
-        t = self.t_nodes[:, None, None]
-        vals = np.zeros(self.t_nodes.size)
-        for d, idx in mesh.degree_groups:
-            idx = idx[: np.searchsorted(idx, prior)]  # elements 1..n-1 of degree d
-            if idx.size == 0:
+        d = int(mesh.degrees[n0 - 1])
+        if np.any(mesh.degrees[n0 - 1 : n1] != d):
+            raise ValueError(f"elements {n0}..{n1} do not share one degree")
+        self.problem, self.n0, self.lo, self.m = problem, n0, lo, d + 1
+        lefts, rights = bp[n0 - 1 : n1], bp[n0 : n1 + 1]
+        # Gauss nodes and Lobatto points of the run, flat like mesh.offsets
+        self.t = _shift_rows(_reference_tables(d, alpha).gl.nodes, lefts, rights).ravel()
+        s = _shift_rows(_lobatto_nodes(d), lefts, rights)
+        self.s = s.ravel()
+
+        t3 = self.t[:, None, None]
+        self.far = np.zeros(self.t.size)
+        for dk, idx in mesh.degree_groups:
+            prior = idx[: np.searchsorted(idx, n0 - 1)]
+            if prior.size == 0:
                 continue
-            lefts, rights = bp[idx], bp[idx + 1]
-            w = history_weights_batch(lefts, rights, d, self.t_nodes, problem.alpha)
-            x = _lobatto_nodes(d)
-            S = 0.5 * ((rights - lefts)[:, None] * x + lefts[:, None] + rights[:, None])
-            U = prior_u[offsets[idx, None] + np.arange(d + 1)]
-            vals += np.sum(w * problem.kappa(t, S) * problem.psi(t, S, U), axis=(1, 2))
-        return self.project(vals)
+            w = history_weights_batch(bp[prior], bp[prior + 1], dk, self.t[:, None], alpha)
+            S = _shift_rows(_lobatto_nodes(dk), bp[prior], bp[prior + 1])
+            U = prior_u[offsets[prior, None] + np.arange(dk + 1)]
+            # in place: w is the largest array here, rows x elements x (dk + 1)
+            w *= problem.kappa(t3, S)
+            w *= problem.psi(t3, S, U)
+            self.far += np.sum(w, axis=(1, 2))
+
+        # pairs (row, k) of a Gauss node and a run element k before the
+        # node's element, row-major: element j's pairs are the j * (d + 1)^2
+        # entries after the first j (j - 1) / 2 * (d + 1)^2
+        owner = np.arange(self.t.size) // self.m
+        rows, ks = np.nonzero(np.arange(n1 - n0 + 1) < owner[:, None])
+        self.near = np.empty((0, self.m))
+        if rows.size:
+            t = self.t[rows]
+            w = history_weights_batch(lefts[ks], rights[ks], d, t, alpha)
+            w *= problem.kappa(t[:, None], s[ks])
+            self.near = w
+
+    def at_nodes(self, n: int, lobatto_u: np.ndarray) -> np.ndarray:
+        """History integral at element n's Gauss nodes, n0 <= n <= n1.
+
+        ``lobatto_u`` holds the Lobatto values in the ``mesh.offsets`` layout
+        at least through element n-1.
+        """
+        j, m = n - self.n0, self.m
+        far = self.far[j * m : (j + 1) * m]
+        if j == 0:
+            return far
+        start = j * (j - 1) // 2 * m
+        near = self.near[start : start + j * m].reshape(m, j * m)
+        u = lobatto_u[self.lo : self.lo + j * m]
+        psi = self.problem.psi(self.t[j * m : (j + 1) * m, None], self.s[: j * m], u)
+        return far + np.sum(near * psi, axis=1)
 
 
 def _quiet_eval(fn, *args):

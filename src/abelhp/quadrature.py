@@ -132,6 +132,11 @@ def shift_nodes(rule: QuadRule, elem: Element) -> np.ndarray:
     return 0.5 * (elem.width * rule.nodes + elem.left + elem.right)
 
 
+def _shift_rows(nodes: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """Reference nodes placed on many elements, one row each, as ``shift_nodes`` places them."""
+    return 0.5 * ((rights - lefts)[:, None] * nodes + lefts[:, None] + rights[:, None])
+
+
 def singular_element_integral(g_at_mapped_nodes, elem: Element, t: float, alpha: float) -> float:
     """Weighted integral of g over (elem.left, t) against (t-s)^(alpha-1).
 
@@ -153,23 +158,31 @@ def singular_element_integral(g_at_mapped_nodes, elem: Element, t: float, alpha:
 
 
 # ---------------------------------------------------------------------------
-# Modified moments nu_p(c) = int_{-1}^{1} (c - x)^(alpha-1) P_p(x) dx, c >= 1.
+# Modified moments nu_p(c) = int_{-1}^{1} (c - x)^(alpha-1) P_p(x) dx, c >= 1,
+# in three bands of c:
 #
-# Near the singular limit c -> 1 the degree-ascending recurrence
-#     (p+1+alpha) nu_{p+1} = (2p+1) c nu_p + (alpha-p) nu_{p-1}
-# is stable.  For separated c the recurrence amplifies roundoff like the
-# Legendre function P_p(c), so there the integrand is smooth and a fixed
-# Gauss-Legendre rule is accurate instead.
+# * c <= _NEAR_FIELD_C: near the singular limit c -> 1 the degree-ascending
+#   recurrence
+#       (p+1+alpha) nu_{p+1} = (2p+1) c nu_p + (alpha-p) nu_{p-1}
+#   is stable;
+# * _NEAR_FIELD_C < c < _SERIES_C: the recurrence amplifies roundoff like the
+#   Legendre function P_p(c), but the integrand is smooth, so a fixed
+#   _FAR_FIELD_POINTS-point Gauss-Legendre rule serves p >= 2;
+# * c >= _SERIES_C: every nu_p comes from one binomial series in 1/c
+#   (``_moment_series``), whose terms are all positive, so nothing cancels
+#   and no row needs a temporary wider than pmax + 1.
+#
+# Below _SERIES_C, nu_0 and I_0 = int (c - x)^alpha dx come from
+# ``_kernel_mass``, and nu_1 = c nu_0 - I_0 loses at most about eps * c
+# relative to nu_0.  Most rows of a history sum lie in the series band.
 # ---------------------------------------------------------------------------
 
 _NEAR_FIELD_C = 1.2
 _FAR_FIELD_POINTS = 64
-# From here on nu_1 comes from its series in 1/c, which is free of the
-# cancellation in c nu_0 - I_0; below it that subtraction loses at most
-# about eps * c relative to nu_0.  _NU1_TERMS terms leave a truncation error
-# below 64^-9 of the leading term.
-_NU1_SERIES_C = 8.0
-_NU1_TERMS = 9
+_SERIES_C = 8.0
+# the series keeps terms until a bound on the next one, at c = _SERIES_C and
+# for every p, falls below this fraction of nu_p's leading term
+_SERIES_TOL = 1e-17
 
 
 @functools.lru_cache(maxsize=None)
@@ -203,52 +216,84 @@ def _kernel_mass(gap, width, alpha: float, orders: int = 1) -> list:
 
 
 @functools.lru_cache(maxsize=None)
-def _nu1_series_coeffs(alpha: float) -> tuple[float, ...]:
-    """-binom(alpha-1, k) 2 / (k + 2) for odd k = 1, 3, ..., 2 _NU1_TERMS - 1."""
-    i = np.arange(1.0, 2.0 * _NU1_TERMS)
-    binom = np.cumprod((alpha - i) / i)  # binom(alpha-1, i), i = 1, 2, ...
-    return tuple((-2.0 * binom[::2] / (i[::2] + 2.0)).tolist())
+def _moment_series_coeffs(alpha: float, pmax: int) -> np.ndarray:
+    """Read-only a[j, p] with nu_p(c) = c^(alpha-1) sum_j a[j, p] c^-(p+2j), p = 0..pmax.
 
-
-def _nu1_series(c: np.ndarray, alpha: float) -> np.ndarray:
-    """nu_1(c) from the odd terms of its binomial series; for c >= _NU1_SERIES_C.
-
-    (c - x)^(alpha-1) = c^(alpha-1) sum_k binom(alpha-1, k) (-x/c)^k, and only
-    odd k survive against x on [-1, 1], each term contributing
-    -binom(alpha-1, k) 2 / ((k + 2) c^k).  For alpha < 1 all these terms are
-    positive, so nothing cancels.
+    (c - x)^(alpha-1) = c^(alpha-1) sum_k b_k (x/c)^k with
+    b_k = prod_{i<=k} (i - alpha) / i >= 0, and int x^k P_p vanishes unless
+    k = p + 2j, so a[j, p] = b_k int x^k P_p(x) dx.  The leading term is
+    2 prod_{i<=p} (i - alpha) / (2i + 1); the ratio of term j+1 to term j is
+    (k+1-alpha)(k+2-alpha) / ((k-p+2)(k+p+3)).
     """
+    p = np.arange(pmax + 1.0)
+    rows = [2.0 * np.cumprod(np.r_[1.0, (p[1:] - alpha) / (2.0 * p[1:] + 1.0)])]
+    k, bound = p.copy(), np.ones(pmax + 1)
+    while np.max(bound) >= _SERIES_TOL:
+        ratio = (k + 1.0 - alpha) * (k + 2.0 - alpha) / ((k - p + 2.0) * (k + p + 3.0))
+        rows.append(rows[-1] * ratio)
+        # the ratio at alpha = 0 bounds it for every alpha in (0, 1]
+        bound *= (k + 1.0) * (k + 2.0) / ((k - p + 2.0) * (k + p + 3.0) * _SERIES_C**2)
+        k += 2.0
+    coeffs = np.array(rows)
+    coeffs.flags.writeable = False
+    return coeffs
+
+
+def _moment_series(c: np.ndarray, alpha: float, pmax: int) -> np.ndarray:
+    """nu_p(c), p = 0..pmax, from their binomial series; for c >= _SERIES_C.
+
+    Returns shape (pmax + 1, c.size): each sweep below then runs along c, not
+    along a short axis of pmax + 1 entries.
+    """
+    first, *middle, last = _moment_series_coeffs(alpha, pmax)
     inv_c = 1.0 / c
     inv_c2 = inv_c * inv_c
-    *rest, last = _nu1_series_coeffs(alpha)
-    total = np.full(c.shape, last)
-    for a in reversed(rest):  # Horner's rule in 1/c^2
+    total = last[:, None] * inv_c2
+    for a in reversed(middle):  # Horner's rule in 1/c^2
+        total += a[:, None]
         total *= inv_c2
-        total += a
-    return c ** (alpha - 1.0) * inv_c * total
+    total += first[:, None]
+    # c^(alpha-1) c^-p from p = 0 up; alpha - 1 would round the exponent
+    scale = c**alpha * inv_c
+    for row in total:
+        row *= scale
+        scale *= inv_c
+    return total
+
+
+def _far_field_moments(c: np.ndarray, alpha: float, pmax: int) -> np.ndarray:
+    """nu_p(c), p = 2..pmax, by the fixed Gauss-Legendre rule; for c > _NEAR_FIELD_C."""
+    x, w, table = _far_field_table(pmax)
+    kern = (c[:, None] - x[None, :]) ** (alpha - 1.0) * w[None, :]
+    return kern @ table[2:].T
 
 
 def _nu_batch(c: np.ndarray, alpha: float, pmax: int) -> np.ndarray:
     """Moments nu_p(c), p = 0..pmax, for a 1-d array of offsets c >= 1."""
-    cm1 = np.maximum(c - 1.0, 0.0)  # clamp negative rounding at c ~ 1
-    nu = np.empty((c.size, pmax + 1))
-    nu[:, 0], i0 = _kernel_mass(cm1, 2.0, alpha, orders=2)  # nu_0 and int (c - x)^alpha
-    if pmax >= 1:
-        nu[:, 1] = np.where(c >= _NU1_SERIES_C, _nu1_series(c, alpha), c * nu[:, 0] - i0)
-    if pmax <= 1:
+    # the series on every row, then the rows below _SERIES_C replaced: those
+    # are the few rows near t, so this costs less than gathering the rest
+    nu = np.ascontiguousarray(_moment_series(c, alpha, pmax).T)
+    inner = np.flatnonzero(c < _SERIES_C)
+    if inner.size == 0:
         return nu
-
-    near = c <= _NEAR_FIELD_C
-    if np.any(near):
-        cn = c[near]
-        for p in range(1, pmax):
-            nu[near, p + 1] = (
-                (2.0 * p + 1.0) * cn * nu[near, p] + (alpha - p) * nu[near, p - 1]
-            ) / (p + 1.0 + alpha)
-    if np.any(~near):
-        x, w, table = _far_field_table(pmax)
-        kern = (c[~near, None] - x[None, :]) ** (alpha - 1.0) * w[None, :]
-        nu[~near, 2:] = kern @ table[2:].T
+    ci = c[inner]
+    nu_i = np.empty((ci.size, pmax + 1))
+    cm1 = np.maximum(ci - 1.0, 0.0)  # clamp negative rounding at c ~ 1
+    nu_i[:, 0], i0 = _kernel_mass(cm1, 2.0, alpha, orders=2)  # nu_0 and int (c - x)^alpha
+    if pmax >= 1:
+        nu_i[:, 1] = ci * nu_i[:, 0] - i0
+    if pmax >= 2:
+        near = ci <= _NEAR_FIELD_C
+        if np.any(near):
+            cn = ci[near]
+            for p in range(1, pmax):
+                nu_i[near, p + 1] = (
+                    (2.0 * p + 1.0) * cn * nu_i[near, p] + (alpha - p) * nu_i[near, p - 1]
+                ) / (p + 1.0 + alpha)
+        band = ~near
+        if np.any(band):
+            nu_i[band, 2:] = _far_field_moments(ci[band], alpha, pmax)
+    nu[inner] = nu_i
     return nu
 
 
@@ -330,21 +375,24 @@ def history_weights(elem: Element, t: float, alpha: float) -> HistoryWeights:
 
 
 def history_weights_batch(lefts, rights, degree: int, t, alpha: float) -> np.ndarray:
-    """Weights for many same-degree elements at a scalar or an array of times t.
+    """Weights for same-degree elements at times t, broadcast by numpy rules.
 
-    The result has shape ``t.shape + (len(lefts), degree + 1)``: row
-    ``[..., k, :]`` holds element k's weights at that time.  Hot path of
-    history assembly: moments are vectorized over times and elements, one
-    basis-change matrix serves them all, and every (time, element) row passes
-    the constant-sum check of :class:`HistoryWeights`.
+    ``t``, ``lefts`` and ``rights`` broadcast against each other, and the
+    result has their broadcast shape + ``(degree + 1,)``: each row holds one
+    element's weights at one time.  Pass ``t[:, None]`` against 1-d
+    ``lefts``/``rights`` for every (time, element) pair, or equal-length 1-d
+    arrays for one element per time.  Hot path of history assembly: moments
+    are vectorized over all rows, one basis-change matrix serves them all,
+    and every row passes the constant-sum check of :class:`HistoryWeights`.
     """
-    t = np.asarray(t, dtype=float)[..., None]
+    t = np.asarray(t, dtype=float)
     lefts = np.asarray(lefts, dtype=float)
     rights = np.asarray(rights, dtype=float)
     widths = rights - lefts
     c = (2.0 * t - lefts - rights) / widths
     nu = _nu_batch(c.ravel(), alpha, degree).reshape(c.shape + (degree + 1,))
-    mu = (0.5 * widths)[:, None] ** alpha * nu
-    weights = mu @ lobatto_lagrange_coeffs(degree)
+    nu *= ((0.5 * widths) ** alpha)[..., None]  # the element's moments
+    weights = nu @ lobatto_lagrange_coeffs(degree)
+    del nu  # rows x (degree + 1) floats that the check need not keep alive
     _check_constant_sum(weights, lefts, rights, t, alpha)
     return weights

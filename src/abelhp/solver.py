@@ -18,7 +18,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .discretization import ElementOperator, ProblemSpec, _lobatto_nodes, validate_problem
+from .discretization import (
+    ElementOperator,
+    HistoryRun,
+    ProblemSpec,
+    _lobatto_nodes,
+    history_runs,
+    validate_problem,
+)
 from .mesh import Mesh, locate
 from .orthopoly import JacobiParams, legendre_table
 from .quadrature import RuleKind, gauss_rule
@@ -244,47 +251,50 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
     validate_problem(problem, mesh)
     # coefficients and Lobatto values of the solved elements, both in the
     # mesh.offsets layout: element n's history reads the prefix before
-    # offsets[n-1]
+    # offsets[n-1], a run's far part the prefix before its first element
     offsets = mesh.offsets
     coeffs = np.empty(mesh.L)
     lobatto_u = np.empty(mesh.L)
-    for n in range(1, mesh.N + 1):
-        lo, hi = offsets[n - 1], offsets[n]
-        degree = mesh.element(n).degree
-        dim = degree + 1
-        op = ElementOperator(problem, mesh, n)
-        # the accumulated history enters the element equation on the
-        # right-hand side: current-element moments = rhs - history
-        target = op.rhs() - op.history(lobatto_u[:lo])
-        if problem.linear:
-            # dpsi_du == 1, so the Jacobian at any point is the system matrix
-            try:
-                u = np.linalg.solve(op.jacobian(np.zeros(dim)), target)
-            except np.linalg.LinAlgError:
-                raise SingularJacobianError(n, 0) from None
-        else:
-            warm = np.zeros(dim)
-            if n == 1:
-                warm[0] = options.init_constant
+    for n0, n1 in history_runs(mesh):
+        # the history of the run's elements from everything solved before it
+        run = HistoryRun(problem, mesh, n0, n1, lobatto_u[: offsets[n0 - 1]])
+        for n in range(n0, n1 + 1):
+            lo, hi = offsets[n - 1], offsets[n]
+            degree = mesh.element(n).degree
+            dim = degree + 1
+            op = ElementOperator(problem, mesh, n)
+            # the accumulated history enters the element equation on the
+            # right-hand side: current-element moments = rhs - history
+            target = op.rhs() - op.project(run.at_nodes(n, lobatto_u))
+            if problem.linear:
+                # dpsi_du == 1, so the Jacobian at any point is the system matrix
+                try:
+                    u = np.linalg.solve(op.jacobian(np.zeros(dim)), target)
+                except np.linalg.LinAlgError:
+                    raise SingularJacobianError(n, 0) from None
             else:
-                prev = coeffs[offsets[n - 2] : lo]
-                k = min(dim, prev.size)
-                warm[:k] = prev[:k]
+                warm = np.zeros(dim)
+                if n == 1:
+                    warm[0] = options.init_constant
+                else:
+                    prev = coeffs[offsets[n - 2] : lo]
+                    k = min(dim, prev.size)
+                    warm[:k] = prev[:k]
 
-            def residual(c):
-                return op.weighted_moments(c) - target
+                def residual(c):
+                    return op.weighted_moments(c) - target
 
-            try:
-                u = newton(residual, op.jacobian, warm, options, n=n)
-            except (NewtonDivergedError, SingularJacobianError):
-                start = steepest_descent_init(
-                    residual, op.jacobian, dim, options, warm_start=warm
-                )
-                if np.array_equal(start, warm):
-                    raise  # descent did not move: Newton would fail the same way
-                u = newton(residual, op.jacobian, start, options, n=n)
-        coeffs[lo:hi] = u
-        lobatto_u[lo:hi] = _lobatto_values(u, degree)
+                try:
+                    u = newton(residual, op.jacobian, warm, options, n=n)
+                except (NewtonDivergedError, SingularJacobianError):
+                    start = steepest_descent_init(
+                        residual, op.jacobian, dim, options, warm_start=warm
+                    )
+                    if np.array_equal(start, warm):
+                        raise  # descent did not move: Newton would fail the same way
+                    u = newton(residual, op.jacobian, start, options, n=n)
+            coeffs[lo:hi] = u
+            lobatto_u[lo:hi] = _lobatto_values(u, degree)
     return PiecewiseSolution(mesh, coeffs)
 
 

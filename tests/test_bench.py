@@ -60,6 +60,26 @@ def test_error_E1_two_path_consistency():
     assert bench.error_E1(sol, b.exact) == pytest.approx(np.sqrt(total), abs=1e-12)
 
 
+def test_error_E1_matches_per_element_loop():
+    # E1 gathers Gauss points per degree group; the per-element loop it
+    # replaced must give the same bits, here on interleaved degrees
+    from abelhp.mesh import Mesh
+    from abelhp.quadrature import RuleKind, gauss_rule, shift_nodes
+
+    b = bench.make_benchmark("ex3")
+    mesh = Mesh(np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 9)]), [1, 3, 2, 5, 1, 8, 2, 4, 6])
+    sol = solve(b.spec, mesh, b.solver_options())
+    pts, wts = [], []
+    for n in range(1, mesh.N + 1):
+        elem = mesh.element(n)
+        rule = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, elem.degree)
+        pts.append(shift_nodes(rule, elem))
+        wts.append(0.5 * elem.width * rule.weights)
+    pts = np.concatenate(pts)
+    diff = b.exact(pts) - evaluate(sol, pts)
+    assert bench.error_E1(sol, b.exact) == np.sqrt(float(np.concatenate(wts) @ diff**2))
+
+
 def test_convergence_order():
     assert bench.convergence_order(4e-3, 1e-3) == pytest.approx(2.0)
     assert bench.convergence_order(7.09e-7, 1.99e-7) == pytest.approx(1.833, abs=1e-3)

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+import abelhp.discretization
 from abelhp.bench import make_benchmark
 from abelhp.discretization import (
     ElementOperator,
+    HistoryRun,
     ProblemAssumptionWarning,
     ProblemSpec,
+    history_runs,
     validate_problem,
 )
 from abelhp.mesh import Mesh, uniform_mesh
@@ -389,6 +392,72 @@ def test_history_matches_per_node_loop_on_graded_hp_mesh():
         batched = op.history(prior_u)
         looped = history_by_node(op, prior_u)
         assert np.max(np.abs(batched - looped)) <= 1e-14 * np.max(np.abs(looped))
+
+
+def _graded_stretches():
+    """Geometric grading toward t = 0 (widths 8e-6 to 0.4), three elements per degree 1..8."""
+    degrees = np.repeat(np.arange(1, 9), 3)
+    bp = np.concatenate([[0.0], 0.6 ** np.arange(degrees.size - 1, -1, -1)])
+    return Mesh(bp, degrees)
+
+
+def test_history_runs_cover_the_mesh_in_order(monkeypatch):
+    mesh = _graded_stretches()
+    for block in (50, abelhp.discretization._HISTORY_BLOCK):
+        monkeypatch.setattr(abelhp.discretization, "_HISTORY_BLOCK", block)
+        runs = history_runs(mesh)
+        assert [n0 for n0, _ in runs] == [1] + [n1 + 1 for _, n1 in runs[:-1]]
+        assert runs[-1][1] == mesh.N
+        for n0, n1 in runs:
+            assert np.all(mesh.degrees[n0 - 1 : n1] == mesh.degrees[n0 - 1])
+            pairs = (mesh.degrees[n0 - 1 : n1] + 1) * mesh.offsets[n0 - 1 : n1]
+            assert n0 == n1 or np.sum(pairs) <= block
+
+
+def test_blocked_history_matches_per_node_loop(monkeypatch):
+    # a budget small enough to split stretches of equal degree, with runs of
+    # several elements left, so both the far and the near part are checked;
+    # ex3's t-dependent nonlinearity and ex1's t-dependent kernel
+    ex1, ex3 = make_benchmark("ex1", 0.3), make_benchmark("ex3")
+    problem = dataclasses.replace(ex3.spec, alpha=ex1.spec.alpha, kappa=ex1.spec.kappa)
+    mesh = _graded_stretches()
+    monkeypatch.setattr(abelhp.discretization, "_HISTORY_BLOCK", 50)
+    runs = history_runs(mesh)
+    assert any(mesh.degrees[n1] == mesh.degrees[n1 - 1] for _, n1 in runs[:-1])
+    assert any(n1 > n0 for n0, n1 in runs)
+    rng = np.random.default_rng(7)
+    prior = _prior(mesh, *(rng.uniform(-1.0, 1.0, d + 1) for d in mesh.degrees))
+    for n0, n1 in runs:
+        run = HistoryRun(problem, mesh, n0, n1, prior[: mesh.offsets[n0 - 1]])
+        for n in range(n0, n1 + 1):
+            op = ElementOperator(problem, mesh, n)
+            blocked = op.project(run.at_nodes(n, prior))
+            looped = history_by_node(op, prior[: mesh.offsets[n - 1]])
+            assert np.max(np.abs(blocked - looped)) <= 1e-14 * np.max(np.abs(looped))
+
+
+def test_solve_does_not_depend_on_the_history_block(monkeypatch):
+    cases = [
+        (make_benchmark("ex3"), _graded_stretches()),
+        (make_benchmark("ex2"), uniform_mesh(64, 1.0, 1)),
+    ]
+    for bench, mesh in cases:
+        default = solve(bench.spec, mesh, bench.solver_options())
+        with monkeypatch.context() as m:
+            m.setattr(abelhp.discretization, "_HISTORY_BLOCK", 50)
+            assert len(history_runs(mesh)) > len(set(mesh.degrees.tolist()))
+            small = solve(bench.spec, mesh, bench.solver_options())
+        scale = np.max(np.abs(default.coeffs))
+        assert np.max(np.abs(small.coeffs - default.coeffs)) <= 1e-13 * scale
+
+
+def test_history_run_rejects_mixed_degrees_and_short_prior():
+    p = _identity_problem(0.5, 1.0, lambda t: np.asarray(t, dtype=float))
+    m = Mesh(np.linspace(0.0, 1.0, 4), [2, 2, 3])
+    with pytest.raises(ValueError):
+        HistoryRun(p, m, 2, 3, _prior(m, [1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError):
+        HistoryRun(p, m, 2, 2, np.empty(0))
 
 
 def test_solve_store_matches_list_march():

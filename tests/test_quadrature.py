@@ -9,7 +9,9 @@ from abelhp.quadrature import (
     HistoryAccuracyError,
     HistoryWeights,
     RuleKind,
+    _far_field_moments,
     _kernel_mass,
+    _moment_series,
     _nu_batch,
     gauss_rule,
     history_weights,
@@ -231,11 +233,67 @@ def test_history_weights_batch_array_t_matches_scalar_rows():
     # both moment branches run
     lefts, rights = np.array([0.0, 0.25, 0.4]), np.array([0.25, 0.4, 0.5])
     ts = np.array([[0.5, 0.505], [0.7, 3.0]])
-    w = history_weights_batch(lefts, rights, 5, ts, 0.4)
+    w = history_weights_batch(lefts, rights, 5, ts[..., None], 0.4)
     assert w.shape == ts.shape + (3, 6)
     for idx in np.ndindex(ts.shape):
         row = history_weights_batch(lefts, rights, 5, ts[idx], 0.4)
         assert w[idx] == pytest.approx(row, rel=1e-14, abs=0.0)
+
+
+def test_history_weights_batch_pairwise_matches_outer_rows():
+    # one element per time (equal-length 1-d arrays) gives the rows of the
+    # (time, element) outer call, near and far, at degrees 1 and 4
+    lefts, rights = np.array([0.0, 0.25, 0.4, 0.45]), np.array([0.25, 0.4, 0.45, 0.5])
+    ts = np.array([0.502, 0.52, 0.9, 40.0])
+    for degree in (1, 4):
+        outer = history_weights_batch(lefts, rights, degree, ts[:, None], 0.3)
+        k = np.tile(np.arange(lefts.size), ts.size)
+        pairs = history_weights_batch(lefts[k], rights[k], degree, np.repeat(ts, lefts.size), 0.3)
+        assert pairs.shape == (ts.size * lefts.size, degree + 1)
+        assert np.array_equal(pairs, outer.reshape(pairs.shape))
+
+
+def _nu_rodrigues(c, alpha, p):
+    """nu_p(c) at 30 digits from Rodrigues' formula, whose integrand is positive.
+
+    Integrating p times by parts gives
+    nu_p = (1-alpha)_p / (2^p p!) int (c - x)^(alpha-1-p) (1 - x^2)^p dx;
+    c^(alpha-1-p) is taken outside so the quadrature sees values near one.
+    """
+    with mp.workdps(30):
+        a, c = mp.mpf(alpha), mp.mpf(c)
+        if p == 0:
+            return float(((c + 1) ** a - (c - 1) ** a) / a)
+        scale = mp.rf(1 - a, p) / (2**p * mp.factorial(p)) * c ** (a - 1 - p)
+        if scale == 0:
+            return 0.0
+        body = mp.quad(lambda x: (1 - x / c) ** (a - 1 - p) * (1 - x * x) ** p, [-1, 1])
+        return float(scale * body)
+
+
+def test_moment_series_matches_mpmath():
+    # c >= 8 takes every nu_p from the series in 1/c, including the
+    # vanishing nu_p (p >= 1) at alpha = 1
+    c = np.array([8.0, 8.0 * (1.0 + 1e-12), 11.0, 60.0, 1e3, 1e5, 1e8])
+    for alpha in (0.05, 0.5, 0.95, 1.0):
+        nu = _nu_batch(c, alpha, 12)
+        exact = np.array([[_nu_rodrigues(x, alpha, p) for p in range(13)] for x in c])
+        assert np.all(np.abs(nu - exact) <= 1e-13 * np.abs(exact))
+
+
+def test_moment_bands_agree_at_the_series_seam():
+    # just below c = 8, nu_1 = c nu_0 - I_0 and the 64-point rule; just above,
+    # the series.  The rule's error is absolute, about eps nu_0 (its high
+    # moments are far below nu_0), so agreement is measured against nu_0.
+    for alpha in (0.05, 0.3, 0.5, 0.95, 1.0):
+        for c in (8.0 * (1.0 - 1e-12), 8.0 * (1.0 + 1e-12)):
+            c = np.array([c])
+            nu0, i0 = _kernel_mass(c - 1.0, 2.0, alpha, orders=2)
+            band = np.concatenate([nu0, c * nu0 - i0, _far_field_moments(c, alpha, 12)[0]])
+            series = _moment_series(c, alpha, 12)[:, 0]
+            assert np.all(np.abs(series - band) <= 1e-13 * nu0)
+            chosen = _nu_batch(c, alpha, 12)[0]
+            assert np.array_equal(chosen, band if c < 8.0 else series)
 
 
 def test_history_weights_reject_bad_sum():
@@ -308,7 +366,7 @@ def test_cached_tables_are_read_only():
     # cached arrays are shared by every later call; an in-place write by one
     # caller must fail instead of corrupting the rest of the process
     from abelhp.discretization import _lobatto_nodes, _reference_tables
-    from abelhp.quadrature import _far_field_table
+    from abelhp.quadrature import _far_field_table, _moment_series_coeffs
     from abelhp.solver import _lobatto_table
 
     rule = gauss_rule(RuleKind.GAUSS_JACOBI, JacobiParams(-0.3, 0.0), 5)
@@ -320,6 +378,7 @@ def test_cached_tables_are_read_only():
         _lobatto_nodes(4),
         _lobatto_table(4),
         *_far_field_table(4),
+        _moment_series_coeffs(0.3, 4),
         ref.gl.nodes,
         ref.gj.weights,
         ref.node_product,

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -415,6 +416,21 @@ def test_failed_newton_not_repeated_when_descent_stays_put(monkeypatch):
         solve(b.spec, uniform_mesh(2, 1.0, 2), SolverOptions(newton_max_iter=1, descent_steps=0))
     assert err.value.n == 1
     assert newtons == [1]
+
+
+def test_solve_memory_stays_bounded():
+    # history is assembled in runs whose temporaries the module constant
+    # discretization._HISTORY_BLOCK bounds, whatever the mesh size
+    for name, N, M in (("ex2", 2048, 2), ("ex3", 200, 9)):
+        b = bench.make_benchmark(name)
+        mesh = bench.mesh_for(b, N, M)
+        tracemalloc.start()
+        try:
+            solve(b.spec, mesh, b.solver_options())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 def test_solver_options_validation():

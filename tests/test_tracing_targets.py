@@ -54,6 +54,22 @@ def test_tracer_sees_newton_without_descent():
     assert summary["discretization.jacobian"]["calls"] == newton["jacobian_evals"] > 0
 
 
+def test_tracer_records_history_weights_during_solve():
+    # quadrature.history_weights_batch.calls and .rows read the weight calls
+    # of the blocked history, which looks the routine up in discretization
+    tracing = _tracing_module()
+    b = abelhp.bench.make_benchmark("ex2")
+    tracer = tracing.Tracer(abelhp)
+    tracer.install()
+    try:
+        abelhp.solver.solve(b.spec, abelhp.mesh.uniform_mesh(16, 1.0, 1), b.solver_options())
+    finally:
+        tracer.uninstall()
+    weights = tracer.summary()["quadrature.history_weights_batch"]
+    assert weights["calls"] > 0
+    assert weights["rows"] > 0
+
+
 def test_tracer_counts_one_forward_apply_per_distinct_rhs_time():
     # solver.forward_apply.calls counts manufactured right-hand-side values:
     # one per distinct time the solve asks f for, as the values are memoized
