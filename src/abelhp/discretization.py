@@ -24,12 +24,12 @@ from .quadrature import (
     _shift_rows,
     gauss_rule,
     history_weights_batch,
-    shift_nodes,
 )
 
 __all__ = [
     "ProblemSpec",
     "ElementOperator",
+    "OperatorRun",
     "HistoryRun",
     "history_runs",
     "ProblemAssumptionWarning",
@@ -115,63 +115,86 @@ def _lobatto_nodes(degree: int) -> np.ndarray:
     return gauss_rule(RuleKind.GAUSS_LOBATTO, None, degree).nodes
 
 
-class ElementOperator:
-    """Quadrature tables for one element.
+class OperatorRun:
+    """Collocation operators of the equal-degree elements n0..n1, as stacks.
 
-    The reference tables come from a cache shared by every element of the
-    same degree and alpha; only the affine images (node positions, the
-    kernel values at the tensor quadrature grid) are built per element.
-    They are folded once into the matrix ``B`` of shape (M+1, (M+1)^2), so
-    that a residual evaluation is the one product ``B @ psi`` and a Jacobian
-    the one product ``(B * dpsi_du) @ Qflat.T``, with psi and dpsi_du taken
-    on the flattened grid.
+    Row j of each stack belongs to element n0 + j.  The run's tensor grid
+    (``t_grid``, ``sigma_grid``: a row of (M+1)^2 points per element) takes
+    one kernel call, and ``B`` of shape (R, M+1, (M+1)^2) one product:
+    ``B[j, p, (i, k)] = sys_scale_p P_pi prefac_i kappa(t_i, sigma_ik) w_k``.
+    """
+
+    def __init__(self, problem: ProblemSpec, mesh: Mesh, n0: int, n1: int):
+        if not 1 <= n0 <= n1 <= mesh.N:
+            raise IndexError(f"elements {n0}..{n1} outside 1..{mesh.N}")
+        self.degree = d = int(mesh.degrees[n0 - 1])
+        if np.any(mesh.degrees[n0 - 1 : n1] != d):
+            raise ValueError(f"elements {n0}..{n1} do not share one degree")
+        self.problem, self.mesh, self.n0 = problem, mesh, n0
+        self.ref = ref = _reference_tables(d, problem.alpha)
+        self.lefts, self.rights = mesh.breakpoints[n0 - 1 : n1], mesh.breakpoints[n0 : n1 + 1]
+        widths, R, m = (self.rights - self.lefts)[:, None], n1 - n0 + 1, d + 1
+        self.t_nodes = _shift_rows(ref.gl.nodes, self.lefts, self.rights)
+        self.t_grid = np.repeat(self.t_nodes, m, axis=1)
+        self.sigma_grid = self.lefts[:, None] + 0.25 * widths * ref.node_product.ravel()
+        # the 2-d call of a single element: Gauss nodes against inner nodes
+        grid = self.sigma_grid.reshape(-1, m)
+        kappa = np.broadcast_to(problem.kappa(self.t_nodes.reshape(-1, 1), grid), grid.shape)
+        # (t_i - t_{n-1})^alpha from the width, not a difference of times
+        prefac = (0.5 * widths * (1.0 + ref.gl.nodes)) ** problem.alpha * ref.gl.weights
+        outer = ref.sys_scale[:, None] * ref.P * prefac[:, None, :]  # (R, p, i)
+        inner = (kappa * ref.gj.weights).reshape(R, 1, m, m)  # (R, 1, i, k)
+        self.B = (outer[..., None] * inner).reshape(R, m, m * m)
+
+    def operator(self, n: int) -> "ElementOperator":
+        """Element n's operator, a view of row n - n0 of the stacks."""
+        op = ElementOperator.__new__(ElementOperator)
+        op._view(self, n)
+        return op
+
+
+class ElementOperator:
+    """Collocation operator of one element: one row of an :class:`OperatorRun`.
+
+    ``ElementOperator(problem, mesh, n)`` builds the one-element run, and
+    ``OperatorRun.operator(n)`` views a row of a longer one.  A residual
+    evaluation is the one product ``B @ psi`` and a Jacobian the one product
+    ``(B * dpsi_du) @ Qflat.T``, with psi and dpsi_du taken on the flattened
+    grid ``(t_grid, sigma_grid)``.
     """
 
     def __init__(self, problem: ProblemSpec, mesh: Mesh, n: int):
-        self.problem = problem
-        self.mesh = mesh
-        self.n = n
-        elem = mesh.element(n)
-        a, h = elem.left, elem.width
-        alpha = problem.alpha
-        ref = _reference_tables(elem.degree, alpha)
-        self.gl = ref.gl
-        self.P, self.Qflat = ref.P, ref.Qflat
-        self.proj_scale = ref.proj_scale
-        self.t_nodes = shift_nodes(ref.gl, elem)
-        # the tensor grid (t_i, sigma_ij), flattened row-major as Qflat's columns
-        sigma = a + 0.25 * h * ref.node_product
-        self.t_grid = np.repeat(self.t_nodes, sigma.shape[1])
-        self.sigma_grid = sigma.ravel()
-        kappa = np.broadcast_to(problem.kappa(self.t_nodes[:, None], sigma), sigma.shape)
-        # (t_i - t_{n-1})^alpha from the width, not a difference of times
-        prefac = (0.5 * h * (1.0 + ref.gl.nodes)) ** alpha * ref.gl.weights
-        outer = ref.sys_scale[:, None] * ref.P * prefac  # (p, i)
-        inner = kappa * ref.gj.weights  # (i, j)
-        # B[p, (i, j)] = sys_scale_p P_pi prefac_i kappa(t_i, sigma_ij) w_j
-        self.B = (outer[:, :, None] * inner).reshape(outer.shape[0], -1)
+        self._view(OperatorRun(problem, mesh, n, n), n)
 
-    def u_at_sigma(self, coeffs: np.ndarray) -> np.ndarray:
-        return coeffs @ self.Qflat
+    def _view(self, run: OperatorRun, n: int):
+        j = n - run.n0
+        self.problem, self.mesh, self.n, self._ref = run.problem, run.mesh, n, run.ref
+        self.Qflat, self.t_nodes, self.t_grid = run.ref.Qflat, run.t_nodes[j], run.t_grid[j]
+        self.sigma_grid, self.B = run.sigma_grid[j], run.B[j]
 
     def weighted_moments(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficient-space image of the current-element singular integral."""
-        psi = self.problem.psi(self.t_grid, self.sigma_grid, self.u_at_sigma(coeffs))
+        psi = self.problem.psi(self.t_grid, self.sigma_grid, coeffs @ self.Qflat)
         if np.shape(psi) != self.sigma_grid.shape:
             psi = np.broadcast_to(psi, self.sigma_grid.shape)
         return self.B @ psi
 
     def jacobian(self, coeffs: np.ndarray) -> np.ndarray:
         """Derivative of the element residual with respect to the coefficients."""
-        dpsi = self.problem.dpsi_du(self.t_grid, self.sigma_grid, self.u_at_sigma(coeffs))
+        dpsi = self.problem.dpsi_du(self.t_grid, self.sigma_grid, coeffs @ self.Qflat)
         return (self.B * dpsi) @ self.Qflat.T
 
     def project(self, values_at_nodes: np.ndarray) -> np.ndarray:
         """Discrete Legendre coefficients of values sampled at the Gauss nodes."""
-        return self.proj_scale * (self.P @ (self.gl.weights * values_at_nodes))
+        ref = self._ref
+        return ref.proj_scale * (ref.P @ (ref.gl.weights * values_at_nodes))
 
     def rhs(self) -> np.ndarray:
-        """Legendre moments of f on the element (Gauss-point projection)."""
+        """Legendre moments of f on the element (Gauss-point projection).
+
+        f is called at this element's nodes alone: a nonlinear march that
+        stops early never evaluates f on the elements after it.
+        """
         return self.project(np.broadcast_to(self.problem.f(self.t_nodes), self.t_nodes.shape))
 
     def history(self, prior_u: np.ndarray) -> np.ndarray:
@@ -212,11 +235,13 @@ def history_runs(mesh: Mesh) -> list[tuple[int, int]]:
     return runs
 
 
-class HistoryRun:
-    """History integrals at the Gauss nodes of the equal-degree elements n0..n1.
+class HistoryRun(OperatorRun):
+    """The operators of the equal-degree elements n0..n1 and their history.
 
     Built once elements 1..n0-1 are solved, from their Lobatto values
-    ``prior_u`` (``offsets[n0-1]`` of them, in the ``mesh.offsets`` layout):
+    ``prior_u`` (``offsets[n0-1]`` of them, in the ``mesh.offsets`` layout).
+    Besides the :class:`OperatorRun` stacks it holds the history integrals
+    at the run's Gauss nodes:
 
     * far part: for each prior degree, one weight call covers every Gauss node
       of the run against every element before n0, and weights, kernel and psi
@@ -238,13 +263,11 @@ class HistoryRun:
                 f"element {n0} needs the {lo} Lobatto values of "
                 f"elements 1..{n0 - 1}, got shape {prior_u.shape}"
             )
-        d = int(mesh.degrees[n0 - 1])
-        if np.any(mesh.degrees[n0 - 1 : n1] != d):
-            raise ValueError(f"elements {n0}..{n1} do not share one degree")
-        self.problem, self.n0, self.lo, self.m = problem, n0, lo, d + 1
-        lefts, rights = bp[n0 - 1 : n1], bp[n0 : n1 + 1]
+        super().__init__(problem, mesh, n0, n1)
+        d, lefts, rights = self.degree, self.lefts, self.rights
+        self.lo, self.m = lo, d + 1
         # Gauss nodes and Lobatto points of the run, flat like mesh.offsets
-        self.t = _shift_rows(_reference_tables(d, alpha).gl.nodes, lefts, rights).ravel()
+        self.t = self.t_nodes.ravel()
         s = _shift_rows(_lobatto_nodes(d), lefts, rights)
         self.s = s.ravel()
 
@@ -288,7 +311,7 @@ class HistoryRun:
         near = self.near[start : start + j * m].reshape(m, j * m)
         u = lobatto_u[self.lo : self.lo + j * m]
         psi = self.problem.psi(self.t[j * m : (j + 1) * m, None], self.s[: j * m], u)
-        return far + np.sum(near * psi, axis=1)
+        return far + (near * psi).sum(axis=1)
 
 
 def _quiet_eval(fn, *args):

@@ -309,7 +309,7 @@ def modified_moments(elem: Element, t: float, alpha: float, max_degree: int) -> 
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     _check_history_args(elem, t, alpha)
-    c = (2.0 * t - elem.left - elem.right) / elem.width
+    c = 1.0 + 2.0 * (t - elem.right) / elem.width
     return (0.5 * elem.width) ** alpha * _nu_batch(np.array([c]), alpha, max_degree)[0]
 
 
@@ -389,7 +389,9 @@ def history_weights_batch(lefts, rights, degree: int, t, alpha: float) -> np.nda
     lefts = np.asarray(lefts, dtype=float)
     rights = np.asarray(rights, dtype=float)
     widths = rights - lefts
-    c = (2.0 * t - lefts - rights) / widths
+    # from the gap t - right, as the constant-sum check takes it: c is 1
+    # exactly at t = right, where (2t - left - right) / width can round above
+    c = 1.0 + 2.0 * (t - rights) / widths
     nu = _nu_batch(c.ravel(), alpha, degree).reshape(c.shape + (degree + 1,))
     nu *= ((0.5 * widths) ** alpha)[..., None]  # the element's moments
     weights = nu @ lobatto_lagrange_coeffs(degree)

@@ -19,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from .discretization import (
-    ElementOperator,
     HistoryRun,
     ProblemSpec,
     _lobatto_nodes,
@@ -239,13 +238,16 @@ def _lobatto_values(coeffs: np.ndarray, degree: int) -> np.ndarray:
 def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None) -> PiecewiseSolution:
     """March elements 1..N, solving each local collocation system.
 
-    Linear problems take one LU solve per element.  Nonlinear ones run damped
-    Newton from a warm start: the previous element's coefficients, zero-padded
-    or truncated to this element's degree (the constant ``init_constant`` on
-    the first element).  Only if that Newton raises does the descent phase run
-    from the same warm start, followed by a second Newton whose error is the
-    one that propagates; when descent leaves the start unchanged, the first
-    error is re-raised instead.
+    Each run of :func:`history_runs` builds its history and its stacked
+    element operators at once (:class:`HistoryRun`).  A linear run inverts
+    all its system matrices in one batched call; each element then costs its
+    near-history sum and one matrix-vector product.  Nonlinear elements run
+    damped Newton from a warm start: the previous element's coefficients,
+    zero-padded or truncated to this element's degree (the constant
+    ``init_constant`` on the first element).  Only if that Newton raises does
+    the descent phase run from the same warm start, followed by a second
+    Newton whose error is the one that propagates; when descent leaves the
+    start unchanged, the first error is re-raised instead.
     """
     options = options or SolverOptions()
     validate_problem(problem, mesh)
@@ -256,23 +258,36 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
     coeffs = np.empty(mesh.L)
     lobatto_u = np.empty(mesh.L)
     for n0, n1 in history_runs(mesh):
-        # the history of the run's elements from everything solved before it
+        # the run's operators, and its history from everything solved before it
         run = HistoryRun(problem, mesh, n0, n1, lobatto_u[: offsets[n0 - 1]])
+        dim = run.degree + 1
+        if problem.linear:
+            # dpsi_du == 1, so B @ Qflat.T is each element's system matrix;
+            # solvers[j] maps f - history at the Gauss nodes to coefficients,
+            # and f is one call on all the run's nodes, as all are solved
+            ref = run.ref
+            f_nodes = np.broadcast_to(problem.f(run.t), run.t.shape).reshape(run.t_nodes.shape)
+            systems = run.B @ ref.Qflat.T
+            try:
+                solvers = (np.linalg.inv(systems) * ref.proj_scale) @ (ref.P * ref.gl.weights)
+            except np.linalg.LinAlgError:
+                # one error for the whole stack: name its first singular element
+                for j, system in enumerate(systems):
+                    try:
+                        np.linalg.inv(system)
+                    except np.linalg.LinAlgError:
+                        raise SingularJacobianError(n0 + j, 0) from None
+                raise
         for n in range(n0, n1 + 1):
             lo, hi = offsets[n - 1], offsets[n]
-            degree = mesh.element(n).degree
-            dim = degree + 1
-            op = ElementOperator(problem, mesh, n)
-            # the accumulated history enters the element equation on the
-            # right-hand side: current-element moments = rhs - history
-            target = op.rhs() - op.project(run.at_nodes(n, lobatto_u))
+            history = run.at_nodes(n, lobatto_u)
             if problem.linear:
-                # dpsi_du == 1, so the Jacobian at any point is the system matrix
-                try:
-                    u = np.linalg.solve(op.jacobian(np.zeros(dim)), target)
-                except np.linalg.LinAlgError:
-                    raise SingularJacobianError(n, 0) from None
+                u = solvers[n - n0] @ (f_nodes[n - n0] - history)
             else:
+                op = run.operator(n)
+                # the accumulated history enters the element equation on the
+                # right-hand side: current-element moments = rhs - history
+                target = op.rhs() - op.project(history)
                 warm = np.zeros(dim)
                 if n == 1:
                     warm[0] = options.init_constant
@@ -294,7 +309,7 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
                         raise  # descent did not move: Newton would fail the same way
                     u = newton(residual, op.jacobian, start, options, n=n)
             coeffs[lo:hi] = u
-            lobatto_u[lo:hi] = _lobatto_values(u, degree)
+            lobatto_u[lo:hi] = _lobatto_values(u, run.degree)
     return PiecewiseSolution(mesh, coeffs)
 
 

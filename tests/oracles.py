@@ -179,3 +179,24 @@ def jacobian_einsum(op, coeffs):
     core = kappa * dpsi * w_inner[None, :]
     J = np.einsum("pi,ij,qij->pq", P * prefac[None, :], core, Q)
     return sys_scale[:, None] * J
+
+
+def fused_matrix_einsum(op):
+    """Element matrix B[p, (i, j)] = sys_scale_p P_pi prefac_i kappa_ij w_j, factor by factor."""
+    t, sigma, kappa, P, Q, prefac, w_inner, sys_scale = _element_grid(op)
+    B = np.einsum("p,pi,i,ij,j->pij", sys_scale, P, prefac, kappa, w_inner)
+    return B.reshape(B.shape[0], -1)
+
+
+def rhs_by_node(op):
+    """Legendre moments of f on element ``op.n``, one Gauss node at a time."""
+    from abelhp.orthopoly import legendre_table
+    from abelhp.quadrature import RuleKind, gauss_rule, shift_nodes
+
+    elem = op.mesh.element(op.n)
+    gl = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, elem.degree)
+    out = np.zeros(elem.degree + 1)
+    for x, w, t in zip(gl.nodes, gl.weights, shift_nodes(gl, elem)):
+        fx = float(np.asarray(op.problem.f(np.array([t])), dtype=float).ravel()[0])
+        out += w * fx * legendre_table(elem.degree, x)
+    return (2.0 * np.arange(elem.degree + 1) + 1.0) / 2.0 * out

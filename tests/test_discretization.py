@@ -9,6 +9,7 @@ from abelhp.bench import make_benchmark
 from abelhp.discretization import (
     ElementOperator,
     HistoryRun,
+    OperatorRun,
     ProblemAssumptionWarning,
     ProblemSpec,
     history_runs,
@@ -20,8 +21,10 @@ from abelhp.quadrature import RuleKind, gauss_rule, shift_nodes
 from abelhp.solver import _lobatto_values, newton, solve
 
 from oracles import (
+    fused_matrix_einsum,
     history_by_node,
     jacobian_einsum,
+    rhs_by_node,
     singular_history_integral,
     weighted_moments_einsum,
 )
@@ -434,6 +437,93 @@ def test_blocked_history_matches_per_node_loop(monkeypatch):
             blocked = op.project(run.at_nodes(n, prior))
             looped = history_by_node(op, prior[: mesh.offsets[n - 1]])
             assert np.max(np.abs(blocked - looped)) <= 1e-14 * np.max(np.abs(looped))
+
+
+def test_stacked_operators_match_factorwise_forms(monkeypatch):
+    # every row of a run's stacks against the factor-by-factor oracles, on
+    # runs that the small budget splits inside equal-degree stretches: B, the
+    # rhs moments, the residual moments and the Jacobian, with ex6's np.where
+    # kernel and a twin whose kappa, f and dpsi_du return scalars
+    monkeypatch.setattr(abelhp.discretization, "_HISTORY_BLOCK", 50)
+    mesh = _graded_stretches()
+    runs = history_runs(mesh)
+    assert any(mesh.degrees[n1] == mesh.degrees[n1 - 1] for _, n1 in runs[:-1])
+    assert any(n1 > n0 for n0, n1 in runs)
+    scalars = dataclasses.replace(
+        _identity_problem(0.5, 1.0, lambda t: 2.0, linear=False),
+        kappa=lambda t, s: 1.5,
+        dpsi_du=lambda t, s, u: 1.0,
+    )
+    problems = [make_benchmark(pid, a).spec
+                for pid, a in (("ex1", 0.3), ("ex3", None), ("ex5", None), ("ex6", None))]
+    rng = np.random.default_rng(23)
+    for problem in problems + [scalars]:
+        for n0, n1 in runs:
+            run = OperatorRun(problem, mesh, n0, n1)
+            for n in range(n0, n1 + 1):
+                op = run.operator(n)
+                assert op.n == n
+                d = int(mesh.degrees[n - 1])
+                # u = 1 + terms below 0.1 stays positive, as ex6's log needs
+                coeffs = np.concatenate(([1.0], rng.uniform(-0.1, 0.1, d) / d))
+                for stacked, oracle in (
+                    (op.B, fused_matrix_einsum(op)),
+                    (op.rhs(), rhs_by_node(op)),
+                    (op.weighted_moments(coeffs), weighted_moments_einsum(op, coeffs)),
+                    (op.jacobian(coeffs), jacobian_einsum(op, coeffs)),
+                ):
+                    assert stacked.shape == oracle.shape
+                    assert np.max(np.abs(stacked - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+
+def test_operator_run_rejects_bad_ranges():
+    p = _identity_problem(0.5, 1.0, lambda t: np.asarray(t, dtype=float))
+    m = Mesh(np.linspace(0.0, 1.0, 4), [2, 2, 3])
+    with pytest.raises(ValueError):
+        OperatorRun(p, m, 2, 3)
+    for n in (0, 4):
+        with pytest.raises(IndexError):
+            ElementOperator(p, m, n)
+
+
+def test_solve_calls_f_once_per_linear_run_and_per_nonlinear_element(monkeypatch):
+    # a linear march solves every element of a run, so f is called once on
+    # the flat array of the run's Gauss nodes; a nonlinear march calls it on
+    # one element's nodes at a time, so a march that stops early evaluates
+    # no f beyond its last element.  The manufactured f are memoized.
+    monkeypatch.setattr(abelhp.discretization, "_HISTORY_BLOCK", 50)
+    ex1, ex2 = make_benchmark("ex1", 0.5), make_benchmark("ex2")
+    linear_manufactured = dataclasses.replace(
+        abelhp.bench._manufactured(
+            lambda t: np.asarray(t, dtype=float) ** 1.5, 0.5, 1.0, ex2.spec.kappa,
+            ex2.spec.psi, ex2.spec.dpsi_du,
+        ),
+        linear=True,
+    )
+    mixed = Mesh(np.linspace(0.0, 1.0, 6), [2, 2, 3, 3, 3])
+    cases = [
+        (ex2.spec, uniform_mesh(32, 1.0, 2), None),
+        (linear_manufactured, mixed, None),
+        (ex1.spec, mixed, ex1.solver_options()),
+    ]
+    for problem, mesh, options in cases:
+        shapes = []
+
+        def counting(t, f=problem.f):
+            shapes.append(np.shape(t))
+            return f(t)
+
+        spec = dataclasses.replace(problem, f=counting)
+        validate_problem(spec, mesh)
+        spot_checks = len(shapes)
+        shapes.clear()
+        solve(spec, mesh, options)
+        runs = history_runs(mesh)
+        assert len(runs) > 1
+        blocks = runs if problem.linear else [(n, n) for n in range(1, mesh.N + 1)]
+        assert shapes[spot_checks:] == [
+            ((n1 - n0 + 1) * (mesh.degrees[n0 - 1] + 1),) for n0, n1 in blocks
+        ]
 
 
 def test_solve_does_not_depend_on_the_history_block(monkeypatch):

@@ -345,6 +345,24 @@ def test_history_weights_at_the_element_end():
         assert np.sum(w) == pytest.approx(elem.width**alpha / alpha, rel=1e-14)
 
 
+def test_history_weights_at_the_element_end_pass_the_sum_check():
+    # c = (2t - left - right) / width rounds above 1 at t = right on some
+    # elements, while the constant-sum check takes the gap t - right = 0
+    # exactly; [0.45, 0.5] is one, with alpha = 0.3 and degree 1
+    elements = [(0.45, 0.5), (0.1, 0.3), (1 / 3, 2 / 3), (0.6**5, 0.6**4), (0.7, 0.9)]
+    for alpha in (0.05, 0.3, 0.5, 0.95):
+        for degree in range(1, 9):
+            for left, right in elements:
+                batch = history_weights_batch([left], [right], degree, right, alpha)[0]
+                elem = Element(left, right, degree)
+                single = history_weights(elem, elem.right, alpha).values
+                assert np.array_equal(batch, single)
+                mass = (right - left) ** alpha / alpha
+                assert np.sum(batch) == pytest.approx(mass, rel=1e-13)
+                nu0 = modified_moments(elem, elem.right, alpha, degree)[0]
+                assert nu0 == pytest.approx(mass, rel=1e-13)
+
+
 def test_first_moment_far_from_element_matches_mpmath():
     # nu_1 = c nu_0 - I_0 subtracts two values of size ~2 c^alpha to get one
     # of size ~c^(alpha-2); the computed nu_1 must stay accurate relative to

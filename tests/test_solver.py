@@ -6,8 +6,9 @@ import pytest
 from scipy.special import gamma
 
 import abelhp.bench as bench
+import abelhp.discretization
 import abelhp.solver
-from abelhp.discretization import ProblemSpec
+from abelhp.discretization import ProblemAssumptionWarning, ProblemSpec, history_runs
 from abelhp.mesh import Mesh, uniform_mesh
 from abelhp.solver import (
     NewtonDivergedError,
@@ -416,6 +417,29 @@ def test_failed_newton_not_repeated_when_descent_stays_put(monkeypatch):
         solve(b.spec, uniform_mesh(2, 1.0, 2), SolverOptions(newton_max_iter=1, descent_steps=0))
     assert err.value.n == 1
     assert newtons == [1]
+
+
+def test_linear_solve_names_the_first_singular_element(monkeypatch):
+    # kappa vanishes for t > 0.5, so elements 3 and 4 of four have zero
+    # system matrices; a run's systems are inverted in one batched call,
+    # which must still name element 3 wherever it sits in its run
+    problem = ProblemSpec(
+        alpha=0.5,
+        T=1.0,
+        kappa=lambda t, s: np.where(t + 0.0 * s > 0.5, 0.0, 1.0),
+        psi=lambda t, s, u: u,
+        dpsi_du=lambda t, s, u: np.ones_like(np.asarray(u, dtype=float)),
+        f=lambda t: np.asarray(t, dtype=float),
+        linear=True,
+    )
+    mesh = uniform_mesh(4, 1.0, 2)
+    default = abelhp.discretization._HISTORY_BLOCK
+    for block, run_of_3 in ((default, (1, 4)), (30, (1, 3)), (20, (3, 3))):
+        monkeypatch.setattr(abelhp.discretization, "_HISTORY_BLOCK", block)
+        assert [(n0, n1) for n0, n1 in history_runs(mesh) if n0 <= 3 <= n1] == [run_of_3]
+        with pytest.warns(ProblemAssumptionWarning), pytest.raises(SingularJacobianError) as err:
+            solve(problem, mesh)
+        assert (err.value.n, err.value.iteration) == (3, 0)
 
 
 def test_solve_memory_stays_bounded():
