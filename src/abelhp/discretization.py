@@ -18,13 +18,7 @@ import numpy as np
 
 from .mesh import Mesh
 from .orthopoly import JacobiParams, legendre_table
-from .quadrature import (
-    QuadRule,
-    RuleKind,
-    _shift_rows,
-    gauss_rule,
-    history_weights_batch,
-)
+from .quadrature import QuadRule, RuleKind, _shift_rows, gauss_rule, history_weights_batch
 
 __all__ = [
     "ProblemSpec",
@@ -107,12 +101,6 @@ def _reference_tables(M: int, alpha: float) -> _ReferenceTables:
     for table in tables:
         table.flags.writeable = False
     return _ReferenceTables(gl, gj, *tables)
-
-
-@functools.lru_cache(maxsize=None)
-def _lobatto_nodes(degree: int) -> np.ndarray:
-    """Read-only Lobatto nodes of a degree on [-1, 1], without the rule lookup."""
-    return gauss_rule(RuleKind.GAUSS_LOBATTO, None, degree).nodes
 
 
 class OperatorRun:
@@ -266,10 +254,10 @@ class HistoryRun(OperatorRun):
         super().__init__(problem, mesh, n0, n1)
         d, lefts, rights = self.degree, self.lefts, self.rights
         self.lo, self.m = lo, d + 1
-        # Gauss nodes and Lobatto points of the run, flat like mesh.offsets
+        # Gauss nodes and history sample points of the run, flat like mesh.offsets
         self.t = self.t_nodes.ravel()
-        s = _shift_rows(_lobatto_nodes(d), lefts, rights)
-        self.s = s.ravel()
+        points = mesh.history_points
+        self.s = points[lo : offsets[n1]]
 
         t3 = self.t[:, None, None]
         self.far = np.zeros(self.t.size)
@@ -278,8 +266,8 @@ class HistoryRun(OperatorRun):
             if prior.size == 0:
                 continue
             w = history_weights_batch(bp[prior], bp[prior + 1], dk, self.t[:, None], alpha)
-            S = _shift_rows(_lobatto_nodes(dk), bp[prior], bp[prior + 1])
-            U = prior_u[offsets[prior, None] + np.arange(dk + 1)]
+            cols = offsets[prior, None] + np.arange(dk + 1)
+            S, U = points[cols], prior_u[cols]
             # in place: w is the largest array here, rows x elements x (dk + 1)
             w *= problem.kappa(t3, S)
             w *= problem.psi(t3, S, U)
@@ -294,7 +282,7 @@ class HistoryRun(OperatorRun):
         if rows.size:
             t = self.t[rows]
             w = history_weights_batch(lefts[ks], rights[ks], d, t, alpha)
-            w *= problem.kappa(t[:, None], s[ks])
+            w *= problem.kappa(t[:, None], self.s.reshape(-1, self.m)[ks])
             self.near = w
 
     def at_nodes(self, n: int, lobatto_u: np.ndarray) -> np.ndarray:

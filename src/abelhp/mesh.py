@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .orthopoly import DOMAIN_TOL, Element
+from .quadrature import _lobatto_nodes, _shift_rows
 
 __all__ = ["Mesh", "uniform_mesh", "sigma", "locate"]
 
@@ -19,7 +20,7 @@ class Mesh:
     Element n (1-based) is the half-open interval (t_{n-1}, t_n]; immutable
     after construction and freely shareable.  The mesh keeps read-only copies
     of the breakpoints and degrees, so the per-mesh tables derived from them
-    (``offsets``, ``degree_groups``) cannot go stale.
+    (``offsets``, ``degree_groups``, ``history_points``) cannot go stale.
     """
 
     breakpoints: np.ndarray
@@ -96,6 +97,22 @@ class Mesh:
             idx.flags.writeable = False
             groups.append((int(d), idx))
         return tuple(groups)
+
+    @functools.cached_property
+    def history_points(self) -> np.ndarray:
+        """Each element's shifted Lobatto points, in the ``offsets`` layout.
+
+        The history of later elements samples kappa and psi's ``s`` argument
+        here.  Built once per mesh and read-only.
+        """
+        bp, offsets = self.breakpoints, self.offsets
+        out = np.empty(self.L)
+        for d, idx in self.degree_groups:
+            out[offsets[idx, None] + np.arange(d + 1)] = _shift_rows(
+                _lobatto_nodes(d), bp[idx], bp[idx + 1]
+            )
+        out.flags.writeable = False
+        return out
 
     def element(self, n: int) -> Element:
         """The n-th element, n = 1..N."""

@@ -309,8 +309,36 @@ def modified_moments(elem: Element, t: float, alpha: float, max_degree: int) -> 
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     _check_history_args(elem, t, alpha)
-    c = 1.0 + 2.0 * (t - elem.right) / elem.width
-    return (0.5 * elem.width) ** alpha * _nu_batch(np.array([c]), alpha, max_degree)[0]
+    return _element_moments(np.array([elem.left]), np.array([elem.right]), t, alpha, max_degree)[0]
+
+
+def _element_moments(lefts, rights, t, alpha: float, degree: int) -> np.ndarray:
+    """Moments of (t-s)^(alpha-1) against each element's shifted Legendre basis.
+
+    ``t``, ``lefts`` and ``rights`` broadcast as in ``history_weights_batch``;
+    the result has their broadcast shape + ``(degree + 1,)``.
+    """
+    widths = rights - lefts
+    # from the gap t - right, as the constant-sum check takes it: c is 1
+    # exactly at t = right, where (2t - left - right) / width can round above
+    c = 1.0 + 2.0 * (t - rights) / widths
+    nu = _nu_batch(c.ravel(), alpha, degree).reshape(c.shape + (degree + 1,))
+    nu *= ((0.5 * widths) ** alpha)[..., None]
+    return nu
+
+
+@functools.lru_cache(maxsize=None)
+def _lobatto_nodes(degree: int) -> np.ndarray:
+    """Read-only Lobatto nodes of a degree on [-1, 1], without the rule lookup."""
+    return gauss_rule(RuleKind.GAUSS_LOBATTO, None, degree).nodes
+
+
+@functools.lru_cache(maxsize=None)
+def _lobatto_table(degree: int) -> np.ndarray:
+    """Read-only Legendre table of a degree at its Lobatto nodes."""
+    table = legendre_table(degree, _lobatto_nodes(degree))
+    table.flags.writeable = False
+    return table
 
 
 @functools.lru_cache(maxsize=None)
@@ -321,11 +349,10 @@ def lobatto_lagrange_coeffs(degree: int) -> np.ndarray:
     Lagrange polynomial; exact via the discrete Lobatto transform (the top
     mode uses the modified discrete norm 2/degree).
     """
-    rule = gauss_rule(RuleKind.GAUSS_LOBATTO, None, degree)
-    table = legendre_table(degree, rule.nodes)
+    weights = gauss_rule(RuleKind.GAUSS_LOBATTO, None, degree).weights
     scale = (2.0 * np.arange(degree + 1) + 1.0) / 2.0
     scale[degree] = degree / 2.0
-    coeffs = scale[:, None] * table * rule.weights[None, :]
+    coeffs = scale[:, None] * _lobatto_table(degree) * weights[None, :]
     coeffs.flags.writeable = False
     return coeffs
 
@@ -388,12 +415,7 @@ def history_weights_batch(lefts, rights, degree: int, t, alpha: float) -> np.nda
     t = np.asarray(t, dtype=float)
     lefts = np.asarray(lefts, dtype=float)
     rights = np.asarray(rights, dtype=float)
-    widths = rights - lefts
-    # from the gap t - right, as the constant-sum check takes it: c is 1
-    # exactly at t = right, where (2t - left - right) / width can round above
-    c = 1.0 + 2.0 * (t - rights) / widths
-    nu = _nu_batch(c.ravel(), alpha, degree).reshape(c.shape + (degree + 1,))
-    nu *= ((0.5 * widths) ** alpha)[..., None]  # the element's moments
+    nu = _element_moments(lefts, rights, t, alpha, degree)
     weights = nu @ lobatto_lagrange_coeffs(degree)
     del nu  # rows x (degree + 1) floats that the check need not keep alive
     _check_constant_sum(weights, lefts, rights, t, alpha)

@@ -11,23 +11,16 @@ point.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .discretization import (
-    HistoryRun,
-    ProblemSpec,
-    _lobatto_nodes,
-    history_runs,
-    validate_problem,
-)
+from .discretization import HistoryRun, ProblemSpec, history_runs, validate_problem
 from .mesh import Mesh, locate
 from .orthopoly import JacobiParams, legendre_table
-from .quadrature import RuleKind, gauss_rule
+from .quadrature import RuleKind, _lobatto_table, gauss_rule
 
 __all__ = [
     "SolverOptions",
@@ -126,10 +119,15 @@ class PiecewiseSolution:
 
 
 def _residual_norm(residual_fn, u):
-    """The residual at u and its max-norm; a NaN or inf entry makes the norm inf."""
+    """The residual at u, its max-norm and the merit r @ r.
+
+    A NaN or inf entry makes both the norm and the merit inf.
+    """
     r = np.asarray(residual_fn(u), dtype=float)
     norm = float(np.abs(r).max(initial=0.0))
-    return r, (norm if norm < math.inf else math.inf)
+    if norm < math.inf:
+        return r, norm, float(r @ r)
+    return r, math.inf, math.inf
 
 
 def newton(residual_fn, jacobian_fn, init, options: SolverOptions, n: int | None = None):
@@ -142,8 +140,7 @@ def newton(residual_fn, jacobian_fn, init, options: SolverOptions, n: int | None
     u = np.array(init, dtype=float).ravel()
     # non-finite values are caught by the checks below, not warned about
     with np.errstate(all="ignore"):
-        r, norm = _residual_norm(residual_fn, u)
-        g = float(r @ r) if norm < math.inf else math.inf
+        r, norm, g = _residual_norm(residual_fn, u)
         for it in range(options.newton_max_iter):
             if norm <= options.newton_tol:
                 return u
@@ -164,8 +161,7 @@ def newton(residual_fn, jacobian_fn, init, options: SolverOptions, n: int | None
             scale = 1.0
             for _ in range(20):
                 cand = u + scale * step
-                r_new, norm_new = _residual_norm(residual_fn, cand)
-                g_new = float(r_new @ r_new) if norm_new < math.inf else math.inf
+                r_new, norm_new, g_new = _residual_norm(residual_fn, cand)
                 if g_new < g * (1.0 - 1e-4 * scale) or norm_new <= options.newton_tol:
                     u, r, norm, g = cand, r_new, norm_new, g_new
                     break
@@ -194,10 +190,9 @@ def steepest_descent_init(
     """
     u = np.zeros(dim) if warm_start is None else np.array(warm_start, dtype=float).ravel()
     with np.errstate(all="ignore"):
-        r, norm = _residual_norm(residual_fn, u)
+        r, norm, g = _residual_norm(residual_fn, u)
         if norm == math.inf:
             return u
-        g = 0.5 * float(r @ r)
         best_u, best_g = u.copy(), g
         for _ in range(options.descent_steps):
             J = np.atleast_2d(np.asarray(jacobian_fn(u), dtype=float))
@@ -209,8 +204,7 @@ def steepest_descent_init(
             step = options.descent_step_size
             for _ in range(30):
                 cand = u - step * grad
-                r_c, norm_c = _residual_norm(residual_fn, cand)
-                g_c = 0.5 * float(r_c @ r_c) if norm_c < math.inf else math.inf
+                r_c, _, g_c = _residual_norm(residual_fn, cand)
                 if g_c < g:
                     break
                 step *= 0.5
@@ -220,14 +214,6 @@ def steepest_descent_init(
             if g < best_g:
                 best_u, best_g = u.copy(), g
     return best_u
-
-
-@functools.lru_cache(maxsize=None)
-def _lobatto_table(degree: int) -> np.ndarray:
-    """Read-only Legendre table of a degree at its Lobatto nodes."""
-    table = legendre_table(degree, _lobatto_nodes(degree))
-    table.flags.writeable = False
-    return table
 
 
 def _lobatto_values(coeffs: np.ndarray, degree: int) -> np.ndarray:

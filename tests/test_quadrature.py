@@ -383,9 +383,14 @@ def test_first_moment_far_from_element_matches_mpmath():
 def test_cached_tables_are_read_only():
     # cached arrays are shared by every later call; an in-place write by one
     # caller must fail instead of corrupting the rest of the process
-    from abelhp.discretization import _lobatto_nodes, _reference_tables
-    from abelhp.quadrature import _far_field_table, _moment_series_coeffs
-    from abelhp.solver import _lobatto_table
+    from abelhp.discretization import _reference_tables
+    from abelhp.mesh import Mesh
+    from abelhp.quadrature import (
+        _far_field_table,
+        _lobatto_nodes,
+        _lobatto_table,
+        _moment_series_coeffs,
+    )
 
     rule = gauss_rule(RuleKind.GAUSS_JACOBI, JacobiParams(-0.3, 0.0), 5)
     ref = _reference_tables(3, 0.7)
@@ -395,6 +400,7 @@ def test_cached_tables_are_read_only():
         lobatto_lagrange_coeffs(4),
         _lobatto_nodes(4),
         _lobatto_table(4),
+        Mesh([0.0, 0.5, 1.0, 1.5], [2, 4, 2]).history_points,
         *_far_field_table(4),
         _moment_series_coeffs(0.3, 4),
         ref.gl.nodes,
