@@ -103,7 +103,10 @@ class Mesh:
         """Each element's shifted Lobatto points, in the ``offsets`` layout.
 
         The history of later elements samples kappa and psi's ``s`` argument
-        here.  Built once per mesh and read-only.
+        here.  An element's end points are moved one ulp inside it, so a
+        kernel that jumps at a breakpoint is taken as its limit from inside
+        the element; t = 0 stays, as one ulp above it is subnormal.  Built
+        once per mesh and read-only.
         """
         bp, offsets = self.breakpoints, self.offsets
         out = np.empty(self.L)
@@ -111,6 +114,8 @@ class Mesh:
             out[offsets[idx, None] + np.arange(d + 1)] = _shift_rows(
                 _lobatto_nodes(d), bp[idx], bp[idx + 1]
             )
+        out[offsets[1:-1]] = np.nextafter(bp[1:-1], bp[2:])
+        out[offsets[1:] - 1] = np.nextafter(bp[1:], bp[:-1])
         out.flags.writeable = False
         return out
 

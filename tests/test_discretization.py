@@ -541,6 +541,31 @@ def test_solve_does_not_depend_on_the_history_block(monkeypatch):
         assert np.max(np.abs(small.coeffs - default.coeffs)) <= 1e-13 * scale
 
 
+def test_history_takes_a_kernel_seam_as_the_limit_from_inside():
+    # ex6's kernel jumps at the breakpoints 0.5 and 1.0; an element ending
+    # there must see its own piece of the kernel, so giving the jump points
+    # to the piece on their left (< to <=) leaves the history unchanged
+    b = make_benchmark("ex6")
+
+    def kamp_closed(t, s):
+        s = np.asarray(s, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(
+                s <= 0.5,
+                t**2 - s + 5.0,
+                np.where(s <= 1.0, np.exp(s * t) + 4.0 / (s + 1.0) - 2.0, t / s),
+            )
+
+    closed = dataclasses.replace(b.spec, kappa=kamp_closed)
+    mesh = uniform_mesh(6, b.spec.T, 4)
+    prior = np.linspace(1.0, 2.0, mesh.L)
+    for n in range(2, mesh.N + 1):
+        u = prior[: mesh.offsets[n - 1]]
+        want = ElementOperator(b.spec, mesh, n).history(u)
+        got = ElementOperator(closed, mesh, n).history(u)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
 def test_history_run_rejects_mixed_degrees_and_short_prior():
     p = _identity_problem(0.5, 1.0, lambda t: np.asarray(t, dtype=float))
     m = Mesh(np.linspace(0.0, 1.0, 4), [2, 2, 3])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from abelhp.mesh import Mesh, locate, sigma, uniform_mesh
+from abelhp.quadrature import RuleKind, gauss_rule, shift_nodes
 
 
 def test_uniform_mesh_basics():
@@ -49,6 +50,20 @@ def test_degree_groups_list_elements_by_degree():
     assert m.degree_groups is m.degree_groups
     with pytest.raises(ValueError):
         m.degree_groups[0][1][0] = 0
+
+
+def test_history_points_are_lobatto_points_with_ends_moved_inside():
+    m = Mesh([0.0, 0.3, 0.5, 1.0, 1.5], [1, 3, 3, 5])
+    pts = m.history_points
+    assert m.history_points is pts
+    for n in range(1, m.N + 1):
+        elem = m.element(n)
+        got = pts[m.offsets[n - 1] : m.offsets[n]]
+        lobatto = shift_nodes(gauss_rule(RuleKind.GAUSS_LOBATTO, None, elem.degree), elem)
+        assert np.array_equal(got[1:-1], lobatto[1:-1])
+        # one ulp inside the element, except at t = 0
+        assert got[0] == (0.0 if n == 1 else np.nextafter(elem.left, elem.right))
+        assert got[-1] == np.nextafter(elem.right, elem.left)
 
 
 def test_sigma_endpoints_and_value():
