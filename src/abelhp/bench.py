@@ -99,6 +99,11 @@ class BenchRow:
     failed: bool = False
     error: str | None = None
 
+    @classmethod
+    def for_mesh(cls, mesh: Mesh, **fields) -> "BenchRow":
+        """The row of a mesh, whose M is its largest degree plus one."""
+        return cls(N=mesh.N, M=int(mesh.degrees.max()) + 1, L=mesh.L, **fields)
+
 
 @dataclass
 class BenchReport:
@@ -455,18 +460,12 @@ def run_mesh(
     mesh: Mesh,
     options: SolverOptions | None = None,
     noise=None,
-    M_label: int | None = None,
 ) -> BenchRow:
     """Solve the benchmark on one mesh and return the filled report row."""
     opts = options or bench.solver_options()
     delta = parse_noise(noise, mesh.h_max)
     spec = perturb_rhs(bench.spec, delta) if delta else bench.spec
-    row = BenchRow(
-        N=mesh.N,
-        M=M_label if M_label is not None else int(mesh.degrees.max()) + 1,
-        L=mesh.L,
-        delta=delta if noise is not None else None,
-    )
+    row = BenchRow.for_mesh(mesh, delta=delta if noise is not None else None)
     tic = time.perf_counter()
     try:
         solution = solve(spec, mesh, opts)
@@ -501,7 +500,7 @@ def run_sweep(
     prev: BenchRow | None = None
     for N, M in sweep:
         mesh = mesh_for(bench, int(N), int(M))
-        row = run_mesh(bench, mesh, opts, noise, M_label=int(M))
+        row = run_mesh(bench, mesh, opts, noise)
         row.N = int(N)
         if (
             prev is not None

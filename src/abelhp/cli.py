@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .adaptive import AdaptiveOptions, AdaptiveTrace, BudgetExceededError, adaptive_solve
+from .adaptive import STRATEGIES, AdaptiveOptions, BudgetExceededError, adaptive_solve
 from .bench import (
     PROBLEM_IDS,
     BenchReport,
@@ -34,7 +34,7 @@ from .bench import (
 )
 from .mesh import Mesh
 from .quadrature import HistoryAccuracyError
-from .solver import SolverError, SolverOptions
+from .solver import SolverError
 
 
 class _UsageError(Exception):
@@ -66,9 +66,10 @@ def _build_parser() -> _Parser:
     run.add_argument("--M", help="comma list of basis counts per element (degree + 1)")
     run.add_argument("--noise", help="right-hand side noise: a float or h^<power>")
     run.add_argument("--tol", type=float, help="adaptive target error")
-    run.add_argument("--adaptive", choices=("p_first", "h_first", "alternate"),
+    run.add_argument("--adaptive", dest="strategy", choices=STRATEGIES,
                      help="run the adaptive loop from the first (N, M) pair")
-    run.add_argument("--max-L", type=int, help="adaptive unknown budget (default: 200)")
+    run.add_argument("--max-L", type=int,
+                     help=f"adaptive unknown budget (default: {AdaptiveOptions.max_L})")
     run.add_argument("--format", choices=("csv", "json"))
     run.add_argument("--out", help="output path (default: stdout)")
     run.add_argument("--config", help="JSON config file; flags override its entries")
@@ -141,19 +142,10 @@ def _adaptive_report(bench, mesh: Mesh, options, adapt: AdaptiveOptions) -> Benc
     except (SolverError, HistoryAccuracyError) as exc:
         trace, failure = exc.trace, exc
     for step in trace.steps:
-        report.rows.append(
-            BenchRow(
-                N=step.mesh.N,
-                M=int(np.max(step.mesh.degrees)) + 1,
-                L=step.L,
-                E2=step.estimate if np.isfinite(step.estimate) else None,
-                runtime_s=step.elapsed_s,
-            )
-        )
+        E2 = step.estimate if np.isfinite(step.estimate) else None
+        report.rows.append(BenchRow.for_mesh(step.mesh, E2=E2, runtime_s=step.elapsed_s))
     if failure is not None:
-        failed_mesh = failure.mesh
-        report.rows.append(BenchRow(N=failed_mesh.N, M=int(np.max(failed_mesh.degrees)) + 1,
-                                    L=failed_mesh.L, failed=True, error=str(failure)))
+        report.rows.append(BenchRow.for_mesh(failure.mesh, failed=True, error=str(failure)))
     elif budget_hit and report.rows:
         report.rows[-1].failed = True
         report.rows[-1].error = "refinement budget exhausted before reaching tol"
@@ -162,20 +154,20 @@ def _adaptive_report(bench, mesh: Mesh, options, adapt: AdaptiveOptions) -> Benc
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
+    # the config's top-level and "adaptive" entries, with every given flag over them
+    settings = {**cfg, **cfg.get("adaptive", {})}
+    settings.update((k, v) for k, v in vars(args).items() if v is not None)
 
-    problem = args.problem or cfg.get("problem")
+    problem = settings.get("problem")
     if not problem:
         raise _UsageError("--problem (or a config entry) is required")
-    alpha = args.alpha if args.alpha is not None else cfg.get("alpha")
     try:
-        bench = make_benchmark(problem, alpha)
+        bench = make_benchmark(problem, settings.get("alpha"))
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
-    solver_cfg = dict(cfg.get("solver", {}))
-    solver_cfg.setdefault("init_constant", bench.init_constant)
     try:
-        options = SolverOptions(**solver_cfg)
+        options = bench.solver_options(**cfg.get("solver", {}))
     except (TypeError, ValueError) as exc:
         raise _UsageError(f"bad solver options: {exc}") from exc
 
@@ -199,22 +191,19 @@ def _cmd_run(args) -> int:
 
     if sweep is not None and any(n < 1 or m < 2 for n, m in sweep):
         raise _UsageError("need N >= 1 and M >= 2 (M counts basis functions per element)")
-    noise = args.noise if args.noise is not None else cfg.get("noise")
+    noise = settings.get("noise")
     try:
         parse_noise(noise, 1.0)
     except (TypeError, ValueError) as exc:
         raise _UsageError(f"bad noise {noise!r}: {exc}") from exc
-    strategy = args.adaptive or cfg.get("adaptive", {}).get("strategy")
-    tol = args.tol if args.tol is not None else cfg.get("adaptive", {}).get("tol")
+    strategy, tol = settings.get("strategy"), settings.get("tol")
 
     if strategy:
         if tol is None:
             raise _UsageError("adaptive runs need --tol")
-        max_L = args.max_L if args.max_L is not None else cfg.get("adaptive", {}).get("max_L", 200)
         try:
-            max_L = int(max_L)
-            adapt = AdaptiveOptions(tol=tol, strategy=strategy, max_L=max_L,
-                                    error_metric="E2_vs_reference")
+            max_L = int(settings.get("max_L", AdaptiveOptions.max_L))
+            adapt = AdaptiveOptions(tol=tol, strategy=strategy, max_L=max_L)
         except (TypeError, ValueError) as exc:
             raise _UsageError(f"bad adaptive options: {exc}") from exc
         if explicit_mesh is not None:
@@ -231,9 +220,8 @@ def _cmd_run(args) -> int:
     else:
         report = run_sweep(bench, sweep, options=options, noise=noise)
 
-    fmt = args.format or cfg.get("format", "csv")
-    text = report.to_json() if fmt == "json" else report.to_csv()
-    out_path = args.out or cfg.get("out")
+    text = report.to_json() if settings.get("format") == "json" else report.to_csv()
+    out_path = settings.get("out")
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)

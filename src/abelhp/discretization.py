@@ -18,7 +18,13 @@ import numpy as np
 
 from .mesh import Mesh
 from .orthopoly import JacobiParams, legendre_table
-from .quadrature import QuadRule, RuleKind, _shift_rows, gauss_rule, history_weights_batch
+from .quadrature import (
+    QuadRule,
+    RuleKind,
+    _shift_rows,
+    gauss_rule,
+    history_weights_batch,
+)
 
 __all__ = [
     "ProblemSpec",

@@ -100,20 +100,17 @@ class Mesh:
 
     @functools.cached_property
     def history_points(self) -> np.ndarray:
-        """Each element's shifted Lobatto points, in the ``offsets`` layout.
+        """Where history samples kappa and psi's ``s``, in the ``offsets`` layout; read-only.
 
-        The history of later elements samples kappa and psi's ``s`` argument
-        here.  An element's end points are moved one ulp inside it, so a
-        kernel that jumps at a breakpoint is taken as its limit from inside
-        the element; t = 0 stays, as one ulp above it is subnormal.  Built
-        once per mesh and read-only.
+        Each element's shifted Lobatto points with its ends one ulp inside (but
+        t = 0, as one ulp above it is subnormal), so a kernel that jumps at a
+        breakpoint is taken as its limit from inside the element.
         """
         bp, offsets = self.breakpoints, self.offsets
         out = np.empty(self.L)
         for d, idx in self.degree_groups:
-            out[offsets[idx, None] + np.arange(d + 1)] = _shift_rows(
-                _lobatto_nodes(d), bp[idx], bp[idx + 1]
-            )
+            cols = offsets[idx, None] + np.arange(d + 1)
+            out[cols] = _shift_rows(_lobatto_nodes(d), bp[idx], bp[idx + 1])
         out[offsets[1:-1]] = np.nextafter(bp[1:-1], bp[2:])
         out[offsets[1:] - 1] = np.nextafter(bp[1:], bp[:-1])
         out.flags.writeable = False

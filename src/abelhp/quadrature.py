@@ -309,15 +309,12 @@ def modified_moments(elem: Element, t: float, alpha: float, max_degree: int) -> 
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     _check_history_args(elem, t, alpha)
-    return _element_moments(np.array([elem.left]), np.array([elem.right]), t, alpha, max_degree)[0]
+    lefts, rights = np.array([elem.left]), np.array([elem.right])
+    return _element_moments(lefts, rights, t, alpha, max_degree)[0]
 
 
 def _element_moments(lefts, rights, t, alpha: float, degree: int) -> np.ndarray:
-    """Moments of (t-s)^(alpha-1) against each element's shifted Legendre basis.
-
-    ``t``, ``lefts`` and ``rights`` broadcast as in ``history_weights_batch``;
-    the result has their broadcast shape + ``(degree + 1,)``.
-    """
+    """``modified_moments`` of many elements and times, broadcast as in ``history_weights_batch``."""
     widths = rights - lefts
     # from the gap t - right, as the constant-sum check takes it: c is 1
     # exactly at t = right, where (2t - left - right) / width can round above

@@ -119,15 +119,10 @@ class PiecewiseSolution:
 
 
 def _residual_norm(residual_fn, u):
-    """The residual at u, its max-norm and the merit r @ r.
-
-    A NaN or inf entry makes both the norm and the merit inf.
-    """
+    """The residual at u, its max-norm and the merit r @ r; a NaN or inf entry makes both inf."""
     r = np.asarray(residual_fn(u), dtype=float)
     norm = float(np.abs(r).max(initial=0.0))
-    if norm < math.inf:
-        return r, norm, float(r @ r)
-    return r, math.inf, math.inf
+    return (r, norm, float(r @ r)) if norm < math.inf else (r, math.inf, math.inf)
 
 
 def newton(residual_fn, jacobian_fn, init, options: SolverOptions, n: int | None = None):

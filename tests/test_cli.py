@@ -189,3 +189,14 @@ def test_explicit_breakpoints_read_M_as_basis_count(tmp_path, capsys):
     via_flags = list(csv.DictReader(io.StringIO(out)))
     assert [(r["M"], r["L"]) for r in via_config] == [("3", "6")]
     assert [(r["M"], r["L"]) for r in via_flags] == [("3", "6")]
+
+
+def test_adaptive_flags_take_the_library_values(capsys):
+    from abelhp.adaptive import STRATEGIES, AdaptiveOptions
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--help"])
+    assert exit_info.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--adaptive {" + ",".join(STRATEGIES) + "}" in out
+    assert f"(default: {AdaptiveOptions.max_L})" in out
