@@ -102,12 +102,12 @@ class Mesh:
     def history_points(self) -> np.ndarray:
         """Where history samples kappa and psi's ``s``, in the ``offsets`` layout; read-only.
 
-        Each element's shifted Lobatto points with its ends one ulp inside (but
-        t = 0, as one ulp above it is subnormal), so a kernel that jumps at a
-        breakpoint is taken as its limit from inside the element.
+        Each element's shifted Lobatto points, its ends moved one ulp inside it
+        (t = 0 excepted: one ulp above it is subnormal), so a kernel that jumps
+        at a breakpoint is taken as its limit from inside the element.
         """
         bp, offsets = self.breakpoints, self.offsets
-        out = np.empty(self.L)
+        out = np.empty(offsets[-1])
         for d, idx in self.degree_groups:
             cols = offsets[idx, None] + np.arange(d + 1)
             out[cols] = _shift_rows(_lobatto_nodes(d), bp[idx], bp[idx + 1])
