@@ -167,11 +167,16 @@ class ElementOperator:
         self.sigma_grid, self.B = run.sigma_grid[j], run.B[j]
 
     def weighted_moments(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coefficient-space image of the current-element singular integral."""
-        psi = self.problem.psi(self.t_grid, self.sigma_grid, coeffs @ self.Qflat)
-        if np.shape(psi) != self.sigma_grid.shape:
-            psi = np.broadcast_to(psi, self.sigma_grid.shape)
-        return self.B @ psi
+        """Coefficient-space image of the current-element singular integral.
+
+        A (K, M+1) stack of ``coeffs`` gives K rows from one psi call on the (K, (M+1)^2)
+        grid and row-by-row matrix-vector products, so each row rounds as a lone vector does.
+        """
+        u = np.vecmat(coeffs, self.Qflat)
+        psi = self.problem.psi(self.t_grid, self.sigma_grid, u)
+        if np.shape(psi) != u.shape:
+            psi = np.broadcast_to(psi, u.shape)
+        return np.matvec(self.B, psi)
 
     def jacobian(self, coeffs: np.ndarray) -> np.ndarray:
         """Derivative of the element residual with respect to the coefficients."""

@@ -106,11 +106,12 @@ class Mesh:
         (t = 0 excepted: one ulp above it is subnormal), so a kernel that jumps
         at a breakpoint is taken as its limit from inside the element.
         """
-        bp, offsets = self.breakpoints, self.offsets
-        out = np.empty(offsets[-1])
+        bp, offsets, counts = self.breakpoints, self.offsets, self.degrees + 1
+        nodes = np.empty(offsets[-1])  # reference Lobatto nodes, placed in one pass
         for d, idx in self.degree_groups:
-            cols = offsets[idx, None] + np.arange(d + 1)
-            out[cols] = _shift_rows(_lobatto_nodes(d), bp[idx], bp[idx + 1])
+            nodes[offsets[idx, None] + np.arange(d + 1)] = _lobatto_nodes(d)
+        lefts, rights = np.repeat(bp[:-1], counts), np.repeat(bp[1:], counts)
+        out = _shift_rows(nodes[:, None], lefts, rights).ravel()
         out[offsets[1:-1]] = np.nextafter(bp[1:-1], bp[2:])
         out[offsets[1:] - 1] = np.nextafter(bp[1:], bp[:-1])
         out.flags.writeable = False

@@ -6,7 +6,7 @@ the shifted Lobatto points into one contiguous array, from which later
 elements assemble their history term without re-expanding earlier solutions.
 Newton starts from the previous element's coefficients; only when it fails
 there does a steepest-descent phase run and hand Newton a second starting
-point.
+point.  Both evaluate all the halvings of a rejected step in one residual call.
 """
 
 from __future__ import annotations
@@ -125,12 +125,47 @@ def _residual_norm(residual_fn, u):
     return (r, norm, float(r @ r)) if norm < math.inf else (r, math.inf, math.inf)
 
 
+def _residual_rows(residual_fn, U):
+    """:func:`_residual_norm` of each row of the (K, dim) stack U, from one residual call."""
+    R = np.asarray(residual_fn(U), dtype=float)
+    if R.shape != U.shape:
+        raise ValueError(f"residual_fn must map a (K, dim) stack row by row, got {R.shape}")
+    norms = np.abs(R).max(axis=1, initial=0.0).tolist()
+    merits = np.vecdot(R, R).tolist()  # row by row, each rounded as r @ r
+    rows = zip(R, norms, merits)
+    return ((r, n, g) if n < math.inf else (r, math.inf, math.inf) for r, n, g in rows)
+
+
+_HALVINGS = 0.5 ** np.arange(30)
+
+
+def _line_search(residual_fn, u, step, scales, g, slope=0.0, tol=-math.inf):
+    """First ``u + s * step``, s in ``scales``, with merit < g (1 - slope s) or max-norm <= tol.
+
+    The full step ``scales[0]`` is tried alone, the others only if it fails and
+    in one stacked call.  Returns (candidate, residual, max-norm, merit) or None.
+    """
+    def trials():
+        cand = u + scales[0] * step
+        yield scales[0], cand, _residual_norm(residual_fn, cand)
+        cands = u + scales[1:, None] * step
+        yield from zip(scales[1:], cands, _residual_rows(residual_fn, cands))
+
+    for s, cand, (r, norm, g_new) in trials():
+        if g_new < g * (1.0 - slope * s) or norm <= tol:
+            return cand, r, norm, g_new
+    return None
+
+
 def newton(residual_fn, jacobian_fn, init, options: SolverOptions, n: int | None = None):
     """Damped Newton iteration on a dense square system.
 
-    Full steps are taken by default; the step is halved (up to 20 times) only
+    Full steps are taken by default; the step is halved (up to 19 times) only
     when the least-squares merit of the residual fails to decrease or turns
-    non-finite.  Convergence is declared on the residual max-norm.
+    non-finite.  ``residual_fn`` maps one vector to its residual and a (K, dim)
+    stack row by row, so all halvings of a rejected step take one call (the
+    first that passes is taken); ``jacobian_fn`` maps one vector to one matrix.
+    Convergence is declared on the residual max-norm.
     """
     u = np.array(init, dtype=float).ravel()
     # non-finite values are caught by the checks below, not warned about
@@ -142,27 +177,21 @@ def newton(residual_fn, jacobian_fn, init, options: SolverOptions, n: int | None
             if norm == math.inf:
                 raise NewtonDivergedError(n, norm)
             J = np.atleast_2d(np.asarray(jacobian_fn(u), dtype=float))
-            if not np.all(np.isfinite(J)):
+            if not np.isfinite(J).all():
                 raise SingularJacobianError(n, it)
             try:
                 step = np.linalg.solve(J, -r)
             except np.linalg.LinAlgError:
                 raise SingularJacobianError(n, it) from None
-            if not np.all(np.isfinite(step)):
+            if not np.isfinite(step).all():
                 raise SingularJacobianError(n, it)
 
             # the Newton direction is a descent direction for g = |r|^2 / 2, so
             # backtracking on g succeeds whenever J is nonsingular
-            scale = 1.0
-            for _ in range(20):
-                cand = u + scale * step
-                r_new, norm_new, g_new = _residual_norm(residual_fn, cand)
-                if g_new < g * (1.0 - 1e-4 * scale) or norm_new <= options.newton_tol:
-                    u, r, norm, g = cand, r_new, norm_new, g_new
-                    break
-                scale *= 0.5
-            else:
+            found = _line_search(residual_fn, u, step, _HALVINGS[:20], g, 1e-4, options.newton_tol)
+            if found is None:
                 raise NewtonDivergedError(n, norm)
+            u, r, norm, g = found
     if norm <= options.newton_tol:
         return u
     raise NewtonDivergedError(n, norm)
@@ -178,10 +207,11 @@ def steepest_descent_init(
     """Descent phase producing a starting point for Newton (best effort).
 
     Runs fixed-step gradient descent on g(u) = ||r(u)||^2 / 2 with gradient
-    J^T r from ``warm_start`` (``dim`` zeros when None), halving the step when
-    g would increase, and returns the iterate with the smallest g seen.  A
-    stationary start (zero gradient) is returned unchanged.  ``solve`` runs it
-    only to recover an element where Newton from the warm start failed.
+    J^T r from ``warm_start`` (``dim`` zeros when None), halving the step (up
+    to 29 times) when g would not decrease, and returns the iterate with the
+    smallest g seen.  ``residual_fn`` and ``jacobian_fn`` are as in :func:`newton`,
+    so the halvings take one stacked call.  A stationary start (zero gradient)
+    is returned unchanged; ``solve`` runs it only where Newton from the warm start failed.
     """
     u = np.zeros(dim) if warm_start is None else np.array(warm_start, dtype=float).ravel()
     with np.errstate(all="ignore"):
@@ -191,21 +221,15 @@ def steepest_descent_init(
         best_u, best_g = u.copy(), g
         for _ in range(options.descent_steps):
             J = np.atleast_2d(np.asarray(jacobian_fn(u), dtype=float))
-            if not np.all(np.isfinite(J)):
+            if not np.isfinite(J).all():
                 break
             grad = J.T @ r
-            if not np.all(np.isfinite(grad)) or np.all(grad == 0.0):
+            if not np.isfinite(grad).all() or (grad == 0.0).all():
                 break
-            step = options.descent_step_size
-            for _ in range(30):
-                cand = u - step * grad
-                r_c, _, g_c = _residual_norm(residual_fn, cand)
-                if g_c < g:
-                    break
-                step *= 0.5
-            else:
+            found = _line_search(residual_fn, u, -grad, options.descent_step_size * _HALVINGS, g)
+            if found is None:
                 break
-            u, r, g = cand, r_c, g_c
+            u, r, _, g = found
             if g < best_g:
                 best_u, best_g = u.copy(), g
     return best_u

@@ -200,3 +200,41 @@ def rhs_by_node(op):
         fx = float(np.asarray(op.problem.f(np.array([t])), dtype=float).ravel()[0])
         out += w * fx * legendre_table(elem.degree, x)
     return (2.0 * np.arange(elem.degree + 1) + 1.0) / 2.0 * out
+
+
+def newton_by_halving(residual_fn, jacobian_fn, init, options):
+    """Damped Newton with one residual call per trial step, halving in turn.
+
+    The acceptance rule of ``abelhp.solver.newton`` (merit decrease
+    ``g_new < g (1 - 1e-4 scale)`` or max-norm within ``newton_tol``, never a
+    non-finite residual) with its up to 20 trials evaluated one at a time.
+    Returns the converged vector, or None where ``newton`` would raise.
+    """
+    u = np.array(init, dtype=float)
+
+    def merits(v):
+        r = np.asarray(residual_fn(v), dtype=float)
+        norm = float(np.max(np.abs(r)))
+        if not norm < math.inf:
+            return r, math.inf, math.inf
+        return r, norm, float(r @ r)
+
+    with np.errstate(all="ignore"):
+        r, norm, g = merits(u)
+        for _ in range(options.newton_max_iter):
+            if norm <= options.newton_tol:
+                return u
+            if norm == math.inf:
+                return None
+            step = np.linalg.solve(np.atleast_2d(jacobian_fn(u)), -r)
+            scale = 1.0
+            for _ in range(20):
+                cand = u + scale * step
+                r_new, norm_new, g_new = merits(cand)
+                if g_new < g * (1.0 - 1e-4 * scale) or norm_new <= options.newton_tol:
+                    u, r, norm, g = cand, r_new, norm_new, g_new
+                    break
+                scale *= 0.5
+            else:
+                return None
+    return u if norm <= options.newton_tol else None

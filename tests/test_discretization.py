@@ -287,6 +287,13 @@ def test_fused_operator_matches_factorwise_contractions():
             ):
                 assert fused.shape == oracle.shape
                 assert np.max(np.abs(fused - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+            # a (K, d + 1) stack of rows gives one row of moments each
+            stack = np.column_stack((np.ones(5), rng.uniform(-0.1, 0.1, (5, d)) / d))
+            moments = op.weighted_moments(stack)
+            assert moments.shape == stack.shape
+            for row, c in zip(moments, stack):
+                for oracle in (op.weighted_moments(c), weighted_moments_einsum(op, c)):
+                    assert np.max(np.abs(row - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
 def test_broadcasting_callables_solve_like_full_arrays():

@@ -53,17 +53,23 @@ def test_degree_groups_list_elements_by_degree():
 
 
 def test_history_points_are_lobatto_points_with_ends_moved_inside():
-    m = Mesh([0.0, 0.3, 0.5, 1.0, 1.5], [1, 3, 3, 5])
-    pts = m.history_points
-    assert m.history_points is pts
-    for n in range(1, m.N + 1):
-        elem = m.element(n)
-        got = pts[m.offsets[n - 1] : m.offsets[n]]
-        lobatto = shift_nodes(gauss_rule(RuleKind.GAUSS_LOBATTO, None, elem.degree), elem)
-        assert np.array_equal(got[1:-1], lobatto[1:-1])
-        # one ulp inside the element, except at t = 0
-        assert got[0] == (0.0 if n == 1 else np.nextafter(elem.left, elem.right))
-        assert got[-1] == np.nextafter(elem.right, elem.left)
+    meshes = [
+        Mesh([0.0, 0.3, 0.5, 1.0, 1.5], [1, 3, 3, 5]),
+        # geometric, with degrees 1..8 interleaved: the points of all degree
+        # groups are placed in one pass
+        Mesh(np.append(0.0, 0.7 ** np.arange(11, -1, -1)), [4, 1, 8, 2, 2, 7, 3, 5, 1, 6, 8, 4]),
+    ]
+    for m in meshes:
+        pts = m.history_points
+        assert m.history_points is pts
+        for n in range(1, m.N + 1):
+            elem = m.element(n)
+            got = pts[m.offsets[n - 1] : m.offsets[n]]
+            lobatto = shift_nodes(gauss_rule(RuleKind.GAUSS_LOBATTO, None, elem.degree), elem)
+            assert np.array_equal(got[1:-1], lobatto[1:-1])
+            # one ulp inside the element, except at t = 0
+            assert got[0] == (0.0 if n == 1 else np.nextafter(elem.left, elem.right))
+            assert got[-1] == np.nextafter(elem.right, elem.left)
 
 
 def test_sigma_endpoints_and_value():

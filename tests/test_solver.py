@@ -21,6 +21,8 @@ from abelhp.solver import (
     steepest_descent_init,
 )
 
+from oracles import newton_by_halving
+
 
 def _ones(t, s):
     return np.ones_like(np.asarray(s, dtype=float) + t)
@@ -83,11 +85,92 @@ def test_descent_monotone_on_affine_residual():
     rng = np.random.default_rng(4)
     A = rng.uniform(-1, 1, (3, 3)) + 3 * np.eye(3)
     b = rng.uniform(-1, 1, 3)
-    res = lambda u: A @ u - b
+    res = lambda u: u @ A.T - b  # maps a stack of candidates row by row
     jac = lambda u: A
     opts = SolverOptions(descent_steps=100, descent_step_size=1e-2)
     out = steepest_descent_init(res, jac, 3, opts)
     assert 0.5 * np.sum(res(out) ** 2) < 0.5 * np.sum(b**2)
+
+
+def _recording(fn, seen):
+    """``fn`` that also appends a copy of each argument to ``seen``."""
+
+    def wrapped(u):
+        seen.append(np.array(u))
+        return fn(u)
+
+    return wrapped
+
+
+def test_newton_matches_sequential_halving():
+    # the stacked line search takes the first passing halving, as trying them
+    # one at a time does: the same iterates (the points where the Jacobian is
+    # taken) and the same root, on residuals that need up to 15 halvings and
+    # on residuals whose first trial rows overflow or are NaN
+    A = np.array([[2.0, 0.5, 0.0], [0.3, 1.5, -0.2], [0.0, -0.4, 1.0]])
+    c = np.array([1.0, 2.0, 0.5])
+    cases = [
+        # arctan flattens far from its root, so full steps overshoot wildly
+        (lambda u: np.arctan(u) - 0.5, lambda u: np.atleast_2d(1.0 / (1.0 + u**2)),
+         np.array([1e3])),
+        # from exp(A u) = exp(-12) the full steps overflow exp
+        (lambda u: np.exp(u @ A.T) - c, lambda u: np.exp(A @ u)[:, None] * A,
+         np.linalg.solve(A, np.full(3, -12.0))),
+        # log of a negative trial is NaN
+        (lambda u: np.log(u) - c, lambda u: np.diag(1.0 / u), np.array([1e4, 50.0, 3.0])),
+        # from 2 the first halving passes, though the second decreases more
+        (lambda u: np.arctan(u), lambda u: np.atleast_2d(1.0 / (1.0 + u**2)), np.array([2.0])),
+    ]
+    options = SolverOptions()
+    calls_stacked, calls_single = [], []
+    for res, jac, init in cases:
+        seen_stacked, seen_single = [], []
+        got = newton(_recording(res, calls_stacked), _recording(jac, seen_stacked), init, options)
+        want = newton_by_halving(
+            _recording(res, calls_single), _recording(jac, seen_single), init, options
+        )
+        assert want is not None
+        assert len(seen_stacked) == len(seen_single) > 3
+        for a, b in zip(seen_stacked + [got], seen_single + [want]):
+            assert np.max(np.abs(a - b)) <= 1e-14 * max(np.max(np.abs(b)), 1.0)
+    assert len(calls_single) >= len(calls_stacked) + 20
+
+
+def test_newton_rejected_step_costs_one_stacked_call():
+    # from u = 9 the full step lands on NaN; the halvings are one more call
+    shapes = []
+
+    def res(u):
+        shapes.append(u.shape)
+        return np.sqrt(u) - 1.0
+
+    out = newton(res, lambda u: np.atleast_2d(0.5 / np.sqrt(u)), np.array([9.0]), SolverOptions())
+    assert out[0] == pytest.approx(1.0, abs=1e-12)
+    assert shapes[:4] == [(1,), (1,), (19, 1), (1,)]
+    assert all(shape in ((1,), (19, 1)) for shape in shapes)
+
+
+def test_descent_takes_the_first_decreasing_step():
+    # with r = u - a the trial u - s r leaves (1 - s) r: steps 15, 7.5 and
+    # 3.75 increase the merit and 1.875 is the first to decrease it, though
+    # the smaller 0.9375 would decrease it more
+    a = np.array([1.0, -2.0, 0.5])
+    u0 = np.array([3.0, 1.0, -1.0])
+    opts = SolverOptions(descent_steps=1, descent_step_size=15.0)
+    out = steepest_descent_init(lambda u: u - a, lambda u: np.eye(3), 3, opts, u0)
+    assert np.array_equal(out, u0 - 1.875 * (u0 - a))
+
+
+def test_residual_of_wrong_shape_names_the_stack_contract():
+    # right for one vector, flat for a stack: the first rejected full step,
+    # whose halvings go in as a stack, finds it out
+    res = lambda u: np.ravel(u * u - 4.0)
+    jac = lambda u: np.diag(2.0 * u)
+    with pytest.raises(ValueError, match=r"\(K, dim\) stack row by row"):
+        newton(res, jac, np.array([0.1, 3.0]), SolverOptions())
+    opts = SolverOptions(descent_step_size=10.0)
+    with pytest.raises(ValueError, match=r"\(K, dim\) stack row by row"):
+        steepest_descent_init(res, jac, 2, opts, np.array([1.0, 3.0]))
 
 
 def test_descent_stationary_start_returns_zero():
@@ -406,6 +489,43 @@ def test_descent_recovers_a_failed_newton(monkeypatch):
     for n in range(1, mesh.N + 1):
         e1, e2 = plain.coefficients(n), recovered.coefficients(n)
         assert np.max(np.abs(e1 - e2)) <= 1e-9 * np.max(np.abs(e1))
+
+
+@pytest.mark.filterwarnings("ignore::abelhp.discretization.ProblemAssumptionWarning")
+def test_ex5_line_search_stays_stacked(monkeypatch):
+    # ex5 N=8 M=8 fails Newton after many rejected steps; on the failing
+    # element each Newton makes its first residual call and at most two per
+    # Jacobian, however many halvings a rejected step tries
+    calls = {"weighted_moments": 0, "jacobian": 0}
+    for name in calls:
+        original = getattr(abelhp.discretization.ElementOperator, name)
+
+        def counted(self, coeffs, original=original, name=name):
+            calls[name] += 1
+            return original(self, coeffs)
+
+        monkeypatch.setattr(abelhp.discretization.ElementOperator, name, counted)
+    per_newton = []
+    newton = abelhp.solver.newton
+
+    def counted_newton(*args, **kwargs):
+        res, jac = calls["weighted_moments"], calls["jacobian"]
+        try:
+            return newton(*args, **kwargs)
+        finally:
+            per_newton.append(
+                (kwargs["n"], calls["weighted_moments"] - res, calls["jacobian"] - jac)
+            )
+
+    monkeypatch.setattr(abelhp.solver, "newton", counted_newton)
+    b = bench.make_benchmark("ex5")
+    with pytest.raises(NewtonDivergedError) as err:
+        solve(b.spec, bench.mesh_for(b, 8, 8), b.solver_options())
+    failing = [(res, jac) for n, res, jac in per_newton if n == err.value.n]
+    assert len(failing) == 2  # from the warm start, then from descent's point
+    for res, jac in failing:
+        assert res <= 2 * jac + 1
+    assert any(res > jac + 1 for res, jac in failing)  # some step was rejected
 
 
 def test_failed_newton_not_repeated_when_descent_stays_put(monkeypatch):
