@@ -10,7 +10,6 @@ API itself works with degrees.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -198,19 +197,21 @@ def perturb_rhs(problem: ProblemSpec, delta: float) -> ProblemSpec:
 def _manufactured(exact, alpha, T, kappa, psi, dpsi, breakpoints=()):
     """Problem whose right-hand side applies the operator to ``exact``.
 
-    Values are memoized per evaluation time; scalar and array arguments are
-    supported.
+    ``f`` maps a float or an array of times to one of that shape, memoizing
+    values per time; a call computes its new times in one :func:`forward_apply`.
     """
-
-    @functools.lru_cache(maxsize=None)
-    def f_at(t: float) -> float:
-        # forward_apply is looked up in this module at call time, so a
-        # wrapper installed on bench.forward_apply sees every evaluation
-        return forward_apply(spec, exact, t, breakpoints=breakpoints)
+    memo: dict[float, float] = {}
 
     def f(t):
         t_arr = np.asarray(t, dtype=float)
-        out = np.array([f_at(float(v)) for v in t_arr.ravel()]).reshape(t_arr.shape)
+        flat = t_arr.ravel().tolist()
+        new = list(dict.fromkeys(v for v in flat if v not in memo))
+        if new:
+            # forward_apply is looked up in this module at call time, so a
+            # wrapper installed on bench.forward_apply sees every evaluation
+            values = forward_apply(spec, exact, np.array(new), breakpoints=breakpoints)
+            memo.update(zip(new, values.tolist()))
+        out = np.array([memo[v] for v in flat]).reshape(t_arr.shape)
         return float(out) if out.ndim == 0 else out
 
     spec = ProblemSpec(alpha=alpha, T=T, kappa=kappa, psi=psi, dpsi_du=dpsi, f=f)

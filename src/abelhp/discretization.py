@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import warnings
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -321,39 +322,48 @@ def _quiet_eval(fn, *args):
             return None
 
 
-def validate_problem(problem: ProblemSpec, mesh: Mesh) -> list[str]:
+# notes by spec identity (its callables need not hash), dropped as a spec is collected
+_NOTES: dict[int, list[str]] = {}
+
+
+def validate_problem(problem: ProblemSpec) -> list[str]:
     """Spot-check well-posedness assumptions; violations only warn.
 
     Checked: f(0) = 0, the kernel does not vanish on the diagonal, and the
     solution derivative of the nonlinearity stays away from zero on a sample
     box.  Benchmarks with degenerate kernels or sign-changing derivatives are
-    still solvable, so none of these aborts a run.
+    still solvable, so none of these aborts a run.  The checks run once per
+    spec, as solves repeat them; every call warns again.
     """
-    notes = []
-    f0 = _quiet_eval(problem.f, np.array(0.0))
-    fs = _quiet_eval(problem.f, np.linspace(0.2, 1.0, 5) * problem.T)
-    scale = 1.0 if fs is None else max(1.0, float(np.nanmax(np.abs(fs))))
-    if f0 is not None and np.isfinite(f0) and abs(float(f0)) > 1e-10 * scale:
-        notes.append(f"f(0) = {float(f0):.3e} is not zero")
+    notes = _NOTES.get(id(problem))
+    if notes is None:
+        notes = []
+        f0 = _quiet_eval(problem.f, np.array(0.0))
+        fs = _quiet_eval(problem.f, np.linspace(0.2, 1.0, 5) * problem.T)
+        scale = 1.0 if fs is None else max(1.0, float(np.nanmax(np.abs(fs))))
+        if f0 is not None and np.isfinite(f0) and abs(float(f0)) > 1e-10 * scale:
+            notes.append(f"f(0) = {float(f0):.3e} is not zero")
 
-    ts = np.linspace(0.05, 1.0, 9) * problem.T
-    diag = _quiet_eval(problem.kappa, ts, ts)
-    if diag is not None:
-        finite = diag[np.isfinite(diag)]
-        if finite.size and np.min(np.abs(finite)) <= 1e-12 * max(1.0, np.max(np.abs(finite))):
-            notes.append("kernel vanishes on the diagonal at a sampled point")
+        ts = np.linspace(0.05, 1.0, 9) * problem.T
+        diag = _quiet_eval(problem.kappa, ts, ts)
+        if diag is not None:
+            finite = diag[np.isfinite(diag)]
+            largest = max(1.0, np.max(np.abs(finite), initial=0.0))
+            if finite.size and np.min(np.abs(finite)) <= 1e-12 * largest:
+                notes.append("kernel vanishes on the diagonal at a sampled point")
 
-    uu = np.array([-2.0, -0.75, -0.1, 0.1, 0.75, 2.0])
-    tg, ug = np.meshgrid(ts, uu)
-    dv = _quiet_eval(problem.dpsi_du, tg, tg, ug)
-    if dv is not None:
-        finite = dv[np.isfinite(dv)]
-        if finite.size and np.min(np.abs(finite)) < 1e-8:
-            notes.append(
-                "d psi/du approaches zero on the sampled range; "
-                "uniqueness assumptions may fail"
-            )
-
+        uu = np.array([-2.0, -0.75, -0.1, 0.1, 0.75, 2.0])
+        tg, ug = np.meshgrid(ts, uu)
+        dv = _quiet_eval(problem.dpsi_du, tg, tg, ug)
+        if dv is not None:
+            finite = dv[np.isfinite(dv)]
+            if finite.size and np.min(np.abs(finite)) < 1e-8:
+                notes.append(
+                    "d psi/du approaches zero on the sampled range; "
+                    "uniqueness assumptions may fail"
+                )
+        _NOTES[id(problem)] = notes
+        weakref.finalize(problem, _NOTES.pop, id(problem), None)
     for msg in notes:
         warnings.warn(msg, ProblemAssumptionWarning, stacklevel=2)
-    return notes
+    return list(notes)

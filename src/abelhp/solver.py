@@ -11,6 +11,8 @@ point.  Both evaluate all the halvings of a rejected step in one residual call.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -255,7 +257,7 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
     start unchanged, the first error is re-raised instead.
     """
     options = options or SolverOptions()
-    validate_problem(problem, mesh)
+    validate_problem(problem)
     # coefficients and Lobatto values of the solved elements, both in the
     # mesh.offsets layout: element n's history reads the prefix before
     # offsets[n-1], a run's far part the prefix before its first element
@@ -352,50 +354,48 @@ def evaluate(solution: PiecewiseSolution, t):
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def _rule_sum(F, a, b, t, alpha, order):
-    """One rule of degree ``order`` for int_a^b (t-s)^(alpha-1) F(s) ds.
-
-    The final panel (b == t) takes Gauss-Jacobi, which absorbs the singular
-    factor; earlier panels take Gauss-Legendre with the factor written into
-    the integrand.
-    """
-    if b == t:
-        rule = gauss_rule(RuleKind.GAUSS_JACOBI, JacobiParams(alpha - 1.0, 0.0), order)
-        s = t - 0.5 * (t - a) * (1.0 - rule.nodes)
-        return (0.5 * (t - a)) ** alpha * float(rule.weights @ F(s))
-    rule = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, order)
-    half = 0.5 * (b - a)
-    s = 0.5 * (a + b) + half * rule.nodes
-    return half * float(rule.weights @ ((t - s) ** (alpha - 1.0) * F(s)))
-
-
-def _panel(F, a, b, t, alpha, npts, tol, depth, budget):
-    """Adaptive panel [a, b]: npts against 2 * npts nodes, bisected until they agree."""
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise QuadratureConvergenceError("panel refinement did not converge")
-    i1 = _rule_sum(F, a, b, t, alpha, npts - 1)
-    i2 = _rule_sum(F, a, b, t, alpha, 2 * npts - 1)
-    if abs(i2 - i1) <= tol or (b - a) < 1e-15 * max(1.0, abs(b)):
-        return i2
-    if depth <= 0:
-        raise QuadratureConvergenceError("panel refinement did not converge")
-    m = 0.5 * (a + b)
-    return _panel(F, a, m, t, alpha, npts, 0.5 * tol, depth - 1, budget) + _panel(
-        F, m, b, t, alpha, npts, 0.5 * tol, depth - 1, budget
-    )
-
-
-# forward_apply's base rule size and its acceptance tolerance, which is
-# relative to the integral of the absolute integrand
+# forward_apply's base rule size, its acceptance tolerance (relative to the
+# integral of the absolute integrand), and the most panels it evaluates at once
 _FORWARD_ORDER = 16
 _FORWARD_REL_TOL = 1e-10
+_FORWARD_BLOCK = 2048
 
 
-def forward_apply(
-    problem: ProblemSpec, u_fn, t: float, breakpoints: Sequence[float] = ()
-) -> float:
-    """Apply the integral operator to an arbitrary function at time t.
+@functools.lru_cache(maxsize=None)
+def _forward_rules(alpha: float, first: bool):
+    """forward_apply's rules: nodes (x; x - 1 for Gauss-Jacobi), weights, column spans."""
+    orders = (_FORWARD_ORDER, _FORWARD_ORDER - 1, 2 * _FORWARD_ORDER - 1)[0 if first else 1 :]
+    kinds = (RuleKind.GAUSS_LEGENDRE, None), (RuleKind.GAUSS_JACOBI, JacobiParams(alpha - 1.0, 0.0))
+    rules = [[gauss_rule(kind, params, k) for k in orders] for kind, params in kinds]
+    nodes = np.array([np.hstack([r.nodes for r in row]) for row in rules]) - [[0.0], [1.0]]
+    weights = np.array([np.hstack([r.weights for r in row]) for row in rules])
+    bounds = np.cumsum([0, *(k + 1 for k in orders)]).tolist()
+    return nodes, weights, [(i, j, first and i == 0) for i, j in zip(bounds, bounds[1:])]
+
+
+def _panel_sums(problem: ProblemSpec, u_fn, t, a, b, first: bool) -> list[np.ndarray]:
+    """forward_apply's rules on the panels [a, b] of the times t: (coarse over |F|,) npts, 2 npts.
+
+    A panel ending at its time (b == t) takes Gauss-Jacobi, the others Gauss-Legendre with the
+    singular factor in the integrand.  Each sum rounds as a lone panel's would.
+    """
+    nodes, weights, spans = _forward_rules(problem.alpha, first)
+    jac = b == t
+    half = 0.5 * (b - a)  # (t - a) / 2 on Gauss-Jacobi rows, so s = t - half (1 - x) there
+    s = np.where(jac, b, 0.5 * (a + b))[:, None] + half[:, None] * nodes.take(jac, axis=0)
+    u = np.asarray(u_fn(s.ravel()), dtype=float)
+    tc = t[:, None]
+    F = problem.kappa(tc, s) * problem.psi(tc, s, u.reshape(s.shape) if u.size == s.size else u)
+    if np.count_nonzero(jac) < jac.size or np.shape(F) != s.shape:
+        F = np.where(jac[:, None], 1.0, tc - s) ** (problem.alpha - 1.0) * F  # pow(1, y) = 1
+    w, scale = weights.take(jac, axis=0), half.copy()
+    scale[jac] = [v**problem.alpha for v in half[jac].tolist()]  # numpy's pow can differ by 1 ulp
+    sums = (np.vecdot(w[:, i:j], np.abs(F[:, i:j]) if ab else F[:, i:j]) for i, j, ab in spans)
+    return [scale * v for v in sums]
+
+
+def forward_apply(problem: ProblemSpec, u_fn, t, breakpoints: Sequence[float] = ()):
+    """Apply the integral operator to an arbitrary function at the times t.
 
     Computes ``int_0^t (t-s)^(alpha-1) kappa(t, s) psi(t, s, u(s)) ds`` by
     composite quadrature: Gauss-Jacobi on the final (singular) panel,
@@ -404,28 +404,47 @@ def forward_apply(
     e.g. at kinks of u or of the kernel.  Used for manufactured right-hand
     sides and residual audits.
 
-    The acceptance tolerance is relative to the integral of the absolute
-    integrand, so an integral that crosses zero is still resolved.
+    ``t`` is a float or an array, and the result has its shape (a float for a 0-d t), 0 where
+    t <= 0.  The times are refined together, one call of ``u_fn`` (on a 1-D array), ``kappa``
+    and ``psi`` per level, yet each value equals that of its time alone.
     """
-    if t <= 0.0:
-        return 0.0
-    alpha = problem.alpha
-
-    def F(s):
-        u = np.asarray(u_fn(s), dtype=float)
-        return np.broadcast_to(problem.kappa(t, s) * problem.psi(t, s, u), s.shape)
-
-    edges = [0.0] + sorted({float(b) for b in breakpoints if 0.0 < b < t}) + [t]
-    panels = list(zip(edges[:-1], edges[1:]))
-    # a crude first pass over |F| (the kernel factor is positive) fixes the
-    # absolute acceptance tolerance; plain loops, as sum() of floats is
-    # compensated on Python >= 3.12
-    coarse = 0.0
-    for a, b in panels:
-        coarse += _rule_sum(lambda s: np.abs(F(s)), a, b, t, alpha, _FORWARD_ORDER)
-    tol = _FORWARD_REL_TOL * max(coarse, 1e-30) / len(panels)
-    total = 0.0
-    budget = [4000]  # shared panel allowance; exceeding it means stagnation
-    for a, b in panels:
-        total += _panel(F, a, b, t, alpha, _FORWARD_ORDER, tol, 40, budget)
-    return total
+    t_arr = np.asarray(t, dtype=float)
+    times = t_arr.ravel()
+    cuts = sorted({float(x) for x in breakpoints if x > 0.0})
+    panels = []  # (time, a, b, its time's panels) from 0 through the breakpoints below t to t
+    for i, ti in enumerate(times.tolist()):
+        if not ti <= 0.0:
+            edges = [0.0, *cuts[: bisect.bisect_left(cuts, ti)], ti]
+            panels += [(i, e0, e1, len(edges) - 1) for e0, e1 in zip(edges, edges[1:])]
+            if len(edges) > 4001:  # over the budget of 4000 panels per time
+                raise QuadratureConvergenceError("panel refinement did not converge")
+    own, a, b, npan = np.array(panels).reshape(-1, 4).T
+    top = own = own.astype(np.intp)
+    used, levels = np.bincount(own, minlength=times.size), []
+    while own.size:
+        blocks = [slice(k, k + _FORWARD_BLOCK) for k in range(0, own.size, _FORWARD_BLOCK)]
+        parts = [_panel_sums(problem, u_fn, times[own[k]], a[k], b[k], not levels) for k in blocks]
+        sums = [np.concatenate(rule) for rule in zip(*parts)] if parts[1:] else parts[0]
+        if not levels:  # bincount sums a time's panels in order, from 0.0 up
+            coarse = np.bincount(own, sums.pop(0), times.size)
+            tol = _FORWARD_REL_TOL * np.maximum(coarse[own], 1e-30) / npan
+        i1, i2 = sums
+        rej = (~(np.abs(i2 - i1) <= tol)).nonzero()[0]
+        if rej.size:  # a panel narrower than 1e-15 * max(1, |b|) is accepted as it is
+            rej = rej[~(b[rej] - a[rej] < 1e-15 * np.maximum(1.0, np.abs(b[rej])))]
+        levels.append((i2, rej))
+        if not rej.size:
+            break
+        # the rejected panels' halves, left then right, with half the tolerance
+        m = 0.5 * (a[rej] + b[rej])
+        a, b = a[rej].repeat(2), b[rej].repeat(2)
+        a[1::2], b[::2] = m, m
+        own, tol = own[rej].repeat(2), (0.5 * tol[rej]).repeat(2)
+        used += np.bincount(own, minlength=times.size)
+        if used.max() > 4000 or len(levels) > 40:
+            raise QuadratureConvergenceError("panel refinement did not converge")
+    # a split panel's value is its halves' sum, folded from the deepest level
+    for (upper, rej), (lower, _) in zip(levels[-2::-1], levels[:0:-1]):
+        upper[rej] = lower[::2] + lower[1::2]
+    out = np.bincount(top, levels[0][0], times.size) if levels else np.zeros(times.size)
+    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)

@@ -150,25 +150,34 @@ def test_benchmark_closed_form_values():
 
 
 def test_manufactured_rhs_memoized_per_time(monkeypatch):
-    calls = []
+    received = []
 
     def counting(problem, u_fn, t, **kwargs):
-        calls.append(t)
+        received.append(np.asarray(t, dtype=float).tolist())
         return forward_apply(problem, u_fn, t, **kwargs)
 
     monkeypatch.setattr(bench, "forward_apply", counting)
-    f = bench.make_benchmark("ex1", alpha=0.5).spec.f
+    b = bench.make_benchmark("ex1", alpha=0.5)
+    f = b.spec.f
     t = np.array([0.2, 0.4, 0.2, 0.4, 0.6])
     first = f(t)
-    assert sorted(calls) == [0.2, 0.4, 0.6]
+    # one call computes each distinct time once
+    assert received == [[0.2, 0.4, 0.6]]
     assert first.shape == t.shape and first[0] == first[2] and first[1] == first[3]
+    assert first[2] == forward_apply(b.spec, b.exact, 0.2)
+    # a repeated call computes nothing, in any shape
     assert np.array_equal(f(t), first)
-    assert len(calls) == 3
     scalar = f(0.4)
     assert isinstance(scalar, float) and scalar == first[1]
     grid = f(t[:4].reshape(2, 2))
     assert grid.shape == (2, 2) and np.array_equal(grid.ravel(), first[:4])
-    assert len(calls) == 3
+    assert len(received) == 1
+    # old and new times together: only the new ones are computed
+    mixed = f(np.array([0.6, 0.8, 0.2, 0.8]))
+    assert received[1:] == [[0.8]]
+    assert mixed[0] == first[4] and mixed[2] == first[0] and mixed[1] == mixed[3]
+    lone = f(0.9)
+    assert isinstance(lone, float) and received[2:] == [[0.9]]
 
 
 def test_ex1_manufactured_rhs_against_independent_oracles():

@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -333,17 +335,52 @@ def test_degenerate_kernel_warns_never_raises():
         dpsi_du=lambda t, s, u: np.ones_like(np.asarray(u, dtype=float)),
         f=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
     )
-    m = uniform_mesh(2, 1.0, 2)
     with pytest.warns(ProblemAssumptionWarning):
-        notes = validate_problem(p, m)
+        notes = validate_problem(p)
     assert any("diagonal" in msg for msg in notes)
 
 
 def test_validation_flags_nonzero_f0():
     p = _identity_problem(0.5, 1.0, lambda t: np.asarray(t, dtype=float) + 1.0)
     with pytest.warns(ProblemAssumptionWarning):
-        notes = validate_problem(p, uniform_mesh(1, 1.0, 2))
+        notes = validate_problem(p)
     assert any("f(0)" in msg for msg in notes)
+
+
+def test_validation_runs_once_per_spec_and_warns_on_every_solve():
+    b = make_benchmark("ex5")
+    calls = collections.Counter()
+
+    @dataclasses.dataclass
+    class Counted:  # unhashable, as a dataclass instance is: specs need not hash
+        name: str
+        fn: object
+
+        def __call__(self, *args):
+            calls[self.name] += 1
+            return self.fn(*args)
+
+    spec = dataclasses.replace(
+        b.spec,
+        f=Counted("f", b.spec.f),
+        kappa=Counted("kappa", b.spec.kappa),
+        dpsi_du=Counted("dpsi_du", b.spec.dpsi_du),
+    )
+    per_solve = []
+    for _ in range(2):
+        calls.clear()
+        with pytest.warns(ProblemAssumptionWarning, match="diagonal"):
+            solve(spec, uniform_mesh(4, 1.0, 2), b.solver_options())
+        per_solve.append(dict(calls))
+    # the first solve's spot checks sample f at 0 and on a grid, and kappa
+    # and dpsi_du once each; the second solve repeats only the march
+    first, second = per_solve
+    assert {k: first[k] - second[k] for k in first} == {"f": 2, "kappa": 1, "dpsi_du": 1}
+    # the notes go with the spec
+    key = id(spec)
+    del spec
+    gc.collect()
+    assert key not in abelhp.discretization._NOTES
 
 
 def test_problemspec_validation():
@@ -521,16 +558,15 @@ def test_solve_calls_f_once_per_linear_run_and_per_nonlinear_element(monkeypatch
             return f(t)
 
         spec = dataclasses.replace(problem, f=counting)
-        validate_problem(spec, mesh)
-        spot_checks = len(shapes)
+        validate_problem(spec)
+        assert len(shapes) > 0
         shapes.clear()
+        # the spec is validated already, so solve calls f for its blocks only
         solve(spec, mesh, options)
         runs = history_runs(mesh)
         assert len(runs) > 1
         blocks = runs if problem.linear else [(n, n) for n in range(1, mesh.N + 1)]
-        assert shapes[spot_checks:] == [
-            ((n1 - n0 + 1) * (mesh.degrees[n0 - 1] + 1),) for n0, n1 in blocks
-        ]
+        assert shapes == [((n1 - n0 + 1) * (mesh.degrees[n0 - 1] + 1),) for n0, n1 in blocks]
 
 
 def test_solve_does_not_depend_on_the_history_block(monkeypatch):

@@ -21,7 +21,7 @@ from abelhp.solver import (
     steepest_descent_init,
 )
 
-from oracles import newton_by_halving
+from oracles import forward_apply_by_time, newton_by_halving
 
 
 def _ones(t, s):
@@ -201,9 +201,7 @@ def test_manufactured_cubic_nonlinearity():
         kappa=_ones,
         psi=lambda t, s, u: u**3,
         dpsi_du=lambda t, s, u: 3.0 * u**2,
-        f=lambda t: np.array(
-            [forward_apply(_cubic_spec(), exact, float(v)) for v in np.atleast_1d(t)]
-        ).reshape(np.shape(t)),
+        f=lambda t: forward_apply(_cubic_spec(), exact, t),
     )
     sol = solve(spec, uniform_mesh(2, 1.0, 4), SolverOptions(init_constant=0.5))
     ts = np.linspace(0.01, 1.0, 41)
@@ -317,6 +315,13 @@ def test_forward_apply_closed_forms():
         assert forward_apply(spec, ones, t) == pytest.approx(2 * np.sqrt(t), rel=1e-11)
     cubic = lambda s: np.asarray(s, dtype=float) ** 3
     assert forward_apply(spec, cubic, 1.0) == pytest.approx(32.0 / 35.0, rel=1e-10)
+    # callables may return scalars: u = 1 and kappa = 1 give t^alpha / alpha
+    scalar = dataclasses.replace(spec, kappa=lambda t, s: 1.0)
+    for t in (0.2, 1.0):
+        for cuts in ((), (0.1,)):
+            got = forward_apply(scalar, lambda s: 1.0, np.array([t, 0.5]), breakpoints=cuts)
+            assert got[0] == pytest.approx(2.0 * np.sqrt(t), rel=1e-13)
+            assert got[0] == forward_apply_by_time(scalar, lambda s: 1.0, t, cuts)
     # u = s^beta: the singular panel is split and the regular one refined
     # down to s = 0, where u is not smooth
     for beta in (0.5, 1.3):
@@ -419,6 +424,95 @@ def test_forward_apply_nonconvergence_raises():
     noisy_u = lambda s: rng.normal(size=np.shape(s))
     with pytest.raises(QuadratureConvergenceError):
         forward_apply(b.spec, noisy_u, 0.9)
+    # noise above s = 0.5 only: the batch fails on its one time past it
+    noisy_late = lambda s: np.where(s > 0.5, rng.normal(size=np.shape(s)), 1.0)
+    calm = forward_apply(b.spec, noisy_late, np.array([0.2, 0.4]))
+    assert calm.tolist() == [forward_apply(b.spec, noisy_late, t) for t in (0.2, 0.4)]
+    with pytest.raises(QuadratureConvergenceError):
+        forward_apply(b.spec, noisy_late, np.array([0.2, 0.9, 0.4]))
+    # a jump off the breakpoints keeps one panel per level rejected until
+    # the depth limit of 40 levels, well inside the panel budget
+    c = 0.3141592653589793
+    jump = lambda s: np.where(s < c, 1.0, 2.0)
+    with pytest.raises(QuadratureConvergenceError):
+        forward_apply(b.spec, jump, np.array([0.2, 0.9]))
+    assert forward_apply(b.spec, jump, 0.9, breakpoints=(c,)) == forward_apply_by_time(
+        b.spec, jump, 0.9, (c,)
+    )
+    # edges 1e-4 apart around it keep the jump off the panel ends, so the
+    # panel across it stays rejected until, at level 37, it is narrower than
+    # 1e-15 * max(1, |b|) and is accepted as it is
+    near = (c - 0.6180339887e-4, c + 0.3819660113e-4)
+    narrow = forward_apply(b.spec, jump, np.array([0.2, 0.9]), breakpoints=near)
+    assert narrow.tolist() == [forward_apply_by_time(b.spec, jump, t, near) for t in (0.2, 0.9)]
+
+
+def _forward_oracle_cases():
+    # about 1 in 20 values would move if a Gauss-Jacobi scale took numpy's
+    # power instead of a Python one, so 48 random times per case show it
+    rng = np.random.default_rng(11)
+    cases = [(bench.make_benchmark("ex1", alpha), rng.random(48)) for alpha in (0.3, 0.5, 0.7)]
+    cases.append((bench.make_benchmark("ex4"), rng.random(48)))
+    ex5_times = np.concatenate([[0.5, 0.5 + 1e-13, 1e-9, 1.0], rng.random(48)])
+    cases.append((bench.make_benchmark("ex5"), ex5_times))
+    return cases
+
+
+def test_forward_apply_batch_equals_the_one_time_recursion(monkeypatch):
+    # every time of a batch gets the value of the depth-first recursion on
+    # that time alone, bit for bit; ex5's breakpoint splits the times above it
+    for b, times in _forward_oracle_cases():
+        times = times[np.random.default_rng(3).permutation(times.size)]
+        batch = forward_apply(b.spec, b.exact, times, breakpoints=b.mesh_hints)
+        alone = [forward_apply_by_time(b.spec, b.exact, t, b.mesh_hints) for t in times.tolist()]
+        assert batch.tolist() == alone, b.id
+        assert [forward_apply(b.spec, b.exact, t, b.mesh_hints) for t in times.tolist()] == alone
+        # a level evaluated in blocks of a few panels gives the same values
+        with monkeypatch.context() as m:
+            m.setattr(abelhp.solver, "_FORWARD_BLOCK", 5)
+            blocked = forward_apply(b.spec, b.exact, times, breakpoints=b.mesh_hints)
+        assert blocked.tolist() == alone, b.id
+
+
+def test_forward_apply_kernel_power_of_t_is_within_one_ulp():
+    # a batch passes the times to kappa as an array, so ex4's t**2 is numpy's
+    # t * t, where the one-time recursion took libm's pow of a Python float;
+    # the two differ at about 0.1% of times, and the value then by 1 ulp
+    b = bench.make_benchmark("ex4")
+    t = 0.9484567938637256
+    assert t**2 != t * t
+    batch, alone = forward_apply(b.spec, b.exact, t), forward_apply_by_time(b.spec, b.exact, t)
+    assert batch != alone and abs(batch - alone) <= np.spacing(alone)
+
+
+def test_forward_apply_shapes():
+    b = bench.make_benchmark("ex1", 0.5)
+    lone = forward_apply(b.spec, b.exact, 0.25)
+    assert isinstance(lone, float)
+    assert isinstance(forward_apply(b.spec, b.exact, np.array(0.25)), float)
+    assert forward_apply(b.spec, b.exact, np.array(0.25)) == lone
+    grid = forward_apply(b.spec, b.exact, np.array([[0.25, 0.0], [-1.0, 0.25]]))
+    assert grid.shape == (2, 2) and grid.tolist() == [[lone, 0.0], [0.0, lone]]
+    for empty in (np.array([]), np.zeros((0, 3))):
+        out = forward_apply(b.spec, b.exact, empty)
+        assert out.shape == empty.shape and out.dtype == float
+    assert forward_apply(b.spec, b.exact, -0.5) == 0.0
+
+
+def test_forward_apply_panel_budget_is_per_time():
+    # |sin(20 pi s)| has 18 kinks in (0, 0.9); the time takes over 500 of its
+    # 4000 panels, so 8 copies would overrun one budget shared by the batch
+    b = bench.make_benchmark("ex2")
+    points = []
+
+    def kinked(s):
+        points.append(s.size)
+        return np.abs(np.sin(20.0 * np.pi * s))
+
+    lone = forward_apply(b.spec, kinked, 0.9)
+    # the first level evaluates 65 nodes per panel, every later one 48
+    assert 1 + (sum(points) - 65) // 48 > 500
+    assert forward_apply(b.spec, kinked, np.full(8, 0.9)).tolist() == [lone] * 8
 
 
 def test_mixed_degree_mesh():
