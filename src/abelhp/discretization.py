@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .mesh import Mesh
 from .orthopoly import JacobiParams, legendre_table
@@ -202,9 +203,10 @@ class ElementOperator:
 
         ``prior_u`` holds the solution values at the shifted Lobatto points of
         elements 1..n-1, concatenated in the ``mesh.offsets`` layout.  This is
-        the one-element run of :class:`HistoryRun`.
+        the one-element run of :class:`HistoryRun`, on the weights solve uses.
         """
-        run = HistoryRun(self.problem, self.mesh, self.n, self.n, prior_u)
+        table = _gap_table(self.mesh, self.problem.alpha)
+        run = HistoryRun(self.problem, self.mesh, self.n, self.n, prior_u, table)
         return self.project(run.at_nodes(self.n, prior_u))
 
 
@@ -235,13 +237,39 @@ def history_runs(mesh: Mesh) -> list[tuple[int, int]]:
     return runs
 
 
+def _gap_table(mesh: Mesh, alpha: float) -> np.ndarray | None:
+    """History weights by gap of a uniform single-degree mesh of several runs, else None.
+
+    Element k's weights at Gauss node i of element n depend only on n - k and i:
+    row ``[g - 1, i]`` of the read-only table holds element 1's weights at node i
+    of element 1 + g, from one checked weight call.  These are also the more
+    accurate: near t = T a node rounds by an ulp of T, much of t - right at gap 1.
+    """
+    bp, d, N, T = mesh.breakpoints, int(mesh.degrees[0]), mesh.N, mesh.T
+    # a history whose (d + 1)^2 N (N - 1) / 2 pairs fit one run of history_runs
+    # takes one weight call either way, so there the table only adds its cost
+    if (d + 1) ** 2 * N * (N - 1) // 2 <= _HISTORY_BLOCK or np.any(mesh.degrees != d):
+        return None
+    # linspace rounds each breakpoint, so widths differ by up to an ulp of T
+    # (1.1e-16 at N = 40, T = 1); breakpoints within 2 ulps of T of it count
+    # as equal widths, a test that, unlike one of widths, cannot drift
+    if np.any(np.abs(bp - np.linspace(0.0, T, N + 1)) > 2 * np.spacing(T)):
+        return None
+    t = _shift_rows(_reference_tables(d, alpha).gl.nodes, bp[1:-1], bp[2:]).ravel()
+    table = history_weights_batch(bp[:1], bp[1:2], d, t, alpha).reshape(-1, d + 1, d + 1)
+    table.flags.writeable = False
+    return table
+
+
 class HistoryRun(OperatorRun):
     """The operators of the equal-degree elements n0..n1 and their history.
 
     Built once elements 1..n0-1 are solved, from their Lobatto values
     ``prior_u`` (``offsets[n0-1]`` of them, in the ``mesh.offsets`` layout).
     Besides the :class:`OperatorRun` stacks it holds the history integrals
-    at the run's Gauss nodes:
+    at the run's Gauss nodes.  Their weights come from ``table``, the mesh's
+    :func:`_gap_table`, which :func:`~abelhp.solver.solve` builds once per
+    solve; without it (on any other mesh):
 
     * far part: for each prior degree, one weight call covers every Gauss node
       of the run against every element before n0, and weights, kernel and psi
@@ -254,8 +282,8 @@ class HistoryRun(OperatorRun):
     needs only the values of run elements n0..n-1.
     """
 
-    def __init__(self, problem: ProblemSpec, mesh: Mesh, n0: int, n1: int, prior_u):
-        offsets, bp, alpha = mesh.offsets, mesh.breakpoints, problem.alpha
+    def __init__(self, problem: ProblemSpec, mesh: Mesh, n0: int, n1: int, prior_u, table=None):
+        offsets, bp, alpha, R = mesh.offsets, mesh.breakpoints, problem.alpha, n1 - n0 + 1
         prior_u = np.asarray(prior_u, dtype=float)
         lo = offsets[n0 - 1]
         if prior_u.shape != (lo,):
@@ -271,29 +299,35 @@ class HistoryRun(OperatorRun):
         points = mesh.history_points
         self.s = points[lo : offsets[n1]]
 
-        t3 = self.t[:, None, None]
+        t4 = self.t_nodes[:, :, None, None]
         self.far = np.zeros(self.t.size)
         for dk, idx in mesh.degree_groups:
             prior = idx[: np.searchsorted(idx, n0 - 1)]
             if prior.size == 0:
                 continue
-            w = history_weights_batch(bp[prior], bp[prior + 1], dk, self.t[:, None], alpha)
+            # from the table, w[j, i, k - 1] = table[n0 + j - k - 1, i] for node i
+            # of element n0 + j and earlier element k: a backwards window of rows
+            w = (history_weights_batch(bp[prior], bp[prior + 1], dk, t4[..., 0], alpha)
+                 if table is None
+                 else sliding_window_view(table, n0 - 1, axis=0)[:R, ..., ::-1].swapaxes(2, 3))
             cols = offsets[prior, None] + np.arange(dk + 1)
             S, U = points[cols], prior_u[cols]
-            # in place: w is the largest array here, rows x elements x (dk + 1)
-            w *= problem.kappa(t3, S)
-            w *= problem.psi(t3, S, U)
-            self.far += np.sum(w, axis=(1, 2))
+            # in place unless w views the table: w is the largest array here,
+            # run nodes x elements x (dk + 1)
+            w = np.multiply(w, problem.kappa(t4, S), out=w if w.flags.writeable else None)
+            w *= problem.psi(t4, S, U)
+            self.far += np.sum(w, axis=(2, 3)).ravel()
 
         # pairs (row, k) of a Gauss node and a run element k before the
         # node's element, row-major: element j's pairs are the j * (d + 1)^2
         # entries after the first j (j - 1) / 2 * (d + 1)^2
         owner = np.arange(self.t.size) // self.m
-        rows, ks = np.nonzero(np.arange(n1 - n0 + 1) < owner[:, None])
+        rows, ks = np.nonzero(np.arange(R) < owner[:, None])
         self.near = np.empty((0, self.m))
         if rows.size:
             t = self.t[rows]
-            w = history_weights_batch(lefts[ks], rights[ks], d, t, alpha)
+            w = (history_weights_batch(lefts[ks], rights[ks], d, t, alpha) if table is None
+                 else table[owner[rows] - ks - 1, rows % self.m])
             w *= problem.kappa(t[:, None], self.s.reshape(-1, self.m)[ks])
             self.near = w
 

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .discretization import HistoryRun, ProblemSpec, history_runs, validate_problem
+from .discretization import HistoryRun, ProblemSpec, _gap_table, history_runs, validate_problem
 from .mesh import Mesh, locate
 from .orthopoly import JacobiParams, legendre_table
 from .quadrature import RuleKind, _lobatto_table, gauss_rule
@@ -84,10 +84,13 @@ class SolverOptions:
     init_constant: float = 0.0
 
     def __post_init__(self):
-        if self.newton_tol <= 0.0:
-            raise ValueError("newton_tol must be positive")
+        # "not x > 0" rejects NaN too, which every comparison calls False
+        if not (self.newton_tol > 0.0 and self.descent_step_size > 0.0):
+            raise ValueError("newton_tol and descent_step_size must be positive")
         if self.newton_max_iter < 1 or self.descent_steps < 0:
             raise ValueError("iteration counts out of range")
+        if not math.isfinite(self.init_constant):
+            raise ValueError("init_constant must be finite")
 
 
 @dataclass
@@ -246,15 +249,16 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
     """March elements 1..N, solving each local collocation system.
 
     Each run of :func:`history_runs` builds its history and its stacked
-    element operators at once (:class:`HistoryRun`).  A linear run inverts
-    all its system matrices in one batched call; each element then costs its
-    near-history sum and one matrix-vector product.  Nonlinear elements run
-    damped Newton from a warm start: the previous element's coefficients,
-    zero-padded or truncated to this element's degree (the constant
-    ``init_constant`` on the first element).  Only if that Newton raises does
-    the descent phase run from the same warm start, followed by a second
-    Newton whose error is the one that propagates; when descent leaves the
-    start unchanged, the first error is re-raised instead.
+    element operators at once (:class:`HistoryRun`), all from one table of
+    weights by gap when the mesh is uniform with one degree.  A linear run
+    inverts all its system matrices in one batched call; each element then
+    costs its near-history sum and one matrix-vector product.  Nonlinear
+    elements run damped Newton from a warm start: the previous element's
+    coefficients, zero-padded or truncated to this element's degree (the
+    constant ``init_constant`` on the first element).  Only if that Newton
+    raises does the descent phase run from the same warm start, followed by a
+    second Newton whose error is the one that propagates; when descent leaves
+    the start unchanged, the first error is re-raised instead.
     """
     options = options or SolverOptions()
     validate_problem(problem)
@@ -264,9 +268,11 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
     offsets = mesh.offsets
     coeffs = np.empty(mesh.L)
     lobatto_u = np.empty(mesh.L)
+    # a uniform mesh's weights by gap serve every run; they go when solve returns
+    table = _gap_table(mesh, problem.alpha)
     for n0, n1 in history_runs(mesh):
         # the run's operators, and its history from everything solved before it
-        run = HistoryRun(problem, mesh, n0, n1, lobatto_u[: offsets[n0 - 1]])
+        run = HistoryRun(problem, mesh, n0, n1, lobatto_u[: offsets[n0 - 1]], table)
         dim = run.degree + 1
         if problem.linear:
             # dpsi_du == 1, so B @ Qflat.T is each element's system matrix;

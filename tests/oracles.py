@@ -103,6 +103,26 @@ def legendre_l2_projection(fn, a, b, degree, tol=1e-12):
     return coeffs
 
 
+def uniform_history_mpmath(N, T, nodes, gap, coeffs, alpha):
+    """History at Gauss nodes of element N of an exact uniform mesh, from one element.
+
+    Element N - gap holds sum_p coeffs[p] P_p on its reference coordinate;
+    ``nodes`` are the reference Gauss nodes of element N.  With s and t on
+    the grid of width h = T / N, t - s = h (gap + (x - y) / 2), so the
+    integrals are 40-digit quadratures of smooth integrands on [-1, 1].
+    """
+    h = mp.mpf(T) / N
+    with mp.workdps(40):
+        return np.array([
+            float(h**alpha / 2 * mp.quad(
+                lambda y: (gap + (mp.mpf(x) - y) / 2) ** (alpha - 1)
+                * sum(mp.mpf(c) * mp.legendre(p, y) for p, c in enumerate(coeffs)),
+                [-1, 1],
+            ))
+            for x in nodes
+        ])
+
+
 def history_by_node(op, prior_u):
     """History moments of element ``op.n`` by the plain per-node loop.
 

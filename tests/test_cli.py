@@ -104,6 +104,10 @@ def test_usage_errors_exit_one(capsys, tmp_path):
     path.write_text(json.dumps({"adaptive": {"max_L": "many"}}))
     assert run_cli(capsys, "run", "--config", str(path), "--problem", "ex4", "--N", "1",
                    "--M", "2", "--adaptive", "p_first", "--tol", "1e-13")[0] == 1
+    # json reads NaN; a NaN tolerance is a usage error, not a failed row
+    path.write_text(json.dumps({"solver": {"newton_tol": float("nan")}}))
+    assert run_cli(capsys, "run", "--config", str(path), "--problem", "ex3", "--N", "2",
+                   "--M", "2")[0] == 1
 
 
 def test_no_arguments_is_usage_error(capsys):

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from oracles import (
     jacobian_einsum,
     rhs_by_node,
     singular_history_integral,
+    uniform_history_mpmath,
     weighted_moments_einsum,
 )
 
@@ -567,6 +569,109 @@ def test_solve_calls_f_once_per_linear_run_and_per_nonlinear_element(monkeypatch
         assert len(runs) > 1
         blocks = runs if problem.linear else [(n, n) for n in range(1, mesh.N + 1)]
         assert shapes == [((n1 - n0 + 1) * (mesh.degrees[n0 - 1] + 1),) for n0, n1 in blocks]
+
+
+def _count_weight_calls(monkeypatch):
+    """Route discretization's weight calls through a counter; returns the list of calls."""
+    calls, real = [], abelhp.discretization.history_weights_batch
+
+    def counting(lefts, rights, degree, t, alpha):
+        weights = real(lefts, rights, degree, t, alpha)
+        calls.append(weakref.ref(weights))
+        return weights
+
+    monkeypatch.setattr(abelhp.discretization, "history_weights_batch", counting)
+    return calls
+
+
+@pytest.mark.parametrize("N, degree, bound", [(1024, 1, 1e-15), (1000, 3, 5e-15)])
+def test_uniform_history_against_mpmath_near_t_end(N, degree, bound):
+    # one earlier element at a time, gaps 1, 3 and N - 1, seen from the Gauss
+    # nodes of element N, against an exact uniform mesh: the direct weights
+    # of element N - 1 lose 5e-14, as a node near t = 1 rounds by an ulp of 1,
+    # much of t - right.  At degree 3 the moments of the band 1.2 < c < 8
+    # (gaps 1 to 3) limit the table's weights to 3.3e-15.
+    problem = _identity_problem(0.5, 1.0, lambda t: np.asarray(t, dtype=float))
+    mesh = uniform_mesh(N, 1.0, degree)
+    op = ElementOperator(problem, mesh, N)
+    nodes = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, degree).nodes
+    coeffs = np.random.default_rng(3).uniform(-1.0, 1.0, degree + 1)
+    for gap in (1, 3, N - 1):
+        k = N - gap
+        prior = np.zeros(mesh.offsets[N - 1])
+        prior[mesh.offsets[k - 1] : mesh.offsets[k]] = _lobatto_values(coeffs, degree)
+        run = HistoryRun(problem, mesh, N, N, prior, abelhp.discretization._gap_table(mesh, 0.5))
+        got = op.project(run.at_nodes(N, prior))
+        want = op.project(uniform_history_mpmath(N, 1.0, nodes, gap, coeffs, 0.5))
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want)), gap
+
+
+@pytest.mark.parametrize("N", [40, 64])
+def test_uniform_history_matches_per_node_loop(monkeypatch, N):
+    # linspace(0, 1, 41) has widths 1.1e-16 apart and linspace(0, 1, 65)
+    # equal ones; both read the gap table, on runs with far and near parts.
+    # The prior is a smooth positive solution's: with random signs on each
+    # element the sum cancels, and the loop's own direct weights, which lose
+    # up to ulp(t) / (t - right) near each node, show through the bound
+    ex1, ex3 = make_benchmark("ex1", 0.3), make_benchmark("ex3")
+    problem = dataclasses.replace(ex3.spec, alpha=ex1.spec.alpha, kappa=ex1.spec.kappa)
+    mesh = uniform_mesh(N, 1.0, 2)
+    assert np.ptp(mesh.widths) == (1.1102230246251565e-16 if N == 40 else 0.0)
+    monkeypatch.setattr(abelhp.discretization, "_HISTORY_BLOCK", 400)
+    table = abelhp.discretization._gap_table(mesh, problem.alpha)
+    assert table is not None
+    runs = history_runs(mesh)
+    assert any(n1 > n0 > 1 for n0, n1 in runs)
+    prior = 1.0 + 0.5 * np.cos(3.0 * mesh.history_points)
+    for n0, n1 in runs:
+        run = HistoryRun(problem, mesh, n0, n1, prior[: mesh.offsets[n0 - 1]], table)
+        for n in range(n0, n1 + 1):
+            op = run.operator(n)
+            blocked = op.project(run.at_nodes(n, prior))
+            looped = history_by_node(op, prior[: mesh.offsets[n - 1]])
+            assert np.max(np.abs(blocked - looped)) <= 1e-14 * np.max(np.abs(looped))
+
+
+def test_weight_path_follows_the_mesh(monkeypatch):
+    # a uniform single-degree mesh whose history spans several runs makes one
+    # weight call, the gap table; a breakpoint moved by 1e-9, two degrees on
+    # equal widths, or a history that fits one run keep the per-run calls:
+    # one per earlier degree for the far part, one for the near part
+    bench = make_benchmark("ex2")
+    bp = np.linspace(0.0, 1.0, 41)
+    moved = bp.copy()
+    moved[17] += 1e-9
+    cases = [
+        (uniform_mesh(40, 1.0, 2), 400, 1),
+        (Mesh(moved, np.full(40, 2)), 400, None),
+        (Mesh(bp, np.repeat([2, 3], 20)), 400, None),
+        (uniform_mesh(40, 1.0, 2), abelhp.discretization._HISTORY_BLOCK, None),
+    ]
+    for mesh, block, expected in cases:
+        monkeypatch.setattr(abelhp.discretization, "_HISTORY_BLOCK", block)
+        if expected is None:
+            expected = sum(
+                sum(np.any(idx < n0 - 1) for _, idx in mesh.degree_groups) + (n1 > n0)
+                for n0, n1 in history_runs(mesh)
+            )
+            assert expected > 1 or len(history_runs(mesh)) == 1
+        calls = _count_weight_calls(monkeypatch)
+        solve(bench.spec, mesh, bench.solver_options())
+        assert len(calls) == expected
+
+
+def test_gap_table_goes_with_its_solve(monkeypatch):
+    # held past the solve, the table would sit beside the error metrics'
+    # evaluation at hist_linear's memory peak; a cache that kept meshes
+    # alive grew that peak further
+    bench = make_benchmark("ex2")
+    monkeypatch.setattr(abelhp.discretization, "_HISTORY_BLOCK", 400)
+    calls = _count_weight_calls(monkeypatch)
+    mesh = uniform_mesh(32, 1.0, 2)
+    solution = solve(bench.spec, mesh, bench.solver_options())
+    gc.collect()
+    assert len(calls) == 1 and solution.mesh is mesh
+    assert calls[0]() is None
 
 
 def test_solve_does_not_depend_on_the_history_block(monkeypatch):

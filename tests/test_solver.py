@@ -676,3 +676,12 @@ def test_solver_options_validation():
         SolverOptions(newton_tol=0.0)
     with pytest.raises(ValueError):
         SolverOptions(newton_max_iter=0)
+    # NaN compares False with everything, so "<= 0" checks let it through
+    for bad in (
+        {"newton_tol": float("nan")},
+        {"descent_step_size": -1e-2},
+        {"descent_step_size": float("nan")},
+        {"init_constant": float("nan")},
+    ):
+        with pytest.raises(ValueError):
+            SolverOptions(**bad)
