@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .mesh import Mesh
 from .orthopoly import JacobiParams, legendre_table
@@ -34,6 +33,7 @@ __all__ = [
     "OperatorRun",
     "HistoryRun",
     "history_runs",
+    "operator_stretches",
     "ProblemAssumptionWarning",
     "validate_problem",
 ]
@@ -111,21 +111,29 @@ def _reference_tables(M: int, alpha: float) -> _ReferenceTables:
     return _ReferenceTables(gl, gj, *tables)
 
 
+def _run_degree(mesh: Mesh, n0: int, n1: int) -> int:
+    """The one degree of elements n0..n1; raises if they are out of range or mixed."""
+    if not 1 <= n0 <= n1 <= mesh.N:
+        raise IndexError(f"elements {n0}..{n1} outside 1..{mesh.N}")
+    d = int(mesh.degrees[n0 - 1])
+    if (mesh.degrees[n0 - 1 : n1] != d).any():
+        raise ValueError(f"elements {n0}..{n1} do not share one degree")
+    return d
+
+
 class OperatorRun:
     """Collocation operators of the equal-degree elements n0..n1, as stacks.
 
-    Row j of each stack belongs to element n0 + j.  The run's tensor grid
-    (``t_grid``, ``sigma_grid``: a row of (M+1)^2 points per element) takes
-    one kernel call, and ``B`` of shape (R, M+1, (M+1)^2) one product:
+    :func:`~abelhp.solver.solve` builds one per stretch of
+    :func:`operator_stretches`.  Row j of each stack belongs to element
+    n0 + j.  The tensor grid (``t_grid``, ``sigma_grid``: a row of (M+1)^2
+    points per element) takes one kernel call, and ``B`` of shape
+    (R, M+1, (M+1)^2) one product:
     ``B[j, p, (i, k)] = sys_scale_p P_pi prefac_i kappa(t_i, sigma_ik) w_k``.
     """
 
     def __init__(self, problem: ProblemSpec, mesh: Mesh, n0: int, n1: int):
-        if not 1 <= n0 <= n1 <= mesh.N:
-            raise IndexError(f"elements {n0}..{n1} outside 1..{mesh.N}")
-        self.degree = d = int(mesh.degrees[n0 - 1])
-        if np.any(mesh.degrees[n0 - 1 : n1] != d):
-            raise ValueError(f"elements {n0}..{n1} do not share one degree")
+        self.degree = d = _run_degree(mesh, n0, n1)
         self.problem, self.mesh, self.n0 = problem, mesh, n0
         self.ref = ref = _reference_tables(d, problem.alpha)
         self.lefts, self.rights = mesh.breakpoints[n0 - 1 : n1], mesh.breakpoints[n0 : n1 + 1]
@@ -212,7 +220,8 @@ class ElementOperator:
 
 # solve assembles the history in runs of consecutive elements; a run closes
 # before its (Gauss node, earlier Lobatto point) pairs would exceed this
-# many, which bounds the largest temporaries of its assembly
+# many, which bounds the largest temporaries of its assembly.  Stretches of
+# runs share operator stacks, and close on their stacks' entries by it
 _HISTORY_BLOCK = 2**14
 
 
@@ -237,13 +246,36 @@ def history_runs(mesh: Mesh) -> list[tuple[int, int]]:
     return runs
 
 
+def operator_stretches(mesh: Mesh) -> list[list[tuple[int, int]]]:
+    """The runs of :func:`history_runs`, grouped into stretches of equal degree.
+
+    The R elements of degree d of a stretch share one :class:`OperatorRun`,
+    whose ``B`` holds R (d + 1)^3 entries.  A stretch closes at a change of
+    degree, or before these entries would exceed ``_HISTORY_BLOCK``, as runs
+    close on pairs; a run whose own entries exceed it is a stretch alone.
+    """
+    degrees, stretches, total = mesh.degrees.tolist(), [], 0
+    for n0, n1 in history_runs(mesh):
+        entries = (n1 - n0 + 1) * (degrees[n0 - 1] + 1) ** 3
+        if stretches and degrees[n0 - 2] == degrees[n0 - 1] and total + entries <= _HISTORY_BLOCK:
+            stretches[-1].append((n0, n1))
+            total += entries
+        else:
+            stretches.append([(n0, n1)])
+            total = entries
+    return stretches
+
+
 def _gap_table(mesh: Mesh, alpha: float) -> np.ndarray | None:
     """History weights by gap of a uniform single-degree mesh of several runs, else None.
 
-    Element k's weights at Gauss node i of element n depend only on n - k and i:
-    row ``[g - 1, i]`` of the read-only table holds element 1's weights at node i
-    of element 1 + g, from one checked weight call.  These are also the more
-    accurate: near t = T a node rounds by an ulp of T, much of t - right at gap 1.
+    Element k's weights at Gauss node i of element n depend only on n - k and i.
+    Entry ``[i, p, N - 1 - g]`` of the read-only (d + 1, d + 1, N - 1) table is
+    element 1's weight of its Lobatto point p at node i of element 1 + g, from
+    one checked weight call.  Reversed by gap, each (i, p) row holds the earlier
+    elements of any element in order along its last axis, at unit stride.  These
+    weights are also the more accurate: near t = T a node rounds by an ulp of T,
+    much of t - right at gap 1.
     """
     bp, d, N, T = mesh.breakpoints, int(mesh.degrees[0]), mesh.N, mesh.T
     # a history whose (d + 1)^2 N (N - 1) / 2 pairs fit one run of history_runs
@@ -257,33 +289,41 @@ def _gap_table(mesh: Mesh, alpha: float) -> np.ndarray | None:
         return None
     t = _shift_rows(_reference_tables(d, alpha).gl.nodes, bp[1:-1], bp[2:]).ravel()
     table = history_weights_batch(bp[:1], bp[1:2], d, t, alpha).reshape(-1, d + 1, d + 1)
+    table = np.ascontiguousarray(table.transpose(1, 2, 0)[..., ::-1])
     table.flags.writeable = False
     return table
 
 
-class HistoryRun(OperatorRun):
-    """The operators of the equal-degree elements n0..n1 and their history.
+class HistoryRun:
+    """The history integrals at the Gauss nodes of the equal-degree elements n0..n1.
 
     Built once elements 1..n0-1 are solved, from their Lobatto values
     ``prior_u`` (``offsets[n0-1]`` of them, in the ``mesh.offsets`` layout).
-    Besides the :class:`OperatorRun` stacks it holds the history integrals
-    at the run's Gauss nodes.  Their weights come from ``table``, the mesh's
-    :func:`_gap_table`, which :func:`~abelhp.solver.solve` builds once per
-    solve; without it (on any other mesh):
+    Its weights come from ``table``, the mesh's :func:`_gap_table`, which
+    :func:`~abelhp.solver.solve` builds once per solve; without it (on any
+    other mesh):
 
-    * far part: for each prior degree, one weight call covers every Gauss node
-      of the run against every element before n0, and weights, kernel and psi
-      are contracted at once;
-    * near part: one pairwise weight call covers every Gauss node of each run
-      element against each run element before it, and keeps the
-      solution-independent products of weight and kernel.
+    * ``far``, the sums over the elements before n0 at the run's Gauss nodes:
+      for each prior degree, one weight call covers every Gauss node of the
+      run against every element before n0;
+    * ``near``, the solution-independent products of weight and kernel of the
+      pairs of a Gauss node and a run element before the node's element, from
+      one pairwise weight call.
+
+    With the table, the far weights are a view of it with the earlier elements
+    innermost, and the kernel is called on the matching grid.  Where psi is
+    free of t (u, u^2: an array of the grid's shape), the far and near sums
+    contract weights times kernel with it as one matrix-vector product; they
+    multiply and sum otherwise.
 
     ``at_nodes(n, lobatto_u)`` adds element n's near sum to its far part; it
     needs only the values of run elements n0..n-1.
     """
 
     def __init__(self, problem: ProblemSpec, mesh: Mesh, n0: int, n1: int, prior_u, table=None):
-        offsets, bp, alpha, R = mesh.offsets, mesh.breakpoints, problem.alpha, n1 - n0 + 1
+        d = _run_degree(mesh, n0, n1)
+        offsets, bp, alpha = mesh.offsets, mesh.breakpoints, problem.alpha
+        m, N, R = d + 1, mesh.N, n1 - n0 + 1
         prior_u = np.asarray(prior_u, dtype=float)
         lo = offsets[n0 - 1]
         if prior_u.shape != (lo,):
@@ -291,44 +331,53 @@ class HistoryRun(OperatorRun):
                 f"element {n0} needs the {lo} Lobatto values of "
                 f"elements 1..{n0 - 1}, got shape {prior_u.shape}"
             )
-        super().__init__(problem, mesh, n0, n1)
-        d, lefts, rights = self.degree, self.lefts, self.rights
-        self.lo, self.m = lo, d + 1
+        self.problem, self.n0, self.lo, self.m = problem, n0, lo, m
         # Gauss nodes and history sample points of the run, flat like mesh.offsets
-        self.t = self.t_nodes.ravel()
+        nodes = _shift_rows(_reference_tables(d, alpha).gl.nodes, bp[n0 - 1 : n1], bp[n0 : n1 + 1])
+        self.t = nodes.ravel()
         points = mesh.history_points
         self.s = points[lo : offsets[n1]]
 
-        t4 = self.t_nodes[:, :, None, None]
+        t4 = nodes[:, :, None, None]
         self.far = np.zeros(self.t.size)
         for dk, idx in mesh.degree_groups:
             prior = idx[: np.searchsorted(idx, n0 - 1)]
             if prior.size == 0:
                 continue
-            # from the table, w[j, i, k - 1] = table[n0 + j - k - 1, i] for node i
-            # of element n0 + j and earlier element k: a backwards window of rows
-            w = (history_weights_batch(bp[prior], bp[prior + 1], dk, t4[..., 0], alpha)
-                 if table is None
-                 else sliding_window_view(table, n0 - 1, axis=0)[:R, ..., ::-1].swapaxes(2, 3))
-            cols = offsets[prior, None] + np.arange(dk + 1)
-            S, U = points[cols], prior_u[cols]
+            if table is None:
+                w = history_weights_batch(bp[prior], bp[prior + 1], dk, t4[..., 0], alpha)
+                cols = offsets[prior, None] + np.arange(dk + 1)
+                S, U = points[cols], prior_u[cols]  # (element, point)
+            else:
+                # w[j, i, p, k - 1] = table[i, p, N - n0 - j + k - 1] for node i of
+                # element n0 + j and earlier element k: each table row read from
+                # N - n0 - j on, a read-only view that numpy checks lies in the table
+                s0, s1, s2 = table.strides
+                w = np.ndarray((R, m, m, n0 - 1), float, table, (N - n0) * s2, (-s2, s0, s1, s2))
+                # (point, element), as the table
+                S = np.ascontiguousarray(points[:lo].reshape(-1, m).T)
+                U = np.ascontiguousarray(prior_u.reshape(-1, m).T)
             # in place unless w views the table: w is the largest array here,
-            # run nodes x elements x (dk + 1)
+            # run nodes x earlier points
             w = np.multiply(w, problem.kappa(t4, S), out=w if w.flags.writeable else None)
-            w *= problem.psi(t4, S, U)
-            self.far += np.sum(w, axis=(2, 3)).ravel()
+            psi = problem.psi(t4, S, U)
+            if np.shape(psi) == S.shape:  # free of t: one matrix-vector product
+                self.far += w.reshape(self.t.size, -1) @ np.ravel(psi)
+            else:
+                w *= psi
+                self.far += np.sum(w, axis=(2, 3)).ravel()
 
         # pairs (row, k) of a Gauss node and a run element k before the
         # node's element, row-major: element j's pairs are the j * (d + 1)^2
         # entries after the first j (j - 1) / 2 * (d + 1)^2
-        owner = np.arange(self.t.size) // self.m
+        owner = np.arange(self.t.size) // m
         rows, ks = np.nonzero(np.arange(R) < owner[:, None])
-        self.near = np.empty((0, self.m))
+        self.near = np.empty((0, m))
         if rows.size:
             t = self.t[rows]
-            w = (history_weights_batch(lefts[ks], rights[ks], d, t, alpha) if table is None
-                 else table[owner[rows] - ks - 1, rows % self.m])
-            w *= problem.kappa(t[:, None], self.s.reshape(-1, self.m)[ks])
+            w = (history_weights_batch(bp[n0 - 1 + ks], bp[n0 + ks], d, t, alpha) if table is None
+                 else table[rows % m, :, N - 1 - owner[rows] + ks])
+            w *= problem.kappa(t[:, None], self.s.reshape(-1, m)[ks])
             self.near = w
 
     def at_nodes(self, n: int, lobatto_u: np.ndarray) -> np.ndarray:
@@ -345,7 +394,7 @@ class HistoryRun(OperatorRun):
         near = self.near[start : start + j * m].reshape(m, j * m)
         u = lobatto_u[self.lo : self.lo + j * m]
         psi = self.problem.psi(self.t[j * m : (j + 1) * m, None], self.s[: j * m], u)
-        return far + (near * psi).sum(axis=1)
+        return far + (near @ psi if np.shape(psi) == u.shape else (near * psi).sum(axis=1))
 
 
 def _quiet_eval(fn, *args):

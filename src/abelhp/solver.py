@@ -19,7 +19,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .discretization import HistoryRun, ProblemSpec, _gap_table, history_runs, validate_problem
+from .discretization import (
+    HistoryRun,
+    OperatorRun,
+    ProblemSpec,
+    _gap_table,
+    operator_stretches,
+    validate_problem,
+)
 from .mesh import Mesh, locate
 from .orthopoly import JacobiParams, legendre_table
 from .quadrature import RuleKind, _lobatto_table, gauss_rule
@@ -245,15 +252,60 @@ def _lobatto_values(coeffs: np.ndarray, degree: int) -> np.ndarray:
     return coeffs @ _lobatto_table(degree)
 
 
+def _linear_solvers(problem: ProblemSpec, ops: OperatorRun):
+    """Stacks over the elements of ``ops``: the matrices that map f - history at
+    the Gauss nodes to coefficients, and f there, from one f call and one inverse.
+
+    dpsi_du == 1, so ``B @ Qflat.T`` is each element's system matrix.
+    """
+    ref, shape = ops.ref, ops.t_nodes.shape
+    f_nodes = np.broadcast_to(problem.f(ops.t_nodes.ravel()), (ops.t_nodes.size,)).reshape(shape)
+    systems = ops.B @ ref.Qflat.T
+    try:
+        inverses = np.linalg.inv(systems)
+    except np.linalg.LinAlgError:
+        # one error for the whole stack: name its first singular element
+        for j, system in enumerate(systems):
+            try:
+                np.linalg.inv(system)
+            except np.linalg.LinAlgError:
+                raise SingularJacobianError(ops.n0 + j, 0) from None
+        raise
+    return (inverses * ref.proj_scale) @ (ref.P * ref.gl.weights), f_nodes
+
+
+def _solve_element(op, target: np.ndarray, warm: np.ndarray, options: SolverOptions):
+    """Coefficients of element ``op.n`` with ``op.weighted_moments(c) = target``.
+
+    Newton runs from ``warm``; only if it raises does descent run from the
+    same start, and a second Newton from descent's point, whose error is the
+    one that propagates.  When descent leaves the start unchanged, the first
+    error is re-raised instead.
+    """
+    def residual(c):
+        return op.weighted_moments(c) - target
+
+    try:
+        return newton(residual, op.jacobian, warm, options, n=op.n)
+    except (NewtonDivergedError, SingularJacobianError):
+        start = steepest_descent_init(residual, op.jacobian, warm.size, options, warm_start=warm)
+        if np.array_equal(start, warm):
+            raise  # descent did not move: Newton would fail the same way
+        return newton(residual, op.jacobian, start, options, n=op.n)
+
+
 def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None) -> PiecewiseSolution:
     """March elements 1..N, solving each local collocation system.
 
-    Each run of :func:`history_runs` builds its history and its stacked
-    element operators at once (:class:`HistoryRun`), all from one table of
-    weights by gap when the mesh is uniform with one degree.  A linear run
-    inverts all its system matrices in one batched call; each element then
-    costs its near-history sum and one matrix-vector product.  Nonlinear
-    elements run damped Newton from a warm start: the previous element's
+    Each stretch of :func:`operator_stretches` builds its stacked element
+    operators once (:class:`OperatorRun`), and each run of
+    :func:`history_runs` in it the history of its elements from everything
+    solved before it (:class:`HistoryRun`), all from one table of weights by
+    gap when the mesh is uniform with one degree.  A linear stretch calls f
+    once on all its Gauss nodes and inverts all its system matrices in one
+    batched call; each element then costs its near-history sum and one
+    matrix-vector product.  Nonlinear elements call f on their own nodes and
+    run damped Newton from a warm start: the previous element's
     coefficients, zero-padded or truncated to this element's degree (the
     constant ``init_constant`` on the first element).  Only if that Newton
     raises does the descent phase run from the same warm start, followed by a
@@ -270,65 +322,40 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
     lobatto_u = np.empty(mesh.L)
     # a uniform mesh's weights by gap serve every run; they go when solve returns
     table = _gap_table(mesh, problem.alpha)
-    for n0, n1 in history_runs(mesh):
-        # the run's operators, and its history from everything solved before it
-        run = HistoryRun(problem, mesh, n0, n1, lobatto_u[: offsets[n0 - 1]], table)
-        dim = run.degree + 1
+    for stretch in operator_stretches(mesh):
+        ops = OperatorRun(problem, mesh, stretch[0][0], stretch[-1][1])
+        dim = ops.degree + 1
         if problem.linear:
-            # dpsi_du == 1, so B @ Qflat.T is each element's system matrix;
-            # solvers[j] maps f - history at the Gauss nodes to coefficients,
-            # and f is one call on all the run's nodes, as all are solved
-            ref = run.ref
-            f_nodes = np.broadcast_to(problem.f(run.t), run.t.shape).reshape(run.t_nodes.shape)
-            systems = run.B @ ref.Qflat.T
-            try:
-                solvers = (np.linalg.inv(systems) * ref.proj_scale) @ (ref.P * ref.gl.weights)
-            except np.linalg.LinAlgError:
-                # one error for the whole stack: name its first singular element
-                for j, system in enumerate(systems):
-                    try:
-                        np.linalg.inv(system)
-                    except np.linalg.LinAlgError:
-                        raise SingularJacobianError(n0 + j, 0) from None
-                raise
-        for n in range(n0, n1 + 1):
-            lo, hi = offsets[n - 1], offsets[n]
-            history = run.at_nodes(n, lobatto_u)
-            if problem.linear:
-                u = solvers[n - n0] @ (f_nodes[n - n0] - history)
-            else:
-                op = run.operator(n)
-                # the accumulated history enters the element equation on the
-                # right-hand side: current-element moments = rhs - history
-                target = op.rhs() - op.project(history)
-                warm = np.zeros(dim)
-                if n == 1:
-                    warm[0] = options.init_constant
+            solvers, f_nodes = _linear_solvers(problem, ops)
+        for n0, n1 in stretch:
+            run = HistoryRun(problem, mesh, n0, n1, lobatto_u[: offsets[n0 - 1]], table)
+            for n in range(n0, n1 + 1):
+                lo, hi = offsets[n - 1], offsets[n]
+                history = run.at_nodes(n, lobatto_u)
+                if problem.linear:
+                    j = n - ops.n0
+                    u = solvers[j] @ (f_nodes[j] - history)
                 else:
-                    prev = coeffs[offsets[n - 2] : lo]
-                    k = min(dim, prev.size)
-                    warm[:k] = prev[:k]
-
-                def residual(c):
-                    return op.weighted_moments(c) - target
-
-                try:
-                    u = newton(residual, op.jacobian, warm, options, n=n)
-                except (NewtonDivergedError, SingularJacobianError):
-                    start = steepest_descent_init(
-                        residual, op.jacobian, dim, options, warm_start=warm
-                    )
-                    if np.array_equal(start, warm):
-                        raise  # descent did not move: Newton would fail the same way
-                    u = newton(residual, op.jacobian, start, options, n=n)
-            coeffs[lo:hi] = u
-            lobatto_u[lo:hi] = _lobatto_values(u, run.degree)
+                    op = ops.operator(n)
+                    warm = np.zeros(dim)
+                    if n == 1:
+                        warm[0] = options.init_constant
+                    else:
+                        prev = coeffs[offsets[n - 2] : lo]
+                        k = min(dim, prev.size)
+                        warm[:k] = prev[:k]
+                    # the accumulated history enters the element equation on the
+                    # right-hand side: current-element moments = rhs - history
+                    u = _solve_element(op, op.rhs() - op.project(history), warm, options)
+                coeffs[lo:hi] = u
+                lobatto_u[lo:hi] = _lobatto_values(u, ops.degree)
     return PiecewiseSolution(mesh, coeffs)
 
 
-# evaluate works through the points in blocks of this many, so its
-# temporaries stay small however many points are asked for
-_EVAL_BLOCK = 2048
+# evaluate works through the points of each degree in blocks of at most this
+# many Legendre values (points x (degree + 1)), so its temporaries stay small
+# however many points are asked for
+_EVAL_BLOCK = 2**14
 
 
 def evaluate(solution: PiecewiseSolution, t):
@@ -344,19 +371,22 @@ def evaluate(solution: PiecewiseSolution, t):
         raise ValueError("evaluation point below 0")
     coeffs, offsets, bp = solution.coeffs, mesh.offsets, mesh.breakpoints
     out = np.empty_like(t_arr)
-    for start in range(0, t_arr.size, _EVAL_BLOCK):
-        block = slice(start, start + _EVAL_BLOCK)
-        k, t_blk = elem_idx[block], t_arr[block]
-        deg = mesh.degrees[k]
-        res = out[block]
-        for d in np.unique(deg):
-            d = int(d)
-            sel = np.flatnonzero(deg == d)
-            ks = k[sel]
-            left, right = bp[ks], bp[ks + 1]
-            x = np.clip((2.0 * t_blk[sel] - left - right) / (right - left), -1.0, 1.0)
-            C = coeffs[offsets[ks, None] + np.arange(d + 1)]
-            res[sel] = np.einsum("kp,pk->k", C, legendre_table(d, x))
+    groups = mesh.degree_groups
+    for d, _ in groups:
+        # the points on elements of degree d: all of them on a single-degree mesh
+        sel = np.flatnonzero(mesh.degrees[elem_idx] == d) if len(groups) > 1 else None
+        step = max(1, _EVAL_BLOCK // (d + 1))
+        for start in range(0, t_arr.size if sel is None else sel.size, step):
+            pts = slice(start, start + step) if sel is None else sel[start : start + step]
+            k, t_blk = elem_idx[pts], t_arr[pts]
+            left, right = bp[k], bp[k + 1]
+            x = np.clip((2.0 * t_blk - left - right) / (right - left), -1.0, 1.0)
+            # sum_p coeffs[offsets[k] + p] P_p(x), term by term
+            P, first = legendre_table(d, x), offsets[k]
+            acc = coeffs[first] * P[0]
+            for p in range(1, d + 1):
+                acc += coeffs[first + p] * P[p]
+            out[pts] = acc
     return float(out[0]) if np.ndim(t) == 0 else out
 
 

@@ -16,6 +16,7 @@ from abelhp.discretization import (
     ProblemAssumptionWarning,
     ProblemSpec,
     history_runs,
+    operator_stretches,
     validate_problem,
 )
 from abelhp.mesh import Mesh, uniform_mesh
@@ -463,6 +464,23 @@ def test_history_runs_cover_the_mesh_in_order(monkeypatch):
             assert n0 == n1 or np.sum(pairs) <= block
 
 
+def test_operator_stretches_group_whole_runs_in_order(monkeypatch):
+    # a stretch joins consecutive equal-degree runs while its stack's
+    # R (d + 1)^3 entries fit the budget; a run over it stands alone
+    for mesh in (_graded_stretches(), uniform_mesh(64, 1.0, 1)):
+        for block in (50, 400, abelhp.discretization._HISTORY_BLOCK):
+            monkeypatch.setattr(abelhp.discretization, "_HISTORY_BLOCK", block)
+            stretches = operator_stretches(mesh)
+            assert [run for stretch in stretches for run in stretch] == history_runs(mesh)
+            for stretch in stretches:
+                n0, n1 = stretch[0][0], stretch[-1][1]
+                d = mesh.degrees[n0 - 1]
+                assert np.all(mesh.degrees[n0 - 1 : n1] == d)
+                assert len(stretch) == 1 or (n1 - n0 + 1) * (d + 1) ** 3 <= block
+            if block == 50 and mesh.N == 64:
+                assert len(stretches) < len(history_runs(mesh))
+
+
 def test_blocked_history_matches_per_node_loop(monkeypatch):
     # a budget small enough to split stretches of equal degree, with runs of
     # several elements left, so both the far and the near part are checked;
@@ -532,10 +550,10 @@ def test_operator_run_rejects_bad_ranges():
             ElementOperator(p, m, n)
 
 
-def test_solve_calls_f_once_per_linear_run_and_per_nonlinear_element(monkeypatch):
-    # a linear march solves every element of a run, so f is called once on
-    # the flat array of the run's Gauss nodes; a nonlinear march calls it on
-    # one element's nodes at a time, so a march that stops early evaluates
+def test_solve_calls_f_once_per_linear_stretch_and_per_nonlinear_element(monkeypatch):
+    # a linear march solves every element of a stretch, so f is called once on
+    # the flat array of the stretch's Gauss nodes; a nonlinear march calls it
+    # on one element's nodes at a time, so a march that stops early evaluates
     # no f beyond its last element.  The manufactured f are memoized.
     monkeypatch.setattr(abelhp.discretization, "_HISTORY_BLOCK", 50)
     ex1, ex2 = make_benchmark("ex1", 0.5), make_benchmark("ex2")
@@ -549,6 +567,7 @@ def test_solve_calls_f_once_per_linear_run_and_per_nonlinear_element(monkeypatch
     mixed = Mesh(np.linspace(0.0, 1.0, 6), [2, 2, 3, 3, 3])
     cases = [
         (ex2.spec, uniform_mesh(32, 1.0, 2), None),
+        (ex2.spec, uniform_mesh(32, 1.0, 1), None),
         (linear_manufactured, mixed, None),
         (ex1.spec, mixed, ex1.solver_options()),
     ]
@@ -565,10 +584,13 @@ def test_solve_calls_f_once_per_linear_run_and_per_nonlinear_element(monkeypatch
         shapes.clear()
         # the spec is validated already, so solve calls f for its blocks only
         solve(spec, mesh, options)
-        runs = history_runs(mesh)
-        assert len(runs) > 1
-        blocks = runs if problem.linear else [(n, n) for n in range(1, mesh.N + 1)]
+        stretches = [(s[0][0], s[-1][1]) for s in operator_stretches(mesh)]
+        assert len(stretches) > 1
+        blocks = stretches if problem.linear else [(n, n) for n in range(1, mesh.N + 1)]
         assert shapes == [((n1 - n0 + 1) * (mesh.degrees[n0 - 1] + 1),) for n0, n1 in blocks]
+    # the degree-1 mesh's stretches join several runs
+    mesh = uniform_mesh(32, 1.0, 1)
+    assert len(operator_stretches(mesh)) < len(history_runs(mesh))
 
 
 def _count_weight_calls(monkeypatch):
@@ -626,10 +648,37 @@ def test_uniform_history_matches_per_node_loop(monkeypatch, N):
     for n0, n1 in runs:
         run = HistoryRun(problem, mesh, n0, n1, prior[: mesh.offsets[n0 - 1]], table)
         for n in range(n0, n1 + 1):
-            op = run.operator(n)
+            op = ElementOperator(problem, mesh, n)
             blocked = op.project(run.at_nodes(n, prior))
             looped = history_by_node(op, prior[: mesh.offsets[n - 1]])
             assert np.max(np.abs(blocked - looped)) <= 1e-14 * np.max(np.abs(looped))
+
+
+def test_far_contraction_matches_per_node_loop(monkeypatch):
+    # psi free of t (u, u^2) is contracted with weights times kernel as one
+    # matrix-vector product; a psi of Python scalars and ex3's t-dependent psi
+    # are multiplied and summed.  Each on a uniform mesh split into runs with
+    # far parts, read from the gap table, and on graded stretches, whose runs
+    # make their own weight calls
+    ex3 = make_benchmark("ex3")
+    psis = [lambda t, s, u: u, lambda t, s, u: u**2, lambda t, s, u: 2.0, ex3.spec.psi]
+    uniform = uniform_mesh(40, 1.0, 2)
+    for mesh, block in ((uniform, 400), (_graded_stretches(), 50)):
+        monkeypatch.setattr(abelhp.discretization, "_HISTORY_BLOCK", block)
+        table = abelhp.discretization._gap_table(mesh, ex3.spec.alpha)
+        assert (table is not None) == (mesh is uniform)
+        runs = history_runs(mesh)
+        assert any(n1 > n0 > 1 for n0, n1 in runs)
+        prior = 1.0 + 0.5 * np.cos(3.0 * mesh.history_points)
+        for psi in psis:
+            problem = dataclasses.replace(ex3.spec, psi=psi)
+            for n0, n1 in runs:
+                run = HistoryRun(problem, mesh, n0, n1, prior[: mesh.offsets[n0 - 1]], table)
+                for n in range(max(n0, 2), n1 + 1):
+                    op = ElementOperator(problem, mesh, n)
+                    blocked = op.project(run.at_nodes(n, prior))
+                    looped = history_by_node(op, prior[: mesh.offsets[n - 1]])
+                    assert np.max(np.abs(blocked - looped)) <= 1e-14 * np.max(np.abs(looped))
 
 
 def test_weight_path_follows_the_mesh(monkeypatch):

@@ -8,7 +8,12 @@ from scipy.special import gamma
 import abelhp.bench as bench
 import abelhp.discretization
 import abelhp.solver
-from abelhp.discretization import ProblemAssumptionWarning, ProblemSpec, history_runs
+from abelhp.discretization import (
+    ProblemAssumptionWarning,
+    ProblemSpec,
+    history_runs,
+    operator_stretches,
+)
 from abelhp.mesh import Mesh, uniform_mesh
 from abelhp.solver import (
     NewtonDivergedError,
@@ -254,13 +259,14 @@ def test_evaluate_matches_gauss_nodal_values():
     assert evaluate(sol, pts) == pytest.approx(direct, abs=1e-14)
 
 
-def test_evaluate_gathers_mixed_degrees_in_blocks():
-    # unsorted points on an interleaved-degree mesh, more of them than one
-    # evaluation block, plus t = 0 and every element's right endpoint, against
-    # the per-element Legendre sum
+def test_evaluate_gathers_mixed_degrees_in_blocks(monkeypatch):
+    # unsorted points on an interleaved-degree mesh, with blocks small enough
+    # that every degree's points span several, plus t = 0 and every element's
+    # right endpoint, against the per-element Legendre sum
     from abelhp.orthopoly import legendre_table
     from abelhp.solver import PiecewiseSolution
 
+    monkeypatch.setattr(abelhp.solver, "_EVAL_BLOCK", 1000)
     mesh = Mesh(np.array([0.0, 0.1, 0.25, 0.5, 0.6, 0.85, 1.0]), np.array([2, 4, 2, 3, 4, 2]))
     rng = np.random.default_rng(5)
     sol = PiecewiseSolution(mesh, np.concatenate(
@@ -634,9 +640,11 @@ def test_failed_newton_not_repeated_when_descent_stays_put(monkeypatch):
 
 
 def test_linear_solve_names_the_first_singular_element(monkeypatch):
-    # kappa vanishes for t > 0.5, so elements 3 and 4 of four have zero
-    # system matrices; a run's systems are inverted in one batched call,
-    # which must still name element 3 wherever it sits in its run
+    # kappa vanishes for t > 0.5, so the second half of a uniform mesh has
+    # zero system matrices; a stretch's systems are inverted in one batched
+    # call, which must still name the first of them wherever it sits in its
+    # run and stretch: of eight degree-1 elements, element 5 opens its run
+    # but is second in its stretch
     problem = ProblemSpec(
         alpha=0.5,
         T=1.0,
@@ -646,20 +654,29 @@ def test_linear_solve_names_the_first_singular_element(monkeypatch):
         f=lambda t: np.asarray(t, dtype=float),
         linear=True,
     )
-    mesh = uniform_mesh(4, 1.0, 2)
     default = abelhp.discretization._HISTORY_BLOCK
-    for block, run_of_3 in ((default, (1, 4)), (30, (1, 3)), (20, (3, 3))):
+    cases = [
+        (uniform_mesh(4, 1.0, 2), 3, default, (1, 4), (1, 4)),
+        (uniform_mesh(4, 1.0, 2), 3, 30, (1, 3), (1, 3)),
+        (uniform_mesh(4, 1.0, 2), 3, 20, (3, 3), (3, 3)),
+        (uniform_mesh(8, 1.0, 1), 5, 16, (5, 5), (4, 5)),
+    ]
+    for mesh, first, block, run, stretch in cases:
         monkeypatch.setattr(abelhp.discretization, "_HISTORY_BLOCK", block)
-        assert [(n0, n1) for n0, n1 in history_runs(mesh) if n0 <= 3 <= n1] == [run_of_3]
+        assert [(n0, n1) for n0, n1 in history_runs(mesh) if n0 <= first <= n1] == [run]
+        stretches = [(s[0][0], s[-1][1]) for s in operator_stretches(mesh)]
+        assert [(n0, n1) for n0, n1 in stretches if n0 <= first <= n1] == [stretch]
         with pytest.warns(ProblemAssumptionWarning), pytest.raises(SingularJacobianError) as err:
             solve(problem, mesh)
-        assert (err.value.n, err.value.iteration) == (3, 0)
+        assert (err.value.n, err.value.iteration) == (first, 0)
 
 
 def test_solve_memory_stays_bounded():
-    # history is assembled in runs whose temporaries the module constant
-    # discretization._HISTORY_BLOCK bounds, whatever the mesh size
-    for name, N, M in (("ex2", 2048, 2), ("ex3", 200, 9)):
+    # history is assembled in runs, and operators built in stretches of runs,
+    # whose temporaries the module constant discretization._HISTORY_BLOCK
+    # bounds, whatever the mesh size.  At degree 16 one operator stack for the
+    # 160 elements would hold 160 * 17^3 doubles, 6 MiB
+    for name, N, M in (("ex2", 2048, 2), ("ex3", 200, 9), ("ex2", 160, 17)):
         b = bench.make_benchmark(name)
         mesh = bench.mesh_for(b, N, M)
         tracemalloc.start()
