@@ -30,21 +30,14 @@ from .bench import (
     run_sweep,
 )
 from .discretization import ProblemAssumptionWarning, ProblemSpec, validate_problem
-from .mesh import Mesh, locate, sigma, uniform_mesh
-from .orthopoly import (
-    Element,
-    JacobiParams,
-    jacobi_eval,
-    jacobi_norm_gamma,
-    shifted_eval,
-)
+from .mesh import Mesh, locate, uniform_mesh
+from .orthopoly import Element, JacobiParams
 from .quadrature import (
     HistoryWeights,
     QuadRule,
     RuleKind,
     gauss_rule,
     history_weights,
-    modified_moments,
     shift_nodes,
     singular_element_integral,
 )
@@ -82,19 +75,14 @@ __all__ = [
     "validate_problem",
     "Mesh",
     "locate",
-    "sigma",
     "uniform_mesh",
     "Element",
     "JacobiParams",
-    "jacobi_eval",
-    "jacobi_norm_gamma",
-    "shifted_eval",
     "HistoryWeights",
     "QuadRule",
     "RuleKind",
     "gauss_rule",
     "history_weights",
-    "modified_moments",
     "shift_nodes",
     "singular_element_integral",
     "NewtonDivergedError",

@@ -218,24 +218,6 @@ def _manufactured(exact, alpha, T, kappa, psi, dpsi, breakpoints=()):
     return spec
 
 
-def ex1_closed_form_rhs(alpha: float) -> Callable:
-    """Closed-form right-hand side of the singular-solution problem.
-
-    Kept for cross-checking the manufactured route: its confluent
-    hypergeometric form is
-    ``t^(2+3a) Gamma(a) Gamma(3+2a) / Gamma(3+3a) * 1F1(3+2a; 3+3a; t^2)``.
-    """
-    from scipy.special import hyp1f1
-
-    c = _gamma(alpha) * _gamma(3.0 + 2.0 * alpha) / _gamma(3.0 + 3.0 * alpha)
-
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        return c * t ** (2.0 + 3.0 * alpha) * hyp1f1(3.0 + 2.0 * alpha, 3.0 + 3.0 * alpha, t**2)
-
-    return f
-
-
 def make_benchmark(problem_id: str, alpha: float | None = None) -> BenchmarkProblem:
     """Build a registered benchmark problem (alpha is required for ex1)."""
     pid = _ALIASES.get(problem_id, problem_id)

@@ -10,7 +10,7 @@ import numpy as np
 from .orthopoly import DOMAIN_TOL, Element
 from .quadrature import _lobatto_nodes, _shift_rows
 
-__all__ = ["Mesh", "uniform_mesh", "sigma", "locate"]
+__all__ = ["Mesh", "uniform_mesh", "locate"]
 
 
 @dataclass(eq=False)
@@ -166,22 +166,6 @@ def uniform_mesh(N: int, T: float, M: int) -> Mesh:
     if not T > 0.0:
         raise ValueError("T must be positive")
     return Mesh(np.linspace(0.0, T, N + 1), np.full(N, M, dtype=int))
-
-
-def sigma(lam, t, n: int, mesh: Mesh):
-    """Rescaling map of element n onto (t_{n-1}, t]: affine, increasing.
-
-    Sends t_{n-1} to itself and t_n to t, so quadrature nodes of the element
-    land inside the integration range of the current evaluation point.
-    """
-    elem = mesh.element(n)
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam < elem.left - DOMAIN_TOL) or np.any(lam > elem.right + DOMAIN_TOL):
-        raise ValueError("lambda outside element")
-    if not (elem.left < t <= elem.right + DOMAIN_TOL):
-        raise ValueError("t outside element (left endpoint excluded)")
-    out = elem.left + (lam - elem.left) * (t - elem.left) / elem.width
-    return float(out) if out.ndim == 0 else out
 
 
 def locate(t, mesh: Mesh):

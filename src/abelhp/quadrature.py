@@ -33,7 +33,6 @@ __all__ = [
     "gauss_rule",
     "shift_nodes",
     "singular_element_integral",
-    "modified_moments",
     "history_weights",
     "lobatto_lagrange_coeffs",
 ]
@@ -140,8 +139,8 @@ def _shift_rows(nodes: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> np.
 def singular_element_integral(g_at_mapped_nodes, elem: Element, t: float, alpha: float) -> float:
     """Weighted integral of g over (elem.left, t) against (t-s)^(alpha-1).
 
-    ``g_at_mapped_nodes`` must hold g sampled at sigma(lambda_j, t), where
-    lambda_j are the shifted Gauss-Jacobi(alpha-1, 0) nodes of the element.
+    ``g_at_mapped_nodes`` must hold g sampled at the element's shifted
+    Gauss-Jacobi(alpha-1, 0) nodes mapped affinely onto (elem.left, t).
     Exact whenever g is a polynomial of degree <= elem.degree.
     """
     g = np.asarray(g_at_mapped_nodes, dtype=float)
@@ -297,24 +296,12 @@ def _nu_batch(c: np.ndarray, alpha: float, pmax: int) -> np.ndarray:
     return nu
 
 
-def _check_history_args(elem: Element, t: float, alpha: float):
-    if t < elem.right - DOMAIN_TOL * max(1.0, abs(elem.right)):
-        raise ValueError("evaluation point must lie at or beyond the element")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-
-
-def modified_moments(elem: Element, t: float, alpha: float, max_degree: int) -> np.ndarray:
-    """Moments of (t-s)^(alpha-1) against the element's shifted Legendre basis."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    _check_history_args(elem, t, alpha)
-    lefts, rights = np.array([elem.left]), np.array([elem.right])
-    return _element_moments(lefts, rights, t, alpha, max_degree)[0]
-
-
 def _element_moments(lefts, rights, t, alpha: float, degree: int) -> np.ndarray:
-    """``modified_moments`` of many elements and times, broadcast as in ``history_weights_batch``."""
+    """Moments of (t-s)^(alpha-1) against each element's shifted Legendre basis.
+
+    ``lefts``, ``rights`` and ``t`` broadcast as in ``history_weights_batch``;
+    the result has their broadcast shape + ``(degree + 1,)``.
+    """
     widths = rights - lefts
     # from the gap t - right, as the constant-sum check takes it: c is 1
     # exactly at t = right, where (2t - left - right) / width can round above
@@ -393,7 +380,10 @@ class HistoryWeights:
 
 def history_weights(elem: Element, t: float, alpha: float) -> HistoryWeights:
     """Exact singular-kernel weights for the Lobatto points of a past element."""
-    _check_history_args(elem, t, alpha)
+    if t < elem.right - DOMAIN_TOL * max(1.0, abs(elem.right)):
+        raise ValueError("evaluation point must lie at or beyond the element")
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must lie in (0, 1]")
     values = history_weights_batch([elem.left], [elem.right], elem.degree, t, alpha)[0]
     return HistoryWeights(elem, float(t), float(alpha), values)
 

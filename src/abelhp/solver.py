@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -94,6 +95,10 @@ class SolverOptions:
         # "not x > 0" rejects NaN too, which every comparison calls False
         if not (self.newton_tol > 0.0 and self.descent_step_size > 0.0):
             raise ValueError("newton_tol and descent_step_size must be positive")
+        # a float count would reach range() and a bool would pass for 0 or 1
+        counts = (self.newton_max_iter, self.descent_steps)
+        if any(isinstance(c, bool) or not isinstance(c, numbers.Integral) for c in counts):
+            raise TypeError("newton_max_iter and descent_steps must be integers")
         if self.newton_max_iter < 1 or self.descent_steps < 0:
             raise ValueError("iteration counts out of range")
         if not math.isfinite(self.init_constant):

@@ -1,36 +1,26 @@
 """Independent reference computations shared by the test modules.
 
 The first part deliberately avoids the package's own quadrature machinery:
-closed-form moments come from 50-digit mpmath sums, singular integrals from
-QUADPACK's weighted adaptive routines, and low-degree Jacobi values from the
-explicit hypergeometric sum.  From ``history_by_node`` on, the references
-are loop forms of batched package routines on the package's own rules; they
-must agree with them bit for bit or to a stated tolerance.
+closed-form moments and Jacobi norms come from 50-digit mpmath, singular
+integrals from QUADPACK's weighted adaptive routines, and the singular
+benchmark's right-hand side from its hypergeometric closed form.  From
+``history_by_node`` on, the references are loop forms of batched package
+routines on the package's own rules; they must agree with them bit for bit
+or to a stated tolerance.
 """
 
+import functools
 import math
 
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import gamma, hyp1f1
 
 mp.mp.dps = 50
 
 
-def jacobi_explicit(a, b, k, x):
-    """Degree <= 3 Jacobi value via the explicit Gamma-function sum."""
-    total = mp.mpf(0)
-    for m in range(k + 1):
-        total += (
-            mp.binomial(k, m)
-            * mp.gamma(a + b + k + m + 1)
-            / mp.gamma(a + m + 1)
-            * ((mp.mpf(x) - 1) / 2) ** m
-        )
-    total *= mp.gamma(a + k + 1) / (mp.factorial(k) * mp.gamma(a + b + k + 1))
-    return float(total)
-
-
+@functools.lru_cache(maxsize=None)
 def jacobi_monomial_moment(a, b, k):
     """Closed form of int_{-1}^{1} x^k (1-x)^a (1+x)^b dx at 50 digits."""
     total = mp.mpf(0)
@@ -44,6 +34,28 @@ def weighted_poly_integral(coeffs, a, b, k):
     return float(
         sum(c * mp.mpf(jacobi_monomial_moment(a, b, j)) for j, c in enumerate(coeffs))
     )
+
+
+def jacobi_norm(a, b, k):
+    """Closed form of int_{-1}^{1} P_k^(a,b)(x)^2 (1-x)^a (1+x)^b dx, for a + b > -1."""
+    a, b = mp.mpf(a), mp.mpf(b)
+    num = 2 ** (a + b + 1) * mp.gamma(k + a + 1) * mp.gamma(k + b + 1)
+    return float(num / ((2 * k + a + b + 1) * mp.factorial(k) * mp.gamma(k + a + b + 1)))
+
+
+def ex1_closed_form_rhs(alpha):
+    """Right-hand side of the singular-solution benchmark ex1 in closed form.
+
+    int_0^t (t-s)^(a-1) e^(ts) s^(2+2a) ds
+    = t^(2+3a) Gamma(a) Gamma(3+2a) / Gamma(3+3a) * 1F1(3+2a; 3+3a; t^2).
+    """
+    c = gamma(alpha) * gamma(3.0 + 2.0 * alpha) / gamma(3.0 + 3.0 * alpha)
+
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        return c * t ** (2.0 + 3.0 * alpha) * hyp1f1(3.0 + 2.0 * alpha, 3.0 + 3.0 * alpha, t**2)
+
+    return f
 
 
 def lagrange_values(nodes, j, x):

@@ -17,7 +17,7 @@ from abelhp.orthopoly import Element, JacobiParams
 from abelhp.quadrature import RuleKind, gauss_rule, history_weights, shift_nodes
 from abelhp.solver import SolverOptions, evaluate, solve
 
-from oracles import lagrange_values, singular_history_integral, weighted_poly_integral
+from oracles import jacobi_monomial_moment, lagrange_values, singular_history_integral
 
 
 def _verdict(num, name, checks, elapsed, budget):
@@ -32,14 +32,6 @@ def test_criterion_1_gauss_jacobi_oracle_equivalence():
     tic = time.perf_counter()
     rng = np.random.default_rng(2024)
     worst = 0.0
-    moment_cache: dict[tuple, float] = {}
-
-    def moment(a, j):
-        key = (a, j)
-        if key not in moment_cache:
-            moment_cache[key] = weighted_poly_integral([0] * j + [1], a, 0.0, j)
-        return moment_cache[key]
-
     for _ in range(200):
         alpha = float(rng.choice([0.2, 0.5, 0.8]))
         M = int(rng.integers(1, 11))
@@ -47,7 +39,7 @@ def test_criterion_1_gauss_jacobi_oracle_equivalence():
         rule = gauss_rule(RuleKind.GAUSS_JACOBI, JacobiParams(a, 0.0), M)
         coeffs = rng.uniform(-1.0, 1.0, 2 * M + 2)
         mine = float(rule.weights @ np.polynomial.polynomial.polyval(rule.nodes, coeffs))
-        moments = [moment(a, j) for j in range(2 * M + 2)]
+        moments = [jacobi_monomial_moment(a, 0.0, j) for j in range(2 * M + 2)]
         oracle = float(np.dot(coeffs, moments))
         scale = float(np.abs(coeffs) @ np.abs(moments))
         worst = max(worst, abs(mine - oracle) / scale)

@@ -10,7 +10,7 @@ from abelhp.mesh import uniform_mesh
 from abelhp.quadrature import HistoryAccuracyError
 from abelhp.solver import SolverError, evaluate, forward_apply, solve
 
-from oracles import legendre_l2_projection
+from oracles import ex1_closed_form_rhs, legendre_l2_projection
 
 
 def test_error_E1_trivial_and_constant():
@@ -185,7 +185,7 @@ def test_ex1_manufactured_rhs_against_independent_oracles():
 
     alpha = 0.3
     b1 = bench.make_benchmark("ex1", alpha=alpha)
-    closed = bench.ex1_closed_form_rhs(alpha)
+    closed = ex1_closed_form_rhs(alpha)
     with mp.workdps(30):
         direct = mp.quad(
             lambda s: (mp.mpf(0.5) - s) ** (alpha - 1.0)

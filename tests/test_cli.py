@@ -108,6 +108,12 @@ def test_usage_errors_exit_one(capsys, tmp_path):
     path.write_text(json.dumps({"solver": {"newton_tol": float("nan")}}))
     assert run_cli(capsys, "run", "--config", str(path), "--problem", "ex3", "--N", "2",
                    "--M", "2")[0] == 1
+    # a float count used to pass the options and die in range() inside newton
+    for solver in ({"newton_max_iter": 2.5}, {"descent_steps": 1.5}, {"descent_steps": True}):
+        path.write_text(json.dumps({"solver": solver}))
+        code, _, err = run_cli(capsys, "run", "--config", str(path), "--problem", "ex3",
+                               "--N", "4", "--M", "3")
+        assert code == 1 and "bad solver options" in err and "Traceback" not in err
 
 
 def test_no_arguments_is_usage_error(capsys):

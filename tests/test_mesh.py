@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from abelhp.mesh import Mesh, locate, sigma, uniform_mesh
+from abelhp.mesh import Mesh, locate, uniform_mesh
 from abelhp.quadrature import RuleKind, gauss_rule, shift_nodes
 
 
@@ -70,34 +70,6 @@ def test_history_points_are_lobatto_points_with_ends_moved_inside():
             # one ulp inside the element, except at t = 0
             assert got[0] == (0.0 if n == 1 else np.nextafter(elem.left, elem.right))
             assert got[-1] == np.nextafter(elem.right, elem.left)
-
-
-def test_sigma_endpoints_and_value():
-    m = Mesh(np.array([0.0, 1.0, 2.0]), np.array([2, 2]))
-    elem = m.element(2)
-    assert sigma(elem.left, 1.7, 2, m) == pytest.approx(elem.left)
-    assert sigma(elem.right, 1.7, 2, m) == pytest.approx(1.7)
-    assert sigma(1.5, 1.8, 2, m) == pytest.approx(1.4)
-
-
-def test_sigma_is_affine_increasing_onto():
-    m = uniform_mesh(3, 1.5, 2)
-    lam = np.linspace(m.breakpoints[1], m.breakpoints[2], 7)
-    t = 0.83
-    out = sigma(lam, t, 2, m)
-    assert np.all(np.diff(out) > 0)
-    assert out[0] == pytest.approx(m.breakpoints[1], abs=1e-15)
-    assert out[-1] == pytest.approx(t, abs=1e-15)
-    # affine: second differences vanish
-    assert np.max(np.abs(np.diff(out, 2))) < 1e-14
-
-
-def test_sigma_domain_errors():
-    m = uniform_mesh(2, 1.0, 1)
-    with pytest.raises(ValueError):
-        sigma(0.9, 0.4, 1, m)
-    with pytest.raises(ValueError):
-        sigma(0.2, 0.0, 1, m)
 
 
 def test_locate_right_inclusive():

@@ -1,119 +1,23 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from numpy.polynomial.legendre import legvander
 
-from abelhp.orthopoly import (
-    Element,
-    JacobiParams,
-    jacobi_eval,
-    jacobi_norm_gamma,
-    jacobi_table,
-    legendre_table,
-    shifted_eval,
-)
-
-from oracles import jacobi_explicit
+from abelhp.orthopoly import Element, JacobiParams, legendre_table
 
 
 def test_degree_zero_is_one():
-    assert jacobi_eval(JacobiParams(0.0, 0.0), 0, 0.3) == 1.0
+    assert legendre_table(0, 0.3)[0] == 1.0
 
 
 def test_legendre_at_right_endpoint():
-    assert jacobi_eval(JacobiParams(0.0, 0.0), 2, 1.0) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_degree_one_jacobi_value():
-    # explicit degree-1 formula ((a+b+2)x + (a-b))/2 at x=0
-    val = jacobi_eval(JacobiParams(-0.5, 0.0), 1, 0.0)
-    assert val == pytest.approx(-0.25, abs=1e-14)
-
-
-@pytest.mark.parametrize(
-    "params,k,expected",
-    [
-        ((0.0, 0.0), 0, 2.0),
-        ((0.0, 0.0), 3, 2.0 / 7.0),
-        ((-0.5, 0.0), 0, 2.8284271247461903),
-    ],
-)
-def test_norm_gamma(params, k, expected):
-    assert jacobi_norm_gamma(JacobiParams(*params), k) == pytest.approx(
-        expected, rel=1e-13
-    )
-
-
-def test_shifted_endpoint_and_midpoint():
-    elem = Element(0.0, 1.0, 3)
-    leg = JacobiParams(0.0, 0.0)
-    assert shifted_eval(leg, elem, 1, 1.0) == pytest.approx(1.0, abs=1e-14)
-    assert shifted_eval(leg, elem, 1, 0.5) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_shifted_matches_standard_at_mapped_point():
-    params = JacobiParams(-0.7, 0.0)
-    elem = Element(2.0, 2.5, 3)
-    assert shifted_eval(params, elem, 2, 2.25) == pytest.approx(
-        jacobi_eval(params, 2, 0.0), abs=1e-14
-    )
+    assert np.allclose(legendre_table(12, 1.0), 1.0, rtol=0.0, atol=1e-14)
 
 
 def test_domain_errors():
     with pytest.raises(ValueError):
-        jacobi_eval(JacobiParams(0.0, 0.0), 2, 1.0 + 1e-9)
-    with pytest.raises(ValueError):
-        shifted_eval(JacobiParams(0.0, 0.0), Element(0.0, 1.0, 2), 1, 1.1)
-    with pytest.raises(ValueError):
         JacobiParams(-1.0, 0.0)
     with pytest.raises(ValueError):
         Element(1.0, 1.0, 2)
-
-
-@pytest.mark.parametrize("a,b", [(0.0, 0.0), (-0.5, 0.0), (-0.8, 0.0)])
-def test_continuous_orthogonality(a, b):
-    # weighted quadrature oracle: weight (1+x)^b (1-x)^a has wvar (b, a)
-    params = JacobiParams(a, b)
-    M = 8
-    table = lambda x: jacobi_table(params, M, np.atleast_1d(float(x)))
-    gammas = [jacobi_norm_gamma(params, p) for p in range(M + 1)]
-    scale = max(gammas)
-    for p in range(M + 1):
-        for q in range(p, M + 1):
-            val = quad(
-                lambda x: float(table(x)[p, 0] * table(x)[q, 0]),
-                -1.0,
-                1.0,
-                weight="alg",
-                wvar=(b, a),
-                epsabs=1e-13,
-                epsrel=1e-13,
-                limit=200,
-            )[0]
-            if p == q:
-                assert val == pytest.approx(gammas[p], rel=1e-10)
-            else:
-                assert abs(val) <= 1e-10 * scale
-
-
-def test_shifted_orthogonality_scaling():
-    # shifted system picks up (h/2)^(a+b+1) relative to the reference norm
-    a, b = -0.4, 0.0
-    params = JacobiParams(a, b)
-    elem = Element(0.5, 1.25, 4)
-    h = elem.width
-    for p in range(4):
-        val = quad(
-            lambda s: shifted_eval(params, elem, p, s) ** 2,
-            elem.left,
-            elem.right,
-            weight="alg",
-            wvar=(b, a),
-            epsabs=1e-13,
-            epsrel=1e-13,
-            limit=200,
-        )[0]
-        expected = (h / 2.0) ** (a + b + 1.0) * jacobi_norm_gamma(params, p)
-        assert val == pytest.approx(expected, rel=1e-10)
 
 
 def test_legendre_bound():
@@ -122,19 +26,6 @@ def test_legendre_bound():
     assert np.max(np.abs(table)) <= 1.0 + 1e-12
 
 
-def test_recurrence_matches_explicit_low_degrees():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        a = rng.uniform(-0.95, 1.5)
-        b = rng.uniform(-0.95, 1.5)
-        x = rng.uniform(-1.0, 1.0)
-        for k in range(4):
-            mine = jacobi_eval(JacobiParams(a, b), k, x)
-            assert mine == pytest.approx(jacobi_explicit(a, b, k, x), abs=1e-13)
-
-
-def test_legendre_table_matches_jacobi_table():
+def test_legendre_table_matches_legvander():
     x = np.linspace(-1.0, 1.0, 33)
-    assert np.allclose(
-        legendre_table(12, x), jacobi_table(JacobiParams(0.0, 0.0), 12, x), atol=1e-12
-    )
+    assert np.allclose(legendre_table(12, x), legvander(x, 12).T, atol=1e-12)

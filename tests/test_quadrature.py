@@ -3,12 +3,14 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import eval_jacobi
 
-from abelhp.orthopoly import Element, JacobiParams, jacobi_norm_gamma, jacobi_table
+from abelhp.orthopoly import Element, JacobiParams
 from abelhp.quadrature import (
     HistoryAccuracyError,
     HistoryWeights,
     RuleKind,
+    _element_moments,
     _far_field_moments,
     _kernel_mass,
     _moment_series,
@@ -17,12 +19,21 @@ from abelhp.quadrature import (
     history_weights,
     history_weights_batch,
     lobatto_lagrange_coeffs,
-    modified_moments,
     shift_nodes,
     singular_element_integral,
 )
 
-from oracles import lagrange_values, singular_history_integral, weighted_poly_integral
+from oracles import (
+    jacobi_norm,
+    lagrange_values,
+    singular_history_integral,
+    weighted_poly_integral,
+)
+
+
+def _one_element_moments(elem, t, alpha, degree):
+    """Modified moments of one element at one time, from the batched routine."""
+    return _element_moments(np.array([elem.left]), np.array([elem.right]), t, alpha, degree)[0]
 
 
 def test_gauss_legendre_two_point():
@@ -89,9 +100,9 @@ def test_discrete_orthogonality(a):
     params = JacobiParams(a, 0.0)
     M = 7
     rule = gauss_rule(RuleKind.GAUSS_JACOBI, params, M)
-    table = jacobi_table(params, M, rule.nodes)
+    table = eval_jacobi(np.arange(M + 1)[:, None], a, 0.0, rule.nodes)
     gram = (table * rule.weights) @ table.T
-    expected = np.diag([jacobi_norm_gamma(params, p) for p in range(M + 1)])
+    expected = np.diag([jacobi_norm(a, 0.0, p) for p in range(M + 1)])
     assert np.max(np.abs(gram - expected)) <= 1e-10 * expected.max()
 
 
@@ -190,10 +201,10 @@ def test_history_weights_exact_on_polynomials():
 
 def test_modified_moments_closed_forms():
     elem = Element(0.0, 1.0, 4)
-    mu = modified_moments(elem, 2.0, 0.5, 3)
+    mu = _one_element_moments(elem, 2.0, 0.5, 3)
     assert mu[0] == pytest.approx(0.8284271247461901, rel=1e-12)
     assert mu[1] == pytest.approx(0.047378541243650166, rel=1e-9)
-    mu1 = modified_moments(elem, 1.7, 1.0, 4)
+    mu1 = _one_element_moments(elem, 1.7, 1.0, 4)
     assert mu1[0] == pytest.approx(1.0, rel=1e-13)
     assert np.max(np.abs(mu1[1:])) < 1e-13
 
@@ -208,7 +219,7 @@ def test_modified_moments_against_quadrature_oracle():
         elem = Element(left, left + h, 6)
         alpha = rng.uniform(0.15, 0.95)
         t = elem.right + rng.uniform(0.0, 3.0)
-        mu = modified_moments(elem, t, alpha, 6)
+        mu = _one_element_moments(elem, t, alpha, 6)
         for p in range(7):
             unit = np.zeros(p + 1)
             unit[p] = 1.0
@@ -224,7 +235,7 @@ def test_lagrange_transform_consistency():
     w2 = history_weights_batch([0.3], [0.8], 6, 1.5, 0.35)[0]
     assert w1 == pytest.approx(w2, rel=1e-14)
     C = lobatto_lagrange_coeffs(6)
-    mu = modified_moments(elem, 1.5, 0.35, 6)
+    mu = _one_element_moments(elem, 1.5, 0.35, 6)
     assert w1 == pytest.approx(mu @ C, rel=1e-14)
 
 
@@ -359,7 +370,7 @@ def test_history_weights_at_the_element_end_pass_the_sum_check():
                 assert np.array_equal(batch, single)
                 mass = (right - left) ** alpha / alpha
                 assert np.sum(batch) == pytest.approx(mass, rel=1e-13)
-                nu0 = modified_moments(elem, elem.right, alpha, degree)[0]
+                nu0 = _one_element_moments(elem, elem.right, alpha, degree)[0]
                 assert nu0 == pytest.approx(mass, rel=1e-13)
 
 

@@ -279,9 +279,8 @@ def test_evaluate_gathers_mixed_degrees_in_blocks(monkeypatch):
     expected = np.empty_like(t)
     for n in range(1, mesh.N + 1):
         elem, sel = mesh.element(n), idx == n
-        expected[sel] = sol.coefficients(n) @ legendre_table(
-            elem.degree, elem.to_reference(t[sel])
-        )
+        x = np.clip((2.0 * t[sel] - elem.left - elem.right) / elem.width, -1.0, 1.0)
+        expected[sel] = sol.coefficients(n) @ legendre_table(elem.degree, x)
     got = evaluate(sol, t)
     assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
     assert evaluate(sol, 0.0) == expected[t == 0.0][0]
@@ -702,3 +701,15 @@ def test_solver_options_validation():
     ):
         with pytest.raises(ValueError):
             SolverOptions(**bad)
+    # counts must be integers: a float reached range() inside newton, and a
+    # bool would pass for 0 or 1
+    for bad in (
+        {"newton_max_iter": 2.5},
+        {"newton_max_iter": 3.0},
+        {"newton_max_iter": True},
+        {"descent_steps": 1.5},
+        {"descent_steps": False},
+    ):
+        with pytest.raises(TypeError):
+            SolverOptions(**bad)
+    SolverOptions(newton_max_iter=np.int64(3), descent_steps=np.int32(0))
