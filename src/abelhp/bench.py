@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .discretization import ProblemSpec
 from .mesh import Mesh, uniform_mesh
@@ -253,8 +252,8 @@ def make_benchmark(problem_id: str, alpha: float | None = None) -> BenchmarkProb
         # the classic data pair for this problem normalizes the operator by
         # Gamma(1/2); with the unnormalized kernel used here the solution
         # absorbs that factor so that K(exact) == f holds
-        c4 = 24.0 / _gamma(4.5) / _gamma(0.5)
-        c6 = 720.0 / _gamma(6.5) / _gamma(0.5)
+        c4 = 24.0 / math.gamma(4.5) / math.gamma(0.5)
+        c6 = 720.0 / math.gamma(6.5) / math.gamma(0.5)
 
         def exact(t):
             t = np.asarray(t, dtype=float)

@@ -7,6 +7,12 @@ Three rule families are used by the collocation scheme:
 * Gauss-Legendre: collocation points and plain projections,
 * Legendre-Gauss-Lobatto: interpolation points on already-solved elements.
 
+Every Gauss rule, and the interior Lobatto nodes (the zeros of the
+Jacobi(1, 1) polynomial of degree order - 1), come from one Golub-Welsch
+routine in numpy, ``_gauss_jacobi``: the eigenvalues of the Jacobi matrix,
+each polished by a Newton step, and weights from the eigenvectors.  The
+Lobatto weights follow from the Legendre polynomial at the nodes.
+
 The history of solved elements enters through product-integration weights
 ``w_j(t) = int_element (t-s)^(alpha-1) l_j(s) ds`` for the Lagrange basis on
 the Lobatto points.  They are assembled from the modified moments of the
@@ -17,11 +23,10 @@ from __future__ import annotations
 
 import enum
 import functools
-import threading
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .orthopoly import DOMAIN_TOL, Element, JacobiParams, legendre_table
 
@@ -73,7 +78,47 @@ class QuadRule:
 
 
 _rule_cache: dict[tuple, QuadRule] = {}
-_rule_lock = threading.Lock()
+
+
+def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss rule for (1-x)^a (1+x)^b, a, b > -1.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix of the monic recurrence, polished by one Newton step on
+    P_n^(a,b) run through that recurrence; the weights are mu0 v_0^2 from
+    the first components of the unit eigenvectors.
+    """
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + a + b
+    # the k = 0 entry and the k = 1 off-diagonal are taken in cancelled form,
+    # as the general ones are 0/0 when a + b is 0 or -1
+    diag = np.empty(n)
+    diag[0] = (b - a) / (a + b + 2.0)
+    diag[1:] = (b * b - a * a) / (s[1:] * (s[1:] + 2.0))
+    off2 = np.empty(max(n - 1, 0))
+    if n > 1:
+        off2[0] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))
+        k, s = k[2:], s[2:]
+        off2[1:] = 4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0))
+    off = np.sqrt(off2)
+    x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+
+    # monic p_{j+1} = (x - diag_j) p_j - off2_{j-1} p_{j-1} and its derivative
+    p_prev, p = np.zeros(n), np.ones(n)
+    d_prev, d = np.zeros(n), np.zeros(n)
+    for j in range(n):
+        c = off2[j - 1] if j else 0.0
+        shifted = x - diag[j]
+        p_prev, p, d_prev, d = p, shifted * p - c * p_prev, d, p + shifted * d - c * d_prev
+    x = x - p / d
+
+    mu0 = 2.0 ** (a + b + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0)
+    mu0 /= math.gamma(a + b + 2.0)
+    w = mu0 * vecs[0] ** 2
+    if a == b:
+        x = 0.5 * (x - x[::-1])
+        w = 0.5 * (w + w[::-1])
+    return x, w
 
 
 def gauss_rule(kind: RuleKind | str, params: JacobiParams | None, order: int) -> QuadRule:
@@ -101,29 +146,24 @@ def gauss_rule(kind: RuleKind | str, params: JacobiParams | None, order: int) ->
     if rule is not None:
         return rule
 
-    if kind is RuleKind.GAUSS_LEGENDRE or (
-        kind is RuleKind.GAUSS_JACOBI and params == JacobiParams(0.0, 0.0)
-    ):
-        x, w = roots_legendre(order + 1)
+    if kind is RuleKind.GAUSS_LEGENDRE:
+        x, w = _gauss_jacobi(order + 1, 0.0, 0.0)
     elif kind is RuleKind.GAUSS_JACOBI:
-        x, w = roots_jacobi(order + 1, params.alpha, params.beta)
+        x, w = _gauss_jacobi(order + 1, params.alpha, params.beta)
     else:  # Lobatto: interior nodes are the zeros of P'_order
         if order == 1:
             x = np.array([-1.0, 1.0])
         else:
-            interior, _ = roots_jacobi(order - 1, 1.0, 1.0)
+            interior, _ = _gauss_jacobi(order - 1, 1.0, 1.0)
             x = np.concatenate(([-1.0], interior, [1.0]))
         pm = legendre_table(order, x)[order]
         w = 2.0 / (order * (order + 1) * pm**2)
 
     # cached rules are shared by every caller, so their arrays are read-only
-    x, w = np.array(x, dtype=float), np.array(w, dtype=float)
     x.flags.writeable = False
     w.flags.writeable = False
-    rule = QuadRule(kind, params, order, x, w)
-    with _rule_lock:
-        _rule_cache.setdefault(key, rule)
-    return rule
+    # racing callers all get the rule that reached the cache first
+    return _rule_cache.setdefault(key, QuadRule(kind, params, order, x, w))
 
 
 def shift_nodes(rule: QuadRule, elem: Element) -> np.ndarray:
@@ -186,7 +226,7 @@ _SERIES_TOL = 1e-17
 
 @functools.lru_cache(maxsize=None)
 def _far_field_table(pmax: int):
-    x, w = roots_legendre(_FAR_FIELD_POINTS)
+    x, w = _gauss_jacobi(_FAR_FIELD_POINTS, 0.0, 0.0)
     table = legendre_table(pmax, x)
     for a in (x, w, table):
         a.flags.writeable = False

@@ -329,7 +329,9 @@ def forward_apply_by_time(problem, u_fn, t, breakpoints=()):
 
     def F(s):
         u = np.asarray(u_fn(s), dtype=float)
-        return np.broadcast_to(problem.kappa(t, s) * problem.psi(t, s, u), s.shape)
+        # copied out of the broadcast: numpy's dot sums a stride-0 operand in
+        # another order than a real array, which is what forward_apply sums
+        return np.broadcast_to(problem.kappa(t, s) * problem.psi(t, s, u), s.shape).copy()
 
     edges = [0.0] + sorted({float(b) for b in breakpoints if 0.0 < b < t}) + [t]
     panels = list(zip(edges[:-1], edges[1:]))

@@ -1,15 +1,19 @@
-"""Package surface: every exported name resolves and every demo runs."""
+"""Package surface: every exported name resolves, every demo runs, and the import stays light."""
 
 import importlib
+import os
 import pkgutil
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import abelhp
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _modules():
@@ -33,3 +37,20 @@ def test_demo_runs(demo, tmp_path, monkeypatch):
     # demos may write files into the working directory
     monkeypatch.chdir(tmp_path)
     runpy.run_path(str(demo), run_name="__main__")
+
+
+def test_import_loads_no_scipy():
+    # scipy.special alone more than doubles the import time, and only the
+    # test oracles use scipy, so a fresh process must not load any of it
+    code = (
+        "import sys, abelhp, abelhp.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -7,11 +7,13 @@ from scipy.special import eval_jacobi
 
 from abelhp.orthopoly import Element, JacobiParams
 from abelhp.quadrature import (
+    _FAR_FIELD_POINTS,
     HistoryAccuracyError,
     HistoryWeights,
     RuleKind,
     _element_moments,
     _far_field_moments,
+    _far_field_table,
     _kernel_mass,
     _moment_series,
     _nu_batch,
@@ -46,6 +48,55 @@ def test_lobatto_three_point():
     rule = gauss_rule(RuleKind.GAUSS_LOBATTO, None, 2)
     assert rule.nodes == pytest.approx([-1.0, 0.0, 1.0], abs=1e-15)
     assert rule.weights == pytest.approx([1 / 3, 4 / 3, 1 / 3], rel=1e-14)
+
+
+def _rule_errors(nodes, weights, a, b):
+    """Largest node error and largest weight error / mu0 against mpmath's rule at 40 digits."""
+    with mp.workdps(40):
+        ref_x, ref_w = mp.gauss_quadrature(len(nodes), "jacobi", a, b)
+        ref = sorted(zip(ref_x, ref_w))
+        node_err = max(abs(x - rx) for x, (rx, _) in zip(nodes.tolist(), ref))
+        if weights is None:
+            return float(node_err), 0.0
+        weight_err = max(abs(w - rw) for w, (_, rw) in zip(weights.tolist(), ref))
+        return float(node_err), float(weight_err / mp.fsum(ref_w))
+
+
+# point counts that keep the comparison quick; every count to 33 passes too
+_RULE_POINTS = (1, 2, 3, 5, 9, 17, 33)
+
+
+def _library_rules(family):
+    """(nodes, weights, a, b) of every rule of one family the library builds, by point count."""
+    if family == "legendre":
+        for n in _RULE_POINTS[1:]:
+            rule = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, n - 1)
+            yield rule.nodes, rule.weights, 0.0, 0.0
+        x, w, _ = _far_field_table(2)
+        yield x, w, 0.0, 0.0
+    elif family == "lobatto_interior":  # zeros of P'_order; the weights come from P_order
+        for n in _RULE_POINTS:
+            interior = gauss_rule(RuleKind.GAUSS_LOBATTO, None, n + 1).nodes[1:-1]
+            yield interior, None, 1.0, 1.0
+    else:
+        a = float(family) - 1.0
+        for n in _RULE_POINTS[1:]:
+            rule = gauss_rule(RuleKind.GAUSS_JACOBI, JacobiParams(a, 0.0), n - 1)
+            yield rule.nodes, rule.weights, a, 0.0
+
+
+@pytest.mark.parametrize(
+    "family", ["legendre", "lobatto_interior", "0.05", "0.3", "0.5", "0.7", "0.95"]
+)
+def test_rules_match_mpmath(family):
+    # the weight bound tells these rules from scipy's roots_jacobi, whose
+    # weights are up to 1.1e-12 mu0 off at alpha = 0.05
+    rules = list(_library_rules(family))
+    assert family != "legendre" or rules[-1][0].size == _FAR_FIELD_POINTS
+    for nodes, weights, a, b in rules:
+        node_err, weight_err = _rule_errors(nodes, weights, a, b)
+        assert node_err <= 4.4e-16, (nodes.size, node_err)
+        assert weight_err <= 2e-14, (nodes.size, weight_err)
 
 
 @pytest.mark.parametrize("M", range(1, 9))
