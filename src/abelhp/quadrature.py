@@ -78,6 +78,8 @@ class QuadRule:
 
 
 _rule_cache: dict[tuple, QuadRule] = {}
+# the only weight of the Legendre and Lobatto rules
+_UNIT_WEIGHT = JacobiParams(0.0, 0.0)
 
 
 def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -131,24 +133,20 @@ def gauss_rule(kind: RuleKind | str, params: JacobiParams | None, order: int) ->
     kind = RuleKind(kind)
     if order < 1:
         raise ValueError("rule order must be >= 1")
-    if kind is RuleKind.GAUSS_LEGENDRE and params is None:
-        params = JacobiParams(0.0, 0.0)
-    if kind is RuleKind.GAUSS_LOBATTO:
+    if kind is RuleKind.GAUSS_JACOBI:
         if params is None:
-            params = JacobiParams(0.0, 0.0)
-        if params != JacobiParams(0.0, 0.0):
-            raise ValueError("Lobatto rule is defined for the unit weight only")
-    if params is None:
-        raise ValueError("Jacobi rule needs weight parameters")
+            raise ValueError("Jacobi rule needs weight parameters")
+    elif params in (None, _UNIT_WEIGHT):
+        params = _UNIT_WEIGHT
+    else:
+        raise ValueError(f"{kind.value} rule is defined for the unit weight only")
 
     key = (kind, params.alpha, params.beta, order)
     rule = _rule_cache.get(key)
     if rule is not None:
         return rule
 
-    if kind is RuleKind.GAUSS_LEGENDRE:
-        x, w = _gauss_jacobi(order + 1, 0.0, 0.0)
-    elif kind is RuleKind.GAUSS_JACOBI:
+    if kind is not RuleKind.GAUSS_LOBATTO:
         x, w = _gauss_jacobi(order + 1, params.alpha, params.beta)
     else:  # Lobatto: interior nodes are the zeros of P'_order
         if order == 1:
@@ -198,39 +196,27 @@ def singular_element_integral(g_at_mapped_nodes, elem: Element, t: float, alpha:
 
 # ---------------------------------------------------------------------------
 # Modified moments nu_p(c) = int_{-1}^{1} (c - x)^(alpha-1) P_p(x) dx, c >= 1,
-# in three bands of c:
+# are the minimal solution of the three-term recurrence
+#     (p+1+alpha) nu_{p+1} = (2p+1) c nu_p + (alpha-p) nu_{p-1}:
+# run upward, it amplifies rounding relative to nu_p by about
+# exp(2 p arccosh c), the squared growth of its dominant solution.
+# nu_0 and I_0 = int (c - x)^alpha dx come from ``_kernel_mass``.  Two branches:
 #
-# * c <= _NEAR_FIELD_C: near the singular limit c -> 1 the degree-ascending
-#   recurrence
-#       (p+1+alpha) nu_{p+1} = (2p+1) c nu_p + (alpha-p) nu_{p-1}
-#   is stable;
-# * _NEAR_FIELD_C < c < _SERIES_C: the recurrence amplifies roundoff like the
-#   Legendre function P_p(c), but the integrand is smooth, so a fixed
-#   _FAR_FIELD_POINTS-point Gauss-Legendre rule serves p >= 2;
-# * c >= _SERIES_C: every nu_p comes from one binomial series in 1/c
-#   (``_moment_series``), whose terms are all positive, so nothing cancels
-#   and no row needs a temporary wider than pmax + 1.
-#
-# Below _SERIES_C, nu_0 and I_0 = int (c - x)^alpha dx come from
-# ``_kernel_mass``, and nu_1 = c nu_0 - I_0 loses at most about eps * c
-# relative to nu_0.  Most rows of a history sum lie in the series band.
+# * forward, on rows with pmax arccosh c <= _FORWARD_GROWTH, every row near
+#   c = 1 among them: nu_1 = c nu_0 - I_0, then the recurrence upward.  At
+#   ln 4 the weight rows stay within 2e-15 of mpmath for c >= 1.01 up to
+#   degree 64; at ln 16 they reach 4e-15.
+# * Miller's backward recurrence on the others (Gautschi, SIAM Review 9,
+#   1967): the ratios r_p = nu_p / nu_{p-1},
+#       r_p = (alpha - p) / ((p+1+alpha) r_{p+1} - (2p+1) c),
+#   start from r = 0 so far above pmax that the start's error, which shrinks
+#   by exp(-2 arccosh c) a step, falls below exp(-2 _MILLER_DECAY) at pmax;
+#   then nu_p = nu_0 r_1 ... r_p.  At alpha = 1, r_1 = 0 and every nu_p,
+#   p >= 1, vanishes exactly.
 # ---------------------------------------------------------------------------
 
-_NEAR_FIELD_C = 1.2
-_FAR_FIELD_POINTS = 64
-_SERIES_C = 8.0
-# the series keeps terms until a bound on the next one, at c = _SERIES_C and
-# for every p, falls below this fraction of nu_p's leading term
-_SERIES_TOL = 1e-17
-
-
-@functools.lru_cache(maxsize=None)
-def _far_field_table(pmax: int):
-    x, w = _gauss_jacobi(_FAR_FIELD_POINTS, 0.0, 0.0)
-    table = legendre_table(pmax, x)
-    for a in (x, w, table):
-        a.flags.writeable = False
-    return x, w, table
+_FORWARD_GROWTH = math.log(4.0)
+_MILLER_DECAY = 19.5
 
 
 def _kernel_mass(gap, width, alpha: float, orders: int = 1) -> list:
@@ -254,85 +240,42 @@ def _kernel_mass(gap, width, alpha: float, orders: int = 1) -> list:
     return masses
 
 
-@functools.lru_cache(maxsize=None)
-def _moment_series_coeffs(alpha: float, pmax: int) -> np.ndarray:
-    """Read-only a[j, p] with nu_p(c) = c^(alpha-1) sum_j a[j, p] c^-(p+2j), p = 0..pmax.
-
-    (c - x)^(alpha-1) = c^(alpha-1) sum_k b_k (x/c)^k with
-    b_k = prod_{i<=k} (i - alpha) / i >= 0, and int x^k P_p vanishes unless
-    k = p + 2j, so a[j, p] = b_k int x^k P_p(x) dx.  The leading term is
-    2 prod_{i<=p} (i - alpha) / (2i + 1); the ratio of term j+1 to term j is
-    (k+1-alpha)(k+2-alpha) / ((k-p+2)(k+p+3)).
-    """
-    p = np.arange(pmax + 1.0)
-    rows = [2.0 * np.cumprod(np.r_[1.0, (p[1:] - alpha) / (2.0 * p[1:] + 1.0)])]
-    k, bound = p.copy(), np.ones(pmax + 1)
-    while np.max(bound) >= _SERIES_TOL:
-        ratio = (k + 1.0 - alpha) * (k + 2.0 - alpha) / ((k - p + 2.0) * (k + p + 3.0))
-        rows.append(rows[-1] * ratio)
-        # the ratio at alpha = 0 bounds it for every alpha in (0, 1]
-        bound *= (k + 1.0) * (k + 2.0) / ((k - p + 2.0) * (k + p + 3.0) * _SERIES_C**2)
-        k += 2.0
-    coeffs = np.array(rows)
-    coeffs.flags.writeable = False
-    return coeffs
+def _forward_moments(c: np.ndarray, alpha: float, pmax: int) -> np.ndarray:
+    """nu_p(c), p = 0..pmax, by the upward recurrence; shape (pmax + 1, c.size)."""
+    nu = np.empty((pmax + 1, c.size))
+    nu[0], i0 = _kernel_mass(c - 1.0, 2.0, alpha, orders=2)
+    if pmax >= 1:
+        nu[1] = c * nu[0] - i0
+    for p in range(1, pmax):
+        nu[p + 1] = ((2.0 * p + 1.0) * c * nu[p] + (alpha - p) * nu[p - 1]) / (p + 1.0 + alpha)
+    return nu
 
 
-def _moment_series(c: np.ndarray, alpha: float, pmax: int) -> np.ndarray:
-    """nu_p(c), p = 0..pmax, from their binomial series; for c >= _SERIES_C.
-
-    Returns shape (pmax + 1, c.size): each sweep below then runs along c, not
-    along a short axis of pmax + 1 entries.
-    """
-    first, *middle, last = _moment_series_coeffs(alpha, pmax)
-    inv_c = 1.0 / c
-    inv_c2 = inv_c * inv_c
-    total = last[:, None] * inv_c2
-    for a in reversed(middle):  # Horner's rule in 1/c^2
-        total += a[:, None]
-        total *= inv_c2
-    total += first[:, None]
-    # c^(alpha-1) c^-p from p = 0 up; alpha - 1 would round the exponent
-    scale = c**alpha * inv_c
-    for row in total:
-        row *= scale
-        scale *= inv_c
-    return total
-
-
-def _far_field_moments(c: np.ndarray, alpha: float, pmax: int) -> np.ndarray:
-    """nu_p(c), p = 2..pmax, by the fixed Gauss-Legendre rule; for c > _NEAR_FIELD_C."""
-    x, w, table = _far_field_table(pmax)
-    kern = (c[:, None] - x[None, :]) ** (alpha - 1.0) * w[None, :]
-    return kern @ table[2:].T
+def _miller_moments(c: np.ndarray, alpha: float, pmax: int) -> np.ndarray:
+    """nu_p(c), p = 0..pmax, by Miller's recurrence; shape (pmax + 1, c.size), c > 1."""
+    nu = np.empty((pmax + 1, c.size))
+    (nu[0],) = _kernel_mass(c - 1.0, 2.0, alpha)
+    # one start for every row, set by the slowest decay
+    start = pmax + math.ceil(_MILLER_DECAY / np.arccosh(np.min(c)))
+    r = np.zeros(c.size)
+    for p in range(start, 0, -1):
+        r *= p + 1.0 + alpha
+        r -= (2.0 * p + 1.0) * c
+        np.divide(alpha - p, r, out=r)
+        if p <= pmax:
+            nu[p] = r
+    return np.cumprod(nu, axis=0, out=nu)
 
 
 def _nu_batch(c: np.ndarray, alpha: float, pmax: int) -> np.ndarray:
     """Moments nu_p(c), p = 0..pmax, for a 1-d array of offsets c >= 1."""
-    # the series on every row, then the rows below _SERIES_C replaced: those
-    # are the few rows near t, so this costs less than gathering the rest
-    nu = np.ascontiguousarray(_moment_series(c, alpha, pmax).T)
-    inner = np.flatnonzero(c < _SERIES_C)
-    if inner.size == 0:
-        return nu
-    ci = c[inner]
-    nu_i = np.empty((ci.size, pmax + 1))
-    cm1 = np.maximum(ci - 1.0, 0.0)  # clamp negative rounding at c ~ 1
-    nu_i[:, 0], i0 = _kernel_mass(cm1, 2.0, alpha, orders=2)  # nu_0 and int (c - x)^alpha
-    if pmax >= 1:
-        nu_i[:, 1] = ci * nu_i[:, 0] - i0
-    if pmax >= 2:
-        near = ci <= _NEAR_FIELD_C
-        if np.any(near):
-            cn = ci[near]
-            for p in range(1, pmax):
-                nu_i[near, p + 1] = (
-                    (2.0 * p + 1.0) * cn * nu_i[near, p] + (alpha - p) * nu_i[near, p - 1]
-                ) / (p + 1.0 + alpha)
-        band = ~near
-        if np.any(band):
-            nu_i[band, 2:] = _far_field_moments(ci[band], alpha, pmax)
-    nu[inner] = nu_i
+    c = np.maximum(c, 1.0)  # clamp rounding below 1 at t ~ right
+    # pmax arccosh c <= _FORWARD_GROWTH, without an arccosh per row
+    forward = c <= (math.cosh(_FORWARD_GROWTH / pmax) if pmax else math.inf)
+    nu = np.empty((c.size, pmax + 1))
+    for rows, moments in ((forward, _forward_moments), (~forward, _miller_moments)):
+        if np.any(rows):
+            nu[rows] = moments(c[rows], alpha, pmax).T
     return nu
 
 

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import mpmath as mp
@@ -7,15 +8,14 @@ from scipy.special import eval_jacobi
 
 from abelhp.orthopoly import Element, JacobiParams
 from abelhp.quadrature import (
-    _FAR_FIELD_POINTS,
+    _FORWARD_GROWTH,
     HistoryAccuracyError,
     HistoryWeights,
     RuleKind,
     _element_moments,
-    _far_field_moments,
-    _far_field_table,
+    _forward_moments,
     _kernel_mass,
-    _moment_series,
+    _miller_moments,
     _nu_batch,
     gauss_rule,
     history_weights,
@@ -72,8 +72,6 @@ def _library_rules(family):
         for n in _RULE_POINTS[1:]:
             rule = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, n - 1)
             yield rule.nodes, rule.weights, 0.0, 0.0
-        x, w, _ = _far_field_table(2)
-        yield x, w, 0.0, 0.0
     elif family == "lobatto_interior":  # zeros of P'_order; the weights come from P_order
         for n in _RULE_POINTS:
             interior = gauss_rule(RuleKind.GAUSS_LOBATTO, None, n + 1).nodes[1:-1]
@@ -91,9 +89,7 @@ def _library_rules(family):
 def test_rules_match_mpmath(family):
     # the weight bound tells these rules from scipy's roots_jacobi, whose
     # weights are up to 1.1e-12 mu0 off at alpha = 0.05
-    rules = list(_library_rules(family))
-    assert family != "legendre" or rules[-1][0].size == _FAR_FIELD_POINTS
-    for nodes, weights, a, b in rules:
+    for nodes, weights, a, b in _library_rules(family):
         node_err, weight_err = _rule_errors(nodes, weights, a, b)
         assert node_err <= 4.4e-16, (nodes.size, node_err)
         assert weight_err <= 2e-14, (nodes.size, weight_err)
@@ -291,8 +287,8 @@ def test_lagrange_transform_consistency():
 
 
 def test_history_weights_batch_array_t_matches_scalar_rows():
-    # times both near (c <= 1.2) and far from the elements, degree > 1 so
-    # both moment branches run
+    # times both near (c close to 1) and far from the elements, degree > 1
+    # so both moment branches, forward and Miller, run
     lefts, rights = np.array([0.0, 0.25, 0.4]), np.array([0.25, 0.4, 0.5])
     ts = np.array([[0.5, 0.505], [0.7, 3.0]])
     w = history_weights_batch(lefts, rights, 5, ts[..., None], 0.4)
@@ -316,46 +312,55 @@ def test_history_weights_batch_pairwise_matches_outer_rows():
 
 
 def _nu_rodrigues(c, alpha, p):
-    """nu_p(c) at 30 digits from Rodrigues' formula, whose integrand is positive.
+    """nu_p(c) at 30 digits from Rodrigues' formula, independent of any recurrence.
 
     Integrating p times by parts gives
-    nu_p = (1-alpha)_p / (2^p p!) int (c - x)^(alpha-1-p) (1 - x^2)^p dx;
-    c^(alpha-1-p) is taken outside so the quadrature sees values near one.
+    nu_p = (1-alpha)_p / (2^p p!) int (c - x)^(alpha-1-p) (1 - x^2)^p dx,
+    and on x = 2u - 1 that integral is Euler's integral of
+    2F1(p+1-alpha, p+1; 2p+2; 2/(c+1)), which mpmath sums far faster than
+    it integrates the peaked integrand near c = 1.
     """
     with mp.workdps(30):
         a, c = mp.mpf(alpha), mp.mpf(c)
-        if p == 0:
-            return float(((c + 1) ** a - (c - 1) ** a) / a)
-        scale = mp.rf(1 - a, p) / (2**p * mp.factorial(p)) * c ** (a - 1 - p)
+        scale = mp.rf(1 - a, p) / (2**p * mp.factorial(p))
         if scale == 0:
-            return 0.0
-        body = mp.quad(lambda x: (1 - x / c) ** (a - 1 - p) * (1 - x * x) ** p, [-1, 1])
-        return float(scale * body)
+            return mp.mpf(0)
+        scale *= 2 ** (2 * p + 1) * mp.beta(p + 1, p + 1) * (c + 1) ** (a - 1 - p)
+        return scale * mp.hyp2f1(p + 1 - a, p + 1, 2 * p + 2, 2 / (c + 1))
 
 
 def test_moment_series_matches_mpmath():
-    # c >= 8 takes every nu_p from the series in 1/c, including the
-    # vanishing nu_p (p >= 1) at alpha = 1
-    c = np.array([8.0, 8.0 * (1.0 + 1e-12), 11.0, 60.0, 1e3, 1e5, 1e8])
-    for alpha in (0.05, 0.5, 0.95, 1.0):
-        nu = _nu_batch(c, alpha, 12)
-        exact = np.array([[_nu_rodrigues(x, alpha, p) for p in range(13)] for x in c])
-        assert np.all(np.abs(nu - exact) <= 1e-13 * np.abs(exact))
+    # weight rows up to degree 64 from both moment branches, against rows
+    # summed at 30 digits: c from 1.01 through the former band 1.2 < c < 8
+    # to far from the element, and the vanishing nu_p (p >= 1) at alpha = 1
+    degrees = (1, 2, 3, 5, 8, 16, 32, 64)
+    with mp.workdps(30):
+        columns = {d: [list(map(mp.mpf, col)) for col in lobatto_lagrange_coeffs(d).T.tolist()]
+                   for d in degrees}
+        for alpha in (0.1, 0.3, 0.5, 0.7, 1.0):
+            for c in (1.01, 1.05, 1.19, 2.0, 7.9, 8.0, 11.0, 1e3, 1e8):
+                exact = [_nu_rodrigues(c, alpha, p) for p in range(degrees[-1] + 1)]
+                for d in degrees:
+                    w = _nu_batch(np.array([c]), alpha, d)[0] @ lobatto_lagrange_coeffs(d)
+                    want = np.array([float(mp.fdot(exact[: d + 1], col)) for col in columns[d]])
+                    err = np.max(np.abs(w - want)) / np.max(np.abs(want))
+                    assert err <= 2e-15, (alpha, c, d, err)
 
 
-def test_moment_bands_agree_at_the_series_seam():
-    # just below c = 8, nu_1 = c nu_0 - I_0 and the 64-point rule; just above,
-    # the series.  The rule's error is absolute, about eps nu_0 (its high
-    # moments are far below nu_0), so agreement is measured against nu_0.
+def test_moment_branches_agree_at_the_miller_seam():
+    # just below pmax arccosh(c) = _FORWARD_GROWTH the forward recurrence,
+    # just above it Miller's.  Their difference is absolute, a few eps nu_0
+    # (nu_p for p >= 1 are smaller than nu_0), so it is measured against nu_0.
     for alpha in (0.05, 0.3, 0.5, 0.95, 1.0):
-        for c in (8.0 * (1.0 - 1e-12), 8.0 * (1.0 + 1e-12)):
-            c = np.array([c])
-            nu0, i0 = _kernel_mass(c - 1.0, 2.0, alpha, orders=2)
-            band = np.concatenate([nu0, c * nu0 - i0, _far_field_moments(c, alpha, 12)[0]])
-            series = _moment_series(c, alpha, 12)[:, 0]
-            assert np.all(np.abs(series - band) <= 1e-13 * nu0)
-            chosen = _nu_batch(c, alpha, 12)[0]
-            assert np.array_equal(chosen, band if c < 8.0 else series)
+        for pmax in (1, 2, 3, 8, 16, 32):
+            seam = math.cosh(_FORWARD_GROWTH / pmax)
+            for c in (seam * (1.0 - 1e-12), seam * (1.0 + 1e-12)):
+                c = np.array([c])
+                forward = _forward_moments(c, alpha, pmax)[:, 0]
+                miller = _miller_moments(c, alpha, pmax)[:, 0]
+                assert np.all(np.abs(forward - miller) <= 1.2e-15 * forward[0])
+                chosen = _nu_batch(c, alpha, pmax)[0]
+                assert np.array_equal(chosen, forward if c[0] <= seam else miller)
 
 
 def test_history_weights_reject_bad_sum():
@@ -447,12 +452,7 @@ def test_cached_tables_are_read_only():
     # caller must fail instead of corrupting the rest of the process
     from abelhp.discretization import _reference_tables
     from abelhp.mesh import Mesh
-    from abelhp.quadrature import (
-        _far_field_table,
-        _lobatto_nodes,
-        _lobatto_table,
-        _moment_series_coeffs,
-    )
+    from abelhp.quadrature import _lobatto_nodes, _lobatto_table
 
     rule = gauss_rule(RuleKind.GAUSS_JACOBI, JacobiParams(-0.3, 0.0), 5)
     ref = _reference_tables(3, 0.7)
@@ -463,8 +463,6 @@ def test_cached_tables_are_read_only():
         _lobatto_nodes(4),
         _lobatto_table(4),
         Mesh([0.0, 0.5, 1.0, 1.5], [2, 4, 2]).history_points,
-        *_far_field_table(4),
-        _moment_series_coeffs(0.3, 4),
         ref.gl.nodes,
         ref.gj.weights,
         ref.node_product,
@@ -499,5 +497,7 @@ def test_invalid_rules():
         gauss_rule(RuleKind.GAUSS_JACOBI, None, 3)
     with pytest.raises(ValueError):
         gauss_rule(RuleKind.GAUSS_LOBATTO, JacobiParams(-0.5, 0.0), 3)
+    with pytest.raises(ValueError):
+        gauss_rule(RuleKind.GAUSS_LEGENDRE, JacobiParams(-0.5, 0.0), 3)
     with pytest.raises(ValueError):
         gauss_rule(RuleKind.GAUSS_LEGENDRE, None, 0)
