@@ -173,6 +173,7 @@ class ElementOperator:
     def _view(self, run: OperatorRun, n: int):
         j = n - run.n0
         self.problem, self.mesh, self.n, self._ref = run.problem, run.mesh, n, run.ref
+        self._run = run  # the history of element n reads its Gauss nodes from it
         self.Qflat, self.t_nodes, self.t_grid = run.ref.Qflat, run.t_nodes[j], run.t_grid[j]
         self.sigma_grid, self.B = run.sigma_grid[j], run.B[j]
 
@@ -214,7 +215,7 @@ class ElementOperator:
         the one-element run of :class:`HistoryRun`, on the weights solve uses.
         """
         table = _gap_table(self.mesh, self.problem.alpha)
-        run = HistoryRun(self.problem, self.mesh, self.n, self.n, prior_u, table)
+        run = HistoryRun(self._run, self.n, self.n, prior_u, table)
         return self.project(run.at_nodes(self.n, prior_u))
 
 
@@ -294,6 +295,29 @@ def _gap_table(mesh: Mesh, alpha: float) -> np.ndarray | None:
     return table
 
 
+# a march's runs shrink as it goes, so consecutive runs mostly share one
+# shape; keeping only the last index serves them without holding a first
+# run's large one, or each of the dozens of shapes an adaptive pass meets
+@functools.lru_cache(maxsize=1)
+def _near_pairs(R: int, m: int):
+    """Where a run of R elements of m Gauss nodes each pairs a node with an earlier run element.
+
+    The pairs (row, k) of a Gauss node and a run element k before the node's
+    element, row-major: element j's pairs are the j m^2 entries after the
+    first j (j - 1) / 2 m^2.  Returns, read-only: the rows, the ks, each
+    row's node within its element, each pair's gap in elements, and the mask
+    of the pairs' m-wide blocks in the (R m)^2 near matrix of
+    :meth:`HistoryRun.solve_linear`.
+    """
+    owner = np.arange(R * m) // m
+    lower = np.arange(R) < owner[:, None]
+    rows, ks = np.nonzero(lower)
+    index = rows, ks, rows % m, owner[rows] - ks, np.repeat(lower, m, axis=1)
+    for a in index:
+        a.flags.writeable = False
+    return index
+
+
 class HistoryRun:
     """The history integrals at the Gauss nodes of the equal-degree elements n0..n1.
 
@@ -317,11 +341,18 @@ class HistoryRun:
     multiply and sum otherwise.
 
     ``at_nodes(n, lobatto_u)`` adds element n's near sum to its far part; it
-    needs only the values of run elements n0..n-1.
+    needs only the values of run elements n0..n-1.  ``solve_linear`` solves
+    the whole run at once where psi = u, by forward substitution.
+
+    ``ops`` is the :class:`OperatorRun` of a stretch that holds n0..n1: the run
+    takes its problem, mesh, degree and placed Gauss nodes from it.
     """
 
-    def __init__(self, problem: ProblemSpec, mesh: Mesh, n0: int, n1: int, prior_u, table=None):
-        d = _run_degree(mesh, n0, n1)
+    def __init__(self, ops: OperatorRun, n0: int, n1: int, prior_u, table=None):
+        last = ops.n0 + len(ops.t_nodes) - 1
+        if not ops.n0 <= n0 <= n1 <= last:
+            raise IndexError(f"elements {n0}..{n1} outside the operators of {ops.n0}..{last}")
+        problem, mesh, d = ops.problem, ops.mesh, ops.degree
         offsets, bp, alpha = mesh.offsets, mesh.breakpoints, problem.alpha
         m, N, R = d + 1, mesh.N, n1 - n0 + 1
         prior_u = np.asarray(prior_u, dtype=float)
@@ -332,8 +363,9 @@ class HistoryRun:
                 f"elements 1..{n0 - 1}, got shape {prior_u.shape}"
             )
         self.problem, self.n0, self.lo, self.m = problem, n0, lo, m
+        self._stack_rows = slice(n0 - ops.n0, n1 - ops.n0 + 1)  # the run's rows of the stacks
         # Gauss nodes and history sample points of the run, flat like mesh.offsets
-        nodes = _shift_rows(_reference_tables(d, alpha).gl.nodes, bp[n0 - 1 : n1], bp[n0 : n1 + 1])
+        nodes = ops.t_nodes[self._stack_rows]
         self.t = nodes.ravel()
         points = mesh.history_points
         self.s = points[lo : offsets[n1]]
@@ -367,16 +399,12 @@ class HistoryRun:
                 w *= psi
                 self.far += np.sum(w, axis=(2, 3)).ravel()
 
-        # pairs (row, k) of a Gauss node and a run element k before the
-        # node's element, row-major: element j's pairs are the j * (d + 1)^2
-        # entries after the first j (j - 1) / 2 * (d + 1)^2
-        owner = np.arange(self.t.size) // m
-        rows, ks = np.nonzero(np.arange(R) < owner[:, None])
+        rows, ks, node, gap, self._mask = _near_pairs(R, m)
         self.near = np.empty((0, m))
         if rows.size:
             t = self.t[rows]
             w = (history_weights_batch(bp[n0 - 1 + ks], bp[n0 + ks], d, t, alpha) if table is None
-                 else table[rows % m, :, N - 1 - owner[rows] + ks])
+                 else table[node, :, N - 1 - gap])
             w *= problem.kappa(t[:, None], self.s.reshape(-1, m)[ks])
             self.near = w
 
@@ -395,6 +423,33 @@ class HistoryRun:
         u = lobatto_u[self.lo : self.lo + j * m]
         psi = self.problem.psi(self.t[j * m : (j + 1) * m, None], self.s[: j * m], u)
         return far + (near @ psi if np.shape(psi) == u.shape else (near * psi).sum(axis=1))
+
+    def solve_linear(self, solvers, lob_maps, f_nodes):
+        """The run's coefficients and Lobatto values where psi = u, by forward substitution.
+
+        The arguments stack the elements of the run's :class:`OperatorRun`, of
+        which the run reads its rows: ``solvers`` map an element's f - history
+        at its Gauss nodes to its coefficients, ``lob_maps`` to its Lobatto
+        values, and ``f_nodes`` holds f there.  ``near`` is scattered once into
+        the run's dense, strictly block-lower (R (d+1))^2 matrix A, so element
+        j's history is ``far_j + A_j lob`` and its values are
+        ``lob_maps[j] (f_j - far_j - A_j lob)``, where A_j reads only the
+        elements before j: one small product per element against the values
+        already found completes them, and one batched product gives all the
+        coefficients, ``solvers[j] (f_j - far_j - A_j lob)``.
+        """
+        rows = self._stack_rows
+        solvers, lob_maps, f_nodes = solvers[rows], lob_maps[rows], f_nodes[rows]
+        R, m = f_nodes.shape
+        A = np.zeros((R * m, R * m))
+        A[self._mask] = self.near.ravel()  # the mask's row-major order is the pairs'
+        rhs = f_nodes.ravel() - self.far
+        lob = np.matvec(lob_maps, rhs.reshape(R, m)).ravel()
+        lob_near = lob_maps @ A.reshape(R, m, R * m)
+        for j, row in enumerate(lob_near[1:], start=1):
+            lob[j * m : (j + 1) * m] -= row[:, : j * m] @ lob[: j * m]
+        coeffs = np.matvec(solvers, (rhs - A @ lob).reshape(R, m))
+        return coeffs.ravel(), lob
 
 
 def _quiet_eval(fn, *args):

@@ -1,12 +1,14 @@
 """Element-marching driver: damped Newton from a warm start, with a descent
-phase as recovery.
+phase as recovery, and forward substitution on linear problems.
 
 Elements are solved in causal order; each solved element writes its values at
 the shifted Lobatto points into one contiguous array, from which later
 elements assemble their history term without re-expanding earlier solutions.
-Newton starts from the previous element's coefficients; only when it fails
-there does a steepest-descent phase run and hand Newton a second starting
-point.  Both evaluate all the halvings of a rejected step in one residual call.
+A linear problem solves each run of elements at once, by forward substitution
+in those values.  On a nonlinear one, Newton starts from the previous
+element's coefficients; only when it fails there does a steepest-descent
+phase run and hand Newton a second starting point.  Both evaluate all the
+halvings of a rejected step in one residual call.
 """
 
 from __future__ import annotations
@@ -308,8 +310,10 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
     solved before it (:class:`HistoryRun`), all from one table of weights by
     gap when the mesh is uniform with one degree.  A linear stretch calls f
     once on all its Gauss nodes and inverts all its system matrices in one
-    batched call; each element then costs its near-history sum and one
-    matrix-vector product.  Nonlinear elements call f on their own nodes and
+    batched call; each of its runs is then solved at once
+    (``HistoryRun.solve_linear``), a forward substitution with one small
+    product per element.  Nonlinear elements call f on their own nodes, add
+    their near history to the run's far part (``HistoryRun.at_nodes``) and
     run damped Newton from a warm start: the previous element's
     coefficients, zero-padded or truncated to this element's degree (the
     constant ``init_constant`` on the first element).  Only if that Newton
@@ -332,26 +336,27 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
         dim = ops.degree + 1
         if problem.linear:
             solvers, f_nodes = _linear_solvers(problem, ops)
+            lob_maps = _lobatto_table(ops.degree).T @ solvers
         for n0, n1 in stretch:
-            run = HistoryRun(problem, mesh, n0, n1, lobatto_u[: offsets[n0 - 1]], table)
+            run = HistoryRun(ops, n0, n1, lobatto_u[: offsets[n0 - 1]], table)
+            if problem.linear:
+                lo, hi = offsets[n0 - 1], offsets[n1]
+                coeffs[lo:hi], lobatto_u[lo:hi] = run.solve_linear(solvers, lob_maps, f_nodes)
+                continue
             for n in range(n0, n1 + 1):
                 lo, hi = offsets[n - 1], offsets[n]
-                history = run.at_nodes(n, lobatto_u)
-                if problem.linear:
-                    j = n - ops.n0
-                    u = solvers[j] @ (f_nodes[j] - history)
+                op = ops.operator(n)
+                warm = np.zeros(dim)
+                if n == 1:
+                    warm[0] = options.init_constant
                 else:
-                    op = ops.operator(n)
-                    warm = np.zeros(dim)
-                    if n == 1:
-                        warm[0] = options.init_constant
-                    else:
-                        prev = coeffs[offsets[n - 2] : lo]
-                        k = min(dim, prev.size)
-                        warm[:k] = prev[:k]
-                    # the accumulated history enters the element equation on the
-                    # right-hand side: current-element moments = rhs - history
-                    u = _solve_element(op, op.rhs() - op.project(history), warm, options)
+                    prev = coeffs[offsets[n - 2] : lo]
+                    k = min(dim, prev.size)
+                    warm[:k] = prev[:k]
+                # the accumulated history enters the element equation on the
+                # right-hand side: current-element moments = rhs - history
+                target = op.rhs() - op.project(run.at_nodes(n, lobatto_u))
+                u = _solve_element(op, target, warm, options)
                 coeffs[lo:hi] = u
                 lobatto_u[lo:hi] = _lobatto_values(u, ops.degree)
     return PiecewiseSolution(mesh, coeffs)
@@ -374,6 +379,16 @@ def evaluate(solution: PiecewiseSolution, t):
     elem_idx = locate(np.where(t_arr <= 0.0, mesh.breakpoints[1], t_arr), mesh) - 1
     if np.any(t_arr < 0.0):
         raise ValueError("evaluation point below 0")
+    out = _evaluate_on(solution, t_arr, elem_idx)
+    return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def _evaluate_on(solution: PiecewiseSolution, t_arr: np.ndarray, elem_idx: np.ndarray):
+    """Values at the points of the 1-D ``t_arr``, each on its 0-based element ``elem_idx``.
+
+    A point is taken to its element's reference coordinate, clipped to [-1, 1].
+    """
+    mesh = solution.mesh
     coeffs, offsets, bp = solution.coeffs, mesh.offsets, mesh.breakpoints
     out = np.empty_like(t_arr)
     groups = mesh.degree_groups
@@ -392,7 +407,7 @@ def evaluate(solution: PiecewiseSolution, t):
             for p in range(1, d + 1):
                 acc += coeffs[first + p] * P[p]
             out[pts] = acc
-    return float(out[0]) if np.ndim(t) == 0 else out
+    return out
 
 
 # forward_apply's base rule size, its acceptance tolerance (relative to the

@@ -2,8 +2,9 @@
 
 The first part deliberately avoids the package's own quadrature machinery:
 closed-form moments and Jacobi norms come from 50-digit mpmath, singular
-integrals from QUADPACK's weighted adaptive routines, and the singular
-benchmark's right-hand side from its hypergeometric closed form.  From
+integrals from QUADPACK's weighted adaptive routines or, for polynomials,
+from their closed form at 60 digits, and the singular benchmark's
+right-hand side from its hypergeometric closed form.  From
 ``history_by_node`` on, the references are loop forms of batched package
 routines on the package's own rules; they must agree with them bit for bit
 or to a stated tolerance.
@@ -95,6 +96,29 @@ def singular_history_integral(fn, left, right, t, alpha, tol=1e-12):
     return float(val)
 
 
+def lagrange_history_integral(nodes, j, left, right, t, alpha, dps=60):
+    """int_left^right (t-s)^(alpha-1) l_j(s) ds for t >= right, in closed form at ``dps`` digits.
+
+    l_j is the j-th Lagrange polynomial on ``nodes``.  In sigma = t - s it is
+    prod_{m != j} ((t - x_m) - sigma) / (x_j - x_m) = sum_k a_k sigma^k, whose
+    terms integrate to a_k [sigma^(alpha+k) / (alpha+k)] from t - right to
+    t - left.  The digits carry the cancellation among the a_k, which grow
+    like ((t - left) / node spacing)^degree.
+    """
+    with mp.workdps(dps):
+        t, alpha = mp.mpf(t), mp.mpf(alpha)
+        x = [mp.mpf(float(v)) for v in nodes]
+        a = [mp.mpf(1)]
+        for m, xm in enumerate(x):
+            if m != j:  # times the factor c + d sigma: a_k <- c a_k + d a_(k-1)
+                c, d = (t - xm) / (x[j] - xm), -1 / (x[j] - xm)
+                a = [c * ak + d * below for ak, below in zip(a + [0], [0] + a)]
+        near, far = t - mp.mpf(right), t - mp.mpf(left)
+        return float(sum(
+            ak * (far ** (alpha + k) - near ** (alpha + k)) / (alpha + k) for k, ak in enumerate(a)
+        ))
+
+
 def legendre_l2_projection(fn, a, b, degree, tol=1e-12):
     """Exact-integral Legendre coefficients of fn on [a, b]."""
     from numpy.polynomial.legendre import legval
@@ -169,6 +193,33 @@ def history_by_node(op, prior_u):
             vals[i] += float(np.sum(w * problem.kappa(t, S) * problem.psi(t, S, U)))
             k = k_end
     return op.project(vals)
+
+
+def linear_march_by_element(problem, mesh):
+    """Coefficients of ``abelhp.solver.solve`` on a linear problem, one element at a time.
+
+    The march that forward substitution over each run replaced: every element
+    adds its near history to its run's far part (``HistoryRun.at_nodes``),
+    maps f minus that to coefficients with its stretch's batched inverse, and
+    writes its Lobatto values before the next element starts.
+    """
+    from abelhp.discretization import HistoryRun, OperatorRun, _gap_table, operator_stretches
+    from abelhp.quadrature import _lobatto_table
+    from abelhp.solver import _linear_solvers
+
+    offsets = mesh.offsets
+    coeffs, lobatto_u = np.empty(mesh.L), np.empty(mesh.L)
+    table = _gap_table(mesh, problem.alpha)
+    for stretch in operator_stretches(mesh):
+        ops = OperatorRun(problem, mesh, stretch[0][0], stretch[-1][1])
+        solvers, f_nodes = _linear_solvers(problem, ops)
+        for n0, n1 in stretch:
+            run = HistoryRun(ops, n0, n1, lobatto_u[: offsets[n0 - 1]], table)
+            for n in range(n0, n1 + 1):
+                lo, hi, j = offsets[n - 1], offsets[n], n - ops.n0
+                u = solvers[j] @ (f_nodes[j] - run.at_nodes(n, lobatto_u))
+                coeffs[lo:hi], lobatto_u[lo:hi] = u, u @ _lobatto_table(ops.degree)
+    return coeffs
 
 
 def _element_grid(op):

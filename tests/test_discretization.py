@@ -495,7 +495,7 @@ def test_blocked_history_matches_per_node_loop(monkeypatch):
     rng = np.random.default_rng(7)
     prior = _prior(mesh, *(rng.uniform(-1.0, 1.0, d + 1) for d in mesh.degrees))
     for n0, n1 in runs:
-        run = HistoryRun(problem, mesh, n0, n1, prior[: mesh.offsets[n0 - 1]])
+        run = HistoryRun(OperatorRun(problem, mesh, n0, n1), n0, n1, prior[: mesh.offsets[n0 - 1]])
         for n in range(n0, n1 + 1):
             op = ElementOperator(problem, mesh, n)
             blocked = op.project(run.at_nodes(n, prior))
@@ -622,7 +622,8 @@ def test_uniform_history_against_mpmath_near_t_end(N, degree, bound):
         k = N - gap
         prior = np.zeros(mesh.offsets[N - 1])
         prior[mesh.offsets[k - 1] : mesh.offsets[k]] = _lobatto_values(coeffs, degree)
-        run = HistoryRun(problem, mesh, N, N, prior, abelhp.discretization._gap_table(mesh, 0.5))
+        table = abelhp.discretization._gap_table(mesh, 0.5)
+        run = HistoryRun(OperatorRun(problem, mesh, N, N), N, N, prior, table)
         got = op.project(run.at_nodes(N, prior))
         want = op.project(uniform_history_mpmath(N, 1.0, nodes, gap, coeffs, 0.5))
         assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want)), gap
@@ -646,7 +647,8 @@ def test_uniform_history_matches_per_node_loop(monkeypatch, N):
     assert any(n1 > n0 > 1 for n0, n1 in runs)
     prior = 1.0 + 0.5 * np.cos(3.0 * mesh.history_points)
     for n0, n1 in runs:
-        run = HistoryRun(problem, mesh, n0, n1, prior[: mesh.offsets[n0 - 1]], table)
+        ops = OperatorRun(problem, mesh, n0, n1)
+        run = HistoryRun(ops, n0, n1, prior[: mesh.offsets[n0 - 1]], table)
         for n in range(n0, n1 + 1):
             op = ElementOperator(problem, mesh, n)
             blocked = op.project(run.at_nodes(n, prior))
@@ -673,7 +675,8 @@ def test_far_contraction_matches_per_node_loop(monkeypatch):
         for psi in psis:
             problem = dataclasses.replace(ex3.spec, psi=psi)
             for n0, n1 in runs:
-                run = HistoryRun(problem, mesh, n0, n1, prior[: mesh.offsets[n0 - 1]], table)
+                ops = OperatorRun(problem, mesh, n0, n1)
+                run = HistoryRun(ops, n0, n1, prior[: mesh.offsets[n0 - 1]], table)
                 for n in range(max(n0, 2), n1 + 1):
                     op = ElementOperator(problem, mesh, n)
                     blocked = op.project(run.at_nodes(n, prior))
@@ -764,12 +767,18 @@ def test_history_takes_a_kernel_seam_as_the_limit_from_inside():
 
 
 def test_history_run_rejects_mixed_degrees_and_short_prior():
+    # a run takes its degree from the operators of its stretch, which reject
+    # mixed degrees; elements outside those operators raise, as does a prior
+    # without the Lobatto values of every earlier element
     p = _identity_problem(0.5, 1.0, lambda t: np.asarray(t, dtype=float))
     m = Mesh(np.linspace(0.0, 1.0, 4), [2, 2, 3])
     with pytest.raises(ValueError):
-        HistoryRun(p, m, 2, 3, _prior(m, [1.0, 0.0, 0.0]))
+        OperatorRun(p, m, 2, 3)
+    ops = OperatorRun(p, m, 1, 2)
+    with pytest.raises(IndexError):
+        HistoryRun(ops, 2, 3, _prior(m, [1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
-        HistoryRun(p, m, 2, 2, np.empty(0))
+        HistoryRun(ops, 2, 2, np.empty(0))
 
 
 def test_solve_store_matches_list_march():

@@ -26,7 +26,7 @@ from abelhp.solver import (
     steepest_descent_init,
 )
 
-from oracles import forward_apply_by_time, newton_by_halving
+from oracles import forward_apply_by_time, linear_march_by_element, newton_by_halving
 
 
 def _ones(t, s):
@@ -670,6 +670,49 @@ def test_linear_solve_names_the_first_singular_element(monkeypatch):
         with pytest.warns(ProblemAssumptionWarning), pytest.raises(SingularJacobianError) as err:
             solve(problem, mesh)
         assert (err.value.n, err.value.iteration) == (first, 0)
+
+
+def test_linear_runs_match_the_per_element_march(monkeypatch):
+    # each linear run is solved by one forward substitution over its near
+    # matrix; the per-element march it replaced must agree: on a gap-table
+    # mesh of several runs, graded mixed-degree meshes, a one-element mesh,
+    # a mesh whose runs are one element each, and ex4
+    ex2, ex4 = bench.make_benchmark("ex2"), bench.make_benchmark("ex4")
+    degrees = np.repeat(np.arange(1, 9), 3)
+    graded = Mesh(np.concatenate([[0.0], 0.6 ** np.arange(degrees.size - 1, -1, -1)]), degrees)
+    several = bench.mesh_for(ex2, 300, 2)
+    assert abelhp.discretization._gap_table(several, ex2.spec.alpha) is not None
+    assert len(history_runs(several)) > 1
+    default = abelhp.discretization._HISTORY_BLOCK
+    cases = [
+        (ex2, several, default),
+        (ex2, graded, default),
+        (ex4, graded, default),
+        (ex2, uniform_mesh(1, 1.0, 3), default),
+        (ex4, uniform_mesh(12, 1.0, 3), 1),
+        (ex4, bench.mesh_for(ex4, 200, 3), default),
+    ]
+    for b, mesh, block in cases:
+        monkeypatch.setattr(abelhp.discretization, "_HISTORY_BLOCK", block)
+        if block == 1:
+            assert all(n0 == n1 for n0, n1 in history_runs(mesh))
+        got = solve(b.spec, mesh).coeffs
+        want = linear_march_by_element(b.spec, mesh)
+        assert np.max(np.abs(got - want)) <= 5e-13 * np.max(np.abs(want))
+
+
+def test_linear_solve_never_calls_at_nodes(monkeypatch):
+    # a linear run takes its near sums from one matrix, not element by
+    # element; the nonlinear march still does, which shows the patch bites
+    def refuse(self, n, lobatto_u):
+        raise AssertionError("HistoryRun.at_nodes called")
+
+    monkeypatch.setattr(abelhp.discretization.HistoryRun, "at_nodes", refuse)
+    ex2, ex3 = bench.make_benchmark("ex2"), bench.make_benchmark("ex3")
+    for mesh in (bench.mesh_for(ex2, 300, 2), uniform_mesh(8, 1.0, 3)):
+        solve(ex2.spec, mesh)
+    with pytest.raises(AssertionError, match="at_nodes"):
+        solve(ex3.spec, uniform_mesh(8, 1.0, 3), ex3.solver_options())
 
 
 def test_solve_memory_stays_bounded():
