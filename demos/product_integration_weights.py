@@ -7,36 +7,47 @@ fraction of an element width past the element (the nearly singular case that
 dominates the error budget of naive quadrature).
 """
 
-import numpy as np
-from scipy.integrate import quad
+from math import comb
 
-from abelhp import Element, RuleKind, gauss_rule, history_weights, shift_nodes
+from abelhp import RuleKind, gauss_rule
+from abelhp.quadrature import history_weights_batch
 
-elem = Element(0.0, 1.0, 4)
+left, right, degree = 0.0, 1.0, 4
 alpha = 0.3
-pts = shift_nodes(gauss_rule(RuleKind.GAUSS_LOBATTO, None, elem.degree), elem)
+nodes = gauss_rule(RuleKind.GAUSS_LOBATTO, None, degree).nodes
+pts = left + 0.5 * (right - left) * (nodes + 1.0)
 
-print(f"element [{elem.left}, {elem.right}], degree {elem.degree}, alpha = {alpha}")
+
+def weights(t):
+    """Weights of the element's Lobatto points at a time t >= right."""
+    return history_weights_batch([left], [right], degree, t, alpha)[0]
+
+
+def monomial_integral(k, t):
+    """int_left^right (t-s)^(alpha-1) s^k ds in closed form.
+
+    With u = t - s, s^k = sum_m C(k, m) t^(k-m) (-u)^m, and u^(alpha-1+m)
+    integrates to u^(alpha+m) / (alpha+m) over [t - right, t - left].
+    """
+    near, far = t - right, t - left
+    return sum(
+        comb(k, m) * t ** (k - m) * (-1) ** m * (far ** (alpha + m) - near ** (alpha + m))
+        / (alpha + m)
+        for m in range(k + 1)
+    )
+
+
+print(f"element [{left}, {right}], degree {degree}, alpha = {alpha}")
 print("evaluation point t, weights, and the constant-sum identity:")
 for t in (2.0, 1.1, 1.0 + 1e-4):
-    hw = history_weights(elem, t, alpha)
-    expected = ((t - elem.left) ** alpha - (t - elem.right) ** alpha) / alpha
-    print(f"  t = {t:<10.6g} sum w = {hw.values.sum():.12f}  expected {expected:.12f}")
+    expected = ((t - left) ** alpha - (t - right) ** alpha) / alpha
+    print(f"  t = {t:<10.6g} sum w = {weights(t).sum():.12f}  expected {expected:.12f}")
 
 print()
-print("Against brute-force adaptive quadrature (smooth test function cos):")
-fn = np.cos
+print("Against the closed form for s^k, k <= degree (exact up to rounding):")
 for t in (2.0, 1.002):
-    hw = history_weights(elem, t, alpha)
-    mine = float(hw.values @ fn(pts))
-    brute = quad(
-        lambda s: (t - s) ** (alpha - 1.0) * fn(s),
-        elem.left,
-        elem.right,
-        epsabs=1e-13,
-        epsrel=1e-13,
-        limit=500,
-    )[0]
-    # cos is not a polynomial: the gap is the degree-4 interpolation error
-    print(f"  t = {t:<8.4g} product rule {mine:.10f}  brute force {brute:.10f}"
-          f"  gap {abs(mine - brute):.2e}")
+    w = weights(t)
+    for k in (1, 2, degree):
+        mine, exact = float(w @ pts**k), monomial_integral(k, t)
+        print(f"  t = {t:<6.4g} k = {k}  product rule {mine:.15f}  closed form {exact:.15f}"
+              f"  gap {abs(mine - exact):.1e}")

@@ -31,16 +31,8 @@ from .bench import (
 )
 from .discretization import ProblemAssumptionWarning, ProblemSpec, validate_problem
 from .mesh import Mesh, locate, uniform_mesh
-from .orthopoly import Element, JacobiParams
-from .quadrature import (
-    HistoryWeights,
-    QuadRule,
-    RuleKind,
-    gauss_rule,
-    history_weights,
-    shift_nodes,
-    singular_element_integral,
-)
+from .orthopoly import JacobiParams
+from .quadrature import QuadRule, RuleKind, gauss_rule
 from .solver import (
     NewtonDivergedError,
     PiecewiseSolution,
@@ -76,15 +68,10 @@ __all__ = [
     "Mesh",
     "locate",
     "uniform_mesh",
-    "Element",
     "JacobiParams",
-    "HistoryWeights",
     "QuadRule",
     "RuleKind",
     "gauss_rule",
-    "history_weights",
-    "shift_nodes",
-    "singular_element_integral",
     "NewtonDivergedError",
     "PiecewiseSolution",
     "QuadratureConvergenceError",

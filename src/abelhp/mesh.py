@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orthopoly import DOMAIN_TOL, Element
 from .quadrature import _lobatto_nodes, _shift_rows
 
 __all__ = ["Mesh", "uniform_mesh", "locate"]
@@ -59,10 +58,6 @@ class Mesh:
     @property
     def h_max(self) -> float:
         return float(self.widths.max())
-
-    @property
-    def M_min(self) -> int:
-        return int(self.degrees.min())
 
     @property
     def L(self) -> int:
@@ -117,16 +112,6 @@ class Mesh:
         out.flags.writeable = False
         return out
 
-    def element(self, n: int) -> Element:
-        """The n-th element, n = 1..N."""
-        if not 1 <= n <= self.N:
-            raise IndexError(f"element index {n} outside 1..{self.N}")
-        return Element(
-            float(self.breakpoints[n - 1]),
-            float(self.breakpoints[n]),
-            int(self.degrees[n - 1]),
-        )
-
     def with_degrees(self, degrees) -> "Mesh":
         return Mesh(self.breakpoints, degrees)
 
@@ -166,6 +151,10 @@ def uniform_mesh(N: int, T: float, M: int) -> Mesh:
     if not T > 0.0:
         raise ValueError("T must be positive")
     return Mesh(np.linspace(0.0, T, N + 1), np.full(N, M, dtype=int))
+
+
+#: slack of ``locate`` past T, relative to max(1, T), for points that round past it
+DOMAIN_TOL = 1e-12
 
 
 def locate(t, mesh: Mesh):

@@ -15,8 +15,10 @@ Lobatto weights follow from the Legendre polynomial at the nodes.
 
 The history of solved elements enters through product-integration weights
 ``w_j(t) = int_element (t-s)^(alpha-1) l_j(s) ds`` for the Lagrange basis on
-the Lobatto points.  They are assembled from the modified moments of the
-singular factor against shifted Legendre polynomials.
+the Lobatto points.  One routine, ``history_weights_batch``, makes them for
+many (time, element) pairs at once, from the modified moments of the
+singular factor against shifted Legendre polynomials, and checks every row
+against the kernel integral over its element.
 """
 
 from __future__ import annotations
@@ -24,21 +26,17 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .orthopoly import DOMAIN_TOL, Element, JacobiParams, legendre_table
+from .orthopoly import JacobiParams, legendre_table
 
 __all__ = [
     "RuleKind",
     "QuadRule",
-    "HistoryWeights",
     "HistoryAccuracyError",
     "gauss_rule",
-    "shift_nodes",
-    "singular_element_integral",
-    "history_weights",
     "lobatto_lagrange_coeffs",
 ]
 
@@ -164,34 +162,9 @@ def gauss_rule(kind: RuleKind | str, params: JacobiParams | None, order: int) ->
     return _rule_cache.setdefault(key, QuadRule(kind, params, order, x, w))
 
 
-def shift_nodes(rule: QuadRule, elem: Element) -> np.ndarray:
-    """Affine image of the rule's nodes on [elem.left, elem.right]."""
-    return 0.5 * (elem.width * rule.nodes + elem.left + elem.right)
-
-
 def _shift_rows(nodes: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-    """Reference nodes placed on many elements, one row each, as ``shift_nodes`` places them."""
+    """Reference nodes placed affinely on many elements [left, right], one row each."""
     return 0.5 * ((rights - lefts)[:, None] * nodes + lefts[:, None] + rights[:, None])
-
-
-def singular_element_integral(g_at_mapped_nodes, elem: Element, t: float, alpha: float) -> float:
-    """Weighted integral of g over (elem.left, t) against (t-s)^(alpha-1).
-
-    ``g_at_mapped_nodes`` must hold g sampled at the element's shifted
-    Gauss-Jacobi(alpha-1, 0) nodes mapped affinely onto (elem.left, t).
-    Exact whenever g is a polynomial of degree <= elem.degree.
-    """
-    g = np.asarray(g_at_mapped_nodes, dtype=float)
-    if g.shape != (elem.degree + 1,):
-        raise ValueError("need g at the element's degree+1 mapped Jacobi nodes")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    if t <= elem.left:
-        raise ValueError("evaluation point must lie strictly right of the element start")
-    if t > elem.right + DOMAIN_TOL:
-        raise ValueError("evaluation point beyond the element")
-    rule = gauss_rule(RuleKind.GAUSS_JACOBI, JacobiParams(alpha - 1.0, 0.0), elem.degree)
-    return (0.5 * (t - elem.left)) ** alpha * float(rule.weights @ g)
 
 
 # ---------------------------------------------------------------------------
@@ -341,36 +314,6 @@ def _check_constant_sum(weights, lefts, rights, t, alpha: float):
         )
 
 
-@dataclass(frozen=True)
-class HistoryWeights:
-    """Product-integration weights for one solved element at a later time t.
-
-    Contracting ``values`` with samples of a polynomial phi (degree <= the
-    element degree) at the element's shifted Lobatto points reproduces
-    ``int_element (t-s)^(alpha-1) phi(s) ds`` exactly.
-    """
-
-    element: Element
-    eval_point: float
-    alpha: float
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        _check_constant_sum(
-            self.values, self.element.left, self.element.right, self.eval_point, self.alpha
-        )
-
-
-def history_weights(elem: Element, t: float, alpha: float) -> HistoryWeights:
-    """Exact singular-kernel weights for the Lobatto points of a past element."""
-    if t < elem.right - DOMAIN_TOL * max(1.0, abs(elem.right)):
-        raise ValueError("evaluation point must lie at or beyond the element")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    values = history_weights_batch([elem.left], [elem.right], elem.degree, t, alpha)[0]
-    return HistoryWeights(elem, float(t), float(alpha), values)
-
-
 def history_weights_batch(lefts, rights, degree: int, t, alpha: float) -> np.ndarray:
     """Weights for same-degree elements at times t, broadcast by numpy rules.
 
@@ -378,9 +321,20 @@ def history_weights_batch(lefts, rights, degree: int, t, alpha: float) -> np.nda
     result has their broadcast shape + ``(degree + 1,)``: each row holds one
     element's weights at one time.  Pass ``t[:, None]`` against 1-d
     ``lefts``/``rights`` for every (time, element) pair, or equal-length 1-d
-    arrays for one element per time.  Hot path of history assembly: moments
-    are vectorized over all rows, one basis-change matrix serves them all,
-    and every row passes the constant-sum check of :class:`HistoryWeights`.
+    arrays for one element per time.  Contracting a row with samples of a
+    polynomial phi of degree <= ``degree`` at the element's shifted Lobatto
+    points gives ``int_element (t-s)^(alpha-1) phi(s) ds`` exactly.
+
+    Hot path of history assembly: moments are vectorized over all rows, one
+    basis-change matrix serves them all, and every row passes the
+    constant-sum check (``HistoryAccuracyError`` otherwise).
+
+    Preconditions, not checked here: every t >= its element's right end, and
+    0 < alpha <= 1.  The callers build t from a validated ``ProblemSpec`` on
+    causal meshes, and a check per call would cost on every history row.  A
+    t < right is not caught by the constant-sum check either: the moments
+    clamp c to 1 and the check clamps the gap to 0, so such a row silently
+    holds the weights at t = right.
     """
     t = np.asarray(t, dtype=float)
     lefts = np.asarray(lefts, dtype=float)

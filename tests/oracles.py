@@ -165,19 +165,17 @@ def history_by_node(op, prior_u):
     ``prior_u`` holds the Lobatto values of elements 1..n-1 in the
     ``mesh.offsets`` layout.  For each Gauss node t it walks the solved
     elements in runs of equal degree, places their Lobatto points with
-    ``shift_nodes``, and takes one scalar-t weight call per run.  It shares
+    ``_shift_rows``, and takes one scalar-t weight call per run.  It shares
     the weight routine with the package, so it checks the batched contraction
     of ``ElementOperator.history``, not the weights themselves.
     """
-    from abelhp.quadrature import RuleKind, gauss_rule, history_weights_batch, shift_nodes
+    from abelhp.quadrature import RuleKind, _shift_rows, gauss_rule, history_weights_batch
 
     problem, mesh = op.problem, op.mesh
     bp, offsets, prior = mesh.breakpoints, mesh.offsets, op.n - 1
     degrees = [int(d) for d in mesh.degrees[:prior]]
-    points = [
-        shift_nodes(gauss_rule(RuleKind.GAUSS_LOBATTO, None, d), mesh.element(k + 1))
-        for k, d in enumerate(degrees)
-    ]
+    nodes = [gauss_rule(RuleKind.GAUSS_LOBATTO, None, d).nodes for d in degrees]
+    points = [_shift_rows(x, bp[k : k + 1], bp[k + 1 : k + 2])[0] for k, x in enumerate(nodes)]
     values = [prior_u[offsets[k] : offsets[k + 1]] for k in range(prior)]
     vals = np.zeros(op.t_nodes.size)
     for i, t in enumerate(op.t_nodes):
@@ -230,15 +228,15 @@ def _element_grid(op):
     prefactor, the inner Gauss-Jacobi weights and the system scale.
     """
     from abelhp.orthopoly import JacobiParams, legendre_table
-    from abelhp.quadrature import RuleKind, gauss_rule, shift_nodes
+    from abelhp.quadrature import RuleKind, _shift_rows, gauss_rule
 
-    problem, elem = op.problem, op.mesh.element(op.n)
-    M, alpha, h = elem.degree, problem.alpha, elem.width
+    problem, n, bp = op.problem, op.n, op.mesh.breakpoints
+    M, alpha, h = op.mesh.degrees[n - 1], problem.alpha, bp[n] - bp[n - 1]
     gl = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, M)
     gj = gauss_rule(RuleKind.GAUSS_JACOBI, JacobiParams(alpha - 1.0, 0.0), M)
     node_product = (1.0 + gl.nodes)[:, None] * (1.0 + gj.nodes)[None, :]
-    t = shift_nodes(gl, elem)
-    sigma = elem.left + 0.25 * h * node_product
+    t = _shift_rows(gl.nodes, bp[n - 1 : n], bp[n : n + 1])[0]
+    sigma = bp[n - 1] + 0.25 * h * node_product
     kappa = np.broadcast_to(problem.kappa(t[:, None], sigma), sigma.shape)
     P = legendre_table(M, gl.nodes)
     Q = legendre_table(M, 0.5 * node_product - 1.0)
@@ -276,15 +274,17 @@ def fused_matrix_einsum(op):
 def rhs_by_node(op):
     """Legendre moments of f on element ``op.n``, one Gauss node at a time."""
     from abelhp.orthopoly import legendre_table
-    from abelhp.quadrature import RuleKind, gauss_rule, shift_nodes
+    from abelhp.quadrature import RuleKind, _shift_rows, gauss_rule
 
-    elem = op.mesh.element(op.n)
-    gl = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, elem.degree)
-    out = np.zeros(elem.degree + 1)
-    for x, w, t in zip(gl.nodes, gl.weights, shift_nodes(gl, elem)):
+    n, bp = op.n, op.mesh.breakpoints
+    degree = op.mesh.degrees[n - 1]
+    gl = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, degree)
+    out = np.zeros(degree + 1)
+    ts = _shift_rows(gl.nodes, bp[n - 1 : n], bp[n : n + 1])[0]
+    for x, w, t in zip(gl.nodes, gl.weights, ts):
         fx = float(np.asarray(op.problem.f(np.array([t])), dtype=float).ravel()[0])
-        out += w * fx * legendre_table(elem.degree, x)
-    return (2.0 * np.arange(elem.degree + 1) + 1.0) / 2.0 * out
+        out += w * fx * legendre_table(degree, x)
+    return (2.0 * np.arange(degree + 1) + 1.0) / 2.0 * out
 
 
 def newton_by_halving(residual_fn, jacobian_fn, init, options):

@@ -13,8 +13,8 @@ import pytest
 import abelhp.bench as bench
 from abelhp.adaptive import AdaptiveOptions, adaptive_solve
 from abelhp.mesh import uniform_mesh
-from abelhp.orthopoly import Element, JacobiParams
-from abelhp.quadrature import RuleKind, gauss_rule, history_weights, shift_nodes
+from abelhp.orthopoly import JacobiParams
+from abelhp.quadrature import RuleKind, _shift_rows, gauss_rule, history_weights_batch
 from abelhp.solver import SolverOptions, evaluate, solve
 
 from oracles import jacobi_monomial_moment, lagrange_history_integral
@@ -68,13 +68,13 @@ def test_criterion_2_history_weight_oracle():
             gap = float(rng.uniform(0.0, 0.5 * h))
         else:
             gap = float(rng.uniform(0.0, 8.0))
-        elem = Element(left, left + h, M)
-        t = elem.right + gap
-        hw = history_weights(elem, t, alpha)
-        pts = shift_nodes(gauss_rule(RuleKind.GAUSS_LOBATTO, None, M), elem)
+        lefts, rights = np.array([left]), np.array([left + h])
+        t = rights[0] + gap
+        w = history_weights_batch(lefts, rights, M, t, alpha)[0]
+        pts = _shift_rows(gauss_rule(RuleKind.GAUSS_LOBATTO, None, M).nodes, lefts, rights)[0]
         for j in range(M + 1):
-            oracle = lagrange_history_integral(pts, j, elem.left, elem.right, t, alpha)
-            worst = max(worst, abs(float(hw.values[j]) - oracle))
+            oracle = lagrange_history_integral(pts, j, left, rights[0], t, alpha)
+            worst = max(worst, abs(float(w[j]) - oracle))
     elapsed = time.perf_counter() - tic
     _verdict(
         2,
@@ -253,12 +253,13 @@ def test_criterion_8_property_suite():
 
     sol = solve(b3.spec, uniform_mesh(4, 1.0, 3), b3.solver_options())
     total = 0.0
+    bp = sol.mesh.breakpoints
     for n in range(1, 5):
-        elem = sol.mesh.element(n)
-        x, w = leggauss(elem.degree + 1)
-        pts = 0.5 * (elem.width * x + elem.left + elem.right)
+        left, right = bp[n - 1], bp[n]
+        x, w = leggauss(sol.mesh.degrees[n - 1] + 1)
+        pts = 0.5 * ((right - left) * x + left + right)
         diff = b3.exact(pts) - legval(x, sol.coefficients(n))
-        total += 0.5 * elem.width * float(w @ diff**2)
+        total += 0.5 * (right - left) * float(w @ diff**2)
     gap = abs(bench.error_E1(sol, b3.exact) - np.sqrt(total))
     checks.append((f"E1 double-path consistency {gap:.2e} <= 1e-12", gap <= 1e-12))
 

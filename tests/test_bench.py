@@ -50,13 +50,14 @@ def test_error_E1_two_path_consistency():
     mesh = uniform_mesh(4, 1.0, 3)
     sol = solve(b.spec, mesh, b.solver_options())
     total = 0.0
+    bp = mesh.breakpoints
     for n in range(1, mesh.N + 1):
-        elem = mesh.element(n)
-        x, w = leggauss(elem.degree + 1)
-        pts = 0.5 * (elem.width * x + elem.left + elem.right)
+        left, right = bp[n - 1], bp[n]
+        x, w = leggauss(mesh.degrees[n - 1] + 1)
+        pts = 0.5 * ((right - left) * x + left + right)
         approx = legval(x, sol.coefficients(n))
         diff = b.exact(pts) - approx
-        total += 0.5 * elem.width * float(w @ diff**2)
+        total += 0.5 * (right - left) * float(w @ diff**2)
     assert bench.error_E1(sol, b.exact) == pytest.approx(np.sqrt(total), abs=1e-12)
 
 
@@ -64,17 +65,16 @@ def test_error_E1_matches_per_element_loop():
     # E1 gathers Gauss points per degree group; the per-element loop it
     # replaced must give the same bits, here on interleaved degrees
     from abelhp.mesh import Mesh
-    from abelhp.quadrature import RuleKind, gauss_rule, shift_nodes
+    from abelhp.quadrature import RuleKind, _shift_rows, gauss_rule
 
     b = bench.make_benchmark("ex3")
     mesh = Mesh(np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 9)]), [1, 3, 2, 5, 1, 8, 2, 4, 6])
     sol = solve(b.spec, mesh, b.solver_options())
     pts, wts = [], []
-    for n in range(1, mesh.N + 1):
-        elem = mesh.element(n)
-        rule = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, elem.degree)
-        pts.append(shift_nodes(rule, elem))
-        wts.append(0.5 * elem.width * rule.weights)
+    for left, right, d in zip(mesh.breakpoints[:-1], mesh.breakpoints[1:], mesh.degrees):
+        rule = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, d)
+        pts.append(_shift_rows(rule.nodes, np.array([left]), np.array([right]))[0])
+        wts.append(0.5 * (right - left) * rule.weights)
     pts = np.concatenate(pts)
     diff = b.exact(pts) - evaluate(sol, pts)
     assert bench.error_E1(sol, b.exact) == np.sqrt(float(np.concatenate(wts) @ diff**2))
@@ -219,9 +219,8 @@ def test_history_projection_matches_quadrature_oracle():
 
     got = ElementOperator(b2.spec, mesh, 2).history(_lobatto_values(sol.coefficients(1), 5))
     u1 = lambda s: evaluate(sol, s)
-    elem = mesh.element(2)
     x, w = leggauss(6)
-    pts = 0.5 * (elem.width * x + elem.left + elem.right)
+    pts = 0.75 + 0.25 * x  # Gauss points of element 2, [0.5, 1]
     hist = np.array(
         [
             quad(

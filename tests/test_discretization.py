@@ -21,7 +21,7 @@ from abelhp.discretization import (
 )
 from abelhp.mesh import Mesh, uniform_mesh
 from abelhp.orthopoly import legendre_table
-from abelhp.quadrature import RuleKind, gauss_rule, shift_nodes
+from abelhp.quadrature import RuleKind, _shift_rows, gauss_rule
 from abelhp.solver import _lobatto_values, newton, solve
 
 from oracles import (
@@ -54,8 +54,7 @@ def _identity_problem(alpha, T, f, linear=True):
 def _prior(mesh, *coeffs):
     """Lobatto values of elements 1..k with these coefficients, flat as history() reads them."""
     vals = [
-        _lobatto_values(np.asarray(c, dtype=float), mesh.element(n).degree)
-        for n, c in enumerate(coeffs, start=1)
+        _lobatto_values(np.asarray(c, dtype=float), d) for d, c in zip(mesh.degrees, coeffs)
     ]
     return np.concatenate(vals) if vals else np.empty(0)
 
@@ -74,8 +73,8 @@ def test_rhs_constant_and_mode_pickoff():
     assert np.max(np.abs(f0[1:])) < 1e-14
 
     # f equal to one shifted Legendre mode projects onto exactly that mode
-    elem = m.element(2)
-    f2 = lambda t: legendre_table(2, (2 * np.asarray(t) - elem.left - elem.right) / elem.width)[2]
+    left, right = m.breakpoints[1:3]
+    f2 = lambda t: legendre_table(2, (2 * np.asarray(t) - left - right) / (right - left))[2]
     fh = ElementOperator(ProblemSpec(0.5, 1.0, _ones, lambda t, s, u: u,
                                      lambda t, s, u: np.ones_like(u), f2, True), m, 2).rhs()
     expected = np.zeros(4)
@@ -112,7 +111,7 @@ def test_history_closed_form_projection():
     b = ElementOperator(p, m, 2).history(_prior(m, [1.0, 0.0, 0.0, 0.0, 0.0]))
 
     rule = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, 4)
-    ti = shift_nodes(rule, m.element(2))
+    ti = _shift_rows(rule.nodes, m.breakpoints[1:2], m.breakpoints[2:3])[0]
     hist = 2.0 * (np.sqrt(ti) - np.sqrt(ti - 1.0))
     P = legendre_table(4, rule.nodes)
     oracle = (2 * np.arange(5) + 1) / 2.0 * (P @ (rule.weights * hist))
@@ -796,7 +795,7 @@ def test_solve_store_matches_list_march():
         for n in range(1, mesh.N + 1):
             op = ElementOperator(bench.spec, mesh, n)
             prior_u = prior[: mesh.offsets[n - 1]]
-            dim = mesh.element(n).degree + 1
+            dim = mesh.degrees[n - 1] + 1
             if bench.spec.linear:
                 A = op.jacobian(np.zeros(dim))
                 coeffs = np.linalg.solve(A, op.rhs() - op.history(prior_u))

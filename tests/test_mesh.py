@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from abelhp.mesh import Mesh, locate, uniform_mesh
-from abelhp.quadrature import RuleKind, gauss_rule, shift_nodes
+from abelhp.quadrature import RuleKind, _shift_rows, gauss_rule
 
 
 def test_uniform_mesh_basics():
@@ -63,13 +63,14 @@ def test_history_points_are_lobatto_points_with_ends_moved_inside():
         pts = m.history_points
         assert m.history_points is pts
         for n in range(1, m.N + 1):
-            elem = m.element(n)
+            lefts, rights = m.breakpoints[n - 1 : n], m.breakpoints[n : n + 1]
             got = pts[m.offsets[n - 1] : m.offsets[n]]
-            lobatto = shift_nodes(gauss_rule(RuleKind.GAUSS_LOBATTO, None, elem.degree), elem)
+            nodes = gauss_rule(RuleKind.GAUSS_LOBATTO, None, m.degrees[n - 1]).nodes
+            lobatto = _shift_rows(nodes, lefts, rights)[0]
             assert np.array_equal(got[1:-1], lobatto[1:-1])
             # one ulp inside the element, except at t = 0
-            assert got[0] == (0.0 if n == 1 else np.nextafter(elem.left, elem.right))
-            assert got[-1] == np.nextafter(elem.right, elem.left)
+            assert got[0] == (0.0 if n == 1 else np.nextafter(lefts[0], rights[0]))
+            assert got[-1] == np.nextafter(rights[0], lefts[0])
 
 
 def test_locate_right_inclusive():
@@ -98,7 +99,7 @@ def test_config_round_trip():
     assert np.array_equal(again.degrees, m.degrees)
 
     u = Mesh.from_config({"N": 4, "T": 2.0, "M": 3})
-    assert u.N == 4 and u.T == 2.0 and u.M_min == 3
+    assert u.N == 4 and u.T == 2.0 and list(u.degrees) == [3] * 4
     with pytest.raises(ValueError):
         Mesh.from_config({"N": 4})
 
@@ -106,8 +107,4 @@ def test_config_round_trip():
 def test_derived_quantities():
     m = Mesh(np.array([0.0, 0.2, 1.0]), np.array([4, 2]))
     assert m.h_max == pytest.approx(0.8)
-    assert m.M_min == 2
     assert m.L == 8
-    assert m.element(1).degree == 4
-    with pytest.raises(IndexError):
-        m.element(3)

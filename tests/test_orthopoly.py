@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import legvander
 
-from abelhp.orthopoly import Element, JacobiParams, legendre_table
+from abelhp.orthopoly import JacobiParams, legendre_table
 
 
 def test_degree_zero_is_one():
@@ -16,8 +16,6 @@ def test_legendre_at_right_endpoint():
 def test_domain_errors():
     with pytest.raises(ValueError):
         JacobiParams(-1.0, 0.0)
-    with pytest.raises(ValueError):
-        Element(1.0, 1.0, 2)
 
 
 def test_legendre_bound():

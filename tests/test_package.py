@@ -39,6 +39,29 @@ def test_demo_runs(demo, tmp_path, monkeypatch):
     runpy.run_path(str(demo), run_name="__main__")
 
 
+def test_demos_run_without_test_extras(tmp_path):
+    # the demos promise to run on numpy alone: scipy and mpmath, which only
+    # the test oracles use, are made unimportable in a fresh process
+    code = (
+        "import importlib.abc, runpy, sys\n"
+        "class Block(importlib.abc.MetaPathFinder):\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] in ('scipy', 'mpmath'):\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, Block())\n"
+        "for demo in sys.argv[1:]:\n"
+        "    runpy.run_path(demo, run_name='__main__')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, *map(str, DEMOS)],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+
+
 def test_import_loads_no_scipy():
     # scipy.special alone more than doubles the import time, and only the
     # test oracles use scipy, so a fresh process must not load any of it

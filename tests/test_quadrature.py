@@ -6,36 +6,41 @@ import numpy as np
 import pytest
 from scipy.special import eval_jacobi
 
-from abelhp.orthopoly import Element, JacobiParams
+from abelhp.orthopoly import JacobiParams
 from abelhp.quadrature import (
     _FORWARD_GROWTH,
     HistoryAccuracyError,
-    HistoryWeights,
     RuleKind,
+    _check_constant_sum,
     _element_moments,
     _forward_moments,
     _kernel_mass,
     _miller_moments,
     _nu_batch,
+    _shift_rows,
     gauss_rule,
-    history_weights,
     history_weights_batch,
     lobatto_lagrange_coeffs,
-    shift_nodes,
-    singular_element_integral,
 )
 
 from oracles import (
     jacobi_norm,
+    lagrange_history_integral,
     lagrange_values,
     singular_history_integral,
     weighted_poly_integral,
 )
 
 
-def _one_element_moments(elem, t, alpha, degree):
+def _one_element_moments(left, right, t, alpha, degree):
     """Modified moments of one element at one time, from the batched routine."""
-    return _element_moments(np.array([elem.left]), np.array([elem.right]), t, alpha, degree)[0]
+    return _element_moments(np.array([left]), np.array([right]), t, alpha, degree)[0]
+
+
+def _lobatto_points(left, right, degree):
+    """The element's shifted Lobatto points, placed as history assembly places them."""
+    nodes = gauss_rule(RuleKind.GAUSS_LOBATTO, None, degree).nodes
+    return _shift_rows(nodes, np.array([left]), np.array([right]))[0]
 
 
 def test_gauss_legendre_two_point():
@@ -153,63 +158,26 @@ def test_discrete_orthogonality(a):
     assert np.max(np.abs(gram - expected)) <= 1e-10 * expected.max()
 
 
-def test_shift_nodes():
-    rule = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, 1)
-    mapped = shift_nodes(rule, Element(0.0, 1.0, 1))
-    assert mapped == pytest.approx(
-        [0.5 * (1 - 1 / np.sqrt(3)), 0.5 * (1 + 1 / np.sqrt(3))]
-    )
-    assert shift_nodes(rule, Element(0.0, 2.0, 1)).mean() == pytest.approx(1.0)
-    rule_l = gauss_rule(RuleKind.GAUSS_LOBATTO, None, 2)
-    assert shift_nodes(rule_l, Element(1.0, 1.5, 2))[-1] == pytest.approx(1.5)
-
-
-def test_singular_element_integral_values():
-    elem = Element(0.0, 1.0, 4)
-    ones = np.ones(5)
-    assert singular_element_integral(ones, elem, 1.0, 0.5) == pytest.approx(2.0, rel=1e-13)
-    assert singular_element_integral(ones, elem, 0.25, 0.5) == pytest.approx(1.0, rel=1e-13)
-    # g(tau) = tau sampled at the mapped nodes, t = 1: Beta(2, 1/2) = 4/3
-    rule = gauss_rule(RuleKind.GAUSS_JACOBI, JacobiParams(-0.5, 0.0), 4)
-    tau = 0.0 + (shift_nodes(rule, elem) - 0.0) * (1.0 - 0.0) / 1.0
-    assert singular_element_integral(tau, elem, 1.0, 0.5) == pytest.approx(
-        4.0 / 3.0, rel=1e-12
-    )
-
-
-def test_singular_element_integral_preconditions():
-    elem = Element(0.5, 1.0, 2)
-    with pytest.raises(ValueError):
-        singular_element_integral(np.ones(3), elem, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        singular_element_integral(np.ones(3), elem, 0.2, 0.5)
-    with pytest.raises(ValueError):
-        singular_element_integral(np.ones(4), elem, 0.9, 0.5)
-
-
 def test_history_weights_alpha_one_is_scaled_lobatto():
-    elem = Element(0.25, 0.75, 5)
-    hw = history_weights(elem, 2.0, 1.0)
+    w = history_weights_batch([0.25], [0.75], 5, 2.0, 1.0)[0]
     rule = gauss_rule(RuleKind.GAUSS_LOBATTO, None, 5)
-    assert hw.values == pytest.approx(0.5 * elem.width * rule.weights, rel=1e-12)
+    assert w == pytest.approx(0.5 * 0.5 * rule.weights, rel=1e-12)
 
 
 def test_history_weights_constant_sum():
-    hw = history_weights(Element(0.0, 1.0, 4), 2.0, 0.5)
-    assert hw.values.sum() == pytest.approx(0.8284271247461901, rel=1e-12)
+    w = history_weights_batch([0.0], [1.0], 4, 2.0, 0.5)[0]
+    assert w.sum() == pytest.approx(0.8284271247461901, rel=1e-12)
 
 
 def test_history_weights_near_singular_oracle():
-    elem = Element(0.0, 1.0, 4)
     t, alpha = 1.1, 0.3
-    hw = history_weights(elem, t, alpha)
-    rule = gauss_rule(RuleKind.GAUSS_LOBATTO, None, 4)
-    pts = shift_nodes(rule, elem)
+    w = history_weights_batch([0.0], [1.0], 4, t, alpha)[0]
+    pts = _lobatto_points(0.0, 1.0, 4)
     for j in range(5):
         oracle = singular_history_integral(
             lambda s: lagrange_values(pts, j, s), 0.0, 1.0, t, alpha
         )
-        assert hw.values[j] == pytest.approx(oracle, abs=1e-9)
+        assert w[j] == pytest.approx(oracle, abs=1e-9)
 
 
 def test_history_weight_random_oracle_sweep():
@@ -220,38 +188,34 @@ def test_history_weight_random_oracle_sweep():
         M = int(rng.integers(1, 9))
         alpha = rng.uniform(0.1, 1.0)
         gap = rng.choice([rng.uniform(0.0, 5.0 * h), 1e-3 * h * rng.uniform(0.05, 1.0)])
-        elem = Element(left, left + h, M)
-        t = elem.right + gap
-        hw = history_weights(elem, t, alpha)
-        pts = shift_nodes(gauss_rule(RuleKind.GAUSS_LOBATTO, None, M), elem)
+        right = left + h
+        t = right + gap
+        w = history_weights_batch([left], [right], M, t, alpha)[0]
+        pts = _lobatto_points(left, right, M)
         for j in range(M + 1):
-            oracle = singular_history_integral(
-                lambda s: lagrange_values(pts, j, s), elem.left, elem.right, t, alpha
-            )
-            assert abs(hw.values[j] - oracle) < 1e-9
+            oracle = lagrange_history_integral(pts, j, left, right, t, alpha)
+            assert abs(w[j] - oracle) < 1e-9
 
 
 def test_history_weights_exact_on_polynomials():
     # contracting the weights with samples of a degree-M polynomial matches
     # the weighted integral of the polynomial itself
-    elem = Element(0.2, 0.9, 5)
     t, alpha = 1.3, 0.45
-    hw = history_weights(elem, t, alpha)
-    pts = shift_nodes(gauss_rule(RuleKind.GAUSS_LOBATTO, None, 5), elem)
+    w = history_weights_batch([0.2], [0.9], 5, t, alpha)[0]
+    pts = _lobatto_points(0.2, 0.9, 5)
     rng = np.random.default_rng(5)
     coeffs = rng.uniform(-1, 1, 6)
     poly = lambda s: np.polynomial.polynomial.polyval(s, coeffs)
-    mine = float(hw.values @ poly(pts))
-    oracle = singular_history_integral(poly, elem.left, elem.right, t, alpha)
+    mine = float(w @ poly(pts))
+    oracle = singular_history_integral(poly, 0.2, 0.9, t, alpha)
     assert mine == pytest.approx(oracle, rel=1e-10)
 
 
 def test_modified_moments_closed_forms():
-    elem = Element(0.0, 1.0, 4)
-    mu = _one_element_moments(elem, 2.0, 0.5, 3)
+    mu = _one_element_moments(0.0, 1.0, 2.0, 0.5, 3)
     assert mu[0] == pytest.approx(0.8284271247461901, rel=1e-12)
     assert mu[1] == pytest.approx(0.047378541243650166, rel=1e-9)
-    mu1 = _one_element_moments(elem, 1.7, 1.0, 4)
+    mu1 = _one_element_moments(0.0, 1.0, 1.7, 1.0, 4)
     assert mu1[0] == pytest.approx(1.0, rel=1e-13)
     assert np.max(np.abs(mu1[1:])) < 1e-13
 
@@ -263,27 +227,24 @@ def test_modified_moments_against_quadrature_oracle():
     for _ in range(12):
         left = rng.uniform(0.0, 1.5)
         h = rng.uniform(0.1, 1.0)
-        elem = Element(left, left + h, 6)
+        right = left + h
         alpha = rng.uniform(0.15, 0.95)
-        t = elem.right + rng.uniform(0.0, 3.0)
-        mu = _one_element_moments(elem, t, alpha, 6)
+        t = right + rng.uniform(0.0, 3.0)
+        mu = _one_element_moments(left, right, t, alpha, 6)
         for p in range(7):
             unit = np.zeros(p + 1)
             unit[p] = 1.0
-            fn = lambda s: legval((2 * s - elem.left - elem.right) / h, unit)
-            oracle = singular_history_integral(fn, elem.left, elem.right, t, alpha)
+            fn = lambda s: legval((2 * s - left - right) / h, unit)
+            oracle = singular_history_integral(fn, left, right, t, alpha)
             assert mu[p] == pytest.approx(oracle, rel=1e-10, abs=1e-12)
 
 
 def test_lagrange_transform_consistency():
-    # same weights through the public one-element path and the batched path
-    elem = Element(0.3, 0.8, 6)
-    w1 = history_weights(elem, 1.5, 0.35).values
-    w2 = history_weights_batch([0.3], [0.8], 6, 1.5, 0.35)[0]
-    assert w1 == pytest.approx(w2, rel=1e-14)
+    # the weights are the moments carried to the Lagrange basis by C
+    w = history_weights_batch([0.3], [0.8], 6, 1.5, 0.35)[0]
     C = lobatto_lagrange_coeffs(6)
-    mu = _one_element_moments(elem, 1.5, 0.35, 6)
-    assert w1 == pytest.approx(mu @ C, rel=1e-14)
+    mu = _one_element_moments(0.3, 0.8, 1.5, 0.35, 6)
+    assert w == pytest.approx(mu @ C, rel=1e-14)
 
 
 def test_history_weights_batch_array_t_matches_scalar_rows():
@@ -364,10 +325,21 @@ def test_moment_branches_agree_at_the_miller_seam():
 
 
 def test_history_weights_reject_bad_sum():
-    for elem, t, rel in ((Element(0.0, 1.0, 3), 2.0, 1e-6), (Element(0.0, 1e-7, 4), 1.0, 1e-8)):
-        good = history_weights(elem, t, 0.5)
-        with pytest.raises(HistoryAccuracyError):
-            HistoryWeights(elem, t, 0.5, good.values * (1.0 + rel))
+    # one row of a (time, element) stack scaled off its kernel integral: a
+    # 1e-6 relative error on unit elements, 1e-8 on elements 1e-7 wide; the
+    # message names that row's element and time
+    cases = (
+        (np.array([0.0, 1.0]), 3, np.array([2.0, 3.0]), (0, 0), 1e-6),
+        (np.array([0.0, 1e-7, 2e-7]), 4, np.array([1.0, 2.0]), (1, 1), 1e-8),
+    )
+    for bp, degree, ts, (i, k), rel in cases:
+        lefts, rights, t = bp[:-1], bp[1:], ts[:, None]
+        w = history_weights_batch(lefts, rights, degree, t, 0.5)
+        _check_constant_sum(w, lefts, rights, t, 0.5)
+        w[i, k] *= 1.0 + rel
+        with pytest.raises(HistoryAccuracyError) as err:
+            _check_constant_sum(w, lefts, rights, t, 0.5)
+        assert f"element [{lefts[k]}, {rights[k]}] at t={ts[i]}:" in str(err.value)
 
 
 def test_zeroth_moment_far_from_element_matches_mpmath():
@@ -402,14 +374,13 @@ def test_kernel_mass_matches_mpmath_at_every_gap():
 def test_history_weights_at_the_element_end():
     # t = elem.right is c = 1: nu_0 = 2^alpha / alpha, reached through
     # log1p(width / 0) = inf without a floating-point warning
-    elem = Element(0.25, 0.75, 3)
     for alpha in (0.1, 0.5, 1.0):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             nu0 = _nu_batch(np.array([1.0]), alpha, 3)[0, 0]
-            w = history_weights(elem, elem.right, alpha).values
+            w = history_weights_batch([0.25], [0.75], 3, 0.75, alpha)[0]
         assert nu0 == pytest.approx(2.0**alpha / alpha, rel=1e-15)
-        assert np.sum(w) == pytest.approx(elem.width**alpha / alpha, rel=1e-14)
+        assert np.sum(w) == pytest.approx(0.5**alpha / alpha, rel=1e-14)
 
 
 def test_history_weights_at_the_element_end_pass_the_sum_check():
@@ -421,12 +392,9 @@ def test_history_weights_at_the_element_end_pass_the_sum_check():
         for degree in range(1, 9):
             for left, right in elements:
                 batch = history_weights_batch([left], [right], degree, right, alpha)[0]
-                elem = Element(left, right, degree)
-                single = history_weights(elem, elem.right, alpha).values
-                assert np.array_equal(batch, single)
                 mass = (right - left) ** alpha / alpha
                 assert np.sum(batch) == pytest.approx(mass, rel=1e-13)
-                nu0 = _one_element_moments(elem, elem.right, alpha, degree)[0]
+                nu0 = _one_element_moments(left, right, right, alpha, degree)[0]
                 assert nu0 == pytest.approx(mass, rel=1e-13)
 
 
@@ -482,7 +450,7 @@ def test_history_weights_on_small_elements_far_from_t():
     for degree in (1, 4, 12):
         for alpha in (0.1, 0.3, 0.5, 0.9):
             for width in (1e-5, 1e-7, 1e-9):
-                w = history_weights(Element(0.0, width, degree), 1.0, alpha).values
+                w = history_weights_batch([0.0], [width], degree, 1.0, alpha)[0]
                 assert np.all(np.isfinite(w))
 
 

@@ -251,10 +251,10 @@ def test_evaluate_matches_gauss_nodal_values():
     mesh = uniform_mesh(3, 1.0, 2)
     sol = solve(b.spec, mesh, b.solver_options())
     from abelhp.orthopoly import legendre_table
-    from abelhp.quadrature import RuleKind, gauss_rule, shift_nodes
+    from abelhp.quadrature import RuleKind, _shift_rows, gauss_rule
 
     rule = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, 2)
-    pts = shift_nodes(rule, mesh.element(2))
+    pts = _shift_rows(rule.nodes, mesh.breakpoints[1:2], mesh.breakpoints[2:3])[0]
     direct = sol.coefficients(2) @ legendre_table(2, rule.nodes)
     assert evaluate(sol, pts) == pytest.approx(direct, abs=1e-14)
 
@@ -270,17 +270,18 @@ def test_evaluate_gathers_mixed_degrees_in_blocks(monkeypatch):
     mesh = Mesh(np.array([0.0, 0.1, 0.25, 0.5, 0.6, 0.85, 1.0]), np.array([2, 4, 2, 3, 4, 2]))
     rng = np.random.default_rng(5)
     sol = PiecewiseSolution(mesh, np.concatenate(
-        [rng.uniform(-1.0, 1.0, mesh.element(n).degree + 1) for n in range(1, mesh.N + 1)]
+        [rng.uniform(-1.0, 1.0, d + 1) for d in mesh.degrees]
     ))
     t = np.concatenate((rng.uniform(0.0, 1.0, 10_000), [0.0], mesh.breakpoints[1:]))
     rng.shuffle(t)
 
     idx = np.maximum(np.searchsorted(mesh.breakpoints, t, side="left"), 1)
     expected = np.empty_like(t)
+    bp = mesh.breakpoints
     for n in range(1, mesh.N + 1):
-        elem, sel = mesh.element(n), idx == n
-        x = np.clip((2.0 * t[sel] - elem.left - elem.right) / elem.width, -1.0, 1.0)
-        expected[sel] = sol.coefficients(n) @ legendre_table(elem.degree, x)
+        left, right, sel = bp[n - 1], bp[n], idx == n
+        x = np.clip((2.0 * t[sel] - left - right) / (right - left), -1.0, 1.0)
+        expected[sel] = sol.coefficients(n) @ legendre_table(mesh.degrees[n - 1], x)
     got = evaluate(sol, t)
     assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
     assert evaluate(sol, 0.0) == expected[t == 0.0][0]
@@ -407,10 +408,10 @@ def test_residual_audit_decreases_under_refinement():
         mesh = uniform_mesh(N, 1.0, 2)
         sol = solve(b.spec, mesh, b.solver_options())
         worst = 0.0
-        from abelhp.quadrature import RuleKind, gauss_rule, shift_nodes
+        from abelhp.quadrature import RuleKind, _shift_rows, gauss_rule
 
-        for n in range(1, N + 1):
-            pts = shift_nodes(gauss_rule(RuleKind.GAUSS_LEGENDRE, None, 2), mesh.element(n))
+        rule = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, 2)
+        for pts in _shift_rows(rule.nodes, mesh.breakpoints[:-1], mesh.breakpoints[1:]):
             for t in pts:
                 audit = forward_apply(
                     b.spec, lambda s: evaluate(sol, s), float(t),
