@@ -7,18 +7,18 @@ part of an element without ever sampling the singularity.
 
 import numpy as np
 
-from abelhp import JacobiParams, RuleKind, gauss_rule
+from abelhp import RuleKind, gauss_rule
 
 alpha = 0.5
 M = 4
 
 print("Three rule families with", M + 1, "nodes on [-1, 1]:")
-for kind, params in [
+for kind, a in [
     (RuleKind.GAUSS_LEGENDRE, None),
-    (RuleKind.GAUSS_JACOBI, JacobiParams(alpha - 1.0, 0.0)),
+    (RuleKind.GAUSS_JACOBI, alpha - 1.0),  # weight (1 - x)^(alpha - 1)
     (RuleKind.GAUSS_LOBATTO, None),
 ]:
-    rule = gauss_rule(kind, params, M)
+    rule = gauss_rule(kind, a, M)
     print(f"  {kind.value:15s} nodes {np.round(rule.nodes, 4)}")
     print(f"  {'':15s} weights {np.round(rule.weights, 4)} (sum {rule.weights.sum():.6f})")
 
@@ -26,7 +26,7 @@ print()
 print("Exactness: a 5-point Gauss-Jacobi rule integrates degree-9 polynomials")
 rng = np.random.default_rng(1)
 coeffs = rng.uniform(-1, 1, 10)
-rule = gauss_rule(RuleKind.GAUSS_JACOBI, JacobiParams(alpha - 1.0, 0.0), M)
+rule = gauss_rule(RuleKind.GAUSS_JACOBI, alpha - 1.0, M)
 vals = np.polynomial.polynomial.polyval(rule.nodes, coeffs)
 print(f"  rule value     : {rule.weights @ vals:.15f}")
 # reference by very fine composite midpoint on the open interval

@@ -31,7 +31,6 @@ from .bench import (
 )
 from .discretization import ProblemAssumptionWarning, ProblemSpec, validate_problem
 from .mesh import Mesh, locate, uniform_mesh
-from .orthopoly import JacobiParams
 from .quadrature import QuadRule, RuleKind, gauss_rule
 from .solver import (
     NewtonDivergedError,
@@ -68,7 +67,6 @@ __all__ = [
     "Mesh",
     "locate",
     "uniform_mesh",
-    "JacobiParams",
     "QuadRule",
     "RuleKind",
     "gauss_rule",

@@ -32,7 +32,7 @@ from .bench import (
     run_mesh,
     run_sweep,
 )
-from .mesh import Mesh
+from .mesh import DOMAIN_TOL, Mesh
 from .quadrature import HistoryAccuracyError
 from .solver import SolverError
 
@@ -95,15 +95,24 @@ def _sweep_pairs(Ns, Ms):
 
 
 def _explicit_mesh(mesh_cfg: dict, T: float) -> Mesh:
-    """Mesh from explicit breakpoints; a scalar or list "M" counts basis functions."""
-    mesh_cfg = dict(mesh_cfg)
-    if "degrees" not in mesh_cfg and "M" in mesh_cfg:
-        M = mesh_cfg.pop("M")
-        mesh_cfg["degrees"] = int(M) - 1 if np.isscalar(M) else [int(m) - 1 for m in M]
+    """Mesh on explicit breakpoints, which must end at T.
+
+    "degrees" is one degree per element or a scalar for all; without it, "M"
+    (scalar or list) counts basis functions, degree + 1; with neither, every
+    element has degree 1.
+    """
     try:
-        return Mesh.from_config(mesh_cfg, T=T)
-    except ValueError as exc:
+        bp = np.asarray(mesh_cfg["breakpoints"], dtype=float)
+        if "degrees" in mesh_cfg:
+            deg = np.asarray(mesh_cfg["degrees"], dtype=int)
+        else:
+            deg = np.asarray(mesh_cfg.get("M", 2), dtype=int) - 1
+        mesh = Mesh(bp, np.full(bp.size - 1, deg) if deg.ndim == 0 else deg)
+    except (TypeError, ValueError) as exc:
         raise _UsageError(f"bad mesh config: {exc}") from exc
+    if abs(mesh.T - T) > DOMAIN_TOL * max(1.0, T):
+        raise _UsageError(f"mesh breakpoints end at {mesh.T}, not at T = {T}")
+    return mesh
 
 
 def _cmd_list(out) -> int:

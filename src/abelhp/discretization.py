@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .mesh import Mesh
-from .orthopoly import JacobiParams, legendre_table
+from .orthopoly import legendre_table
 from .quadrature import (
     QuadRule,
     RuleKind,
@@ -85,8 +85,7 @@ class _ReferenceTables:
     gj: QuadRule
     node_product: np.ndarray  # (1 + x_gl_i)(1 + x_gj_j)
     P: np.ndarray  # (p, i): Legendre table at the Gauss-Legendre nodes
-    Q: np.ndarray  # (q, i, j): Legendre table at the rescaled inner nodes
-    Qflat: np.ndarray  # (q, (i, j)): Q with the inner grid flattened row-major
+    Qflat: np.ndarray  # (q, (i, j)): Legendre table at the rescaled inner nodes, row-major
     proj_scale: np.ndarray
     sys_scale: np.ndarray
 
@@ -95,14 +94,12 @@ class _ReferenceTables:
 def _reference_tables(M: int, alpha: float) -> _ReferenceTables:
     """Build (once per degree and alpha) the read-only reference tables."""
     gl = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, M)
-    gj = gauss_rule(RuleKind.GAUSS_JACOBI, JacobiParams(alpha - 1.0, 0.0), M)
+    gj = gauss_rule(RuleKind.GAUSS_JACOBI, alpha - 1.0, M)
     node_product = (1.0 + gl.nodes)[:, None] * (1.0 + gj.nodes)[None, :]
-    Q = legendre_table(M, 0.5 * node_product - 1.0)
     tables = (
         node_product,
         legendre_table(M, gl.nodes),
-        Q,
-        Q.reshape(M + 1, -1),
+        legendre_table(M, 0.5 * node_product.ravel() - 1.0),
         (2.0 * np.arange(M + 1) + 1.0) / 2.0,
         (2.0 * np.arange(M + 1) + 1.0) / 2.0 ** (1.0 + alpha),
     )

@@ -115,34 +115,6 @@ class Mesh:
     def with_degrees(self, degrees) -> "Mesh":
         return Mesh(self.breakpoints, degrees)
 
-    def to_config(self) -> dict:
-        return {
-            "breakpoints": [float(t) for t in self.breakpoints],
-            "degrees": [int(m) for m in self.degrees],
-        }
-
-    @staticmethod
-    def from_config(cfg: dict, T: float | None = None) -> "Mesh":
-        """Build a mesh from JSON-style config.
-
-        Either explicit {"breakpoints": [...], "degrees": [...]} or uniform
-        {"N": n, "T": t, "M": degree}; a scalar degree is broadcast.
-        """
-        if "breakpoints" in cfg:
-            bp = np.asarray(cfg["breakpoints"], dtype=float)
-            deg = cfg.get("degrees", cfg.get("M", 1))
-            if np.isscalar(deg):
-                deg = np.full(bp.size - 1, int(deg))
-            return Mesh(bp, np.asarray(deg, dtype=int))
-        N = int(cfg["N"])
-        T_cfg = cfg.get("T", T)
-        if T_cfg is None:
-            raise ValueError("mesh config needs T (or breakpoints)")
-        deg = cfg.get("degrees", cfg.get("M", 1))
-        if np.isscalar(deg):
-            return uniform_mesh(N, float(T_cfg), int(deg))
-        return Mesh(np.linspace(0.0, float(T_cfg), N + 1), np.asarray(deg, dtype=int))
-
 
 def uniform_mesh(N: int, T: float, M: int) -> Mesh:
     """N equal elements on [0, T], all with polynomial degree M."""

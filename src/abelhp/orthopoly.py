@@ -1,31 +1,16 @@
-"""Jacobi weight parameters and the Legendre basis.
+"""The Legendre basis.
 
 Each mesh element expands its solution in Legendre polynomials of the
 reference interval [-1, 1], evaluated by the three-term recurrence, which is
 stable for degrees well beyond what the collocation scheme needs (k up to
-~100).  Gauss-Jacobi rules for the singular kernel take their weight
-exponents from :class:`JacobiParams`.
+~100).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["JacobiParams", "legendre_table"]
-
-
-@dataclass(frozen=True)
-class JacobiParams:
-    """Exponents of the weight (1-x)^alpha (1+x)^beta on [-1, 1]."""
-
-    alpha: float
-    beta: float = 0.0
-
-    def __post_init__(self):
-        if not (self.alpha > -1.0 and self.beta > -1.0):
-            raise ValueError(f"Jacobi exponents must exceed -1, got {self}")
+__all__ = ["legendre_table"]
 
 
 def legendre_table(kmax: int, x) -> np.ndarray:

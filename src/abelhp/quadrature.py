@@ -2,8 +2,9 @@
 
 Three rule families are used by the collocation scheme:
 
-* Gauss-Jacobi with weight (1-x)^(alpha-1): absorbs the kernel singularity
-  on the current element exactly,
+* Gauss-Jacobi with weight (1-x)^a, a = alpha - 1: absorbs the kernel
+  singularity on the current element exactly (the kernel is singular at
+  s = t only, so the weight has no (1+x) factor),
 * Gauss-Legendre: collocation points and plain projections,
 * Legendre-Gauss-Lobatto: interpolation points on already-solved elements.
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orthopoly import JacobiParams, legendre_table
+from .orthopoly import legendre_table
 
 __all__ = [
     "RuleKind",
@@ -56,7 +57,6 @@ class QuadRule:
     """Nodes and weights of an (order+1)-point rule on [-1, 1]."""
 
     kind: RuleKind
-    params: JacobiParams
     order: int
     nodes: np.ndarray
     weights: np.ndarray
@@ -76,8 +76,6 @@ class QuadRule:
 
 
 _rule_cache: dict[tuple, QuadRule] = {}
-# the only weight of the Legendre and Lobatto rules
-_UNIT_WEIGHT = JacobiParams(0.0, 0.0)
 
 
 def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -121,31 +119,30 @@ def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_rule(kind: RuleKind | str, params: JacobiParams | None, order: int) -> QuadRule:
+def gauss_rule(kind: RuleKind | str, a: float | None, order: int) -> QuadRule:
     """Construct (and memoize) a quadrature rule with order+1 nodes.
 
-    Gauss rules integrate polynomials of degree <= 2*order+1 exactly against
-    the weight (1-x)^alpha (1+x)^beta; Lobatto is exact to 2*order-1 with the
-    unit weight and includes both endpoints.
+    Gauss-Jacobi takes the exponent ``a > -1`` of its weight (1-x)^a and
+    integrates polynomials of degree <= 2*order+1 exactly against it;
+    Gauss-Legendre (unit weight, same exactness) and Lobatto (exact to
+    2*order-1, both endpoints included) take ``None``.
     """
     kind = RuleKind(kind)
     if order < 1:
         raise ValueError("rule order must be >= 1")
     if kind is RuleKind.GAUSS_JACOBI:
-        if params is None:
-            raise ValueError("Jacobi rule needs weight parameters")
-    elif params in (None, _UNIT_WEIGHT):
-        params = _UNIT_WEIGHT
-    else:
+        if a is None or not a > -1.0:
+            raise ValueError(f"Jacobi rule needs a weight exponent > -1, got {a!r}")
+    elif a is not None:
         raise ValueError(f"{kind.value} rule is defined for the unit weight only")
 
-    key = (kind, params.alpha, params.beta, order)
+    key = (kind, a, order)
     rule = _rule_cache.get(key)
     if rule is not None:
         return rule
 
     if kind is not RuleKind.GAUSS_LOBATTO:
-        x, w = _gauss_jacobi(order + 1, params.alpha, params.beta)
+        x, w = _gauss_jacobi(order + 1, 0.0 if a is None else a, 0.0)
     else:  # Lobatto: interior nodes are the zeros of P'_order
         if order == 1:
             x = np.array([-1.0, 1.0])
@@ -159,7 +156,7 @@ def gauss_rule(kind: RuleKind | str, params: JacobiParams | None, order: int) ->
     x.flags.writeable = False
     w.flags.writeable = False
     # racing callers all get the rule that reached the cache first
-    return _rule_cache.setdefault(key, QuadRule(kind, params, order, x, w))
+    return _rule_cache.setdefault(key, QuadRule(kind, order, x, w))
 
 
 def _shift_rows(nodes: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from .discretization import (
     validate_problem,
 )
 from .mesh import Mesh, locate
-from .orthopoly import JacobiParams, legendre_table
+from .orthopoly import legendre_table
 from .quadrature import RuleKind, _lobatto_table, gauss_rule
 
 __all__ = [
@@ -421,8 +421,8 @@ _FORWARD_BLOCK = 2048
 def _forward_rules(alpha: float, first: bool):
     """forward_apply's rules: nodes (x; x - 1 for Gauss-Jacobi), weights, column spans."""
     orders = (_FORWARD_ORDER, _FORWARD_ORDER - 1, 2 * _FORWARD_ORDER - 1)[0 if first else 1 :]
-    kinds = (RuleKind.GAUSS_LEGENDRE, None), (RuleKind.GAUSS_JACOBI, JacobiParams(alpha - 1.0, 0.0))
-    rules = [[gauss_rule(kind, params, k) for k in orders] for kind, params in kinds]
+    kinds = (RuleKind.GAUSS_LEGENDRE, None), (RuleKind.GAUSS_JACOBI, alpha - 1.0)
+    rules = [[gauss_rule(kind, a, k) for k in orders] for kind, a in kinds]
     nodes = np.array([np.hstack([r.nodes for r in row]) for row in rules]) - [[0.0], [1.0]]
     weights = np.array([np.hstack([r.weights for r in row]) for row in rules])
     bounds = np.cumsum([0, *(k + 1 for k in orders)]).tolist()

@@ -227,13 +227,13 @@ def _element_grid(op):
     the Legendre tables P (Gauss nodes) and Q (inner nodes), the singular
     prefactor, the inner Gauss-Jacobi weights and the system scale.
     """
-    from abelhp.orthopoly import JacobiParams, legendre_table
+    from abelhp.orthopoly import legendre_table
     from abelhp.quadrature import RuleKind, _shift_rows, gauss_rule
 
     problem, n, bp = op.problem, op.n, op.mesh.breakpoints
     M, alpha, h = op.mesh.degrees[n - 1], problem.alpha, bp[n] - bp[n - 1]
     gl = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, M)
-    gj = gauss_rule(RuleKind.GAUSS_JACOBI, JacobiParams(alpha - 1.0, 0.0), M)
+    gj = gauss_rule(RuleKind.GAUSS_JACOBI, alpha - 1.0, M)
     node_product = (1.0 + gl.nodes)[:, None] * (1.0 + gj.nodes)[None, :]
     t = _shift_rows(gl.nodes, bp[n - 1 : n], bp[n : n + 1])[0]
     sigma = bp[n - 1] + 0.25 * h * node_product
@@ -332,11 +332,10 @@ def _rule_sum_by_panel(F, a, b, t, alpha, order):
     factor; earlier panels take Gauss-Legendre with the factor written into
     the integrand.
     """
-    from abelhp.orthopoly import JacobiParams
     from abelhp.quadrature import RuleKind, gauss_rule
 
     if b == t:
-        rule = gauss_rule(RuleKind.GAUSS_JACOBI, JacobiParams(alpha - 1.0, 0.0), order)
+        rule = gauss_rule(RuleKind.GAUSS_JACOBI, alpha - 1.0, order)
         s = t - 0.5 * (t - a) * (1.0 - rule.nodes)
         return (0.5 * (t - a)) ** alpha * float(rule.weights @ F(s))
     rule = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, order)

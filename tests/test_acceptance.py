@@ -13,7 +13,6 @@ import pytest
 import abelhp.bench as bench
 from abelhp.adaptive import AdaptiveOptions, adaptive_solve
 from abelhp.mesh import uniform_mesh
-from abelhp.orthopoly import JacobiParams
 from abelhp.quadrature import RuleKind, _shift_rows, gauss_rule, history_weights_batch
 from abelhp.solver import SolverOptions, evaluate, solve
 
@@ -36,7 +35,7 @@ def test_criterion_1_gauss_jacobi_oracle_equivalence():
         alpha = float(rng.choice([0.2, 0.5, 0.8]))
         M = int(rng.integers(1, 11))
         a = alpha - 1.0
-        rule = gauss_rule(RuleKind.GAUSS_JACOBI, JacobiParams(a, 0.0), M)
+        rule = gauss_rule(RuleKind.GAUSS_JACOBI, a, M)
         coeffs = rng.uniform(-1.0, 1.0, 2 * M + 2)
         mine = float(rule.weights @ np.polynomial.polynomial.polyval(rule.nodes, coeffs))
         moments = [jacobi_monomial_moment(a, 0.0, j) for j in range(2 * M + 2)]

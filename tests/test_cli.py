@@ -201,6 +201,23 @@ def test_explicit_breakpoints_read_M_as_basis_count(tmp_path, capsys):
     assert [(r["M"], r["L"]) for r in via_flags] == [("3", "6")]
 
 
+def test_explicit_breakpoints_must_end_at_T(tmp_path, capsys):
+    # a short mesh would solve only part of ex3's (0, 1] and a long one would
+    # run past it; sweep and adaptive runs reject both as usage errors
+    path = tmp_path / "mesh.json"
+    for bp in ([0.0, 0.25, 0.5], [0.0, 0.5, 1.0, 2.0]):
+        path.write_text(json.dumps({"problem": "ex3", "mesh": {"breakpoints": bp}}))
+        for flags in ((), ("--adaptive", "p_first", "--tol", "1e-6")):
+            code, out, err = run_cli(capsys, "run", "--config", str(path), *flags)
+            assert code == 1 and out == ""
+            assert f"end at {bp[-1]}, not at T = 1.0" in err
+    # rounding of T stays accepted, and with neither "degrees" nor "M" the degree is 1
+    path.write_text(json.dumps({"problem": "ex3", "mesh": {"breakpoints": [0.0, 0.5, 1 - 1e-13]}}))
+    code, out, _ = run_cli(capsys, "run", "--config", str(path))
+    assert code == 0
+    assert [(r["M"], r["L"]) for r in csv.DictReader(io.StringIO(out))] == [("2", "4")]
+
+
 def test_adaptive_flags_take_the_library_values(capsys):
     from abelhp.adaptive import STRATEGIES, AdaptiveOptions
 

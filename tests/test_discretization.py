@@ -810,3 +810,31 @@ def test_solve_store_matches_list_march():
                 coeffs = newton(residual, op.jacobian, warm, options, n=n)
             mine = sol.coefficients(n)
             assert np.max(np.abs(coeffs - mine)) <= 1e-14 * np.max(np.abs(mine))
+
+
+def test_weight_calls_stay_causal(monkeypatch):
+    # history_weights_batch does not check t >= right: such a row would hold
+    # the weights at t = right.  Every call a solve makes must ask only for
+    # times at or past the end of each element: on the gap table of a uniform
+    # mesh, on a graded mesh of mixed degrees and on a mesh of several runs
+    real = abelhp.discretization.history_weights_batch
+    rows = []
+
+    def causal(lefts, rights, degree, t, alpha):
+        t, rights = np.asarray(t), np.asarray(rights)
+        assert np.all(t >= rights), (t, rights)
+        rows.append(np.broadcast(t, rights).size)
+        return real(lefts, rights, degree, t, alpha)
+
+    monkeypatch.setattr(abelhp.discretization, "history_weights_batch", causal)
+    ex2, ex3 = make_benchmark("ex2"), make_benchmark("ex3")
+    uniform = uniform_mesh(128, 1.0, 1)
+    assert abelhp.discretization._gap_table(uniform, ex2.spec.alpha) is not None
+    bp = np.linspace(0.0, 1.0, 121)
+    bp[17] += 1e-9  # off the uniform grid, so each run makes its own calls
+    runs = Mesh(bp, np.full(120, 2))
+    assert any(n1 > n0 > 1 for n0, n1 in history_runs(runs))
+    for bench, mesh in ((ex2, uniform), (ex3, _graded_stretches()), (ex3, runs)):
+        rows.clear()
+        solve(bench.spec, mesh, bench.solver_options())
+        assert rows

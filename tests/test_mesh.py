@@ -92,18 +92,6 @@ def test_locate_breakpoint_consistency():
     assert list(locate(ts, m)) == [int(locate(float(t), m)) for t in ts]
 
 
-def test_config_round_trip():
-    m = Mesh(np.array([0.0, 0.25, 1.0]), np.array([2, 5]))
-    again = Mesh.from_config(m.to_config())
-    assert np.array_equal(again.breakpoints, m.breakpoints)
-    assert np.array_equal(again.degrees, m.degrees)
-
-    u = Mesh.from_config({"N": 4, "T": 2.0, "M": 3})
-    assert u.N == 4 and u.T == 2.0 and list(u.degrees) == [3] * 4
-    with pytest.raises(ValueError):
-        Mesh.from_config({"N": 4})
-
-
 def test_derived_quantities():
     m = Mesh(np.array([0.0, 0.2, 1.0]), np.array([4, 2]))
     assert m.h_max == pytest.approx(0.8)

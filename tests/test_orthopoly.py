@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import legvander
 
-from abelhp.orthopoly import JacobiParams, legendre_table
+from abelhp.orthopoly import legendre_table
+from abelhp.quadrature import RuleKind, gauss_rule
 
 
 def test_degree_zero_is_one():
@@ -14,8 +17,12 @@ def test_legendre_at_right_endpoint():
 
 
 def test_domain_errors():
-    with pytest.raises(ValueError):
-        JacobiParams(-1.0, 0.0)
+    # the Jacobi weight (1-x)^a needs a > -1 (NaN is not); degrees start at 0
+    for a in (-1.0, -1.5, math.nan):
+        with pytest.raises(ValueError, match="weight exponent > -1"):
+            gauss_rule(RuleKind.GAUSS_JACOBI, a, 3)
+    with pytest.raises(ValueError, match="kmax"):
+        legendre_table(-1, 0.0)
 
 
 def test_legendre_bound():
