@@ -43,7 +43,6 @@ from .solver import (
     forward_apply,
     newton,
     solve,
-    steepest_descent_init,
 )
 
 __version__ = "0.1.0"
@@ -80,6 +79,5 @@ __all__ = [
     "forward_apply",
     "newton",
     "solve",
-    "steepest_descent_init",
     "__version__",
 ]

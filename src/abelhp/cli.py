@@ -181,6 +181,12 @@ def _cmd_run(args) -> int:
         raise _UsageError(f"bad solver options: {exc}") from exc
 
     mesh_cfg = cfg.get("mesh", {})
+    # an explicit mesh reads these keys, a uniform one N and M: drop none silently
+    known = {"breakpoints", "degrees", "M"} if "breakpoints" in mesh_cfg else {"N", "M"}
+    unread = sorted(set(mesh_cfg) - known)
+    if unread:
+        raise _UsageError(f"mesh config does not read {', '.join(map(repr, unread))} "
+                          f"(it reads {', '.join(sorted(known))})")
     Ns = _int_list(args.N) if args.N else None
     Ms = _int_list(args.M) if args.M else None
     explicit_mesh = None

@@ -256,7 +256,7 @@ def test_run_sweep_marks_failed_rows_and_continues():
     bad = dataclasses.replace(b)
     report = bench.run_sweep(
         bad, [(2, 3), (4, 3)],
-        options=bench.SolverOptions(newton_max_iter=1, descent_steps=0),
+        options=bench.SolverOptions(newton_max_iter=1),
     )
     assert report.any_failed
     assert all(r.failed for r in report.rows)

@@ -108,12 +108,14 @@ def test_usage_errors_exit_one(capsys, tmp_path):
     path.write_text(json.dumps({"solver": {"newton_tol": float("nan")}}))
     assert run_cli(capsys, "run", "--config", str(path), "--problem", "ex3", "--N", "2",
                    "--M", "2")[0] == 1
-    # a float count used to pass the options and die in range() inside newton
-    for solver in ({"newton_max_iter": 2.5}, {"descent_steps": 1.5}, {"descent_steps": True}):
+    # a float count used to pass the options and die in range() inside newton,
+    # and the deleted descent options must not be dropped without a word
+    for solver in ({"newton_max_iter": 2.5}, {"descent_steps": 50}):
         path.write_text(json.dumps({"solver": solver}))
         code, _, err = run_cli(capsys, "run", "--config", str(path), "--problem", "ex3",
                                "--N", "4", "--M", "3")
         assert code == 1 and "bad solver options" in err and "Traceback" not in err
+        assert next(iter(solver)) in err
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -124,7 +126,7 @@ def test_failed_row_exits_two(capsys, tmp_path, monkeypatch):
     cfg = {
         "problem": "ex3",
         "sweep": [[2, 3]],
-        "solver": {"newton_max_iter": 1, "descent_steps": 0},
+        "solver": {"newton_max_iter": 1},
     }
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
@@ -172,6 +174,21 @@ def test_explicit_mesh_config(tmp_path, capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 1 and rows[0]["L"] == "14"
     assert float(rows[0]["E1"]) < 1e-4
+
+
+def test_mesh_config_keys_it_does_not_read_are_usage_errors(tmp_path, capsys):
+    # a uniform mesh reads N and M, an explicit one breakpoints, degrees and
+    # M; any other key is an error, or T and degrees here would leave ex3 on
+    # (0, 1] without a word
+    path = tmp_path / "mesh.json"
+    for mesh, unread in (
+        ({"N": 2, "M": 3, "T": 2.0, "degrees": [7, 7]}, ("'T'", "'degrees'")),
+        ({"breakpoints": [0.0, 0.5, 1.0], "M": 3, "N": 2}, ("'N'",)),
+    ):
+        path.write_text(json.dumps({"problem": "ex3", "mesh": mesh}))
+        code, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert code == 1 and out == ""
+        assert all(key in err for key in unread)
 
 
 def test_max_L_flag_overrides_config(tmp_path, capsys):

@@ -80,9 +80,8 @@ def test_newton_backtracks_from_non_finite_residual():
 
 
 def test_descent_zero_steps_returns_warm_start():
-    opts = SolverOptions(descent_steps=0)
     warm = np.array([1.0, 2.0])
-    out = steepest_descent_init(lambda u: u, lambda u: np.eye(2), 2, opts, warm)
+    out = steepest_descent_init(lambda u: u, lambda u: np.eye(2), 2, warm, steps=0)
     assert np.array_equal(out, warm)
 
 
@@ -92,8 +91,7 @@ def test_descent_monotone_on_affine_residual():
     b = rng.uniform(-1, 1, 3)
     res = lambda u: u @ A.T - b  # maps a stack of candidates row by row
     jac = lambda u: A
-    opts = SolverOptions(descent_steps=100, descent_step_size=1e-2)
-    out = steepest_descent_init(res, jac, 3, opts)
+    out = steepest_descent_init(res, jac, 3, steps=100, step_size=1e-2)
     assert 0.5 * np.sum(res(out) ** 2) < 0.5 * np.sum(b**2)
 
 
@@ -161,8 +159,8 @@ def test_descent_takes_the_first_decreasing_step():
     # the smaller 0.9375 would decrease it more
     a = np.array([1.0, -2.0, 0.5])
     u0 = np.array([3.0, 1.0, -1.0])
-    opts = SolverOptions(descent_steps=1, descent_step_size=15.0)
-    out = steepest_descent_init(lambda u: u - a, lambda u: np.eye(3), 3, opts, u0)
+    res, jac = lambda u: u - a, lambda u: np.eye(3)
+    out = steepest_descent_init(res, jac, 3, u0, steps=1, step_size=15.0)
     assert np.array_equal(out, u0 - 1.875 * (u0 - a))
 
 
@@ -173,15 +171,14 @@ def test_residual_of_wrong_shape_names_the_stack_contract():
     jac = lambda u: np.diag(2.0 * u)
     with pytest.raises(ValueError, match=r"\(K, dim\) stack row by row"):
         newton(res, jac, np.array([0.1, 3.0]), SolverOptions())
-    opts = SolverOptions(descent_step_size=10.0)
     with pytest.raises(ValueError, match=r"\(K, dim\) stack row by row"):
-        steepest_descent_init(res, jac, 2, opts, np.array([1.0, 3.0]))
+        steepest_descent_init(res, jac, 2, np.array([1.0, 3.0]), step_size=10.0)
 
 
 def test_descent_stationary_start_returns_zero():
     res = lambda u: u * u - 1.0
     jac = lambda u: np.atleast_2d(2.0 * u)
-    out = steepest_descent_init(res, jac, 1, SolverOptions())
+    out = steepest_descent_init(res, jac, 1)
     assert np.array_equal(out, np.zeros(1))
 
 
@@ -569,30 +566,6 @@ def test_newton_from_warm_start_needs_no_descent(monkeypatch):
     assert bench.error_E2(sol, b.exact) < 2e-6
 
 
-def test_descent_recovers_a_failed_newton(monkeypatch):
-    b = bench.make_benchmark("ex3")
-    mesh = uniform_mesh(6, 1.0, 2)
-    plain = solve(b.spec, mesh, b.solver_options())
-
-    newtons = []
-    newton = abelhp.solver.newton
-
-    def fail_first(*args, **kwargs):
-        newtons.append(kwargs["n"])
-        if len(newtons) == 1:
-            raise NewtonDivergedError(1, 1.0)
-        return newton(*args, **kwargs)
-
-    monkeypatch.setattr(abelhp.solver, "newton", fail_first)
-    descents = _count_calls(monkeypatch, "steepest_descent_init")
-    recovered = solve(b.spec, mesh, b.solver_options())
-    assert len(descents) == 1
-    assert newtons == [1, 1, 2, 3, 4, 5, 6]
-    for n in range(1, mesh.N + 1):
-        e1, e2 = plain.coefficients(n), recovered.coefficients(n)
-        assert np.max(np.abs(e1 - e2)) <= 1e-9 * np.max(np.abs(e1))
-
-
 @pytest.mark.filterwarnings("ignore::abelhp.discretization.ProblemAssumptionWarning")
 def test_ex5_line_search_stays_stacked(monkeypatch):
     # ex5 N=8 M=8 fails Newton after many rejected steps; on the failing
@@ -624,21 +597,23 @@ def test_ex5_line_search_stays_stacked(monkeypatch):
     with pytest.raises(NewtonDivergedError) as err:
         solve(b.spec, bench.mesh_for(b, 8, 8), b.solver_options())
     failing = [(res, jac) for n, res, jac in per_newton if n == err.value.n]
-    assert len(failing) == 2  # from the warm start, then from descent's point
+    assert len(failing) == 1  # from the warm start only: its error propagates
     for res, jac in failing:
         assert res <= 2 * jac + 1
     assert any(res > jac + 1 for res, jac in failing)  # some step was rejected
 
 
-def test_failed_newton_not_repeated_when_descent_stays_put(monkeypatch):
-    # with no descent steps the recovery start is the warm start itself, so a
-    # second Newton from it would fail the same way
+def test_failed_newton_propagates_from_its_first_try(monkeypatch):
+    # one Newton from the warm start per element: its error is the solve's,
+    # with no second start and no descent phase
     b = bench.make_benchmark("ex3")
+    descents = _count_calls(monkeypatch, "steepest_descent_init")
     newtons = _count_calls(monkeypatch, "newton")
     with pytest.raises(NewtonDivergedError) as err:
-        solve(b.spec, uniform_mesh(2, 1.0, 2), SolverOptions(newton_max_iter=1, descent_steps=0))
+        solve(b.spec, uniform_mesh(2, 1.0, 2), SolverOptions(newton_max_iter=1))
     assert err.value.n == 1
     assert newtons == [1]
+    assert descents == []
 
 
 def test_linear_solve_names_the_first_singular_element(monkeypatch):
@@ -741,8 +716,6 @@ def test_solver_options_validation():
     # NaN compares False with everything, so "<= 0" checks let it through
     for bad in (
         {"newton_tol": float("nan")},
-        {"descent_step_size": -1e-2},
-        {"descent_step_size": float("nan")},
         {"init_constant": float("nan")},
     ):
         with pytest.raises(ValueError):
@@ -753,9 +726,11 @@ def test_solver_options_validation():
         {"newton_max_iter": 2.5},
         {"newton_max_iter": 3.0},
         {"newton_max_iter": True},
-        {"descent_steps": 1.5},
-        {"descent_steps": False},
     ):
         with pytest.raises(TypeError):
             SolverOptions(**bad)
-    SolverOptions(newton_max_iter=np.int64(3), descent_steps=np.int32(0))
+    SolverOptions(newton_max_iter=np.int64(3))
+    # the descent options are gone: setting one is an error, not a no-op
+    for gone in ("descent_steps", "descent_step_size"):
+        with pytest.raises(TypeError, match=gone):
+            SolverOptions(**{gone: 1})
