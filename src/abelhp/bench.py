@@ -198,7 +198,7 @@ def perturb_rhs(problem: ProblemSpec, delta: float) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 
 
-def _manufactured(exact, alpha, T, kappa, psi, dpsi, breakpoints=()):
+def _manufactured(exact, alpha, T, kappa, psi, dpsi, breakpoints=(), psi_inv=None):
     """Problem whose right-hand side applies the operator to ``exact``.
 
     ``f`` maps a float or an array of times to one of that shape, memoizing
@@ -218,7 +218,8 @@ def _manufactured(exact, alpha, T, kappa, psi, dpsi, breakpoints=()):
         out = np.array([memo[v] for v in flat]).reshape(t_arr.shape)
         return float(out) if out.ndim == 0 else out
 
-    spec = ProblemSpec(alpha=alpha, T=T, kappa=kappa, psi=psi, dpsi_du=dpsi, f=f)
+    spec = ProblemSpec(alpha=alpha, T=T, kappa=kappa, psi=psi, dpsi_du=dpsi, f=f,
+                       psi_inv=psi_inv)
     return spec
 
 
@@ -241,13 +242,14 @@ def make_benchmark(problem_id: str, alpha: float | None = None) -> BenchmarkProb
             kappa=lambda t, s: np.exp(t * s),
             psi=lambda t, s, u: u**2,
             dpsi=lambda t, s, u: 2.0 * u,
+            # the solution is >= 0; abs keeps a slightly negative z from a NaN
+            psi_inv=lambda s, z: np.sqrt(np.abs(z)),
         )
         return BenchmarkProblem(
             pid,
             spec,
             exact,
             alpha_parameterized=True,
-            init_constant=1.0,
             description="singular solution t^(1+alpha), squared nonlinearity, exp kernel",
         )
     if alpha is not None:

@@ -76,12 +76,29 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# the config entries _cmd_run reads: the adaptive ones may also sit at the top level
+_ADAPTIVE_KEYS = {"tol", "strategy", "max_L"}
+_CONFIG_KEYS = {"problem", "alpha", "sweep", "mesh", "solver", "adaptive", "noise", "format",
+                "out", *_ADAPTIVE_KEYS}
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise _UsageError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise _UsageError(f"config {path} is not a JSON object")
+    return cfg
+
+
+def _check_keys(where: str, entry: dict, known: set) -> None:
+    """A usage error naming every key of ``entry`` outside ``known``: none is dropped silently."""
+    unread = sorted(set(entry) - known)
+    if unread:
+        raise _UsageError(f"{where} does not read {', '.join(map(repr, unread))} "
+                          f"(it reads {', '.join(sorted(known))})")
 
 
 def _sweep_pairs(Ns, Ms):
@@ -163,6 +180,10 @@ def _adaptive_report(bench, mesh: Mesh, options, adapt: AdaptiveOptions) -> Benc
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
+    _check_keys("config", cfg, _CONFIG_KEYS)
+    _check_keys("adaptive config", cfg.get("adaptive", {}), _ADAPTIVE_KEYS)
+    if "sweep" in cfg and "mesh" in cfg:
+        raise _UsageError("config gives both sweep and mesh; a run takes one of them")
     # the config's top-level and "adaptive" entries, with every given flag over them
     settings = {**cfg, **cfg.get("adaptive", {})}
     settings.update((k, v) for k, v in vars(args).items() if v is not None)
@@ -183,15 +204,12 @@ def _cmd_run(args) -> int:
     mesh_cfg = cfg.get("mesh", {})
     # an explicit mesh reads these keys, a uniform one N and M: drop none silently
     known = {"breakpoints", "degrees", "M"} if "breakpoints" in mesh_cfg else {"N", "M"}
-    unread = sorted(set(mesh_cfg) - known)
-    if unread:
-        raise _UsageError(f"mesh config does not read {', '.join(map(repr, unread))} "
-                          f"(it reads {', '.join(sorted(known))})")
+    _check_keys("mesh config", mesh_cfg, known)
     Ns = _int_list(args.N) if args.N else None
     Ms = _int_list(args.M) if args.M else None
     explicit_mesh = None
     sweep = None
-    if "breakpoints" in mesh_cfg and not (Ns or Ms or "sweep" in cfg):
+    if "breakpoints" in mesh_cfg and not (Ns or Ms):
         explicit_mesh = _explicit_mesh(mesh_cfg, bench.spec.T)
     elif "sweep" in cfg and not (Ns or Ms):
         sweep = [(int(n), int(m)) for n, m in cfg["sweep"]]

@@ -53,6 +53,12 @@ class ProblemSpec:
     some nonlinearities couple t into the integrand.  Set ``linear`` when
     psi(t, s, u) == u (so dpsi_du == 1) to enable the direct linear-solve
     path, which takes the Jacobian at u = 0 as the system matrix.
+
+    ``psi_inv(s, z)``, where given, returns the u on the solution's branch
+    with psi(t, s, u) = z; declaring it asserts that psi is free of t.  Each
+    nonlinear element's Newton then starts from the implicitly linear
+    solution: the z that solves the element equation as if psi were u,
+    mapped back through psi_inv at the Gauss nodes.
     """
 
     alpha: float
@@ -62,6 +68,7 @@ class ProblemSpec:
     dpsi_du: Callable
     f: Callable
     linear: bool = False
+    psi_inv: Callable | None = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -75,6 +82,18 @@ class ProblemSpec:
                 raise ValueError("linear flag set but psi(t, s, u) != u")
             if np.max(np.abs(self.dpsi_du(s, s, u) - 1.0)) > 1e-12:
                 raise ValueError("linear flag set but dpsi_du(t, s, u) != 1")
+        if self.psi_inv is not None:
+            if self.linear:
+                raise ValueError("psi_inv set with the linear flag, whose psi = u needs none")
+            # positive samples, in the domain of roots and logarithms
+            s = np.linspace(0.1, 0.4, 4) * self.T
+            u = np.array([0.2, 0.45, 1.3, 2.0])
+            z = self.psi(0.5 * self.T, s, u)
+            if np.any(z != self.psi(self.T, s, u)):
+                raise ValueError("psi_inv set but psi depends on t")
+            back = self.psi(self.T, s, self.psi_inv(s, z))
+            if not np.all(np.abs(back - z) <= 1e-12 * np.abs(z)):
+                raise ValueError("psi_inv set but psi(t, s, psi_inv(s, z)) != z")
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ class Mesh:
     @property
     def L(self) -> int:
         """Total number of unknown coefficients."""
-        return int(np.sum(self.degrees + 1))
+        return int(self.offsets[-1])
 
     @functools.cached_property
     def offsets(self) -> np.ndarray:

@@ -6,8 +6,10 @@ the shifted Lobatto points into one contiguous array, from which later
 elements assemble their history term without re-expanding earlier solutions.
 A linear problem solves each run of elements at once, by forward substitution
 in those values.  On a nonlinear one, each element is one damped Newton from
-the previous element's coefficients, whose error propagates; it evaluates all
-the halvings of a rejected step in one residual call.
+a warm start, whose error propagates; it evaluates all the halvings of a
+rejected step in one residual call.  The warm start is the implicitly linear
+solution where psi has a declared inverse, else the previous element's
+coefficients.
 """
 
 from __future__ import annotations
@@ -79,8 +81,10 @@ class SolverOptions:
     """Knobs for the per-element nonlinear solves.
 
     ``init_constant`` seeds the first element with the constant function of
-    that value; nonlinearities whose derivative vanishes at u = 0 (powers of
-    u) or that are undefined there (logarithms, roots) need a nonzero seed.
+    that value, on problems without ``psi_inv`` only (those start every
+    element from the implicitly linear solution); nonlinearities whose
+    derivative vanishes at u = 0 (powers of u) or that are undefined there
+    (logarithms, roots) need a nonzero seed.
     """
 
     newton_tol: float = 1e-12
@@ -249,17 +253,11 @@ def _lobatto_values(coeffs: np.ndarray, degree: int) -> np.ndarray:
     return coeffs @ _lobatto_table(degree)
 
 
-def _linear_solvers(problem: ProblemSpec, ops: OperatorRun):
-    """Stacks over the elements of ``ops``: the matrices that map f - history at
-    the Gauss nodes to coefficients, and f there, from one f call and one inverse.
-
-    dpsi_du == 1, so ``B @ Qflat.T`` is each element's system matrix.
-    """
-    ref, shape = ops.ref, ops.t_nodes.shape
-    f_nodes = np.broadcast_to(problem.f(ops.t_nodes.ravel()), (ops.t_nodes.size,)).reshape(shape)
-    systems = ops.B @ ref.Qflat.T
+def _system_inverses(ops: OperatorRun) -> np.ndarray:
+    """The inverses of the elements' systems ``B @ Qflat.T`` for psi = u, from one call."""
+    systems = ops.B @ ops.ref.Qflat.T
     try:
-        inverses = np.linalg.inv(systems)
+        return np.linalg.inv(systems)
     except np.linalg.LinAlgError:
         # one error for the whole stack: name its first singular element
         for j, system in enumerate(systems):
@@ -268,7 +266,17 @@ def _linear_solvers(problem: ProblemSpec, ops: OperatorRun):
             except np.linalg.LinAlgError:
                 raise SingularJacobianError(ops.n0 + j, 0) from None
         raise
-    return (inverses * ref.proj_scale) @ (ref.P * ref.gl.weights), f_nodes
+
+
+def _linear_solvers(problem: ProblemSpec, ops: OperatorRun):
+    """Stacks over the elements of ``ops``: the matrices that map f - history at
+    the Gauss nodes to coefficients, and f there, from one f call and one inverse.
+
+    dpsi_du == 1, so ``B @ Qflat.T`` is each element's system matrix.
+    """
+    ref, shape = ops.ref, ops.t_nodes.shape
+    f_nodes = np.broadcast_to(problem.f(ops.t_nodes.ravel()), (ops.t_nodes.size,)).reshape(shape)
+    return (_system_inverses(ops) * ref.proj_scale) @ (ref.P * ref.gl.weights), f_nodes
 
 
 def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None) -> PiecewiseSolution:
@@ -284,10 +292,14 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
     (``HistoryRun.solve_linear``), a forward substitution with one small
     product per element.  Nonlinear elements call f on their own nodes, add
     their near history to the run's far part (``HistoryRun.at_nodes``) and
-    run damped Newton from a warm start: the previous element's
-    coefficients, zero-padded or truncated to this element's degree (the
-    constant ``init_constant`` on the first element).  Newton's error
-    propagates: there is no second start.
+    run damped Newton from a warm start.  Where the problem declares
+    ``psi_inv``, the warm start is the implicitly linear solution: the
+    element equation is solved for z = psi(u) as if psi were u, with the
+    stretch's system inverses from one batched call, and u = psi_inv(z) at
+    the Gauss nodes is projected to coefficients.  Otherwise it is the
+    previous element's coefficients, zero-padded or truncated to this
+    element's degree (the constant ``init_constant`` on the first element).
+    Newton's error propagates: there is no second start.
     """
     options = options or SolverOptions()
     validate_problem(problem)
@@ -305,6 +317,8 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
         if problem.linear:
             solvers, f_nodes = _linear_solvers(problem, ops)
             lob_maps = _lobatto_table(ops.degree).T @ solvers
+        elif problem.psi_inv is not None:
+            inverses = _system_inverses(ops)
         for n0, n1 in stretch:
             run = HistoryRun(ops, n0, n1, lobatto_u[: offsets[n0 - 1]], table)
             if problem.linear:
@@ -314,16 +328,22 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
             for n in range(n0, n1 + 1):
                 lo, hi = offsets[n - 1], offsets[n]
                 op = ops.operator(n)
-                warm = np.zeros(dim)
-                if n == 1:
-                    warm[0] = options.init_constant
-                else:
-                    prev = coeffs[offsets[n - 2] : lo]
-                    k = min(dim, prev.size)
-                    warm[:k] = prev[:k]
                 # the accumulated history enters the element equation on the
                 # right-hand side: current-element moments = rhs - history
                 target = op.rhs() - op.project(run.at_nodes(n, lobatto_u))
+                if problem.psi_inv is not None:
+                    # the implicitly linear solution: z = psi(u) solves the
+                    # element equation as if it were linear, u = psi_inv(z)
+                    z = inverses[n - ops.n0] @ target @ ops.ref.P
+                    warm = op.project(problem.psi_inv(op.t_nodes, z))
+                else:
+                    warm = np.zeros(dim)
+                    if n == 1:
+                        warm[0] = options.init_constant
+                    else:
+                        prev = coeffs[offsets[n - 2] : lo]
+                        k = min(dim, prev.size)
+                        warm[:k] = prev[:k]
 
                 def residual(c):
                     return op.weighted_moments(c) - target

@@ -244,3 +244,30 @@ def test_adaptive_flags_take_the_library_values(capsys):
     out = " ".join(capsys.readouterr().out.split())
     assert "--adaptive {" + ",".join(STRATEGIES) + "}" in out
     assert f"(default: {AdaptiveOptions.max_L})" in out
+
+
+
+def test_config_keys_it_does_not_read_are_usage_errors(tmp_path, capsys):
+    # a typo'd key turned its setting off without a word: each of these ran
+    # with the defaults and exited 0
+    path = tmp_path / "run.json"
+    for cfg, named in (
+        ({"problem": "ex3", "sweep": [[2, 3]], "fromat": "json",
+          "solvr": {"newton_tol": 1e-3}}, ("'fromat'", "'solvr'")),
+        ({"problem": "ex3", "N": 4, "M": 5}, ("'N'", "'M'")),
+        ({"problem": "ex4", "adaptive": {"tol": 1e-9, "strat": "h_first"}}, ("'strat'",)),
+    ):
+        path.write_text(json.dumps(cfg))
+        flags = () if "sweep" in cfg else ("--N", "2", "--M", "3")
+        code, out, err = run_cli(capsys, "run", "--config", str(path), *flags)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert all(key in err for key in named), err
+
+
+def test_config_with_sweep_and_mesh_is_a_usage_error(tmp_path, capsys):
+    # the sweep ran and the mesh was dropped without a word
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"problem": "ex3", "sweep": [[2, 3]], "mesh": {"N": 4, "M": 5}}))
+    code, out, err = run_cli(capsys, "run", "--config", str(path))
+    assert code == 1 and out == ""
+    assert "sweep" in err and "mesh" in err

@@ -397,6 +397,21 @@ def test_problemspec_validation():
                     lambda t, s, u: 2.0 * np.ones_like(u), lambda t: t, linear=True)
 
 
+def test_psi_inv_validation():
+    square = dict(psi=lambda t, s, u: u**2, dpsi_du=lambda t, s, u: 2.0 * u)
+    root = lambda s, z: np.sqrt(np.abs(z))
+    spec = ProblemSpec(0.5, 1.0, _ones, f=lambda t: t, psi_inv=root, **square)
+    assert spec.psi_inv is root
+    with pytest.raises(ValueError, match="!= z"):  # not psi's inverse
+        ProblemSpec(0.5, 1.0, _ones, f=lambda t: t, psi_inv=lambda s, z: z, **square)
+    with pytest.raises(ValueError, match="depends on t"):  # ex3's psi
+        ProblemSpec(0.5, 1.0, _ones, lambda t, s, u: (1.0 + s + t * u) * u,
+                    lambda t, s, u: 1.0 + s + 2.0 * t * u, lambda t: t, psi_inv=root)
+    with pytest.raises(ValueError, match="linear"):  # psi = u takes the linear path
+        ProblemSpec(0.5, 1.0, _ones, lambda t, s, u: u, lambda t, s, u: np.ones_like(u),
+                    lambda t: t, linear=True, psi_inv=lambda s, z: z)
+
+
 def test_missing_prior_raises():
     p = _identity_problem(0.5, 1.0, lambda t: np.asarray(t, dtype=float))
     m = uniform_mesh(3, 1.0, 2)

@@ -543,6 +543,42 @@ def test_geometric_mesh_solves():
         assert bench.error_E2(sol, b.exact) < bound
 
 
+def test_ex1_graded_meshes_start_from_the_implicitly_linear_solution():
+    # psi'(u(0)) = 0 for ex1's u^2, so from a constant or previous-element
+    # start Newton reaches a wrong root on graded meshes (E2 0.15-0.27) or
+    # fails; from the implicitly linear solution the graded meshes resolve the
+    # singularity at t = 0: equal degree 12 on the mesh above, and on the
+    # sigma = 0.15 geometric meshes of n layers [0, sigma^n, ..., sigma, 1],
+    # whose element j, counted from 0, has degree 1 + floor(0.75 j)
+    b = bench.make_benchmark("ex1", 0.3)
+    bp = np.array([0.0] + [0.15**k for k in range(8, 0, -1)] + [1.0])
+    sol = solve(b.spec, Mesh(bp, np.full(bp.size - 1, 12)), b.solver_options())
+    assert bench.error_E2(sol, b.exact) <= 1e-7
+    for alpha in (0.3, 0.5, 0.7):
+        b = bench.make_benchmark("ex1", alpha)
+        for n in (12, 14):
+            bp = np.concatenate([[0.0], 0.15 ** np.arange(n, -1, -1.0)])
+            mesh = Mesh(bp, 1 + (0.75 * np.arange(n + 1)).astype(int))
+            sol = solve(b.spec, mesh, b.solver_options())
+            assert bench.error_E2(sol, b.exact) <= 1e-6, (alpha, n)
+
+
+def test_implicitly_linear_start_saves_newton_steps(monkeypatch):
+    # on one degree-12 element ex1 converges only linearly from a constant
+    # start (13 Jacobians); the implicitly linear solution starts it close
+    jacobians = []
+    original = abelhp.discretization.ElementOperator.jacobian
+
+    def counted(self, coeffs):
+        jacobians.append(self.n)
+        return original(self, coeffs)
+
+    monkeypatch.setattr(abelhp.discretization.ElementOperator, "jacobian", counted)
+    b = bench.make_benchmark("ex1", 0.3)
+    solve(b.spec, Mesh([0.0, 1.0], [12]), b.solver_options())
+    assert 1 <= len(jacobians) <= 5
+
+
 def _count_calls(monkeypatch, name):
     """Wrap ``abelhp.solver.<name>`` and return the list its calls append to."""
     calls = []
