@@ -116,11 +116,11 @@ def _refine(mesh: Mesh, solution: PiecewiseSolution, mode: str) -> Mesh:
     if mode == "p":
         return mesh.with_degrees(mesh.degrees + 1)
     worst = int(np.argmax(_tail_indicator(solution)))
-    bp = mesh.breakpoints
+    bp, deg = mesh.breakpoints, mesh.degrees
     mid = 0.5 * (bp[worst] + bp[worst + 1])
-    new_bp = np.insert(bp, worst + 1, mid)
-    new_deg = np.insert(mesh.degrees, worst, mesh.degrees[worst])
-    return Mesh(new_bp, new_deg)
+    # the halves of element worst + 1 both take its degree
+    return Mesh(np.concatenate((bp[: worst + 1], [mid], bp[worst + 1 :])),
+                np.concatenate((deg[: worst + 1], deg[worst:])))
 
 
 def adaptive_solve(

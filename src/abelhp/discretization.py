@@ -218,8 +218,9 @@ class ElementOperator:
     def rhs(self) -> np.ndarray:
         """Legendre moments of f on the element (Gauss-point projection).
 
-        f is called at this element's nodes alone: a nonlinear march that
-        stops early never evaluates f on the elements after it.
+        f is called at this element's nodes alone.  :func:`~abelhp.solver.solve`
+        does not call it: it samples f once per stretch, on all the stretch's
+        Gauss nodes, and projects each element's row as this does.
         """
         return self.project(np.broadcast_to(self.problem.f(self.t_nodes), self.t_nodes.shape))
 
@@ -383,8 +384,8 @@ class HistoryRun:
         # Gauss nodes and history sample points of the run, flat like mesh.offsets
         nodes = ops.t_nodes[self._stack_rows]
         self.t = nodes.ravel()
-        points = mesh.history_points
-        self.s = points[lo : offsets[n1]]
+        # element 1 alone has no history, so it needs no sample points
+        self.s = mesh.history_points[lo : offsets[n1]] if n1 > 1 else np.empty(0)
 
         t4 = nodes[:, :, None, None]
         self.far = np.zeros(self.t.size)
@@ -395,7 +396,7 @@ class HistoryRun:
             if table is None:
                 w = history_weights_batch(bp[prior], bp[prior + 1], dk, t4[..., 0], alpha)
                 cols = offsets[prior, None] + np.arange(dk + 1)
-                S, U = points[cols], prior_u[cols]  # (element, point)
+                S, U = mesh.history_points[cols], prior_u[cols]  # (element, point)
             else:
                 # w[j, i, p, k - 1] = table[i, p, N - n0 - j + k - 1] for node i of
                 # element n0 + j and earlier element k: each table row read from
@@ -403,7 +404,7 @@ class HistoryRun:
                 s0, s1, s2 = table.strides
                 w = np.ndarray((R, m, m, n0 - 1), float, table, (N - n0) * s2, (-s2, s0, s1, s2))
                 # (point, element), as the table
-                S = np.ascontiguousarray(points[:lo].reshape(-1, m).T)
+                S = np.ascontiguousarray(mesh.history_points[:lo].reshape(-1, m).T)
                 U = np.ascontiguousarray(prior_u.reshape(-1, m).T)
             # in place unless w views the table: w is the largest array here,
             # run nodes x earlier points
@@ -492,11 +493,12 @@ def validate_problem(problem: ProblemSpec) -> list[str]:
     notes = _NOTES.get(id(problem))
     if notes is None:
         notes = []
-        f0 = _quiet_eval(problem.f, np.array(0.0))
-        fs = _quiet_eval(problem.f, np.linspace(0.2, 1.0, 5) * problem.T)
-        scale = 1.0 if fs is None else max(1.0, float(np.nanmax(np.abs(fs))))
-        if f0 is not None and np.isfinite(f0) and abs(float(f0)) > 1e-10 * scale:
-            notes.append(f"f(0) = {float(f0):.3e} is not zero")
+        # f at 0 and on a grid over (0, T], from one call
+        fs = _quiet_eval(problem.f, np.linspace(0.0, 1.0, 6) * problem.T)
+        if fs is not None:
+            fs = np.broadcast_to(fs, (6,))
+            if np.isfinite(fs[0]) and abs(fs[0]) > 1e-10 * max(1.0, np.nanmax(np.abs(fs[1:]))):
+                notes.append(f"f(0) = {fs[0]:.3e} is not zero")
 
         ts = np.linspace(0.05, 1.0, 9) * problem.T
         diag = _quiet_eval(problem.kappa, ts, ts)

@@ -4,7 +4,8 @@ and forward substitution on linear problems.
 Elements are solved in causal order; each solved element writes its values at
 the shifted Lobatto points into one contiguous array, from which later
 elements assemble their history term without re-expanding earlier solutions.
-A linear problem solves each run of elements at once, by forward substitution
+f is sampled once per stretch of elements that share their operators.  A
+linear problem solves each run of elements at once, by forward substitution
 in those values.  On a nonlinear one, each element is one damped Newton from
 a warm start, whose error propagates; it evaluates all the halvings of a
 rejected step in one residual call.  The warm start is the implicitly linear
@@ -143,14 +144,16 @@ def _residual_norm(residual_fn, u):
 
 
 def _residual_rows(residual_fn, U):
-    """:func:`_residual_norm` of each row of the (K, dim) stack U, from one residual call."""
+    """:func:`_residual_norm` of each row of the (K, dim) stack U, from one residual call,
+    as three stacks: residuals, max-norms and merits."""
     R = np.asarray(residual_fn(U), dtype=float)
     if R.shape != U.shape:
         raise ValueError(f"residual_fn must map a (K, dim) stack row by row, got {R.shape}")
-    norms = np.abs(R).max(axis=1, initial=0.0).tolist()
-    merits = np.vecdot(R, R).tolist()  # row by row, each rounded as r @ r
-    rows = zip(R, norms, merits)
-    return ((r, n, g) if n < math.inf else (r, math.inf, math.inf) for r, n, g in rows)
+    norms = np.abs(R).max(axis=1, initial=0.0)
+    merits = np.vecdot(R, R)  # row by row, each rounded as r @ r
+    bad = ~(norms < math.inf)  # a NaN or inf entry makes both inf
+    norms[bad] = merits[bad] = math.inf
+    return R, norms, merits
 
 
 _HALVINGS = 0.5 ** np.arange(30)
@@ -159,19 +162,16 @@ _HALVINGS = 0.5 ** np.arange(30)
 def _line_search(residual_fn, u, step, scales, g, slope=0.0, tol=-math.inf):
     """First ``u + s * step``, s in ``scales``, with merit < g (1 - slope s) or max-norm <= tol.
 
-    The full step ``scales[0]`` is tried alone, the others only if it fails and
-    in one stacked call.  Returns (candidate, residual, max-norm, merit) or None.
+    All the trials take one stacked call.  Returns (candidate, residual,
+    max-norm, merit) or None.
     """
-    def trials():
-        cand = u + scales[0] * step
-        yield scales[0], cand, _residual_norm(residual_fn, cand)
-        cands = u + scales[1:, None] * step
-        yield from zip(scales[1:], cands, _residual_rows(residual_fn, cands))
-
-    for s, cand, (r, norm, g_new) in trials():
-        if g_new < g * (1.0 - slope * s) or norm <= tol:
-            return cand, r, norm, g_new
-    return None
+    cands = u + scales[:, None] * step
+    R, norms, merits = _residual_rows(residual_fn, cands)
+    passed = (merits < g * (1.0 - slope * scales)) | (norms <= tol)
+    if not passed.any():
+        return None
+    i = int(passed.argmax())
+    return cands[i], R[i], float(norms[i]), float(merits[i])
 
 
 def newton(residual_fn, jacobian_fn, init, options: SolverOptions, n: int | None = None):
@@ -184,16 +184,18 @@ def newton(residual_fn, jacobian_fn, init, options: SolverOptions, n: int | None
     first that passes is taken); ``jacobian_fn`` maps one vector to one matrix.
     Convergence is declared on the residual max-norm.
     """
-    u = np.array(init, dtype=float).ravel()
+    u, tol = np.array(init, dtype=float).ravel(), options.newton_tol
     # non-finite values are caught by the checks below, not warned about
     with np.errstate(all="ignore"):
         r, norm, g = _residual_norm(residual_fn, u)
         for it in range(options.newton_max_iter):
-            if norm <= options.newton_tol:
+            if norm <= tol:
                 return u
             if norm == math.inf:
                 raise NewtonDivergedError(n, norm)
-            J = np.atleast_2d(np.asarray(jacobian_fn(u), dtype=float))
+            J = jacobian_fn(u)
+            if getattr(J, "dtype", None) != float or J.ndim != 2:
+                J = np.atleast_2d(np.asarray(J, dtype=float))
             if not np.isfinite(J).all():
                 raise SingularJacobianError(n, it)
             try:
@@ -203,13 +205,18 @@ def newton(residual_fn, jacobian_fn, init, options: SolverOptions, n: int | None
             if not np.isfinite(step).all():
                 raise SingularJacobianError(n, it)
 
+            cand = u + step
+            r_new, norm_new, g_new = _residual_norm(residual_fn, cand)
+            if g_new < g * (1.0 - 1e-4) or norm_new <= tol:
+                u, r, norm, g = cand, r_new, norm_new, g_new
+                continue
             # the Newton direction is a descent direction for g = |r|^2 / 2, so
             # backtracking on g succeeds whenever J is nonsingular
-            found = _line_search(residual_fn, u, step, _HALVINGS[:20], g, 1e-4, options.newton_tol)
+            found = _line_search(residual_fn, u, step, _HALVINGS[1:20], g, 1e-4, tol)
             if found is None:
                 raise NewtonDivergedError(n, norm)
             u, r, norm, g = found
-    if norm <= options.newton_tol:
+    if norm <= tol:
         return u
     raise NewtonDivergedError(n, norm)
 
@@ -222,7 +229,7 @@ def steepest_descent_init(residual_fn, jacobian_fn, dim: int, warm_start=None, *
     with gradient J^T r from ``warm_start`` (``dim`` zeros when None), halving
     ``step_size`` (up to 29 times) when g would not decrease, and returns the
     iterate with the smallest g seen.  ``residual_fn`` and ``jacobian_fn`` are
-    as in :func:`newton`, so the halvings take one stacked call.  A stationary
+    as in :func:`newton`, so a step's 30 trial sizes take one stacked call.  A stationary
     start (zero gradient) is returned unchanged.  It stays only because the
     perfbench tracer patches it by name, and goes with that target.
     """
@@ -268,15 +275,20 @@ def _system_inverses(ops: OperatorRun) -> np.ndarray:
         raise
 
 
-def _linear_solvers(problem: ProblemSpec, ops: OperatorRun):
-    """Stacks over the elements of ``ops``: the matrices that map f - history at
-    the Gauss nodes to coefficients, and f there, from one f call and one inverse.
+def _linear_solvers(ops: OperatorRun) -> np.ndarray:
+    """The stack of matrices that map f - history at the Gauss nodes of each
+    element of ``ops`` to its coefficients, from one inverse.
 
     dpsi_du == 1, so ``B @ Qflat.T`` is each element's system matrix.
     """
-    ref, shape = ops.ref, ops.t_nodes.shape
-    f_nodes = np.broadcast_to(problem.f(ops.t_nodes.ravel()), (ops.t_nodes.size,)).reshape(shape)
-    return (_system_inverses(ops) * ref.proj_scale) @ (ref.P * ref.gl.weights), f_nodes
+    ref = ops.ref
+    return (_system_inverses(ops) * ref.proj_scale) @ (ref.P * ref.gl.weights)
+
+
+def _f_at_nodes(problem: ProblemSpec, ops: OperatorRun) -> np.ndarray:
+    """f at the Gauss nodes of the elements of ``ops``, one row each, from one f call."""
+    t = ops.t_nodes
+    return np.broadcast_to(problem.f(t.ravel()), (t.size,)).reshape(t.shape)
 
 
 def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None) -> PiecewiseSolution:
@@ -286,13 +298,14 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
     operators once (:class:`OperatorRun`), and each run of
     :func:`history_runs` in it the history of its elements from everything
     solved before it (:class:`HistoryRun`), all from one table of weights by
-    gap when the mesh is uniform with one degree.  A linear stretch calls f
-    once on all its Gauss nodes and inverts all its system matrices in one
-    batched call; each of its runs is then solved at once
-    (``HistoryRun.solve_linear``), a forward substitution with one small
-    product per element.  Nonlinear elements call f on their own nodes, add
-    their near history to the run's far part (``HistoryRun.at_nodes``) and
-    run damped Newton from a warm start.  Where the problem declares
+    gap when the mesh is uniform with one degree.  Every stretch calls f
+    once, on all its Gauss nodes, so a march that fails on an element has
+    sampled f on the rest of its stretch too.  A linear stretch inverts all
+    its system matrices in one batched call; each of its runs is then solved
+    at once (``HistoryRun.solve_linear``), a forward substitution with one
+    small product per element.  Nonlinear elements project their row of f,
+    add their near history to the run's far part (``HistoryRun.at_nodes``)
+    and run damped Newton from a warm start.  Where the problem declares
     ``psi_inv``, the warm start is the implicitly linear solution: the
     element equation is solved for z = psi(u) as if psi were u, with the
     stretch's system inverses from one batched call, and u = psi_inv(z) at
@@ -313,9 +326,9 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
     table = _gap_table(mesh, problem.alpha)
     for stretch in operator_stretches(mesh):
         ops = OperatorRun(problem, mesh, stretch[0][0], stretch[-1][1])
-        dim = ops.degree + 1
+        dim, f_nodes = ops.degree + 1, _f_at_nodes(problem, ops)
         if problem.linear:
-            solvers, f_nodes = _linear_solvers(problem, ops)
+            solvers = _linear_solvers(ops)
             lob_maps = _lobatto_table(ops.degree).T @ solvers
         elif problem.psi_inv is not None:
             inverses = _system_inverses(ops)
@@ -329,8 +342,9 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
                 lo, hi = offsets[n - 1], offsets[n]
                 op = ops.operator(n)
                 # the accumulated history enters the element equation on the
-                # right-hand side: current-element moments = rhs - history
-                target = op.rhs() - op.project(run.at_nodes(n, lobatto_u))
+                # right-hand side: current-element moments = rhs - history,
+                # rhs as ElementOperator.rhs projects it
+                target = op.project(f_nodes[n - ops.n0]) - op.project(run.at_nodes(n, lobatto_u))
                 if problem.psi_inv is not None:
                     # the implicitly linear solution: z = psi(u) solves the
                     # element equation as if it were linear, u = psi_inv(z)
@@ -393,20 +407,24 @@ def _evaluate_on(solution: PiecewiseSolution, t_arr: np.ndarray, elem_idx: np.nd
             k, t_blk = elem_idx[pts], t_arr[pts]
             left, right = bp[k], bp[k + 1]
             x = np.clip((2.0 * t_blk - left - right) / (right - left), -1.0, 1.0)
-            # sum_p coeffs[offsets[k] + p] P_p(x), term by term
-            P, first = legendre_table(d, x), offsets[k]
-            acc = coeffs[first] * P[0]
-            for p in range(1, d + 1):
-                acc += coeffs[first + p] * P[p]
-            out[pts] = acc
+            # sum_p coeffs[offsets[k] + p] P_p(x): numpy sums the (p, point)
+            # terms over p row by row, in order, as a loop over p would; a
+            # lone point's column is summed pairwise, so it gets a stride-0 twin
+            terms = coeffs.take(offsets.take(k) + np.arange(d + 1)[:, None])
+            terms *= legendre_table(d, x)
+            if k.size == 1:
+                terms = np.broadcast_to(terms, (d + 1, 2))
+            out[pts] = terms.sum(axis=0)[: k.size]
     return out
 
 
 # forward_apply's base rule size, its acceptance tolerance (relative to the
-# integral of the absolute integrand), and the most panels it evaluates at once
+# integral of the absolute integrand), and the most panels it evaluates at once.
+# solve samples f on a whole stretch, so a manufactured f takes hundreds of
+# times in one call; blocks this small keep their temporaries under 0.4 MB
 _FORWARD_ORDER = 16
 _FORWARD_REL_TOL = 1e-10
-_FORWARD_BLOCK = 2048
+_FORWARD_BLOCK = 128
 
 
 @functools.lru_cache(maxsize=None)

@@ -59,16 +59,6 @@ def ex1_closed_form_rhs(alpha):
     return f
 
 
-def lagrange_values(nodes, j, x):
-    """The j-th Lagrange basis polynomial on the given nodes, evaluated at x."""
-    x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    for m, xm in enumerate(nodes):
-        if m != j:
-            out *= (x - xm) / (nodes[j] - xm)
-    return out
-
-
 def singular_history_integral(fn, left, right, t, alpha, tol=1e-12):
     """int_left^right (t-s)^(alpha-1) fn(s) ds for t >= right, adaptively.
 
@@ -96,6 +86,25 @@ def singular_history_integral(fn, left, right, t, alpha, tol=1e-12):
     return float(val)
 
 
+def _times_linear(a, c, d):
+    """Coefficients of (c + d sigma) sum_k a_k sigma^k, lowest power first."""
+    return [c * ak + d * below for ak, below in zip(a + [0], [0] + a)]
+
+
+def _sigma_terms(n, left, right, t, alpha):
+    """int_left^right (t-s)^(alpha-1) (t-s)^k ds for k < n, mpf t and alpha.
+
+    In sigma = t - s each is [sigma^(alpha+k) / (alpha+k)] from t - right to t - left.
+    """
+    near, far = t - mp.mpf(right), t - mp.mpf(left)
+    return [(far ** (alpha + k) - near ** (alpha + k)) / (alpha + k) for k in range(n)]
+
+
+def _sigma_integral(a, left, right, t, alpha):
+    """int_left^right (t-s)^(alpha-1) sum_k a_k (t-s)^k ds for mpf t and alpha, term by term."""
+    return float(sum(ak * term for ak, term in zip(a, _sigma_terms(len(a), left, right, t, alpha))))
+
+
 def lagrange_history_integral(nodes, j, left, right, t, alpha, dps=60):
     """int_left^right (t-s)^(alpha-1) l_j(s) ds for t >= right, in closed form at ``dps`` digits.
 
@@ -110,13 +119,44 @@ def lagrange_history_integral(nodes, j, left, right, t, alpha, dps=60):
         x = [mp.mpf(float(v)) for v in nodes]
         a = [mp.mpf(1)]
         for m, xm in enumerate(x):
-            if m != j:  # times the factor c + d sigma: a_k <- c a_k + d a_(k-1)
-                c, d = (t - xm) / (x[j] - xm), -1 / (x[j] - xm)
-                a = [c * ak + d * below for ak, below in zip(a + [0], [0] + a)]
-        near, far = t - mp.mpf(right), t - mp.mpf(left)
-        return float(sum(
-            ak * (far ** (alpha + k) - near ** (alpha + k)) / (alpha + k) for k, ak in enumerate(a)
-        ))
+            if m != j:
+                a = _times_linear(a, (t - xm) / (x[j] - xm), -1 / (x[j] - xm))
+        return _sigma_integral(a, left, right, t, alpha)
+
+
+def legendre_history_integrals(pmax, left, right, t, alpha, dps=60):
+    """int_left^right (t-s)^(alpha-1) P_p(x(s)) ds for p = 0..pmax and t >= right, in closed form.
+
+    x(s) = (2s - left - right) / (right - left) is the element's reference
+    coordinate, c + d sigma in sigma = t - s; the three-term recurrence in
+    that linear factor gives each P_p's coefficients in sigma, at ``dps``
+    digits, and the degrees share the integrals of the powers of sigma.
+    """
+    with mp.workdps(dps):
+        t, alpha, lo, hi = (mp.mpf(v) for v in (t, alpha, left, right))
+        c, d = (2 * t - lo - hi) / (hi - lo), -2 / (hi - lo)
+        polys, below = [[mp.mpf(1)]], [mp.mpf(0)]
+        for k in range(pmax):  # (k + 1) P_(k+1) = (2k + 1) x P_k - k P_(k-1)
+            up = _times_linear(polys[-1], c * (2 * k + 1), d * (2 * k + 1))
+            below = below + [0] * (len(up) - len(below))
+            below, a = polys[-1], [(u - k * b) / (k + 1) for u, b in zip(up, below)]
+            polys.append(a)
+        terms = _sigma_terms(pmax + 1, left, right, t, alpha)
+        return np.array([float(sum(ak * term for ak, term in zip(a, terms))) for a in polys])
+
+
+def polynomial_history_integral(coeffs, left, right, t, alpha, dps=60):
+    """int_left^right (t-s)^(alpha-1) sum_k coeffs[k] s^k ds for t >= right, in closed form.
+
+    Horner's scheme in s = t - sigma gives the coefficients in sigma, at ``dps`` digits.
+    """
+    with mp.workdps(dps):
+        t, alpha = mp.mpf(t), mp.mpf(alpha)
+        a = [mp.mpf(0)]
+        for ck in reversed(coeffs):
+            a = _times_linear(a, t, -1)
+            a[0] += mp.mpf(float(ck))
+        return _sigma_integral(a, left, right, t, alpha)
 
 
 def legendre_l2_projection(fn, a, b, degree, tol=1e-12):
@@ -203,14 +243,14 @@ def linear_march_by_element(problem, mesh):
     """
     from abelhp.discretization import HistoryRun, OperatorRun, _gap_table, operator_stretches
     from abelhp.quadrature import _lobatto_table
-    from abelhp.solver import _linear_solvers
+    from abelhp.solver import _f_at_nodes, _linear_solvers
 
     offsets = mesh.offsets
     coeffs, lobatto_u = np.empty(mesh.L), np.empty(mesh.L)
     table = _gap_table(mesh, problem.alpha)
     for stretch in operator_stretches(mesh):
         ops = OperatorRun(problem, mesh, stretch[0][0], stretch[-1][1])
-        solvers, f_nodes = _linear_solvers(problem, ops)
+        solvers, f_nodes = _linear_solvers(ops), _f_at_nodes(problem, ops)
         for n0, n1 in stretch:
             run = HistoryRun(ops, n0, n1, lobatto_u[: offsets[n0 - 1]], table)
             for n in range(n0, n1 + 1):
@@ -218,6 +258,28 @@ def linear_march_by_element(problem, mesh):
                 u = solvers[j] @ (f_nodes[j] - run.at_nodes(n, lobatto_u))
                 coeffs[lo:hi], lobatto_u[lo:hi] = u, u @ _lobatto_table(ops.degree)
     return coeffs
+
+
+def evaluate_by_degree(solution, t, elem_idx):
+    """``abelhp.solver._evaluate_on`` as a loop over elements and degrees.
+
+    Each element's points take their reference coordinate as ``_evaluate_on``
+    places it, and sum_p c_p P_p(x) is accumulated term by term in order of
+    p, so a batched sum over p must equal it bit for bit.
+    """
+    from abelhp.orthopoly import legendre_table
+
+    mesh = solution.mesh
+    bp, out = mesh.breakpoints, np.empty_like(t)
+    for k in np.unique(elem_idx):
+        sel, c = elem_idx == k, solution.coefficients(k + 1)
+        x = np.clip((2.0 * t[sel] - bp[k] - bp[k + 1]) / (bp[k + 1] - bp[k]), -1.0, 1.0)
+        P = legendre_table(c.size - 1, x)
+        acc = c[0] * P[0]
+        for p in range(1, c.size):
+            acc += c[p] * P[p]
+        out[sel] = acc
+    return out
 
 
 def _element_grid(op):

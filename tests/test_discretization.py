@@ -374,10 +374,10 @@ def test_validation_runs_once_per_spec_and_warns_on_every_solve():
         with pytest.warns(ProblemAssumptionWarning, match="diagonal"):
             solve(spec, uniform_mesh(4, 1.0, 2), b.solver_options())
         per_solve.append(dict(calls))
-    # the first solve's spot checks sample f at 0 and on a grid, and kappa
-    # and dpsi_du once each; the second solve repeats only the march
+    # the first solve's spot checks sample f at 0 and on a grid in one call,
+    # and kappa and dpsi_du once each; the second solve repeats only the march
     first, second = per_solve
-    assert {k: first[k] - second[k] for k in first} == {"f": 2, "kappa": 1, "dpsi_du": 1}
+    assert {k: first[k] - second[k] for k in first} == {"f": 1, "kappa": 1, "dpsi_du": 1}
     # the notes go with the spec
     key = id(spec)
     del spec
@@ -564,11 +564,9 @@ def test_operator_run_rejects_bad_ranges():
             ElementOperator(p, m, n)
 
 
-def test_solve_calls_f_once_per_linear_stretch_and_per_nonlinear_element(monkeypatch):
-    # a linear march solves every element of a stretch, so f is called once on
-    # the flat array of the stretch's Gauss nodes; a nonlinear march calls it
-    # on one element's nodes at a time, so a march that stops early evaluates
-    # no f beyond its last element.  The manufactured f are memoized.
+def test_solve_calls_f_once_per_stretch(monkeypatch):
+    # linear or not, a march calls f once per stretch, on the flat array of
+    # the stretch's Gauss nodes.  The manufactured f are memoized.
     monkeypatch.setattr(abelhp.discretization, "_HISTORY_BLOCK", 50)
     ex1, ex2 = make_benchmark("ex1", 0.5), make_benchmark("ex2")
     linear_manufactured = dataclasses.replace(
@@ -600,8 +598,7 @@ def test_solve_calls_f_once_per_linear_stretch_and_per_nonlinear_element(monkeyp
         solve(spec, mesh, options)
         stretches = [(s[0][0], s[-1][1]) for s in operator_stretches(mesh)]
         assert len(stretches) > 1
-        blocks = stretches if problem.linear else [(n, n) for n in range(1, mesh.N + 1)]
-        assert shapes == [((n1 - n0 + 1) * (mesh.degrees[n0 - 1] + 1),) for n0, n1 in blocks]
+        assert shapes == [((n1 - n0 + 1) * (mesh.degrees[n0 - 1] + 1),) for n0, n1 in stretches]
     # the degree-1 mesh's stretches join several runs
     mesh = uniform_mesh(32, 1.0, 1)
     assert len(operator_stretches(mesh)) < len(history_runs(mesh))

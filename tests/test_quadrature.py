@@ -25,8 +25,8 @@ from abelhp.quadrature import (
 from oracles import (
     jacobi_norm,
     lagrange_history_integral,
-    lagrange_values,
-    singular_history_integral,
+    legendre_history_integrals,
+    polynomial_history_integral,
     weighted_poly_integral,
 )
 
@@ -172,9 +172,7 @@ def test_history_weights_near_singular_oracle():
     w = history_weights_batch([0.0], [1.0], 4, t, alpha)[0]
     pts = _lobatto_points(0.0, 1.0, 4)
     for j in range(5):
-        oracle = singular_history_integral(
-            lambda s: lagrange_values(pts, j, s), 0.0, 1.0, t, alpha
-        )
+        oracle = lagrange_history_integral(pts, j, 0.0, 1.0, t, alpha)
         assert w[j] == pytest.approx(oracle, abs=1e-9)
 
 
@@ -203,9 +201,8 @@ def test_history_weights_exact_on_polynomials():
     pts = _lobatto_points(0.2, 0.9, 5)
     rng = np.random.default_rng(5)
     coeffs = rng.uniform(-1, 1, 6)
-    poly = lambda s: np.polynomial.polynomial.polyval(s, coeffs)
-    mine = float(w @ poly(pts))
-    oracle = singular_history_integral(poly, 0.2, 0.9, t, alpha)
+    mine = float(w @ np.polynomial.polynomial.polyval(pts, coeffs))
+    oracle = polynomial_history_integral(coeffs, 0.2, 0.9, t, alpha)
     assert mine == pytest.approx(oracle, rel=1e-10)
 
 
@@ -219,8 +216,6 @@ def test_modified_moments_closed_forms():
 
 
 def test_modified_moments_against_quadrature_oracle():
-    from numpy.polynomial.legendre import legval
-
     rng = np.random.default_rng(12)
     for _ in range(12):
         left = rng.uniform(0.0, 1.5)
@@ -229,11 +224,8 @@ def test_modified_moments_against_quadrature_oracle():
         alpha = rng.uniform(0.15, 0.95)
         t = right + rng.uniform(0.0, 3.0)
         mu = _one_element_moments(left, right, t, alpha, 6)
-        for p in range(7):
-            unit = np.zeros(p + 1)
-            unit[p] = 1.0
-            fn = lambda s: legval((2 * s - left - right) / h, unit)
-            oracle = singular_history_integral(fn, left, right, t, alpha)
+        oracles = legendre_history_integrals(6, left, right, t, alpha)
+        for p, oracle in enumerate(oracles):
             assert mu[p] == pytest.approx(oracle, rel=1e-10, abs=1e-12)
 
 

@@ -14,7 +14,7 @@ from abelhp.discretization import (
     history_runs,
     operator_stretches,
 )
-from abelhp.mesh import Mesh, uniform_mesh
+from abelhp.mesh import Mesh, locate, uniform_mesh
 from abelhp.solver import (
     NewtonDivergedError,
     SingularJacobianError,
@@ -26,7 +26,12 @@ from abelhp.solver import (
     steepest_descent_init,
 )
 
-from oracles import forward_apply_by_time, linear_march_by_element, newton_by_halving
+from oracles import (
+    evaluate_by_degree,
+    forward_apply_by_time,
+    linear_march_by_element,
+    newton_by_halving,
+)
 
 
 def _ones(t, s):
@@ -282,6 +287,24 @@ def test_evaluate_gathers_mixed_degrees_in_blocks(monkeypatch):
     got = evaluate(sol, t)
     assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
     assert evaluate(sol, 0.0) == expected[t == 0.0][0]
+
+
+def test_evaluate_block_sum_adds_terms_in_order_of_degree():
+    # evaluation sums the (p, point) terms c_p P_p(x) of a block over p in one
+    # call, which must add them in order of p as a loop does, bit for bit: on
+    # one point, whose lone column numpy would sum pairwise, and on a full block
+    from abelhp.solver import _EVAL_BLOCK, PiecewiseSolution, _evaluate_on
+
+    rng = np.random.default_rng(17)
+    for d in [*range(1, 25), 64]:
+        mesh = uniform_mesh(5, 1.0, d)
+        scales = 10.0 ** rng.integers(-8, 9, mesh.L)  # so that the order of the sum shows
+        sol = PiecewiseSolution(mesh, rng.uniform(-1.0, 1.0, mesh.L) * scales)
+        for size in (1, _EVAL_BLOCK // (d + 1)):
+            t = 1.0 - rng.uniform(0.0, 1.0, size)
+            elem_idx = locate(t, mesh) - 1
+            got = _evaluate_on(sol, t, elem_idx)
+            assert got.tobytes() == evaluate_by_degree(sol, t, elem_idx).tobytes(), (d, size)
 
 
 def test_solution_coefficients_index_checked():
