@@ -23,7 +23,7 @@ skeleton = ProblemSpec(
 
 
 def f(t):
-    # one call evaluates every time of the array t
+    # each time of the array t is integrated on its own
     return forward_apply(skeleton, exact, t)
 
 

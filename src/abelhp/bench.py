@@ -10,6 +10,7 @@ API itself works with degrees.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -30,7 +31,7 @@ from .solver import (
     SolverOptions,
     _evaluate_on,
     evaluate,
-    forward_apply,
+    forward_apply,  # unused; perfbench/tracing.py wraps it here, and it goes with that target
     solve,
 )
 
@@ -198,29 +199,71 @@ def perturb_rhs(problem: ProblemSpec, delta: float) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 
 
-def _manufactured(exact, alpha, T, kappa, psi, dpsi, breakpoints=(), psi_inv=None):
-    """Problem whose right-hand side applies the operator to ``exact``.
+def _series_length(x: float) -> int:
+    """Terms of sum_k x^k / k! to keep: the first one left out is below 2^-60 min(1, x)."""
+    k, term = 0, 1.0
+    while term > 2.0**-60 * min(1.0, x):
+        k += 1
+        term *= x / k
+    return k
 
-    ``f`` maps a float or an array of times to one of that shape, memoizing
-    values per time; a call computes its new times in one :func:`forward_apply`.
+
+def _times(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Coefficients of p times q, lowest power first, for each column of p (q's rows broadcast)."""
+    out = np.zeros((len(p) + len(q) - 1, *p.shape[1:]))
+    for i, qi in enumerate(q):
+        out[i : i + len(p)] += qi * p
+    return out
+
+
+def _ex1_rhs(alpha: float):
+    """ex1's f: int_0^t (t-s)^(alpha-1) e^(ts) s^(2+2 alpha) ds, 0 for t <= 0.
+
+    With e^(ts) = sum_k (ts)^k / k! each term is a Beta integral, so
+    f(t) = t^(2+3 alpha) sum_k t^(2k) / k! B(alpha, 3+2 alpha+k), a series of
+    positive terms summed by Horner's scheme in t^2.
     """
-    memo: dict[float, float] = {}
+    beta0 = math.gamma(alpha) * math.gamma(3.0 + 2.0 * alpha) / math.gamma(3.0 + 3.0 * alpha)
 
     def f(t):
-        t_arr = np.asarray(t, dtype=float)
-        flat = t_arr.ravel().tolist()
-        new = list(dict.fromkeys(v for v in flat if v not in memo))
-        if new:
-            # forward_apply is looked up in this module at call time, so a
-            # wrapper installed on bench.forward_apply sees every evaluation
-            values = forward_apply(spec, exact, np.array(new), breakpoints=breakpoints)
-            memo.update(zip(new, values.tolist()))
-        out = np.array([memo[v] for v in flat]).reshape(t_arr.shape)
-        return float(out) if out.ndim == 0 else out
+        t = np.maximum(np.asarray(t, dtype=float), 0.0)
+        x = t * t
+        k = np.arange(_series_length(float(x.max(initial=0.0))) - 1)
+        ratios = (3.0 + 2.0 * alpha + k) / ((3.0 + 3.0 * alpha + k) * (k + 1.0))
+        # t^(2+3 alpha) as t^2 (t^alpha)^3, with no rounded exponent
+        return x * (t**alpha) ** 3 * np.polyval(beta0 * np.cumprod(np.r_[1.0, ratios])[::-1], x)
 
-    spec = ProblemSpec(alpha=alpha, T=T, kappa=kappa, psi=psi, dpsi_du=dpsi, f=f,
-                       psi_inv=psi_inv)
-    return spec
+    return f
+
+
+def _ex5_rhs(t):
+    """ex5's f: int_0^t (t-s)^(alpha-1) sin(t-s) u(s)^5 ds with alpha = 0.8, 0 for t <= 0.
+
+    In sigma = t - s, on s <= 1/2 the integrand is e^(-5t) sigma^(alpha-1)
+    Im e^((5+i) sigma), which integrates to e^(-5t) Im[Phi(t) - Phi(max(t - 1/2, 0))]
+    with Phi(x) = sum_k (5+i)^k x^(k+alpha) / (k! (k+alpha)).  On s > 1/2,
+    (2 - (t - sigma)^2)^5 is a polynomial in sigma; times the series of
+    sin(sigma) / sigma it integrates term by term over [0, t - 1/2].
+    """
+    alpha, z = 0.8, 5.0 + 1.0j
+    t = np.maximum(np.asarray(t, dtype=float), 0.0)
+    k = np.arange(_series_length(abs(z) * float(t.max(initial=0.0))))
+    z_pow = np.cumprod(np.r_[1.0, np.full(k.size - 1, z) / k[1:]])  # z^k / k!
+    im_phi = lambda x: x**alpha * np.polyval((z_pow.imag / (k + alpha))[::-1], x)
+    x0 = np.maximum(t - 0.5, 0.0)
+    out = np.exp(-5.0 * t) * (im_phi(t) - im_phi(x0))
+    late = t > 0.5
+    if late.any():
+        tl, x = t[late], x0[late]
+        q = np.stack([2.0 - tl * tl, 2.0 * tl, np.full_like(tl, -1.0)])
+        u5 = functools.reduce(_times, [q] * 5)
+        j = np.arange(_series_length(float(x.max())))
+        sine = np.where(j % 2 == 1, (-1.0) ** (j // 2) / np.cumprod(np.maximum(j, 1)), 0.0)
+        d = _times(u5, sine[1:, None])  # sigma^-1 sin(sigma) (2 - s^2)^5, by powers of sigma
+        n = np.arange(len(d))[:, None]
+        # np.polyval's Horner loop runs over rows: one polynomial per column of x
+        out[late] += x * x**alpha * np.polyval((d / (n + alpha + 1.0))[::-1], x)
+    return out
 
 
 def make_benchmark(problem_id: str, alpha: float | None = None) -> BenchmarkProblem:
@@ -235,13 +278,13 @@ def make_benchmark(problem_id: str, alpha: float | None = None) -> BenchmarkProb
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
         exact = lambda t: np.asarray(t, dtype=float) ** (1.0 + alpha)
-        spec = _manufactured(
-            exact,
+        spec = ProblemSpec(
             alpha=alpha,
             T=1.0,
             kappa=lambda t, s: np.exp(t * s),
             psi=lambda t, s, u: u**2,
-            dpsi=lambda t, s, u: 2.0 * u,
+            dpsi_du=lambda t, s, u: 2.0 * u,
+            f=_ex1_rhs(alpha),
             # the solution is >= 0; abs keeps a slightly negative z from a NaN
             psi_inv=lambda s, z: np.sqrt(np.abs(z)),
         )
@@ -330,14 +373,13 @@ def make_benchmark(problem_id: str, alpha: float | None = None) -> BenchmarkProb
             t = np.asarray(t, dtype=float)
             return np.where(t <= 0.5, np.exp(-t), 2.0 - t**2)
 
-        spec = _manufactured(
-            exact,
+        spec = ProblemSpec(
             alpha=0.8,
             T=1.0,
             kappa=lambda t, s: np.sin(t - s),
             psi=lambda t, s, u: u**5,
-            dpsi=lambda t, s, u: 5.0 * u**4,
-            breakpoints=(0.5,),
+            dpsi_du=lambda t, s, u: 5.0 * u**4,
+            f=_ex5_rhs,
         )
         return BenchmarkProblem(
             pid,

@@ -428,8 +428,8 @@ def _panel_by_recursion(F, a, b, t, alpha, npts, tol, depth, budget):
 def forward_apply_by_time(problem, u_fn, t, breakpoints=()):
     """``abelhp.solver.forward_apply`` at one time, by depth-first panel recursion.
 
-    The one-time algorithm the batched routine must reproduce bit for bit:
-    a coarse 17-point pass over |F| fixes the tolerance
+    The algorithm the package routine must reproduce bit for bit, kept apart
+    as its reference: a coarse 17-point pass over |F| fixes the tolerance
     ``1e-10 * coarse / len(panels)``; each panel compares 16 against 32
     nodes and is bisected, with the tolerance halved, until they agree or it
     is narrower than 1e-15 * max(1, |b|); depth 40 and 4000 panels per time

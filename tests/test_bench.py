@@ -6,6 +6,7 @@ import pytest
 
 import abelhp.bench as bench
 import abelhp.discretization
+import abelhp.solver
 from abelhp.mesh import uniform_mesh
 from abelhp.quadrature import HistoryAccuracyError
 from abelhp.solver import SolverError, evaluate, forward_apply, solve
@@ -149,35 +150,59 @@ def test_benchmark_closed_form_values():
     )
 
 
-def test_manufactured_rhs_memoized_per_time(monkeypatch):
-    received = []
+def test_ex1_rhs_series_against_mpmath_closed_form():
+    # at alpha = 0.3 scipy's hyp1f1 (oracles.ex1_closed_form_rhs) is 1.8e-14 off,
+    # and the 30-digit mp.quad of test_ex1_manufactured_rhs_against_independent_oracles
+    # 7e-11 at t = 0.5, so the judge is mpmath's hyp1f1 at 40 digits
+    import mpmath as mp
 
-    def counting(problem, u_fn, t, **kwargs):
-        received.append(np.asarray(t, dtype=float).tolist())
-        return forward_apply(problem, u_fn, t, **kwargs)
+    times = np.concatenate([np.random.default_rng(4).random(200), [1e-9, 2.6e-7, 0.5, 1.0]])
+    for alpha in (0.3, 0.5, 0.7):
+        f = bench.make_benchmark("ex1", alpha).spec.f
+        assert f(np.array([0.0, -0.5])).tolist() == [0.0, 0.0]
+        got = f(times)
+        with mp.workdps(40):
+            a = mp.mpf(alpha)
+            c = mp.beta(a, 3 + 2 * a)
+            for t, value in zip(times.tolist(), got.tolist()):
+                t = mp.mpf(t)
+                ref = c * t ** (2 + 3 * a) * mp.hyp1f1(3 + 2 * a, 3 + 3 * a, t**2)
+                assert abs(value - ref) <= 2e-15 * ref, (alpha, float(t))
 
-    monkeypatch.setattr(bench, "forward_apply", counting)
-    b = bench.make_benchmark("ex1", alpha=0.5)
-    f = b.spec.f
-    t = np.array([0.2, 0.4, 0.2, 0.4, 0.6])
-    first = f(t)
-    # one call computes each distinct time once
-    assert received == [[0.2, 0.4, 0.6]]
-    assert first.shape == t.shape and first[0] == first[2] and first[1] == first[3]
-    assert first[2] == forward_apply(b.spec, b.exact, 0.2)
-    # a repeated call computes nothing, in any shape
-    assert np.array_equal(f(t), first)
-    scalar = f(0.4)
-    assert isinstance(scalar, float) and scalar == first[1]
-    grid = f(t[:4].reshape(2, 2))
-    assert grid.shape == (2, 2) and np.array_equal(grid.ravel(), first[:4])
-    assert len(received) == 1
-    # old and new times together: only the new ones are computed
-    mixed = f(np.array([0.6, 0.8, 0.2, 0.8]))
-    assert received[1:] == [[0.8]]
-    assert mixed[0] == first[4] and mixed[2] == first[0] and mixed[1] == mixed[3]
-    lone = f(0.9)
-    assert isinstance(lone, float) and received[2:] == [[0.9]]
+
+def test_ex5_rhs_series_against_mpmath_quadrature():
+    import mpmath as mp
+
+    times = np.concatenate([[0.5, 0.5 + 1e-13, 1.0, 1e-9], np.random.default_rng(6).random(40)])
+    f = bench.make_benchmark("ex5").spec.f
+    assert f(np.array([0.0, -0.5])).tolist() == [0.0, 0.0]
+    got = f(times)
+    with mp.workdps(30):
+        alpha, half = mp.mpf(0.8), mp.mpf(0.5)
+        for t, value in zip(times.tolist(), got.tolist()):
+            # in sigma = t - s, so that nodes near s = t do not round onto it
+            t = mp.mpf(t)
+            kernel = lambda x: x ** (alpha - 1) * mp.sin(x)
+            jump = max(t - half, 0)
+            ref = mp.quad(lambda x: kernel(x) * mp.exp(-5 * (t - x)), [jump, t])
+            if t > half:
+                ref += mp.quad(lambda x: kernel(x) * (2 - (t - x) ** 2) ** 5, [0, jump])
+            assert abs(value - ref) <= 1e-14 * ref, float(t)
+
+
+def test_registered_problems_solve_without_forward_apply(monkeypatch):
+    # every registered f is closed form: no solve reaches the quadrature
+    def refuse(*args, **kwargs):
+        raise AssertionError("forward_apply called")
+
+    monkeypatch.setattr(abelhp.solver, "forward_apply", refuse)
+    monkeypatch.setattr(bench, "forward_apply", refuse)
+    for b in [bench.make_benchmark("ex1", alpha) for alpha in (0.3, 0.5, 0.7)]:
+        sol = solve(b.spec, uniform_mesh(4, 1.0, 3), b.solver_options())
+        assert bench.error_E2(sol, b.exact) < 2e-3
+    b5 = bench.make_benchmark("ex5")
+    sol = solve(b5.spec, bench.mesh_for(b5, 2, 10), b5.solver_options())
+    assert bench.error_E2(sol, b5.exact) < 1e-6
 
 
 def test_ex1_manufactured_rhs_against_independent_oracles():

@@ -22,7 +22,7 @@ from abelhp.discretization import (
 from abelhp.mesh import Mesh, uniform_mesh
 from abelhp.orthopoly import legendre_table
 from abelhp.quadrature import RuleKind, _shift_rows, gauss_rule
-from abelhp.solver import _lobatto_values, newton, solve
+from abelhp.solver import _lobatto_values, forward_apply, newton, solve
 
 from oracles import (
     fused_matrix_einsum,
@@ -566,15 +566,12 @@ def test_operator_run_rejects_bad_ranges():
 
 def test_solve_calls_f_once_per_stretch(monkeypatch):
     # linear or not, a march calls f once per stretch, on the flat array of
-    # the stretch's Gauss nodes.  The manufactured f are memoized.
+    # the stretch's Gauss nodes
     monkeypatch.setattr(abelhp.discretization, "_HISTORY_BLOCK", 50)
     ex1, ex2 = make_benchmark("ex1", 0.5), make_benchmark("ex2")
+    power = lambda t: np.asarray(t, dtype=float) ** 1.5
     linear_manufactured = dataclasses.replace(
-        abelhp.bench._manufactured(
-            lambda t: np.asarray(t, dtype=float) ** 1.5, 0.5, 1.0, ex2.spec.kappa,
-            ex2.spec.psi, ex2.spec.dpsi_du,
-        ),
-        linear=True,
+        ex2.spec, f=lambda t: forward_apply(ex2.spec, power, t)
     )
     mixed = Mesh(np.linspace(0.0, 1.0, 6), [2, 2, 3, 3, 3])
     cases = [

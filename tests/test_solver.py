@@ -484,7 +484,7 @@ def _forward_oracle_cases():
     return cases
 
 
-def test_forward_apply_batch_equals_the_one_time_recursion(monkeypatch):
+def test_forward_apply_batch_equals_the_one_time_recursion():
     # every time of a batch gets the value of the depth-first recursion on
     # that time alone, bit for bit; ex5's breakpoint splits the times above it
     for b, times in _forward_oracle_cases():
@@ -493,24 +493,20 @@ def test_forward_apply_batch_equals_the_one_time_recursion(monkeypatch):
         alone = [forward_apply_by_time(b.spec, b.exact, t, b.mesh_hints) for t in times.tolist()]
         assert batch.tolist() == alone, b.id
         assert [forward_apply(b.spec, b.exact, t, b.mesh_hints) for t in times.tolist()] == alone
-        # a level evaluated in blocks of a few panels gives the same values
-        with monkeypatch.context() as m:
-            m.setattr(abelhp.solver, "_FORWARD_BLOCK", 5)
-            blocked = forward_apply(b.spec, b.exact, times, breakpoints=b.mesh_hints)
-        assert blocked.tolist() == alone, b.id
 
 
 def test_forward_apply_kernel_power_of_t_is_within_one_ulp():
-    # a batch passes the times to kappa as an array, so ex4's t**2 is numpy's
-    # t * t, where the one-time recursion took libm's pow of a Python float;
-    # the two differ at about 0.1% of times, and the value then at a few of
-    # them: of the first 120 such times from default_rng(1).uniform() draws,
-    # this one (the second) and four others by 1 ulp, two by 2 ulps
+    # ex4's kappa squares t, and at this time numpy's t * t and libm's t**2
+    # differ by 1 ulp; a batch and the one-time recursion both take kappa of
+    # the same Python float now, so the gap of up to an ulp they once had is
+    # gone at every time
     b = bench.make_benchmark("ex4")
     t = 0.9484567938637256
     assert t**2 != t * t
-    batch, alone = forward_apply(b.spec, b.exact, t), forward_apply_by_time(b.spec, b.exact, t)
-    assert batch != alone and abs(batch - alone) <= np.spacing(alone)
+    alone = forward_apply_by_time(b.spec, b.exact, t)
+    batch = forward_apply(b.spec, b.exact, np.array([t, 0.5 * t]))
+    assert batch[0] == forward_apply(b.spec, b.exact, t) == alone
+    assert abs(batch[0] - alone) <= np.spacing(alone)
 
 
 def test_forward_apply_shapes():
@@ -538,8 +534,9 @@ def test_forward_apply_panel_budget_is_per_time():
         return np.abs(np.sin(20.0 * np.pi * s))
 
     lone = forward_apply(b.spec, kinked, 0.9)
-    # the first level evaluates 65 nodes per panel, every later one 48
-    assert 1 + (sum(points) - 65) // 48 > 500
+    # the coarse pass evaluates 17 nodes on the one initial panel, and each
+    # panel 16 + 32
+    assert (sum(points) - 17) // 48 > 500
     assert forward_apply(b.spec, kinked, np.full(8, 0.9)).tolist() == [lone] * 8
 
 

@@ -1,13 +1,9 @@
 """The benchmark tracer in perfbench/ patches abelhp names; they must resolve."""
 
-import dataclasses
 import importlib.util
 from pathlib import Path
 
-import numpy as np
-
 import abelhp
-from abelhp.solver import forward_apply
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -69,36 +65,3 @@ def test_tracer_records_history_weights_during_solve():
     weights = tracer.summary()["quadrature.history_weights_batch"]
     assert weights["calls"] > 0
     assert weights["rows"] > 0
-
-
-def test_tracer_counts_one_forward_apply_per_distinct_rhs_time(monkeypatch):
-    # solver.forward_apply.calls counts batched calls of the manufactured
-    # right-hand side; as its values are memoized, the calls together
-    # receive each distinct time the solves ask f for exactly once
-    tracing = _tracing_module()
-    b = abelhp.bench.make_benchmark("ex1", alpha=0.5)
-    f = b.spec.f
-    times, received = set(), []
-
-    def recording_f(t):
-        times.update(np.asarray(t, dtype=float).ravel().tolist())
-        return f(t)
-
-    def receiving(problem, u_fn, t, **kwargs):
-        received.append(np.asarray(t, dtype=float).ravel().tolist())
-        return forward_apply(problem, u_fn, t, **kwargs)
-
-    monkeypatch.setattr(abelhp.bench, "forward_apply", receiving)
-    spec = dataclasses.replace(b.spec, f=recording_f)
-    tracer = tracing.Tracer(abelhp)
-    tracer.install()
-    try:
-        # the second solve asks for the same times again and computes none
-        for _ in range(2):
-            abelhp.solver.solve(spec, abelhp.mesh.uniform_mesh(4, 1.0, 3), b.solver_options())
-    finally:
-        tracer.uninstall()
-    flat = [v for batch in received for v in batch]
-    assert len(times) > 0
-    assert sorted(flat) == sorted(times)
-    assert tracer.summary()["solver.forward_apply"]["calls"] == len(received) < len(times)
