@@ -21,8 +21,7 @@ from abelhp import (
 
 print("adaptive degree raising on the smooth quadratic problem:")
 b4 = make_benchmark("ex4")
-opts = AdaptiveOptions(tol=1e-13, strategy="p_first", max_L=16,
-                       error_metric="E2_vs_reference")
+opts = AdaptiveOptions(tol=1e-13, strategy="p_first", max_L=16)
 solution, trace = adaptive_solve(b4.spec, uniform_mesh(1, 1.0, 1), opts,
                                  reference=b4.exact)
 print(trace.to_csv())

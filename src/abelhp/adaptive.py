@@ -1,9 +1,9 @@
 """Adaptive hp refinement: raise degrees or split elements until a target error.
 
 The driver re-solves after each refinement and stops once the error estimate
-(against a reference solution when one is available, otherwise the change
-from the previous iterate) drops below the tolerance, or the unknown budget
-is exhausted.
+drops below the tolerance, or the unknown budget is exhausted.  The estimate
+is ``bench.error_E2`` against the reference solution when one is given,
+otherwise against the previous iterate (``inf`` on the first step).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from . import bench
 from .discretization import ProblemSpec
 from .mesh import Mesh
 from .quadrature import HistoryAccuracyError
+# evaluate is unused; perfbench/tracing.py wraps it here, and it goes with that target
 from .solver import PiecewiseSolution, SolverError, SolverOptions, evaluate, solve
 
 __all__ = [
@@ -29,10 +30,6 @@ __all__ = [
 ]
 
 STRATEGIES = ("p_first", "h_first", "alternate")
-ERROR_METRICS = ("E1_vs_reference", "E2_vs_reference", "successive_diff")
-
-#: sample count per element for the successive-difference estimate
-SUCCESSIVE_DIFF_SAMPLES = 33
 
 _TRACE_COLUMNS = ("step", "N", "degrees", "L", "estimate", "elapsed_s")
 _TRACE_CELLS = {
@@ -47,23 +44,23 @@ class AdaptiveOptions:
     tol: float
     strategy: str = "p_first"
     max_L: int = 200
-    error_metric: str = "E2_vs_reference"
 
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError("tolerance must be positive")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
-        if self.error_metric not in ERROR_METRICS:
-            raise ValueError(f"error metric must be one of {ERROR_METRICS}")
 
 
 @dataclass
 class AdaptiveStep:
     mesh: Mesh
-    L: int
     estimate: float
     elapsed_s: float
+
+    @property
+    def L(self) -> int:
+        return self.mesh.L
 
 
 @dataclass
@@ -100,9 +97,7 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, estimate: float, trace: AdaptiveTrace):
         self.estimate = estimate
         self.trace = trace
-        super().__init__(
-            f"refinement budget exhausted with error estimate {estimate:.3e}"
-        )
+        super().__init__(f"refinement budget exhausted with error estimate {estimate:.3e}")
 
 
 def _tail_indicator(solution: PiecewiseSolution) -> np.ndarray:
@@ -112,8 +107,8 @@ def _tail_indicator(solution: PiecewiseSolution) -> np.ndarray:
     return np.abs(top) * np.sqrt(mesh.widths / (2.0 * mesh.degrees + 1.0))
 
 
-def _refine(mesh: Mesh, solution: PiecewiseSolution, mode: str) -> Mesh:
-    if mode == "p":
+def _refine(mesh: Mesh, solution: PiecewiseSolution, bisect: bool) -> Mesh:
+    if not bisect:
         return mesh.with_degrees(mesh.degrees + 1)
     worst = int(np.argmax(_tail_indicator(solution)))
     bp, deg = mesh.breakpoints, mesh.degrees
@@ -137,19 +132,20 @@ def adaptive_solve(
     ``alternate`` interleaves the two (degree raise first).  Deterministic
     for fixed inputs.
 
+    Each step's estimate is ``bench.error_E2`` of its solution against
+    ``reference`` when one is given, otherwise against the previous step's
+    solution, with ``inf`` on the first step.
+
     A ``SolverError`` or ``HistoryAccuracyError`` raised by a solve leaves
     with two attributes added: ``trace``, the steps solved before it, and
     ``mesh``, the mesh whose solve raised.
     """
-    if options.error_metric.endswith("_vs_reference") and reference is None:
-        raise ValueError(f"metric {options.error_metric} needs a reference solution")
     if options.max_L < initial_mesh.L:
         raise ValueError("max_L is below the initial unknown count")
 
     mesh = initial_mesh
     trace = AdaptiveTrace()
     previous = None
-    step_index = 0
     while True:
         tic = time.perf_counter()
         try:
@@ -157,33 +153,17 @@ def adaptive_solve(
         except (SolverError, HistoryAccuracyError) as exc:
             exc.trace, exc.mesh = trace, mesh
             raise
-        if options.error_metric == "E1_vs_reference":
-            estimate = bench.error_E1(solution, reference)
-        elif options.error_metric == "E2_vs_reference":
-            estimate = bench.error_E2(solution, reference)
-        else:
-            if previous is None:
-                estimate = np.inf
-            else:
-                grid = bench._sample_grid(mesh, SUCCESSIVE_DIFF_SAMPLES).ravel()
-                estimate = float(
-                    np.max(np.abs(evaluate(solution, grid) - evaluate(previous, grid)))
-                )
-        trace.append(
-            AdaptiveStep(mesh, mesh.L, float(estimate), time.perf_counter() - tic)
-        )
+        against = previous if reference is None else reference
+        estimate = np.inf if against is None else bench.error_E2(solution, against)
+        trace.append(AdaptiveStep(mesh, estimate, time.perf_counter() - tic))
         if estimate <= options.tol:
             return solution, trace
 
-        if options.strategy == "p_first":
-            mode = "p"
-        elif options.strategy == "h_first":
-            mode = "h"
-        else:
-            mode = "p" if step_index % 2 == 0 else "h"
-        new_mesh = _refine(mesh, solution, mode)
+        # alternate bisects after the 2nd, 4th, ... solve and raises degrees otherwise
+        bisect = options.strategy == "h_first" or (
+            options.strategy == "alternate" and len(trace.steps) % 2 == 0
+        )
+        new_mesh = _refine(mesh, solution, bisect)
         if new_mesh.L > options.max_L:
-            raise BudgetExceededError(float(estimate), trace)
-        previous = solution
-        mesh = new_mesh
-        step_index += 1
+            raise BudgetExceededError(estimate, trace)
+        previous, mesh = solution, new_mesh

@@ -75,7 +75,6 @@ class BenchmarkProblem:
     id: str
     spec: ProblemSpec
     exact: Callable | None
-    alpha_parameterized: bool = False
     init_constant: float = 0.0
     mesh_hints: tuple[float, ...] = ()
     description: str = ""
@@ -140,15 +139,8 @@ class BenchReport:
 # ---------------------------------------------------------------------------
 
 
-def _sample_grid(mesh: Mesh, per_element: int) -> np.ndarray:
-    """Equispaced points per element, one row per element.
-
-    Each row includes the element's right endpoint; the left endpoint is
-    approached from inside by half a grid step, matching the half-open
-    element convention.
-    """
-    i = np.arange(per_element)
-    return mesh.breakpoints[:-1, None] + mesh.widths[:, None] * (i + 0.5) / (per_element - 0.5)
+#: points per element of error_E2's grid
+E2_SAMPLES = 65
 
 
 def error_E1(solution: PiecewiseSolution, exact_fn) -> float:
@@ -168,14 +160,20 @@ def error_E1(solution: PiecewiseSolution, exact_fn) -> float:
     return math.sqrt(float(wts @ diff**2))
 
 
-def error_E2(solution: PiecewiseSolution, exact_fn, samples_per_element: int = 65) -> float:
-    """Max-norm error on the per-element equispaced grids of ``_sample_grid``."""
-    if samples_per_element < 2:
-        raise ValueError("need at least two samples per element")
-    pts = _sample_grid(solution.mesh, samples_per_element).ravel()
+def error_E2(solution: PiecewiseSolution, exact_fn) -> float:
+    """Max-norm error on ``E2_SAMPLES`` equispaced points per element.
+
+    Each element's points include its right endpoint; its left endpoint is
+    approached from inside by half a grid step, matching the half-open
+    element convention.  ``exact_fn`` is any vectorized callable of t, a
+    ``PiecewiseSolution`` included.
+    """
+    mesh = solution.mesh
+    i = np.arange(E2_SAMPLES) + 0.5
+    pts = (mesh.breakpoints[:-1, None] + mesh.widths[:, None] * i / (E2_SAMPLES - 0.5)).ravel()
     exact = np.asarray(exact_fn(pts), dtype=float)
     # row k of the grid lies on element k + 1, so no point needs locating
-    elements = np.repeat(np.arange(solution.mesh.N), samples_per_element)
+    elements = np.repeat(np.arange(mesh.N), E2_SAMPLES)
     return float(np.max(np.abs(exact - _evaluate_on(solution, pts, elements))))
 
 
@@ -188,8 +186,8 @@ def convergence_order(E_coarse: float, E_fine: float) -> float:
 
 def perturb_rhs(problem: ProblemSpec, delta: float) -> ProblemSpec:
     """Shift the right-hand side by a constant noise level delta."""
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and nonnegative, got {delta}")
     f0 = problem.f
     return replace(problem, f=lambda t, _f=f0, _d=delta: _f(t) + _d)
 
@@ -292,7 +290,6 @@ def make_benchmark(problem_id: str, alpha: float | None = None) -> BenchmarkProb
             pid,
             spec,
             exact,
-            alpha_parameterized=True,
             description="singular solution t^(1+alpha), squared nonlinearity, exp kernel",
         )
     if alpha is not None:
@@ -473,17 +470,18 @@ def mesh_for(bench: BenchmarkProblem, N: int, M: int) -> Mesh:
 
 
 def parse_noise(spec, h: float) -> float:
-    """Noise level from a float, a callable of h, or a string like 'h^2.5'."""
+    """Noise level from None (no noise), a float, or a string: a float or 'h^<power>'.
+
+    A power like 'h^2.5' is taken of the mesh width ``h``.  The level must be
+    finite and nonnegative, or ``ValueError`` is raised.
+    """
     if spec is None:
         return 0.0
-    if callable(spec):
-        return float(spec(h))
-    if isinstance(spec, str):
-        text = spec.strip()
-        if text.startswith("h^"):
-            return h ** float(text[2:])
-        return float(text)
-    return float(spec)
+    text = spec.strip() if isinstance(spec, str) else None
+    delta = h ** float(text[2:]) if text and text.startswith("h^") else float(spec)
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"noise level {delta} is not finite and nonnegative")
+    return delta
 
 
 def run_mesh(

@@ -15,6 +15,7 @@ Exit codes: 0 on success, 2 when any sweep row failed, 1 on usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -77,7 +78,7 @@ def _build_parser() -> _Parser:
 
 
 # the config entries _cmd_run reads: the adaptive ones may also sit at the top level
-_ADAPTIVE_KEYS = {"tol", "strategy", "max_L"}
+_ADAPTIVE_KEYS = {f.name for f in dataclasses.fields(AdaptiveOptions)}
 _CONFIG_KEYS = {"problem", "alpha", "sweep", "mesh", "solver", "adaptive", "noise", "format",
                 "out", *_ADAPTIVE_KEYS}
 
@@ -136,7 +137,7 @@ def _cmd_list(out) -> int:
     rows = []
     for pid in PROBLEM_IDS:
         bench = make_benchmark(pid, 0.5 if pid == "ex1_singular" else None)
-        alpha = "parameter" if bench.alpha_parameterized else f"{bench.spec.alpha:g}"
+        alpha = "parameter" if pid == "ex1_singular" else f"{bench.spec.alpha:g}"
         rows.append(
             (
                 pid,

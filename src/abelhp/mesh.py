@@ -32,6 +32,8 @@ class Mesh:
             raise ValueError("need at least two breakpoints")
         if bp[0] != 0.0:
             raise ValueError("mesh must start at t = 0")
+        if not np.isfinite(bp).all():
+            raise ValueError("breakpoints must be finite")
         if np.any(np.diff(bp) <= 0.0):
             raise ValueError("breakpoints must be strictly increasing")
         if deg.shape != (bp.size - 1,):

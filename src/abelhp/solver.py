@@ -285,9 +285,16 @@ def _linear_solvers(ops: OperatorRun) -> np.ndarray:
 
 
 def _f_at_nodes(problem: ProblemSpec, ops: OperatorRun) -> np.ndarray:
-    """f at the Gauss nodes of the elements of ``ops``, one row each, from one f call."""
+    """f at the Gauss nodes of the elements of ``ops``, one row each, from one f call.
+
+    Raises ``SolverError`` when any of these values is not finite.
+    """
     t = ops.t_nodes
-    return np.broadcast_to(problem.f(t.ravel()), (t.size,)).reshape(t.shape)
+    f = np.broadcast_to(problem.f(t.ravel()), (t.size,)).reshape(t.shape)
+    if not np.isfinite(f).all():
+        raise SolverError(f"f is not finite at the Gauss nodes of elements "
+                          f"{ops.n0}..{ops.n0 + t.shape[0] - 1}")
+    return f
 
 
 def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None) -> PiecewiseSolution:

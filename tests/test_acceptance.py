@@ -130,8 +130,7 @@ def test_criterion_4_noisy_linear_table():
 def test_criterion_5_spectral_accuracy_adaptive():
     tic = time.perf_counter()
     b = bench.make_benchmark("ex4")
-    opts = AdaptiveOptions(tol=1e-13, strategy="p_first", max_L=16,
-                           error_metric="E2_vs_reference")
+    opts = AdaptiveOptions(tol=1e-13, strategy="p_first", max_L=16)
     sol, trace = adaptive_solve(b.spec, uniform_mesh(1, 1.0, 1), opts,
                                 reference=b.exact)
     final = bench.error_E2(sol, b.exact)

@@ -235,6 +235,28 @@ def test_explicit_breakpoints_must_end_at_T(tmp_path, capsys):
     assert [(r["M"], r["L"]) for r in csv.DictReader(io.StringIO(out))] == [("2", "4")]
 
 
+def test_noise_that_is_not_finite_and_nonnegative_is_a_usage_error(capsys):
+    # nan and inf ran and printed NaN rows with exit 0; a negative level raised
+    # from perturb_rhs
+    for noise in ("nan", "inf", "-1e-3"):
+        code, out, err = run_cli(capsys, "run", "--problem", "ex2", "--N", "4,8", "--M", "2",
+                                 f"--noise={noise}")
+        assert code == 1 and out == "" and err.startswith("abel-hp: error: bad noise")
+    code, out, _ = run_cli(capsys, "run", "--problem", "ex2", "--N", "4,8", "--M", "2",
+                           "--noise=h^-1")
+    assert code == 0
+    assert [r["delta"] for r in csv.DictReader(io.StringIO(out))] == ["4.00e+00", "8.00e+00"]
+
+
+def test_nan_breakpoint_is_a_usage_error(tmp_path, capsys):
+    # json reads NaN: the mesh used to construct and the solve raised from the moments
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps({"problem": "ex3",
+                                "mesh": {"breakpoints": [0, float("nan"), 1], "degrees": [2, 2]}}))
+    code, out, err = run_cli(capsys, "run", "--config", str(path))
+    assert code == 1 and out == "" and err.startswith("abel-hp: error: bad mesh config")
+
+
 def test_adaptive_flags_take_the_library_values(capsys):
     from abelhp.adaptive import STRATEGIES, AdaptiveOptions
 
@@ -256,6 +278,9 @@ def test_config_keys_it_does_not_read_are_usage_errors(tmp_path, capsys):
           "solvr": {"newton_tol": 1e-3}}, ("'fromat'", "'solvr'")),
         ({"problem": "ex3", "N": 4, "M": 5}, ("'N'", "'M'")),
         ({"problem": "ex4", "adaptive": {"tol": 1e-9, "strat": "h_first"}}, ("'strat'",)),
+        # the estimate is always error_E2; the deleted metric option is not read
+        ({"problem": "ex4", "adaptive": {"error_metric": "E1_vs_reference"}},
+         ("'error_metric'",)),
     ):
         path.write_text(json.dumps(cfg))
         flags = () if "sweep" in cfg else ("--N", "2", "--M", "3")

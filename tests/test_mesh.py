@@ -27,6 +27,10 @@ def test_mesh_validation():
         Mesh(np.array([0.0, 1.0]), np.array([0]))
     with pytest.raises(ValueError):
         Mesh(np.array([0.0, 1.0]), np.array([1, 1]))
+    # non-finite breakpoints used to construct; a NaN one then failed deep in the moments
+    for bp in ([0.0, np.nan, 1.0], [0.0, 0.5, np.inf], [0.0, np.inf, np.inf], [0.0, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            Mesh(bp, [2] * (len(bp) - 1))
 
 
 def test_mesh_arrays_are_read_only_copies():

@@ -18,6 +18,7 @@ from abelhp.mesh import Mesh, locate, uniform_mesh
 from abelhp.solver import (
     NewtonDivergedError,
     SingularJacobianError,
+    SolverError,
     SolverOptions,
     evaluate,
     forward_apply,
@@ -702,6 +703,22 @@ def test_linear_solve_names_the_first_singular_element(monkeypatch):
         with pytest.warns(ProblemAssumptionWarning), pytest.raises(SingularJacobianError) as err:
             solve(problem, mesh)
         assert (err.value.n, err.value.iteration) == (first, 0)
+
+
+@pytest.mark.parametrize("pid", ["ex2", "ex3"])
+def test_non_finite_f_is_a_solver_error_naming_the_stretch(pid):
+    # a linear solve returned NaN coefficients and a nonlinear one raised
+    # NewtonDivergedError with residual inf, neither saying why
+    b = bench.make_benchmark(pid)
+    f = lambda t: np.where(np.asarray(t) > 0.5, np.nan, b.spec.f(t))
+    spec = dataclasses.replace(b.spec, f=f)
+    mesh = uniform_mesh(4, 1.0, 2)
+    with pytest.raises(SolverError) as err:
+        solve(spec, mesh)
+    assert type(err.value) is SolverError
+    assert "f is not finite at the Gauss nodes of elements 1..4" in str(err.value)
+    row = bench.run_mesh(dataclasses.replace(b, spec=spec), mesh)
+    assert row.failed and row.error == str(err.value)
 
 
 def test_linear_runs_match_the_per_element_march(monkeypatch):
