@@ -226,11 +226,19 @@ def _cmd_run(args) -> int:
     if sweep is not None and any(n < 1 or m < 2 for n, m in sweep):
         raise _UsageError("need N >= 1 and M >= 2 (M counts basis functions per element)")
     noise = settings.get("noise")
-    try:
-        parse_noise(noise, 1.0)
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(f"bad noise {noise!r}: {exc}") from exc
     strategy, tol = settings.get("strategy"), settings.get("tol")
+    if noise is not None and strategy:
+        raise _UsageError("--noise and --adaptive do not go together: "
+                          "adaptive runs solve f as given")
+    if noise is not None:
+        # at each mesh's own width: 'h^<power>' can overflow there and not at h = 1
+        meshes = ([explicit_mesh] if explicit_mesh is not None
+                  else [mesh_for(bench, n, m) for n, m in sweep])
+        try:
+            for mesh in meshes:
+                parse_noise(noise, mesh.h_max)
+        except (TypeError, ValueError) as exc:
+            raise _UsageError(f"bad noise {noise!r}: {exc}") from exc
 
     if strategy:
         if tol is None:

@@ -19,7 +19,8 @@ class Mesh:
     Element n (1-based) is the half-open interval (t_{n-1}, t_n]; immutable
     after construction and freely shareable.  The mesh keeps read-only copies
     of the breakpoints and degrees, so the per-mesh tables derived from them
-    (``offsets``, ``degree_groups``, ``history_points``) cannot go stale.
+    (``widths``, ``L``, ``offsets``, ``degree_groups``, ``history_points``)
+    cannot go stale.
     """
 
     breakpoints: np.ndarray
@@ -53,15 +54,18 @@ class Mesh:
     def T(self) -> float:
         return float(self.breakpoints[-1])
 
-    @property
+    @functools.cached_property
     def widths(self) -> np.ndarray:
-        return np.diff(self.breakpoints)
+        """Element widths t_n - t_{n-1}; built once per mesh and read-only."""
+        out = np.diff(self.breakpoints)
+        out.flags.writeable = False
+        return out
 
     @property
     def h_max(self) -> float:
         return float(self.widths.max())
 
-    @property
+    @functools.cached_property
     def L(self) -> int:
         """Total number of unknown coefficients."""
         return int(self.offsets[-1])
@@ -86,10 +90,11 @@ class Mesh:
         ``indices`` are the 0-based positions (element n is n - 1) of the
         elements of that degree, ascending, so the elements before element n
         are the prefix of each array below n - 1.  Built once per mesh and
-        read-only.
+        read-only.  The degrees come from a Python set: ``np.unique``'s first
+        call imports ``numpy.ma``, over a MB of memory no solve needs.
         """
         groups = []
-        for d in np.unique(self.degrees):
+        for d in sorted(set(self.degrees.tolist())):
             idx = np.flatnonzero(self.degrees == d)
             idx.flags.writeable = False
             groups.append((int(d), idx))
@@ -103,12 +108,12 @@ class Mesh:
         (t = 0 excepted: one ulp above it is subnormal), so a kernel that jumps
         at a breakpoint is taken as its limit from inside the element.
         """
-        bp, offsets, counts = self.breakpoints, self.offsets, self.degrees + 1
-        nodes = np.empty(offsets[-1])  # reference Lobatto nodes, placed in one pass
+        bp, offsets = self.breakpoints, self.offsets
+        out = np.empty(offsets[-1])
         for d, idx in self.degree_groups:
-            nodes[offsets[idx, None] + np.arange(d + 1)] = _lobatto_nodes(d)
-        lefts, rights = np.repeat(bp[:-1], counts), np.repeat(bp[1:], counts)
-        out = _shift_rows(nodes[:, None], lefts, rights).ravel()
+            # a degree group's Lobatto nodes, placed on all its elements at once
+            rows = _shift_rows(_lobatto_nodes(d), bp[idx], bp[idx + 1])
+            out[offsets[idx, None] + np.arange(d + 1)] = rows
         out[offsets[1:-1]] = np.nextafter(bp[1:-1], bp[2:])
         out[offsets[1:] - 1] = np.nextafter(bp[1:], bp[:-1])
         out.flags.writeable = False

@@ -229,9 +229,11 @@ def _miller_moments(c: np.ndarray, alpha: float, pmax: int) -> np.ndarray:
     start = pmax + math.ceil(_MILLER_DECAY / np.arccosh(np.min(c)))
     r = np.zeros(c.size)
     for p in range(start, 0, -1):
-        r *= p + 1.0 + alpha
-        r -= (2.0 * p + 1.0) * c
-        np.divide(alpha - p, r, out=r)
+        # r_p = (alpha - p) / ((p + 1 + alpha) r_{p+1} - (2p + 1) c), both sides
+        # over 2p + 1: three in-place operations and no temporary
+        r *= (p + 1.0 + alpha) / (2.0 * p + 1.0)
+        r -= c
+        np.divide((alpha - p) / (2.0 * p + 1.0), r, out=r)
         if p <= pmax:
             nu[p] = r
     return np.cumprod(nu, axis=0, out=nu)

@@ -32,12 +32,42 @@ def test_error_E1_single_mode_norm():
     assert bench.error_E1(sol, mode) == pytest.approx(0.5773502691896257, rel=1e-12)
 
 
+def _e2_grid(mesh):
+    """error_E2's points: E2_SAMPLES per element, the last one at its right end."""
+    i = np.arange(bench.E2_SAMPLES) + 0.5
+    pts = mesh.breakpoints[:-1, None] + mesh.widths[:, None] * i / (bench.E2_SAMPLES - 0.5)
+    return pts.ravel()
+
+
 def test_error_E2_values():
     b = bench.make_benchmark("ex4")
     sol = solve(b.spec, uniform_mesh(2, 1.0, 2))
-    assert bench.error_E2(sol, lambda t: evaluate(sol, t)) == 0.0
+    # E2 sums the solution from a per-degree table, evaluate point by point
+    u_max = np.max(np.abs(evaluate(sol, _e2_grid(sol.mesh))))
+    assert bench.error_E2(sol, lambda t: evaluate(sol, t)) <= 4 * np.finfo(float).eps * u_max
     ramp = lambda t: evaluate(sol, t) + np.asarray(t, dtype=float)
     assert bench.error_E2(sol, ramp) == pytest.approx(1.0, rel=1e-3)
+
+
+@pytest.mark.parametrize("case", ["mixed", "degree23"])
+def test_error_E2_matches_per_point_evaluation(case):
+    # E2's table path against evaluate at each grid point: on interleaved
+    # degrees, and on one element of ex1 p_first's top degree
+    from abelhp.mesh import Mesh
+
+    if case == "mixed":
+        b = bench.make_benchmark("ex3")
+        mesh = Mesh(np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 9)]),
+                    [1, 3, 2, 5, 1, 8, 2, 4, 6])
+    else:
+        b = bench.make_benchmark("ex1", 0.3)
+        mesh = uniform_mesh(1, 1.0, 23)
+    sol = solve(b.spec, mesh, b.solver_options())
+    pts = _e2_grid(mesh)
+    u = evaluate(sol, pts)
+    per_point = np.max(np.abs(b.exact(pts) - u))
+    got = bench.error_E2(sol, b.exact)
+    assert abs(got - per_point) <= 4 * np.finfo(float).eps * np.max(np.abs(u))
 
 
 def test_error_E1_two_path_consistency():

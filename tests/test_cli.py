@@ -100,6 +100,10 @@ def test_usage_errors_exit_one(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", "--problem", "ex3", "--N", "2", "--M", "2",
                            "--noise", "abc")
     assert code == 1 and err.startswith("abel-hp: error:")
+    # an adaptive run solved the clean problem and printed no delta
+    code, _, err = run_cli(capsys, "run", "--problem", "ex2", "--N", "4", "--M", "2",
+                           "--adaptive", "p_first", "--tol", "1e-4", "--noise", "1e-3")
+    assert code == 1 and "--noise" in err and "--adaptive" in err
     path = tmp_path / "budget.json"
     path.write_text(json.dumps({"adaptive": {"max_L": "many"}}))
     assert run_cli(capsys, "run", "--config", str(path), "--problem", "ex4", "--N", "1",
@@ -237,8 +241,9 @@ def test_explicit_breakpoints_must_end_at_T(tmp_path, capsys):
 
 def test_noise_that_is_not_finite_and_nonnegative_is_a_usage_error(capsys):
     # nan and inf ran and printed NaN rows with exit 0; a negative level raised
-    # from perturb_rhs
-    for noise in ("nan", "inf", "-1e-3"):
+    # from perturb_rhs; a power that is bad only at the mesh's own h (h^nan,
+    # h^-2000) raised from the sweep, and h^inf ran with noise 0
+    for noise in ("nan", "inf", "-1e-3", "h^nan", "h^-2000", "h^inf"):
         code, out, err = run_cli(capsys, "run", "--problem", "ex2", "--N", "4,8", "--M", "2",
                                  f"--noise={noise}")
         assert code == 1 and out == "" and err.startswith("abel-hp: error: bad noise")

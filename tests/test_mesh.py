@@ -34,16 +34,16 @@ def test_mesh_validation():
 
 
 def test_mesh_arrays_are_read_only_copies():
-    # offsets and the degree groups are built once per mesh from these
+    # offsets, widths and the degree groups are built once per mesh from these
     # arrays, so they must not change under it; the caller's arrays are copied
     bp, degrees = np.array([0.0, 0.3, 1.0]), np.array([2, 3])
     m = Mesh(bp, degrees)
-    for arr in (m.breakpoints, m.degrees, m.offsets):
+    for arr in (m.breakpoints, m.degrees, m.offsets, m.widths):
         with pytest.raises(ValueError):
             arr[0] = arr[1]
     bp[1], degrees[0] = 0.4, 5
     assert m.breakpoints[1] == 0.3 and m.degrees[0] == 2
-    assert m.offsets is m.offsets
+    assert m.offsets is m.offsets and m.widths is m.widths
     assert list(m.offsets) == [0, 3, 7]
 
 

@@ -77,3 +77,26 @@ def test_import_loads_no_scipy():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_mixed_degree_solve_and_E2_load_no_numpy_ma():
+    # np.unique's first call imports numpy.ma, over a MB of peak memory in
+    # every process that builds a mesh's degree groups
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from abelhp import Mesh, bench, solve\n"
+        "b = bench.make_benchmark('ex3')\n"
+        "mesh = Mesh(np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 9)]),\n"
+        "            [1, 3, 2, 5, 1, 8, 2, 4, 6])\n"
+        "bench.error_E2(solve(b.spec, mesh, b.solver_options()), b.exact)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
