@@ -29,7 +29,7 @@ from .bench import (
     perturb_rhs,
     run_sweep,
 )
-from .discretization import ProblemAssumptionWarning, ProblemSpec, validate_problem
+from .discretization import ProblemAssumptionWarning, ProblemSpec
 from .mesh import Mesh, locate, uniform_mesh
 from .quadrature import QuadRule, RuleKind, gauss_rule
 from .solver import (
@@ -62,7 +62,6 @@ __all__ = [
     "run_sweep",
     "ProblemAssumptionWarning",
     "ProblemSpec",
-    "validate_problem",
     "Mesh",
     "locate",
     "uniform_mesh",

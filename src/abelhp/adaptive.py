@@ -109,7 +109,7 @@ def _tail_indicator(solution: PiecewiseSolution) -> np.ndarray:
 
 def _refine(mesh: Mesh, solution: PiecewiseSolution, bisect: bool) -> Mesh:
     if not bisect:
-        return mesh.with_degrees(mesh.degrees + 1)
+        return Mesh(mesh.breakpoints, mesh.degrees + 1)
     worst = int(np.argmax(_tail_indicator(solution)))
     bp, deg = mesh.breakpoints, mesh.degrees
     mid = 0.5 * (bp[worst] + bp[worst + 1])

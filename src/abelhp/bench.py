@@ -522,20 +522,17 @@ def run_mesh(
 
 
 def run_sweep(
-    problem,
+    bench: BenchmarkProblem,
     sweep: Sequence[tuple[int, int]],
     options: SolverOptions | None = None,
     noise=None,
-    alpha: float | None = None,
 ) -> BenchReport:
     """Solve one configuration per (N, M) pair and report errors and orders.
 
-    ``problem`` is a registry id or a BenchmarkProblem.  The observed order
-    rho is filled whenever the preceding successful row used the same M and
-    half the number of elements; it is taken on the max-norm error column.
-    A failing row is marked and the sweep continues.
+    The observed order rho is filled whenever the preceding successful row
+    used the same M and half the number of elements; it is taken on the
+    max-norm error column.  A failing row is marked and the sweep continues.
     """
-    bench = problem if isinstance(problem, BenchmarkProblem) else make_benchmark(problem, alpha)
     opts = options or bench.solver_options()
     report = BenchReport(bench.id)
     prev: BenchRow | None = None

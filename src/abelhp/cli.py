@@ -77,25 +77,43 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# the config entries _cmd_run reads: the adaptive ones may also sit at the top level
+# the config entries _cmd_run reads; "adaptive" mirrors AdaptiveOptions as
+# "solver" mirrors SolverOptions
 _ADAPTIVE_KEYS = {f.name for f in dataclasses.fields(AdaptiveOptions)}
 _CONFIG_KEYS = {"problem", "alpha", "sweep", "mesh", "solver", "adaptive", "noise", "format",
-                "out", *_ADAPTIVE_KEYS}
+                "out"}
+_MESH_KEYS = {"breakpoints", "degrees"}
+
+# JSON's own types, checked as given (null too): type(v) is int rejects the
+# bools that isinstance takes
+_int = lambda v: type(v) is int
+_number = lambda v: type(v) in (int, float)
+_SETTING_TYPES = {
+    "problem": (lambda v: type(v) is str, "a registry id string"),
+    "alpha": (_number, "a number"),
+    "sweep": (lambda v: isinstance(v, list) and v and all(
+        isinstance(p, list) and len(p) == 2 and all(map(_int, p)) for p in v),
+        "a nonempty list of [N, M] integer pairs"),
+    "noise": (lambda v: _number(v) or type(v) is str, "a number or an 'h^<power>' string"),
+    "tol": (_number, "a number"),
+    "max_L": (_int, "an integer"),
+    "format": (lambda v: v in ("csv", "json"), "csv or json"),
+    "out": (lambda v: type(v) is str, "a path string"),
+}
 
 
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise _UsageError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise _UsageError(f"config {path} is not a JSON object")
-    return cfg
 
 
 def _check_keys(where: str, entry: dict, known: set) -> None:
     """A usage error naming every key of ``entry`` outside ``known``: none is dropped silently."""
+    if not isinstance(entry, dict):
+        raise _UsageError(f"{where} must be a JSON object, got {entry!r}")
     unread = sorted(set(entry) - known)
     if unread:
         raise _UsageError(f"{where} does not read {', '.join(map(repr, unread))} "
@@ -115,17 +133,17 @@ def _sweep_pairs(Ns, Ms):
 def _explicit_mesh(mesh_cfg: dict, T: float) -> Mesh:
     """Mesh on explicit breakpoints, which must end at T.
 
-    "degrees" is one degree per element or a scalar for all; without it, "M"
-    (scalar or list) counts basis functions, degree + 1; with neither, every
-    element has degree 1.
+    "degrees" is one integer degree per element, or one for all; without it,
+    every element has degree 1.
     """
+    if "breakpoints" not in mesh_cfg:
+        raise _UsageError("mesh config needs breakpoints")
+    deg = mesh_cfg.get("degrees", 1)
+    if not (_int(deg) or isinstance(deg, list) and all(map(_int, deg))):
+        raise _UsageError(f"mesh degrees must be an integer or a list of them, got {deg!r}")
     try:
         bp = np.asarray(mesh_cfg["breakpoints"], dtype=float)
-        if "degrees" in mesh_cfg:
-            deg = np.asarray(mesh_cfg["degrees"], dtype=int)
-        else:
-            deg = np.asarray(mesh_cfg.get("M", 2), dtype=int) - 1
-        mesh = Mesh(bp, np.full(bp.size - 1, deg) if deg.ndim == 0 else deg)
+        mesh = Mesh(bp, np.full(bp.size - 1, deg) if _int(deg) else deg)
     except (TypeError, ValueError) as exc:
         raise _UsageError(f"bad mesh config: {exc}") from exc
     if abs(mesh.T - T) > DOMAIN_TOL * max(1.0, T):
@@ -183,11 +201,15 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     _check_keys("config", cfg, _CONFIG_KEYS)
     _check_keys("adaptive config", cfg.get("adaptive", {}), _ADAPTIVE_KEYS)
+    _check_keys("mesh config", cfg.get("mesh", {}), _MESH_KEYS)
     if "sweep" in cfg and "mesh" in cfg:
         raise _UsageError("config gives both sweep and mesh; a run takes one of them")
     # the config's top-level and "adaptive" entries, with every given flag over them
     settings = {**cfg, **cfg.get("adaptive", {})}
     settings.update((k, v) for k, v in vars(args).items() if v is not None)
+    for key, (ok, want) in _SETTING_TYPES.items():
+        if key in settings and not ok(settings[key]):
+            raise _UsageError(f"{key} must be {want}, got {settings[key]!r}")
 
     problem = settings.get("problem")
     if not problem:
@@ -202,26 +224,17 @@ def _cmd_run(args) -> int:
     except (TypeError, ValueError) as exc:
         raise _UsageError(f"bad solver options: {exc}") from exc
 
-    mesh_cfg = cfg.get("mesh", {})
-    # an explicit mesh reads these keys, a uniform one N and M: drop none silently
-    known = {"breakpoints", "degrees", "M"} if "breakpoints" in mesh_cfg else {"N", "M"}
-    _check_keys("mesh config", mesh_cfg, known)
     Ns = _int_list(args.N) if args.N else None
     Ms = _int_list(args.M) if args.M else None
-    explicit_mesh = None
-    sweep = None
-    if "breakpoints" in mesh_cfg and not (Ns or Ms):
-        explicit_mesh = _explicit_mesh(mesh_cfg, bench.spec.T)
-    elif "sweep" in cfg and not (Ns or Ms):
-        sweep = [(int(n), int(m)) for n, m in cfg["sweep"]]
-    else:
-        if Ns is None:
-            Ns = [int(mesh_cfg["N"])] if "N" in mesh_cfg else None
-        if Ms is None:
-            Ms = [int(mesh_cfg["M"])] if "M" in mesh_cfg else None
+    mesh = sweep = None
+    if Ns or Ms or not ("mesh" in cfg or "sweep" in cfg):
         if not Ns or not Ms:
-            raise _UsageError("need --N and --M (or config mesh/sweep entries)")
+            raise _UsageError("need --N and --M (or a config sweep or mesh)")
         sweep = _sweep_pairs(Ns, Ms)
+    elif "mesh" in cfg:
+        mesh = _explicit_mesh(cfg["mesh"], bench.spec.T)
+    else:
+        sweep = [tuple(p) for p in cfg["sweep"]]
 
     if sweep is not None and any(n < 1 or m < 2 for n, m in sweep):
         raise _UsageError("need N >= 1 and M >= 2 (M counts basis functions per element)")
@@ -232,41 +245,49 @@ def _cmd_run(args) -> int:
                           "adaptive runs solve f as given")
     if noise is not None:
         # at each mesh's own width: 'h^<power>' can overflow there and not at h = 1
-        meshes = ([explicit_mesh] if explicit_mesh is not None
-                  else [mesh_for(bench, n, m) for n, m in sweep])
+        meshes = [mesh] if mesh is not None else [mesh_for(bench, n, m) for n, m in sweep]
         try:
-            for mesh in meshes:
-                parse_noise(noise, mesh.h_max)
+            for each in meshes:
+                parse_noise(noise, each.h_max)
         except (TypeError, ValueError) as exc:
             raise _UsageError(f"bad noise {noise!r}: {exc}") from exc
 
     if strategy:
         if tol is None:
             raise _UsageError("adaptive runs need --tol")
+        if sweep is not None and len(sweep) != 1:
+            raise _UsageError(f"an adaptive run starts from one mesh: give one (N, M) pair, "
+                              f"not {len(sweep)}")
         try:
-            max_L = int(settings.get("max_L", AdaptiveOptions.max_L))
-            adapt = AdaptiveOptions(tol=tol, strategy=strategy, max_L=max_L)
+            adapt = AdaptiveOptions(tol, strategy, settings.get("max_L", AdaptiveOptions.max_L))
         except (TypeError, ValueError) as exc:
             raise _UsageError(f"bad adaptive options: {exc}") from exc
-        if explicit_mesh is not None:
-            mesh = explicit_mesh
-        else:
-            N0, M0 = sweep[0]
-            mesh = mesh_for(bench, N0, M0)
-        if max_L < mesh.L:
-            raise _UsageError(f"max_L {max_L} is below the initial unknown count {mesh.L}")
+        if mesh is None:
+            mesh = mesh_for(bench, *sweep[0])
+        if adapt.max_L < mesh.L:
+            raise _UsageError(f"max_L {adapt.max_L} is below the initial unknown count {mesh.L}")
+    elif {"tol", "max_L", "adaptive"} & settings.keys():
+        raise _UsageError("--tol, --max-L and the adaptive config are read by adaptive runs "
+                          "alone: give --adaptive or a strategy")
+
+    out_path = settings.get("out")
+    try:
+        # opened before the solve, so that a path it cannot write costs no solve
+        out = open(out_path, "w") if out_path else None
+    except OSError as exc:
+        raise _UsageError(f"cannot write --out {out_path}: {exc.strerror}") from exc
+    if strategy:
         report = _adaptive_report(bench, mesh, options, adapt)
-    elif explicit_mesh is not None:
+    elif mesh is not None:
         report = BenchReport(bench.id)
-        report.rows.append(run_mesh(bench, explicit_mesh, options, noise))
+        report.rows.append(run_mesh(bench, mesh, options, noise))
     else:
         report = run_sweep(bench, sweep, options=options, noise=noise)
 
     text = report.to_json() if settings.get("format") == "json" else report.to_csv()
-    out_path = settings.get("out")
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+    if out is not None:
+        with out:
+            out.write(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
     return 2 if report.any_failed else 0

@@ -10,8 +10,6 @@ of the history accumulated over elements 1..n-1.
 from __future__ import annotations
 
 import functools
-import warnings
-import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,7 +33,6 @@ __all__ = [
     "history_runs",
     "operator_stretches",
     "ProblemAssumptionWarning",
-    "validate_problem",
 ]
 
 
@@ -59,6 +56,13 @@ class ProblemSpec:
     nonlinear element's Newton then starts from the implicitly linear
     solution: the z that solves the element equation as if psi were u,
     mapped back through psi_inv at the Gauss nodes.
+
+    ``notes``, a tuple of strings set when the spec is built, holds the
+    well-posedness assumptions that failed a spot check: f(0) = 0, a kernel
+    that does not vanish on the diagonal, and a derivative of psi in u that
+    stays away from zero on a sample box.  Benchmarks with degenerate kernels
+    or sign-changing derivatives are still solvable, so none of these raises;
+    :func:`~abelhp.solver.solve` warns each note on every call.
     """
 
     alpha: float
@@ -94,6 +98,38 @@ class ProblemSpec:
             back = self.psi(self.T, s, self.psi_inv(s, z))
             if not np.all(np.abs(back - z) <= 1e-12 * np.abs(z)):
                 raise ValueError("psi_inv set but psi(t, s, psi_inv(s, z)) != z")
+        notes = []
+        # f at 0 and on a grid over (0, T], from one call
+        fs = _quiet_eval(self.f, np.linspace(0.0, 1.0, 6) * self.T)
+        if fs is not None:
+            fs = np.broadcast_to(fs, (6,))
+            if np.isfinite(fs[0]) and abs(fs[0]) > 1e-10 * max(1.0, np.nanmax(np.abs(fs[1:]))):
+                notes.append(f"f(0) = {fs[0]:.3e} is not zero")
+        ts = np.linspace(0.05, 1.0, 9) * self.T
+        diag = _quiet_eval(self.kappa, ts, ts)
+        if diag is not None:
+            finite = diag[np.isfinite(diag)]
+            largest = max(1.0, np.max(np.abs(finite), initial=0.0))
+            if finite.size and np.min(np.abs(finite)) <= 1e-12 * largest:
+                notes.append("kernel vanishes on the diagonal at a sampled point")
+        tg, ug = np.meshgrid(ts, np.array([-2.0, -0.75, -0.1, 0.1, 0.75, 2.0]))
+        dv = _quiet_eval(self.dpsi_du, tg, tg, ug)
+        if dv is not None:
+            finite = dv[np.isfinite(dv)]
+            if finite.size and np.min(np.abs(finite)) < 1e-8:
+                notes.append("d psi/du approaches zero on the sampled range; "
+                             "uniqueness assumptions may fail")
+        # a plain attribute, as Mesh sets its arrays: a cached_property would
+        # materialise the instance __dict__ and slow every attribute load
+        object.__setattr__(self, "notes", tuple(notes))
+
+
+def _quiet_eval(fn, *args):
+    with np.errstate(all="ignore"):
+        try:
+            return np.asarray(fn(*args), dtype=float)
+        except (ValueError, FloatingPointError, ZeroDivisionError):
+            return None
 
 
 @dataclass(frozen=True)
@@ -467,59 +503,3 @@ class HistoryRun:
             lob[j * m : (j + 1) * m] -= row[:, : j * m] @ lob[: j * m]
         coeffs = np.matvec(solvers, (rhs - A @ lob).reshape(R, m))
         return coeffs.ravel(), lob
-
-
-def _quiet_eval(fn, *args):
-    with np.errstate(all="ignore"):
-        try:
-            return np.asarray(fn(*args), dtype=float)
-        except (ValueError, FloatingPointError, ZeroDivisionError):
-            return None
-
-
-# notes by spec identity (its callables need not hash), dropped as a spec is collected
-_NOTES: dict[int, list[str]] = {}
-
-
-def validate_problem(problem: ProblemSpec) -> list[str]:
-    """Spot-check well-posedness assumptions; violations only warn.
-
-    Checked: f(0) = 0, the kernel does not vanish on the diagonal, and the
-    solution derivative of the nonlinearity stays away from zero on a sample
-    box.  Benchmarks with degenerate kernels or sign-changing derivatives are
-    still solvable, so none of these aborts a run.  The checks run once per
-    spec, as solves repeat them; every call warns again.
-    """
-    notes = _NOTES.get(id(problem))
-    if notes is None:
-        notes = []
-        # f at 0 and on a grid over (0, T], from one call
-        fs = _quiet_eval(problem.f, np.linspace(0.0, 1.0, 6) * problem.T)
-        if fs is not None:
-            fs = np.broadcast_to(fs, (6,))
-            if np.isfinite(fs[0]) and abs(fs[0]) > 1e-10 * max(1.0, np.nanmax(np.abs(fs[1:]))):
-                notes.append(f"f(0) = {fs[0]:.3e} is not zero")
-
-        ts = np.linspace(0.05, 1.0, 9) * problem.T
-        diag = _quiet_eval(problem.kappa, ts, ts)
-        if diag is not None:
-            finite = diag[np.isfinite(diag)]
-            largest = max(1.0, np.max(np.abs(finite), initial=0.0))
-            if finite.size and np.min(np.abs(finite)) <= 1e-12 * largest:
-                notes.append("kernel vanishes on the diagonal at a sampled point")
-
-        uu = np.array([-2.0, -0.75, -0.1, 0.1, 0.75, 2.0])
-        tg, ug = np.meshgrid(ts, uu)
-        dv = _quiet_eval(problem.dpsi_du, tg, tg, ug)
-        if dv is not None:
-            finite = dv[np.isfinite(dv)]
-            if finite.size and np.min(np.abs(finite)) < 1e-8:
-                notes.append(
-                    "d psi/du approaches zero on the sampled range; "
-                    "uniqueness assumptions may fail"
-                )
-        _NOTES[id(problem)] = notes
-        weakref.finalize(problem, _NOTES.pop, id(problem), None)
-    for msg in notes:
-        warnings.warn(msg, ProblemAssumptionWarning, stacklevel=2)
-    return list(notes)

@@ -119,9 +119,6 @@ class Mesh:
         out.flags.writeable = False
         return out
 
-    def with_degrees(self, degrees) -> "Mesh":
-        return Mesh(self.breakpoints, degrees)
-
 
 def uniform_mesh(N: int, T: float, M: int) -> Mesh:
     """N equal elements on [0, T], all with polynomial degree M."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
+import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -26,10 +27,10 @@ import numpy as np
 from .discretization import (
     HistoryRun,
     OperatorRun,
+    ProblemAssumptionWarning,
     ProblemSpec,
     _gap_table,
     operator_stretches,
-    validate_problem,
 )
 from .mesh import Mesh, locate
 from .orthopoly import legendre_table
@@ -321,7 +322,8 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
     Newton's error propagates: there is no second start.
     """
     options = options or SolverOptions()
-    validate_problem(problem)
+    for note in problem.notes:
+        warnings.warn(note, ProblemAssumptionWarning, stacklevel=2)
     # coefficients and Lobatto values of the solved elements, both in the
     # mesh.offsets layout: element n's history reads the prefix before
     # offsets[n-1], a run's far part the prefix before its first element

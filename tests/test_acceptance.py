@@ -86,7 +86,8 @@ def test_criterion_2_history_weight_oracle():
 
 def test_criterion_3_smooth_cubic_table():
     tic = time.perf_counter()
-    report = bench.run_sweep("ex3", [(N, 3) for N in (10, 20, 40, 80, 160, 320)])
+    sweep = [(N, 3) for N in (10, 20, 40, 80, 160, 320)]
+    report = bench.run_sweep(bench.make_benchmark("ex3"), sweep)
     E10 = report.rows[0].E2
     rhos = [r.rho_N for r in report.rows[1:]]
     mean_rho = float(np.mean(rhos))
@@ -108,7 +109,7 @@ def test_criterion_3_smooth_cubic_table():
 def test_criterion_4_noisy_linear_table():
     tic = time.perf_counter()
     sweep = [(2**q, 2) for q in range(5, 12)]
-    report = bench.run_sweep("ex2", sweep, noise="h^2.5")
+    report = bench.run_sweep(bench.make_benchmark("ex2"), sweep, noise="h^2.5")
     E32 = report.rows[0].E2
     rhos = [r.rho_N for r in report.rows[1:]]
     mean_rho = float(np.mean(rhos))

@@ -300,10 +300,10 @@ def test_history_projection_matches_quadrature_oracle():
 
 
 def test_run_sweep_basics():
-    report = bench.run_sweep("ex3", [])
+    report = bench.run_sweep(bench.make_benchmark("ex3"), [])
     assert report.rows == [] and not report.any_failed
 
-    report = bench.run_sweep("ex3", [(2, 3), (4, 3)])
+    report = bench.run_sweep(bench.make_benchmark("ex3"), [(2, 3), (4, 3)])
     assert [r.N for r in report.rows] == [2, 4]
     assert report.rows[0].rho_N is None
     assert report.rows[1].rho_N == pytest.approx(
@@ -311,7 +311,7 @@ def test_run_sweep_basics():
     )
     assert all(r.L == r.N * 3 for r in report.rows)
     # deterministic error columns
-    again = bench.run_sweep("ex3", [(2, 3), (4, 3)])
+    again = bench.run_sweep(bench.make_benchmark("ex3"), [(2, 3), (4, 3)])
     assert [r.E1 for r in again.rows] == [r.E1 for r in report.rows]
 
 
@@ -350,7 +350,7 @@ def test_mesh_for_inserts_required_breakpoints():
 
 
 def test_report_formats():
-    report = bench.run_sweep("ex4", [(1, 3), (2, 3)])
+    report = bench.run_sweep(bench.make_benchmark("ex4"), [(1, 3), (2, 3)])
     text = report.to_csv()
     lines = text.strip().splitlines()
     assert lines[0] == "N,M,L,E1,E2,rho_N,delta,runtime_s"
@@ -366,7 +366,7 @@ def test_report_formats():
 
 
 def test_noise_column_recorded():
-    report = bench.run_sweep("ex2", [(4, 2), (8, 2)], noise="h^2.5")
+    report = bench.run_sweep(bench.make_benchmark("ex2"), [(4, 2), (8, 2)], noise="h^2.5")
     assert report.rows[0].delta == pytest.approx(0.25**2.5)
     assert report.rows[1].delta == pytest.approx(0.125**2.5)
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import abelhp.cli
 import abelhp.discretization
 from abelhp.cli import main
 from abelhp.quadrature import HistoryAccuracyError
@@ -112,6 +113,14 @@ def test_usage_errors_exit_one(capsys, tmp_path):
     path.write_text(json.dumps({"solver": {"newton_tol": float("nan")}}))
     assert run_cli(capsys, "run", "--config", str(path), "--problem", "ex3", "--N", "2",
                    "--M", "2")[0] == 1
+    # the adaptive flags are read by adaptive runs alone, and an adaptive run
+    # starts from one mesh: each ran, and dropped the flag or the pair (4, 3)
+    for flags, named in ((("--N", "2", "--tol", "1e-9"), "--tol"),
+                         (("--N", "2", "--max-L", "5"), "--max-L"),
+                         (("--N", "2,4", "--adaptive", "p_first", "--tol", "1e-6"),
+                          "one (N, M) pair")):
+        code, out, err = run_cli(capsys, "run", "--problem", "ex3", "--M", "3", *flags)
+        assert code == 1 and out == "" and named in err
     # a float count used to pass the options and die in range() inside newton,
     # and the deleted descent options must not be dropped without a word
     for solver in ({"newton_max_iter": 2.5}, {"descent_steps": 50}):
@@ -181,13 +190,13 @@ def test_explicit_mesh_config(tmp_path, capsys):
 
 
 def test_mesh_config_keys_it_does_not_read_are_usage_errors(tmp_path, capsys):
-    # a uniform mesh reads N and M, an explicit one breakpoints, degrees and
-    # M; any other key is an error, or T and degrees here would leave ex3 on
-    # (0, 1] without a word
+    # a mesh reads breakpoints and degrees; any other key is an error, or T
+    # here would leave ex3 on (0, 1] without a word.  A uniform mesh is a
+    # sweep entry, so N and M are not mesh keys, nor is M beside breakpoints
     path = tmp_path / "mesh.json"
     for mesh, unread in (
-        ({"N": 2, "M": 3, "T": 2.0, "degrees": [7, 7]}, ("'T'", "'degrees'")),
-        ({"breakpoints": [0.0, 0.5, 1.0], "M": 3, "N": 2}, ("'N'",)),
+        ({"N": 2, "M": 3, "T": 2.0}, ("'M'", "'N'", "'T'")),
+        ({"breakpoints": [0.0, 0.5, 1.0], "M": 3}, ("'M'",)),
     ):
         path.write_text(json.dumps({"problem": "ex3", "mesh": mesh}))
         code, out, err = run_cli(capsys, "run", "--config", str(path))
@@ -207,21 +216,6 @@ def test_max_L_flag_overrides_config(tmp_path, capsys):
     assert [r["L"] for r in rows] == ["2", "3"]
 
 
-def test_explicit_breakpoints_read_M_as_basis_count(tmp_path, capsys):
-    path = tmp_path / "mesh.json"
-    path.write_text(json.dumps(
-        {"problem": "ex3", "mesh": {"breakpoints": [0.0, 0.5, 1.0], "M": 3}}
-    ))
-    code, out, _ = run_cli(capsys, "run", "--config", str(path))
-    assert code == 0
-    via_config = list(csv.DictReader(io.StringIO(out)))
-    code, out, _ = run_cli(capsys, "run", "--problem", "ex3", "--N", "2", "--M", "3")
-    assert code == 0
-    via_flags = list(csv.DictReader(io.StringIO(out)))
-    assert [(r["M"], r["L"]) for r in via_config] == [("3", "6")]
-    assert [(r["M"], r["L"]) for r in via_flags] == [("3", "6")]
-
-
 def test_explicit_breakpoints_must_end_at_T(tmp_path, capsys):
     # a short mesh would solve only part of ex3's (0, 1] and a long one would
     # run past it; sweep and adaptive runs reject both as usage errors
@@ -232,7 +226,7 @@ def test_explicit_breakpoints_must_end_at_T(tmp_path, capsys):
             code, out, err = run_cli(capsys, "run", "--config", str(path), *flags)
             assert code == 1 and out == ""
             assert f"end at {bp[-1]}, not at T = 1.0" in err
-    # rounding of T stays accepted, and with neither "degrees" nor "M" the degree is 1
+    # rounding of T stays accepted, and without "degrees" the degree is 1
     path.write_text(json.dumps({"problem": "ex3", "mesh": {"breakpoints": [0.0, 0.5, 1 - 1e-13]}}))
     code, out, _ = run_cli(capsys, "run", "--config", str(path))
     assert code == 0
@@ -283,9 +277,17 @@ def test_config_keys_it_does_not_read_are_usage_errors(tmp_path, capsys):
           "solvr": {"newton_tol": 1e-3}}, ("'fromat'", "'solvr'")),
         ({"problem": "ex3", "N": 4, "M": 5}, ("'N'", "'M'")),
         ({"problem": "ex4", "adaptive": {"tol": 1e-9, "strat": "h_first"}}, ("'strat'",)),
+        # the adaptive settings sit in their section alone, as the solver's do
+        ({"problem": "ex4", "tol": 1e-9, "strategy": "h_first", "max_L": 20},
+         ("'max_L'", "'strategy'", "'tol'")),
         # the estimate is always error_E2; the deleted metric option is not read
         ({"problem": "ex4", "adaptive": {"error_metric": "E1_vs_reference"}},
          ("'error_metric'",)),
+        # without a strategy, no adaptive run reads the section
+        ({"problem": "ex4", "adaptive": {"tol": 1e-9}}, ("adaptive config",)),
+        # an adaptive run reads one pair of a sweep
+        ({"problem": "ex3", "sweep": [[2, 3], [4, 3]],
+          "adaptive": {"strategy": "p_first", "tol": 1e-6}}, ("one (N, M) pair",)),
     ):
         path.write_text(json.dumps(cfg))
         flags = () if "sweep" in cfg else ("--N", "2", "--M", "3")
@@ -297,7 +299,52 @@ def test_config_keys_it_does_not_read_are_usage_errors(tmp_path, capsys):
 def test_config_with_sweep_and_mesh_is_a_usage_error(tmp_path, capsys):
     # the sweep ran and the mesh was dropped without a word
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"problem": "ex3", "sweep": [[2, 3]], "mesh": {"N": 4, "M": 5}}))
+    path.write_text(json.dumps({"problem": "ex3", "sweep": [[2, 3]],
+                                "mesh": {"breakpoints": [0.0, 0.5, 1.0], "degrees": 4}}))
     code, out, err = run_cli(capsys, "run", "--config", str(path))
     assert code == 1 and out == ""
     assert "sweep" in err and "mesh" in err
+
+
+def test_config_values_of_the_wrong_type_are_usage_errors(tmp_path, capsys):
+    # each of these ended in a traceback, or ran on a converted value: a
+    # sweep pair [2, 3.7] ran with M = 3, [true, 3] with N = 1, max_L 2.5 was
+    # cut to 2, noise true ran as 1.0, format xml printed CSV and out 5 was
+    # opened as a descriptor
+    path = tmp_path / "run.json"
+    sweep = {"problem": "ex3", "sweep": [[2, 3]]}
+    adaptive = {"problem": "ex4", "sweep": [[1, 2]], "adaptive": {"strategy": "p_first",
+                                                                   "tol": 1e-13}}
+    for cfg, named in (
+        ({**sweep, "sweep": [[2]]}, "sweep"),
+        ({**sweep, "sweep": "ab"}, "sweep"),
+        ({**sweep, "sweep": [[2, 3.7]]}, "sweep"),
+        ({**sweep, "sweep": [[True, 3]]}, "sweep"),
+        ({**sweep, "sweep": []}, "sweep"),
+        ({**sweep, "problem": ["ex3"]}, "problem"),
+        ({**sweep, "problem": "ex1", "alpha": "x"}, "alpha"),
+        ({**adaptive, "adaptive": {**adaptive["adaptive"], "max_L": 2.5}}, "max_L"),
+        ({**adaptive, "adaptive": {**adaptive["adaptive"], "tol": True}}, "tol"),
+        ({**adaptive, "adaptive": 5}, "adaptive config"),
+        ({**sweep, "noise": True}, "noise"),
+        ({**sweep, "format": "xml"}, "format"),
+        ({**sweep, "out": 5}, "out"),
+        ({"problem": "ex3", "mesh": 5}, "mesh config"),
+        ({"problem": "ex3", "mesh": {"breakpoints": [0.0, 0.5, 1.0], "degrees": [2.5, 2]}},
+         "degrees"),
+    ):
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert code == 1 and out == "" and "Traceback" not in err, cfg
+        assert err.startswith("abel-hp: error:") and named in err, err
+
+
+def test_unwritable_out_is_a_usage_error_before_any_solve(capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the output path was checked")
+
+    monkeypatch.setattr(abelhp.cli, "run_sweep", no_solve)
+    code, out, err = run_cli(capsys, "run", "--problem", "ex3", "--N", "2,4", "--M", "3",
+                             "--out", "/nonexistent/x.json")
+    assert code == 1 and out == ""
+    assert err.startswith("abel-hp: error:") and "/nonexistent/x.json" in err

@@ -17,7 +17,6 @@ from abelhp.discretization import (
     ProblemSpec,
     history_runs,
     operator_stretches,
-    validate_problem,
 )
 from abelhp.mesh import Mesh, uniform_mesh
 from abelhp.orthopoly import legendre_table
@@ -337,16 +336,14 @@ def test_degenerate_kernel_warns_never_raises():
         dpsi_du=lambda t, s, u: np.ones_like(np.asarray(u, dtype=float)),
         f=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
     )
-    with pytest.warns(ProblemAssumptionWarning):
-        notes = validate_problem(p)
-    assert any("diagonal" in msg for msg in notes)
+    assert any("diagonal" in msg for msg in p.notes)
+    with pytest.warns(ProblemAssumptionWarning, match="diagonal"):
+        solve(p, uniform_mesh(2, 1.0, 1))
 
 
 def test_validation_flags_nonzero_f0():
     p = _identity_problem(0.5, 1.0, lambda t: np.asarray(t, dtype=float) + 1.0)
-    with pytest.warns(ProblemAssumptionWarning):
-        notes = validate_problem(p)
-    assert any("f(0)" in msg for msg in notes)
+    assert any("f(0)" in msg for msg in p.notes)
 
 
 def test_validation_runs_once_per_spec_and_warns_on_every_solve():
@@ -368,21 +365,19 @@ def test_validation_runs_once_per_spec_and_warns_on_every_solve():
         kappa=Counted("kappa", b.spec.kappa),
         dpsi_du=Counted("dpsi_du", b.spec.dpsi_du),
     )
+    # the spot checks ran as the spec was built: f at 0 and on a grid in one
+    # call, and kappa and dpsi_du once each
+    assert calls == {"f": 1, "kappa": 1, "dpsi_du": 1}
+    assert isinstance(spec.notes, tuple)
     per_solve = []
     for _ in range(2):
         calls.clear()
         with pytest.warns(ProblemAssumptionWarning, match="diagonal"):
             solve(spec, uniform_mesh(4, 1.0, 2), b.solver_options())
         per_solve.append(dict(calls))
-    # the first solve's spot checks sample f at 0 and on a grid in one call,
-    # and kappa and dpsi_du once each; the second solve repeats only the march
+    # each solve runs the march alone
     first, second = per_solve
-    assert {k: first[k] - second[k] for k in first} == {"f": 1, "kappa": 1, "dpsi_du": 1}
-    # the notes go with the spec
-    key = id(spec)
-    del spec
-    gc.collect()
-    assert key not in abelhp.discretization._NOTES
+    assert first == second
 
 
 def test_problemspec_validation():
@@ -588,10 +583,9 @@ def test_solve_calls_f_once_per_stretch(monkeypatch):
             return f(t)
 
         spec = dataclasses.replace(problem, f=counting)
-        validate_problem(spec)
         assert len(shapes) > 0
         shapes.clear()
-        # the spec is validated already, so solve calls f for its blocks only
+        # the spec was spot-checked as it was built, so solve calls f for its blocks only
         solve(spec, mesh, options)
         stretches = [(s[0][0], s[-1][1]) for s in operator_stretches(mesh)]
         assert len(stretches) > 1
