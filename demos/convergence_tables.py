@@ -7,7 +7,7 @@ observed order stays near 2, the mark of a well-posed discrete scheme).
 Append larger N values to match the full studies.
 """
 
-from abelhp.bench import make_benchmark, run_sweep
+from abelhp import make_benchmark, run_sweep
 
 print("cubic solution, 3 basis functions per element (expect order ~ 3):")
 report = run_sweep(make_benchmark("ex3"), [(N, 3) for N in (10, 20, 40, 80)])

@@ -9,8 +9,9 @@ Typical use::
     solution = solve(problem, uniform_mesh(N=8, T=1.0, M=4))
     values = evaluate(solution, points)
 
-The :mod:`abelhp.bench` module registers the standard benchmark problems and
-produces convergence reports; ``abel-hp`` is the command-line entry point.
+The :mod:`abelhp.problems` module registers the standard benchmark problems,
+:mod:`abelhp.bench` measures errors and produces convergence reports, and
+``abel-hp`` is the command-line entry point.
 """
 
 from .adaptive import (
@@ -20,17 +21,16 @@ from .adaptive import (
     adaptive_solve,
 )
 from .bench import (
-    BenchmarkProblem,
     BenchReport,
     convergence_order,
     error_E1,
     error_E2,
-    make_benchmark,
     perturb_rhs,
     run_sweep,
 )
 from .discretization import ProblemAssumptionWarning, ProblemSpec
 from .mesh import Mesh, locate, uniform_mesh
+from .problems import BenchmarkProblem, make_benchmark
 from .quadrature import QuadRule, RuleKind, gauss_rule
 from .solver import (
     NewtonDivergedError,

@@ -23,10 +23,8 @@ import numpy as np
 
 from .adaptive import STRATEGIES, AdaptiveOptions, BudgetExceededError, adaptive_solve
 from .bench import (
-    PROBLEM_IDS,
     BenchReport,
     BenchRow,
-    make_benchmark,
     mesh_for,
     parse_noise,
     reference_solution,
@@ -34,6 +32,7 @@ from .bench import (
     run_sweep,
 )
 from .mesh import DOMAIN_TOL, Mesh
+from .problems import PROBLEM_IDS, make_benchmark
 from .quadrature import HistoryAccuracyError
 from .solver import SolverError
 

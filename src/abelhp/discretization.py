@@ -77,8 +77,9 @@ class ProblemSpec:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not self.T > 0.0:
-            raise ValueError("T must be positive")
+        # an infinite T would put every spot-check sample at inf
+        if not 0.0 < self.T < np.inf:
+            raise ValueError(f"T must be finite and positive, got {self.T}")
         if self.linear:
             s = np.linspace(0.1, 0.9, 4) * self.T
             u = np.array([-1.3, -0.2, 0.4, 2.0])

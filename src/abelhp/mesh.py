@@ -41,6 +41,9 @@ class Mesh:
             raise ValueError("need one degree per element")
         if np.any(deg < 1):
             raise ValueError("element degrees must be >= 1")
+        # the int cast truncates, so 2.9 would pass as 2
+        if np.any(deg != np.asarray(self.degrees)):
+            raise ValueError(f"element degrees must be integers, got {self.degrees!r}")
         bp.flags.writeable = False
         deg.flags.writeable = False
         object.__setattr__(self, "breakpoints", bp)
@@ -126,7 +129,7 @@ def uniform_mesh(N: int, T: float, M: int) -> Mesh:
         raise ValueError("need N >= 1 and M >= 1")
     if not T > 0.0:
         raise ValueError("T must be positive")
-    return Mesh(np.linspace(0.0, T, N + 1), np.full(N, M, dtype=int))
+    return Mesh(np.linspace(0.0, T, N + 1), np.full(N, M))
 
 
 #: slack of ``locate`` past T, relative to max(1, T), for points that round past it

@@ -6,8 +6,9 @@ integrals from QUADPACK's weighted adaptive routines or, for polynomials,
 from their closed form at 60 digits, and the singular benchmark's
 right-hand side from its hypergeometric closed form.  From
 ``history_by_node`` on, the references are loop forms of batched package
-routines on the package's own rules; they must agree with them bit for bit
-or to a stated tolerance.
+routines on the package's own rules (history, the linear march, evaluation,
+element tables, the right-hand side and Newton); they must agree with them
+bit for bit or to a stated tolerance.
 """
 
 import functools
@@ -386,73 +387,3 @@ def newton_by_halving(residual_fn, jacobian_fn, init, options):
                 return None
     return u if norm <= options.newton_tol else None
 
-
-def _rule_sum_by_panel(F, a, b, t, alpha, order):
-    """One rule of degree ``order`` for int_a^b (t-s)^(alpha-1) F(s) ds.
-
-    The final panel (b == t) takes Gauss-Jacobi, which absorbs the singular
-    factor; earlier panels take Gauss-Legendre with the factor written into
-    the integrand.
-    """
-    from abelhp.quadrature import RuleKind, gauss_rule
-
-    if b == t:
-        rule = gauss_rule(RuleKind.GAUSS_JACOBI, alpha - 1.0, order)
-        s = t - 0.5 * (t - a) * (1.0 - rule.nodes)
-        return (0.5 * (t - a)) ** alpha * float(rule.weights @ F(s))
-    rule = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, order)
-    half = 0.5 * (b - a)
-    s = 0.5 * (a + b) + half * rule.nodes
-    return half * float(rule.weights @ ((t - s) ** (alpha - 1.0) * F(s)))
-
-
-def _panel_by_recursion(F, a, b, t, alpha, npts, tol, depth, budget):
-    """Adaptive panel [a, b]: npts against 2 * npts nodes, bisected until they agree."""
-    from abelhp.solver import QuadratureConvergenceError
-
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise QuadratureConvergenceError("panel refinement did not converge")
-    i1 = _rule_sum_by_panel(F, a, b, t, alpha, npts - 1)
-    i2 = _rule_sum_by_panel(F, a, b, t, alpha, 2 * npts - 1)
-    if abs(i2 - i1) <= tol or (b - a) < 1e-15 * max(1.0, abs(b)):
-        return i2
-    if depth <= 0:
-        raise QuadratureConvergenceError("panel refinement did not converge")
-    m = 0.5 * (a + b)
-    return _panel_by_recursion(F, a, m, t, alpha, npts, 0.5 * tol, depth - 1, budget) + (
-        _panel_by_recursion(F, m, b, t, alpha, npts, 0.5 * tol, depth - 1, budget)
-    )
-
-
-def forward_apply_by_time(problem, u_fn, t, breakpoints=()):
-    """``abelhp.solver.forward_apply`` at one time, by depth-first panel recursion.
-
-    The algorithm the package routine must reproduce bit for bit, kept apart
-    as its reference: a coarse 17-point pass over |F| fixes the tolerance
-    ``1e-10 * coarse / len(panels)``; each panel compares 16 against 32
-    nodes and is bisected, with the tolerance halved, until they agree or it
-    is narrower than 1e-15 * max(1, |b|); depth 40 and 4000 panels per time
-    are the limits.  Accepted panels are summed in tree order.
-    """
-    if t <= 0.0:
-        return 0.0
-    alpha = problem.alpha
-
-    def F(s):
-        u = np.asarray(u_fn(s), dtype=float)
-        # copied out of the broadcast: numpy's dot sums a stride-0 operand in
-        # another order than a real array, which is what forward_apply sums
-        return np.broadcast_to(problem.kappa(t, s) * problem.psi(t, s, u), s.shape).copy()
-
-    edges = [0.0] + sorted({float(b) for b in breakpoints if 0.0 < b < t}) + [t]
-    panels = list(zip(edges[:-1], edges[1:]))
-    coarse = 0.0
-    for a, b in panels:
-        coarse += _rule_sum_by_panel(lambda s: np.abs(F(s)), a, b, t, alpha, 16)
-    tol = 1e-10 * max(coarse, 1e-30) / len(panels)
-    total = 0.0
-    budget = [4000]
-    for a, b in panels:
-        total += _panel_by_recursion(F, a, b, t, alpha, 16, tol, 40, budget)
-    return total

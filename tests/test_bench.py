@@ -7,6 +7,7 @@ import pytest
 
 import abelhp.bench as bench
 import abelhp.discretization
+import abelhp.problems as problems
 import abelhp.solver
 from abelhp.mesh import uniform_mesh
 from abelhp.quadrature import HistoryAccuracyError
@@ -161,21 +162,21 @@ def test_noise_response_is_tame():
 
 
 def test_make_benchmark_registry():
-    assert set(bench.PROBLEM_IDS) == {
+    assert set(problems.PROBLEM_IDS) == {
         "ex1_singular", "ex2_plato", "ex3_branca",
         "ex4_liu", "ex5_discontinuous", "ex6_unknown",
     }
     with pytest.raises(ValueError):
-        bench.make_benchmark("ex7")
+        problems.make_benchmark("ex7")
     with pytest.raises(ValueError):
-        bench.make_benchmark("ex1")  # alpha required
+        problems.make_benchmark("ex1")  # alpha required
     with pytest.raises(ValueError):
-        bench.make_benchmark("ex3", alpha=0.5)  # fixed-alpha problem
-    b6 = bench.make_benchmark("ex6")
+        problems.make_benchmark("ex3", alpha=0.5)  # fixed-alpha problem
+    b6 = problems.make_benchmark("ex6")
     assert b6.exact is None and b6.mesh_hints == (0.5, 1.0)
     for pid in ("ex2", "ex3", "ex4", "ex5"):
-        assert bench.make_benchmark(pid).exact is not None
-    assert bench.make_benchmark("ex1", alpha=0.4).exact is not None
+        assert problems.make_benchmark(pid).exact is not None
+    assert problems.make_benchmark("ex1", alpha=0.4).exact is not None
 
 
 def test_benchmark_closed_form_values():

@@ -390,6 +390,10 @@ def test_problemspec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(0.5, 1.0, _ones, lambda t, s, u: u,
                     lambda t, s, u: 2.0 * np.ones_like(u), lambda t: t, linear=True)
+    # T = inf used to pass, and every spot-check sample was taken at inf
+    for T in (np.inf, np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ProblemSpec(0.5, T, _ones, lambda t, s, u: u**2, lambda t, s, u: 2 * u, lambda t: t)
 
 
 def test_psi_inv_validation():

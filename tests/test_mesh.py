@@ -33,6 +33,18 @@ def test_mesh_validation():
             Mesh(bp, [2] * (len(bp) - 1))
 
 
+def test_non_integral_degrees_raise():
+    # the degrees used to be cast to int, so 1.5 and 2.9 ran as degrees 1 and 2
+    for degrees in ([1.5, 2.9], [2, 2.5], np.array([3.0, 0.25 + 1.0])):
+        with pytest.raises(ValueError, match="integers"):
+            Mesh([0.0, 0.5, 1.0], degrees)
+    with pytest.raises(ValueError, match="integers"):
+        uniform_mesh(2, 1.0, 2.7)
+    # integral floats are integer values
+    assert Mesh([0.0, 0.5, 1.0], [2.0, 3.0]).degrees.tolist() == [2, 3]
+    assert uniform_mesh(2, 1.0, 2.0).degrees.tolist() == [2, 2]
+
+
 def test_mesh_arrays_are_read_only_copies():
     # offsets, widths and the degree groups are built once per mesh from these
     # arrays, so they must not change under it; the caller's arrays are copied

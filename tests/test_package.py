@@ -6,6 +6,7 @@ import pkgutil
 import runpy
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -100,3 +101,26 @@ def test_mixed_degree_solve_and_E2_load_no_numpy_ma():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+
+#: tokens (without comments and blank lines) at which compiling a module
+#: doubles the parser's token buffer
+COMPILE_STEP = 4096
+
+
+def test_modules_stay_below_the_compile_step():
+    # the benchmark workers compile the package from source, so a module at
+    # the step costs each worker about 0.2 MB more peak memory
+    skip = (tokenize.COMMENT, tokenize.NL)
+    over = {}
+    for path in sorted((ROOT / "src" / "abelhp").glob("*.py")):
+        with path.open() as fh:
+            n = sum(tok.type not in skip for tok in tokenize.generate_tokens(fh.readline))
+        if n >= COMPILE_STEP:
+            over[path.name] = n
+    assert not over, (
+        f"token counts at or above the {COMPILE_STEP}-token compile step: {over}; "
+        "compiling such a module raises every benchmark worker's peak_rss_mb by "
+        "about 0.2 MB (CHANGES.md, FOUND on workers compiling abelhp from source)"
+    )

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import gamma
+from scipy.special import gamma, gammainc
 
 import abelhp.bench as bench
 import abelhp.discretization
@@ -27,12 +27,7 @@ from abelhp.solver import (
     steepest_descent_init,
 )
 
-from oracles import (
-    evaluate_by_degree,
-    forward_apply_by_time,
-    linear_march_by_element,
-    newton_by_halving,
-)
+from oracles import evaluate_by_degree, linear_march_by_element, newton_by_halving
 
 
 def _ones(t, s):
@@ -348,7 +343,8 @@ def test_forward_apply_closed_forms():
         for cuts in ((), (0.1,)):
             got = forward_apply(scalar, lambda s: 1.0, np.array([t, 0.5]), breakpoints=cuts)
             assert got[0] == pytest.approx(2.0 * np.sqrt(t), rel=1e-13)
-            assert got[0] == forward_apply_by_time(scalar, lambda s: 1.0, t, cuts)
+            alone = [forward_apply(scalar, lambda s: 1.0, v, cuts) for v in (t, 0.5)]
+            assert got.tolist() == alone
     # u = s^beta: the singular panel is split and the regular one refined
     # down to s = 0, where u is not smooth
     for beta in (0.5, 1.3):
@@ -463,20 +459,23 @@ def test_forward_apply_nonconvergence_raises():
     jump = lambda s: np.where(s < c, 1.0, 2.0)
     with pytest.raises(QuadratureConvergenceError):
         forward_apply(b.spec, jump, np.array([0.2, 0.9]))
-    assert forward_apply(b.spec, jump, 0.9, breakpoints=(c,)) == forward_apply_by_time(
-        b.spec, jump, 0.9, (c,)
-    )
+    cut = forward_apply(b.spec, jump, np.array([0.2, 0.9]), breakpoints=(c,))
+    assert cut.tolist() == [forward_apply(b.spec, jump, t, breakpoints=(c,)) for t in (0.2, 0.9)]
+    # with kappa = e^(s - t) the integral is gamma(1/2, t) + gamma(1/2, t - c)
+    # past c, in lower incomplete gammas
+    exact = gamma(0.5) * (gammainc(0.5, [0.2, 0.9]) + gammainc(0.5, [0.0, 0.9 - c]))
+    assert cut == pytest.approx(exact, rel=1e-12)
     # edges 1e-4 apart around it keep the jump off the panel ends, so the
     # panel across it stays rejected until, at level 37, it is narrower than
     # 1e-15 * max(1, |b|) and is accepted as it is
     near = (c - 0.6180339887e-4, c + 0.3819660113e-4)
     narrow = forward_apply(b.spec, jump, np.array([0.2, 0.9]), breakpoints=near)
-    assert narrow.tolist() == [forward_apply_by_time(b.spec, jump, t, near) for t in (0.2, 0.9)]
+    assert narrow.tolist() == [forward_apply(b.spec, jump, t, near) for t in (0.2, 0.9)]
+    assert narrow == pytest.approx(exact, rel=1e-12)
 
 
-def _forward_oracle_cases():
-    # about 1 in 20 values would move if a Gauss-Jacobi scale took numpy's
-    # power instead of a Python one, so 48 random times per case show it
+def _forward_cases():
+    # 48 random times per case, and ex5's times on both sides of its breakpoint
     rng = np.random.default_rng(11)
     cases = [(bench.make_benchmark("ex1", alpha), rng.random(48)) for alpha in (0.3, 0.5, 0.7)]
     cases.append((bench.make_benchmark("ex4"), rng.random(48)))
@@ -486,28 +485,24 @@ def _forward_oracle_cases():
 
 
 def test_forward_apply_batch_equals_the_one_time_recursion():
-    # every time of a batch gets the value of the depth-first recursion on
-    # that time alone, bit for bit; ex5's breakpoint splits the times above it
-    for b, times in _forward_oracle_cases():
+    # every time of a batch gets the value of a call on that time alone, bit
+    # for bit; ex5's breakpoint splits the times above it
+    for b, times in _forward_cases():
         times = times[np.random.default_rng(3).permutation(times.size)]
         batch = forward_apply(b.spec, b.exact, times, breakpoints=b.mesh_hints)
-        alone = [forward_apply_by_time(b.spec, b.exact, t, b.mesh_hints) for t in times.tolist()]
+        alone = [forward_apply(b.spec, b.exact, t, b.mesh_hints) for t in times.tolist()]
         assert batch.tolist() == alone, b.id
-        assert [forward_apply(b.spec, b.exact, t, b.mesh_hints) for t in times.tolist()] == alone
 
 
 def test_forward_apply_kernel_power_of_t_is_within_one_ulp():
     # ex4's kappa squares t, and at this time numpy's t * t and libm's t**2
-    # differ by 1 ulp; a batch and the one-time recursion both take kappa of
-    # the same Python float now, so the gap of up to an ulp they once had is
-    # gone at every time
+    # differ by 1 ulp; a batch and a call on one time both take kappa of the
+    # same Python float, so they agree bit for bit
     b = bench.make_benchmark("ex4")
     t = 0.9484567938637256
     assert t**2 != t * t
-    alone = forward_apply_by_time(b.spec, b.exact, t)
     batch = forward_apply(b.spec, b.exact, np.array([t, 0.5 * t]))
-    assert batch[0] == forward_apply(b.spec, b.exact, t) == alone
-    assert abs(batch[0] - alone) <= np.spacing(alone)
+    assert batch.tolist() == [forward_apply(b.spec, b.exact, v) for v in (t, 0.5 * t)]
 
 
 def test_forward_apply_shapes():

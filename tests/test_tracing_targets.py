@@ -27,6 +27,19 @@ def test_tracer_targets_resolve():
     assert isinstance(abelhp.quadrature._rule_cache, dict)
 
 
+def test_benchmark_worker_names_resolve():
+    # perfbench/worker.py reads these names from abelhp's modules at run time
+    names = [
+        ("bench", "make_benchmark"), ("bench", "mesh_for"), ("bench", "error_E1"),
+        ("bench", "error_E2"), ("bench", "BenchmarkWarning"), ("mesh", "uniform_mesh"),
+        ("solver", "solve"), ("adaptive", "AdaptiveOptions"), ("adaptive", "adaptive_solve"),
+        ("adaptive", "BudgetExceededError"),
+    ]
+    missing = [f"abelhp.{m}.{a}" for m, a in names if not hasattr(getattr(abelhp, m), a)]
+    assert missing == []
+    assert abelhp.bench.make_benchmark is abelhp.problems.make_benchmark
+
+
 def test_tracer_sees_newton_without_descent():
     # the per-layer counts of the benchmark read the solver's call path:
     # one Newton call per element and no descent phase on a problem Newton
