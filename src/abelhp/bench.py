@@ -116,12 +116,11 @@ E2_SAMPLES = 65
 def error_E1(solution: PiecewiseSolution, exact_fn) -> float:
     """Discrete L2 error at the per-element Gauss-Legendre nodes."""
     mesh = solution.mesh
-    bp, offsets = mesh.breakpoints, mesh.offsets
+    bp = mesh.breakpoints
     # an element has degree + 1 Gauss points, so they fill the offsets layout
     pts, wts = np.empty(mesh.L), np.empty(mesh.L)
-    for d, idx in mesh.degree_groups:
+    for d, idx, cols in mesh.degree_groups:
         rule = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, d)
-        cols = offsets[idx, None] + np.arange(d + 1)
         pts[cols] = _shift_rows(rule.nodes, bp[idx], bp[idx + 1])
         wts[cols] = (0.5 * (bp[idx + 1] - bp[idx]))[:, None] * rule.weights
     # each element's points sit in its own slots, so no point needs locating
@@ -146,9 +145,8 @@ def error_E2(solution: PiecewiseSolution, exact_fn) -> float:
     exact = np.asarray(exact_fn(pts.ravel()), dtype=float)
     # row k of the grid lies on element k + 1: one gather and one product per degree
     approx = np.empty_like(pts)
-    for d, idx in mesh.degree_groups:
-        approx[idx] = (solution.coeffs[mesh.offsets[idx, None] + np.arange(d + 1)]
-                       @ _half_step_table(d, E2_SAMPLES))
+    for d, idx, cols in mesh.degree_groups:
+        approx[idx] = solution.coeffs[cols] @ _half_step_table(d, E2_SAMPLES)
     diff = approx.ravel()
     diff -= exact
     return float(np.max(np.abs(diff, out=diff)))

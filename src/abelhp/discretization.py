@@ -120,7 +120,7 @@ class ProblemSpec:
             if finite.size and np.min(np.abs(finite)) < 1e-8:
                 notes.append("d psi/du approaches zero on the sampled range; "
                              "uniqueness assumptions may fail")
-        # a plain attribute, as Mesh sets its arrays: a cached_property would
+        # set once here, as Mesh sets its tables: a cached_property would
         # materialise the instance __dict__ and slow every attribute load
         object.__setattr__(self, "notes", tuple(notes))
 
@@ -426,13 +426,13 @@ class HistoryRun:
 
         t4 = nodes[:, :, None, None]
         self.far = np.zeros(self.t.size)
-        for dk, idx in mesh.degree_groups:
+        for dk, idx, cols in mesh.degree_groups:
             prior = idx[: np.searchsorted(idx, n0 - 1)]
             if prior.size == 0:
                 continue
             if table is None:
                 w = history_weights_batch(bp[prior], bp[prior + 1], dk, t4[..., 0], alpha)
-                cols = offsets[prior, None] + np.arange(dk + 1)
+                cols = cols[: prior.size]  # prior is a prefix of idx
                 S, U = mesh.history_points[cols], prior_u[cols]  # (element, point)
             else:
                 # w[j, i, p, k - 1] = table[i, p, N - n0 - j + k - 1] for node i of

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -12,19 +11,41 @@ from .quadrature import _lobatto_nodes, _shift_rows
 __all__ = ["Mesh", "uniform_mesh", "locate"]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Mesh:
     """Breakpoints 0 = t_0 < ... < t_N = T and polynomial degrees M_1..M_N.
 
-    Element n (1-based) is the half-open interval (t_{n-1}, t_n]; immutable
-    after construction and freely shareable.  The mesh keeps read-only copies
-    of the breakpoints and degrees, so the per-mesh tables derived from them
-    (``widths``, ``L``, ``offsets``, ``degree_groups``, ``history_points``)
-    cannot go stale.
+    Element n (1-based) is the half-open interval (t_{n-1}, t_n].  A frozen
+    record, freely shareable: it keeps read-only copies of the breakpoints and
+    degrees, and builds its tables from them once, at construction.
+
+    - ``widths``: element widths t_n - t_{n-1}.
+    - ``offsets``: block starts of a flat per-element array with degree + 1
+      entries each.  Element n owns ``offsets[n-1]:offsets[n]``, and
+      ``offsets[N]`` is ``L``, the number of unknown coefficients.  Solved
+      Lobatto values and Legendre coefficients are laid out this way.
+    - ``degree_groups``: ``(degree, indices, cols)`` for each distinct degree,
+      ascending.  ``indices`` are the 0-based positions (element n is n - 1)
+      of the elements of that degree, ascending, so the elements before
+      element n are the prefix of each array below n - 1; ``cols`` is the
+      ``(len(indices), degree + 1)`` array of their slots in the ``offsets``
+      layout.
+    - ``history_points``: where history samples kappa and psi's ``s``, in the
+      ``offsets`` layout: each element's shifted Lobatto points, its ends
+      moved one ulp inside it (t = 0 excepted: one ulp above it is
+      subnormal), so a kernel that jumps at a breakpoint is taken as its
+      limit from inside the element.
+
+    Every array is read-only.
     """
 
     breakpoints: np.ndarray
     degrees: np.ndarray
+    widths: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
+    L: int = field(init=False, repr=False)
+    degree_groups: tuple[tuple[int, np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
+    history_points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         bp = np.array(self.breakpoints, dtype=float)
@@ -44,10 +65,26 @@ class Mesh:
         # the int cast truncates, so 2.9 would pass as 2
         if np.any(deg != np.asarray(self.degrees)):
             raise ValueError(f"element degrees must be integers, got {self.degrees!r}")
-        bp.flags.writeable = False
-        deg.flags.writeable = False
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "degrees", deg)
+        offsets = np.zeros(bp.size, dtype=int)
+        np.cumsum(deg + 1, out=offsets[1:])
+        # the degrees come from a Python set: np.unique's first call imports
+        # numpy.ma, over a MB of memory no solve needs
+        groups, points = [], np.empty(offsets[-1])
+        for d in sorted(set(deg.tolist())):
+            idx = np.flatnonzero(deg == d)
+            cols = offsets[idx, None] + np.arange(d + 1)
+            # a degree group's Lobatto nodes, placed on all its elements at once
+            points[cols] = _shift_rows(_lobatto_nodes(d), bp[idx], bp[idx + 1])
+            idx.flags.writeable = cols.flags.writeable = False
+            groups.append((d, idx, cols))
+        points[offsets[1:-1]] = np.nextafter(bp[1:-1], bp[2:])
+        points[offsets[1:] - 1] = np.nextafter(bp[1:], bp[:-1])
+        for name, arr in (("breakpoints", bp), ("degrees", deg), ("widths", np.diff(bp)),
+                          ("offsets", offsets), ("history_points", points)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "L", int(offsets[-1]))
+        object.__setattr__(self, "degree_groups", tuple(groups))
 
     @property
     def N(self) -> int:
@@ -57,70 +94,9 @@ class Mesh:
     def T(self) -> float:
         return float(self.breakpoints[-1])
 
-    @functools.cached_property
-    def widths(self) -> np.ndarray:
-        """Element widths t_n - t_{n-1}; built once per mesh and read-only."""
-        out = np.diff(self.breakpoints)
-        out.flags.writeable = False
-        return out
-
     @property
     def h_max(self) -> float:
         return float(self.widths.max())
-
-    @functools.cached_property
-    def L(self) -> int:
-        """Total number of unknown coefficients."""
-        return int(self.offsets[-1])
-
-    @functools.cached_property
-    def offsets(self) -> np.ndarray:
-        """Block starts of a flat per-element array with degree + 1 entries each.
-
-        Element n owns ``offsets[n-1]:offsets[n]``; ``offsets[N]`` is ``L``.
-        Solved Lobatto values and Legendre coefficients are laid out this way.
-        Built once per mesh and read-only.
-        """
-        out = np.zeros(self.N + 1, dtype=int)
-        np.cumsum(self.degrees + 1, out=out[1:])
-        out.flags.writeable = False
-        return out
-
-    @functools.cached_property
-    def degree_groups(self) -> tuple[tuple[int, np.ndarray], ...]:
-        """``(degree, indices)`` for each distinct degree, ascending.
-
-        ``indices`` are the 0-based positions (element n is n - 1) of the
-        elements of that degree, ascending, so the elements before element n
-        are the prefix of each array below n - 1.  Built once per mesh and
-        read-only.  The degrees come from a Python set: ``np.unique``'s first
-        call imports ``numpy.ma``, over a MB of memory no solve needs.
-        """
-        groups = []
-        for d in sorted(set(self.degrees.tolist())):
-            idx = np.flatnonzero(self.degrees == d)
-            idx.flags.writeable = False
-            groups.append((int(d), idx))
-        return tuple(groups)
-
-    @functools.cached_property
-    def history_points(self) -> np.ndarray:
-        """Where history samples kappa and psi's ``s``, in the ``offsets`` layout; read-only.
-
-        Each element's shifted Lobatto points, its ends moved one ulp inside it
-        (t = 0 excepted: one ulp above it is subnormal), so a kernel that jumps
-        at a breakpoint is taken as its limit from inside the element.
-        """
-        bp, offsets = self.breakpoints, self.offsets
-        out = np.empty(offsets[-1])
-        for d, idx in self.degree_groups:
-            # a degree group's Lobatto nodes, placed on all its elements at once
-            rows = _shift_rows(_lobatto_nodes(d), bp[idx], bp[idx + 1])
-            out[offsets[idx, None] + np.arange(d + 1)] = rows
-        out[offsets[1:-1]] = np.nextafter(bp[1:-1], bp[2:])
-        out[offsets[1:] - 1] = np.nextafter(bp[1:], bp[:-1])
-        out.flags.writeable = False
-        return out
 
 
 def uniform_mesh(N: int, T: float, M: int) -> Mesh:

@@ -31,9 +31,12 @@ PROBLEM_IDS = (
 _ALIASES = {f"ex{i}": pid for i, pid in enumerate(PROBLEM_IDS, start=1)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class BenchmarkProblem:
-    """A registered equation instance plus everything a sweep needs."""
+    """A registered equation instance plus everything a sweep needs.
+
+    Frozen: ``bench.reference_solution`` caches a baseline by ``id``.
+    """
 
     id: str
     spec: ProblemSpec

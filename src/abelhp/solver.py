@@ -93,9 +93,9 @@ class SolverOptions:
     init_constant: float = 0.0
 
     def __post_init__(self):
-        # "not x > 0" rejects NaN too, which every comparison calls False
-        if not self.newton_tol > 0.0:
-            raise ValueError("newton_tol must be positive")
+        # a NaN fails both comparisons; an infinite tolerance would accept the unsolved start
+        if not 0.0 < self.newton_tol < math.inf:
+            raise ValueError("newton_tol must be positive and finite")
         # a float count would reach range() and a bool would pass for 0 or 1
         count = self.newton_max_iter
         if isinstance(count, bool) or not isinstance(count, numbers.Integral):
@@ -106,24 +106,27 @@ class SolverOptions:
             raise ValueError("init_constant must be finite")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PiecewiseSolution:
     """Per-element shifted-Legendre expansions, evaluable on (0, T].
 
     ``coeffs`` holds the coefficients of every element in one flat array in
     the ``mesh.offsets`` layout: element n owns ``offsets[n-1]:offsets[n]``.
+    The record is frozen, so its mesh and coefficients stay paired; the
+    coefficient array itself stays writable.
     """
 
     mesh: Mesh
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape != (self.mesh.L,):
+        coeffs = np.asarray(self.coeffs, dtype=float)
+        if coeffs.shape != (self.mesh.L,):
             raise ValueError(
                 f"solution needs the mesh's {self.mesh.L} coefficients, "
-                f"got shape {self.coeffs.shape}"
+                f"got shape {coeffs.shape}"
             )
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __call__(self, t):
         return evaluate(self, t)
@@ -406,7 +409,7 @@ def _evaluate_on(solution: PiecewiseSolution, t_arr: np.ndarray, elem_idx: np.nd
     coeffs, offsets, bp = solution.coeffs, mesh.offsets, mesh.breakpoints
     out = np.empty_like(t_arr)
     groups = mesh.degree_groups
-    for d, _ in groups:
+    for d, _, _ in groups:
         # the points on elements of degree d: all of them on a single-degree mesh
         sel = np.flatnonzero(mesh.degrees[elem_idx] == d) if len(groups) > 1 else None
         step = max(1, _EVAL_BLOCK // (d + 1))

@@ -129,6 +129,10 @@ def test_usage_errors_exit_one(capsys, tmp_path):
                                "--N", "4", "--M", "3")
         assert code == 1 and "bad solver options" in err and "Traceback" not in err
         assert next(iter(solver)) in err
+    # json reads 1e999 as inf; an infinite tolerance returned the unsolved warm start
+    path.write_text('{"problem": "ex3", "sweep": [[4, 3]], "solver": {"newton_tol": 1e999}}')
+    code, _, err = run_cli(capsys, "run", "--config", str(path))
+    assert code == 1 and "bad solver options" in err and "Traceback" not in err
 
 
 def test_no_arguments_is_usage_error(capsys):

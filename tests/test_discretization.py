@@ -709,7 +709,7 @@ def test_weight_path_follows_the_mesh(monkeypatch):
         monkeypatch.setattr(abelhp.discretization, "_HISTORY_BLOCK", block)
         if expected is None:
             expected = sum(
-                sum(np.any(idx < n0 - 1) for _, idx in mesh.degree_groups) + (n1 > n0)
+                sum(np.any(idx < n0 - 1) for _, idx, _ in mesh.degree_groups) + (n1 > n0)
                 for n0, n1 in history_runs(mesh)
             )
             assert expected > 1 or len(history_runs(mesh)) == 1

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -57,15 +59,30 @@ def test_mesh_arrays_are_read_only_copies():
     assert m.breakpoints[1] == 0.3 and m.degrees[0] == 2
     assert m.offsets is m.offsets and m.widths is m.widths
     assert list(m.offsets) == [0, 3, 7]
+    # a frozen record: assigning new degrees used to pass unchecked and leave
+    # L and offsets describing the old ones
+    for name, value in (("breakpoints", [0.0, 1.0]), ("degrees", [3, 3]),
+                        ("offsets", [0, 4, 8]), ("history_points", np.zeros(7))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(m, name, value)
+    assert list(m.degrees) == [2, 3] and m.L == 7
+    assert not hasattr(m, "__dict__")
+    with pytest.raises(ValueError):
+        m.history_points[0] = 1.0
 
 
 def test_degree_groups_list_elements_by_degree():
     m = Mesh(np.linspace(0.0, 1.0, 6), [3, 1, 3, 2, 1])
-    groups = [(d, list(idx)) for d, idx in m.degree_groups]
+    groups = [(d, list(idx)) for d, idx, _ in m.degree_groups]
     assert groups == [(1, [1, 4]), (2, [3]), (3, [0, 2])]
     assert m.degree_groups is m.degree_groups
     with pytest.raises(ValueError):
         m.degree_groups[0][1][0] = 0
+    # each group's slots in the offsets layout, read-only like its indices
+    for d, idx, cols in m.degree_groups:
+        assert np.array_equal(cols, m.offsets[idx, None] + np.arange(d + 1))
+        with pytest.raises(ValueError):
+            cols[0, 0] = 0
 
 
 def test_history_points_are_lobatto_points_with_ends_moved_inside():

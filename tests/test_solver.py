@@ -776,14 +776,32 @@ def test_solve_memory_stays_bounded():
         assert peak < 4 * 2**20
 
 
+def test_solution_and_benchmark_records_are_frozen():
+    b = bench.make_benchmark("ex2")
+    solution = solve(b.spec, uniform_mesh(4, 1.0, 2), b.solver_options())
+    before = solution(0.5)
+    for record, name, value in ((solution, "mesh", uniform_mesh(2, 1.0, 1)),
+                                (solution, "coeffs", np.zeros(12)),
+                                (b, "spec", bench.make_benchmark("ex3").spec)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, value)
+    assert solution(0.5) == before
+    # the coefficient array stays writable, so an element's view writes through
+    first = solution.coeffs[3]
+    solution.coefficients(2)[0] += 1.0
+    assert solution.coeffs[3] == first + 1.0
+
+
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(newton_tol=0.0)
     with pytest.raises(ValueError):
         SolverOptions(newton_max_iter=0)
-    # NaN compares False with everything, so "<= 0" checks let it through
+    # NaN compares False with everything, so "<= 0" checks let it through; an
+    # infinite tolerance accepted the unsolved warm start
     for bad in (
         {"newton_tol": float("nan")},
+        {"newton_tol": float("inf")},
         {"init_constant": float("nan")},
     ):
         with pytest.raises(ValueError):
