@@ -13,6 +13,7 @@ import json
 import math
 import time
 import warnings
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -167,20 +168,23 @@ def perturb_rhs(problem: ProblemSpec, delta: float) -> ProblemSpec:
     return replace(problem, f=lambda t: f0(t) + delta)
 
 
-_BASELINE_CACHE: dict[str, Callable] = {}
+# baselines by problem record, compared by its fields (its spec, mesh hints
+# and initial constant decide the baseline), so a record rebuilt with another
+# spec gets its own; an entry goes with the last record equal to its key
+_BASELINE_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def reference_solution(bench: BenchmarkProblem) -> Callable:
     """Exact solution, or a cached high-resolution run when none is known."""
     if bench.exact is not None:
         return bench.exact
-    fn = _BASELINE_CACHE.get(bench.id)
+    fn = _BASELINE_CACHE.get(bench)
     if fn is None:
         hints = np.array([0.0, *bench.mesh_hints, bench.spec.T])
         mesh = Mesh(hints, np.full(hints.size - 1, 12, dtype=int))
         baseline = solve(bench.spec, mesh, bench.solver_options())
         fn = lambda t: evaluate(baseline, t)
-        _BASELINE_CACHE[bench.id] = fn
+        _BASELINE_CACHE[bench] = fn
     return fn
 
 

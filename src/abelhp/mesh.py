@@ -54,36 +54,47 @@ class Mesh:
             raise ValueError("need at least two breakpoints")
         if bp[0] != 0.0:
             raise ValueError("mesh must start at t = 0")
+        # before any difference: inf - inf would warn
         if not np.isfinite(bp).all():
             raise ValueError("breakpoints must be finite")
-        if np.any(np.diff(bp) <= 0.0):
+        widths = bp[1:] - bp[:-1]
+        if not widths.min() > 0.0:
             raise ValueError("breakpoints must be strictly increasing")
-        if deg.shape != (bp.size - 1,):
+        if deg.shape != widths.shape:
             raise ValueError("need one degree per element")
-        if np.any(deg < 1):
+        if deg.min() < 1:
             raise ValueError("element degrees must be >= 1")
         # the int cast truncates, so 2.9 would pass as 2
-        if np.any(deg != np.asarray(self.degrees)):
+        if (deg != np.asarray(self.degrees)).any():
             raise ValueError(f"element degrees must be integers, got {self.degrees!r}")
-        offsets = np.zeros(bp.size, dtype=int)
-        np.cumsum(deg + 1, out=offsets[1:])
+        m = deg + 1
+        offsets = np.zeros(m.size + 1, dtype=int)
+        np.add.accumulate(m, out=offsets[1:])
+        L = int(offsets[-1])
         # the degrees come from a Python set: np.unique's first call imports
         # numpy.ma, over a MB of memory no solve needs
-        groups, points = [], np.empty(offsets[-1])
-        for d in sorted(set(deg.tolist())):
-            idx = np.flatnonzero(deg == d)
-            cols = offsets[idx, None] + np.arange(d + 1)
-            # a degree group's Lobatto nodes, placed on all its elements at once
-            points[cols] = _shift_rows(_lobatto_nodes(d), bp[idx], bp[idx + 1])
+        degrees = sorted(set(deg.tolist()))
+        if len(degrees) == 1:  # one degree, as on every adaptive mesh: one group in mesh order
+            d = degrees[0]
+            groups = [(d, np.arange(m.size), np.arange(L).reshape(m.size, d + 1))]
+            points = _shift_rows(_lobatto_nodes(d), bp[:-1], bp[1:]).ravel()
+        else:
+            groups, points = [], np.empty(L)
+            for d in degrees:
+                idx = np.flatnonzero(deg == d)
+                cols = offsets[idx, None] + np.arange(d + 1)
+                # a degree group's Lobatto nodes, placed on all its elements at once
+                points[cols] = _shift_rows(_lobatto_nodes(d), bp[idx], bp[idx + 1])
+                groups.append((d, idx, cols))
+        for _, idx, cols in groups:
             idx.flags.writeable = cols.flags.writeable = False
-            groups.append((d, idx, cols))
         points[offsets[1:-1]] = np.nextafter(bp[1:-1], bp[2:])
         points[offsets[1:] - 1] = np.nextafter(bp[1:], bp[:-1])
-        for name, arr in (("breakpoints", bp), ("degrees", deg), ("widths", np.diff(bp)),
+        for name, arr in (("breakpoints", bp), ("degrees", deg), ("widths", widths),
                           ("offsets", offsets), ("history_points", points)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "L", int(offsets[-1]))
+        object.__setattr__(self, "L", L)
         object.__setattr__(self, "degree_groups", tuple(groups))
 
     @property

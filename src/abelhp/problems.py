@@ -7,7 +7,6 @@ form, ex1's and ex5's as series accurate to about 1e-15 relative.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -35,7 +34,8 @@ _ALIASES = {f"ex{i}": pid for i, pid in enumerate(PROBLEM_IDS, start=1)}
 class BenchmarkProblem:
     """A registered equation instance plus everything a sweep needs.
 
-    Frozen: ``bench.reference_solution`` caches a baseline by ``id``.
+    Frozen and hashable by its fields: ``bench.reference_solution`` caches a
+    baseline for each record, weakly.
     """
 
     id: str
@@ -58,11 +58,20 @@ def _series_length(x: float) -> int:
     return k
 
 
-def _times(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Coefficients of p times q, lowest power first, for each column of p (q's rows broadcast)."""
-    out = np.zeros((len(p) + len(q) - 1, *p.shape[1:]))
-    for i, qi in enumerate(q):
-        out[i : i + len(p)] += qi * p
+def _powers(x: np.ndarray, count: int) -> np.ndarray:
+    """x^k, k = 0..count - 1, at each point of the 1-d x: shape (count, x.size).
+
+    Rows k..2k-1 are rows 0..k-1 times x^k, so the table takes about
+    log2(count) products; np.multiply.accumulate down the rows took 4-5 ns
+    an entry, several times Horner's scheme on a thousand points.
+    """
+    out = np.empty((count, x.size))
+    out[0] = 1.0
+    k = 1
+    while k < count:
+        m = min(k, count - k)
+        np.multiply(out[:m], out[k - 1] * x, out=out[k : k + m])
+        k += m
     return out
 
 
@@ -71,7 +80,7 @@ def _ex1_rhs(alpha: float):
 
     With e^(ts) = sum_k (ts)^k / k! each term is a Beta integral, so
     f(t) = t^(2+3 alpha) sum_k t^(2k) / k! B(alpha, 3+2 alpha+k), a series of
-    positive terms summed by Horner's scheme in t^2.
+    positive terms summed against a table of powers of t^2.
     """
     beta0 = math.gamma(alpha) * math.gamma(3.0 + 2.0 * alpha) / math.gamma(3.0 + 3.0 * alpha)
 
@@ -80,10 +89,26 @@ def _ex1_rhs(alpha: float):
         x = t * t
         k = np.arange(_series_length(float(x.max(initial=0.0))) - 1)
         ratios = (3.0 + 2.0 * alpha + k) / ((3.0 + 3.0 * alpha + k) * (k + 1.0))
+        coeffs = beta0 * np.cumprod(np.concatenate(([1.0], ratios)))
+        series = (coeffs @ _powers(x.ravel(), coeffs.size)).reshape(x.shape)
         # t^(2+3 alpha) as t^2 (t^alpha)^3, with no rounded exponent
-        return x * (t**alpha) ** 3 * np.polyval(beta0 * np.cumprod(np.r_[1.0, ratios])[::-1], x)
+        return x * (t**alpha) ** 3 * series
 
     return f
+
+
+# (a + b sigma - sigma^2)^5 is the sum over k0 + k1 + k2 = 5 of
+# 5! / (k0! k1! k2!) a^k0 b^k1 (-1)^k2 sigma^(k1 + 2 k2): each term's powers
+# of a and b, and its coefficient in the row of its power of sigma.  Only
+# flat lists become arrays here: numpy's first array from a nested list
+# raised the peak memory of every process importing this module by 0.1 MB
+_EX5_TERMS = [(5 - k1 - k2, k1, k2) for k1 in range(6) for k2 in range(6 - k1)]
+_EX5_A = np.array([k0 for k0, _, _ in _EX5_TERMS])
+_EX5_B = np.array([k1 for _, k1, _ in _EX5_TERMS])
+_EX5_SIGMA = np.zeros((11, len(_EX5_TERMS)))
+_EX5_SIGMA[np.array([k1 + 2 * k2 for _, k1, k2 in _EX5_TERMS]), np.arange(len(_EX5_TERMS))] = [
+    120.0 / math.prod(map(math.factorial, k)) * (-1) ** k[2] for k in _EX5_TERMS
+]
 
 
 def _ex5_rhs(t):
@@ -93,27 +118,36 @@ def _ex5_rhs(t):
     Im e^((5+i) sigma), which integrates to e^(-5t) Im[Phi(t) - Phi(max(t - 1/2, 0))]
     with Phi(x) = sum_k (5+i)^k x^(k+alpha) / (k! (k+alpha)).  On s > 1/2,
     (2 - (t - sigma)^2)^5 is a polynomial in sigma; times the series of
-    sin(sigma) / sigma it integrates term by term over [0, t - 1/2].
+    sin(sigma) / sigma it integrates term by term over [0, t - 1/2].  Each
+    series is summed against a table of powers, so a call takes the same
+    few array operations however many terms it keeps.
     """
     alpha, z = 0.8, 5.0 + 1.0j
     t = np.maximum(np.asarray(t, dtype=float), 0.0)
+    shape, t = t.shape, t.ravel()
     k = np.arange(_series_length(abs(z) * float(t.max(initial=0.0))))
-    z_pow = np.cumprod(np.r_[1.0, np.full(k.size - 1, z) / k[1:]])  # z^k / k!
-    im_phi = lambda x: x**alpha * np.polyval((z_pow.imag / (k + alpha))[::-1], x)
+    z_pow = np.cumprod(np.concatenate(([1.0], z / k[1:])))  # z^k / k!
     x0 = np.maximum(t - 0.5, 0.0)
-    out = np.exp(-5.0 * t) * (im_phi(t) - im_phi(x0))
+    ends = np.concatenate([t, x0])
+    im_phi = ends**alpha * ((z_pow.imag / (k + alpha)) @ _powers(ends, k.size))
+    out = np.exp(-5.0 * t) * (im_phi[: t.size] - im_phi[t.size :])
     late = t > 0.5
     if late.any():
         tl, x = t[late], x0[late]
-        q = np.stack([2.0 - tl * tl, 2.0 * tl, np.full_like(tl, -1.0)])
-        u5 = functools.reduce(_times, [q] * 5)
         j = np.arange(_series_length(float(x.max())))
         sine = np.where(j % 2 == 1, (-1.0) ** (j // 2) / np.cumprod(np.maximum(j, 1)), 0.0)
-        d = _times(u5, sine[1:, None])  # sigma^-1 sin(sigma) (2 - s^2)^5, by powers of sigma
-        n = np.arange(len(d))[:, None]
-        # np.polyval's Horner loop runs over rows: one polynomial per column of x
-        out[late] += x * x**alpha * np.polyval((d / (n + alpha + 1.0))[::-1], x)
-    return out
+        # u5[i]: the coefficient of sigma^i in (2 - (t - sigma)^2)^5, a = 2 - t^2, b = 2t
+        a, b = _powers(2.0 - tl * tl, 6), _powers(2.0 * tl, 6)
+        u5 = _EX5_SIGMA @ (a[_EX5_A] * b[_EX5_B])
+        # times sigma^-1 sin(sigma), whose series row i of this Toeplitz view
+        # holds from column i on, and each sigma^n integrated to
+        # x^(n + alpha + 1) / (n + alpha + 1)
+        n = np.arange(j.size + 9)
+        padded = np.concatenate([np.zeros(10), sine[1:], np.zeros(10)])
+        shifts = np.lib.stride_tricks.sliding_window_view(padded, n.size)[::-1]
+        d = (shifts / (n + alpha + 1.0)).T @ u5
+        out[late] += x * x**alpha * np.vecdot(d, _powers(x, n.size), axis=0)
+    return out.reshape(shape)
 
 
 def make_benchmark(problem_id: str, alpha: float | None = None) -> BenchmarkProblem:

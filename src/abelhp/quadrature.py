@@ -179,14 +179,18 @@ def _shift_rows(nodes: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> np.
 # * Miller's backward recurrence on the others (Gautschi, SIAM Review 9,
 #   1967): the ratios r_p = nu_p / nu_{p-1},
 #       r_p = (alpha - p) / ((p+1+alpha) r_{p+1} - (2p+1) c),
-#   start from r = 0 so far above pmax that the start's error, which shrinks
-#   by exp(-2 arccosh c) a step, falls below exp(-2 _MILLER_DECAY) at pmax;
-#   then nu_p = nu_0 r_1 ... r_p.  At alpha = 1, r_1 = 0 and every nu_p,
-#   p >= 1, vanishes exactly.
+#   start from the recurrence's local fixed point at the start index p, the
+#   smaller root r of (p+1+alpha) r^2 - (2p+1) c r + (p-alpha) = 0, so far
+#   above pmax that the start's error, which shrinks by exp(-2 arccosh c) a
+#   step, is spent by pmax: _MILLER_DECAY / arccosh c steps above it.  The
+#   fixed point is closer than r = 0, so 17 serves where r = 0 needs 19.5:
+#   every nu_p stays within 1e-15 nu_0 of an r = 0 start 40 steps further
+#   up, for pmax up to 64.  Then nu_p = nu_0 r_1 ... r_p.  At
+#   alpha = 1, r_1 = 0 and every nu_p, p >= 1, vanishes exactly.
 # ---------------------------------------------------------------------------
 
 _FORWARD_GROWTH = math.log(4.0)
-_MILLER_DECAY = 19.5
+_MILLER_DECAY = 17.0
 
 
 def _kernel_mass(gap, width, alpha: float, orders: int = 1) -> list:
@@ -227,7 +231,16 @@ def _miller_moments(c: np.ndarray, alpha: float, pmax: int) -> np.ndarray:
     (nu[0],) = _kernel_mass(c - 1.0, 2.0, alpha)
     # one start for every row, set by the slowest decay
     start = pmax + math.ceil(_MILLER_DECAY / np.arccosh(np.min(c)))
-    r = np.zeros(c.size)
+    # the smaller root as 2 (p - alpha) / (b (1 + sqrt(1 - (k / b)^2))), with
+    # b = (2p + 1) c and k^2 = 4 (p + 1 + alpha) (p - alpha): no cancellation,
+    # and no b^2 to overflow
+    b = (2.0 * start + 1.0) * c
+    r = 2.0 * math.sqrt((start + 1.0 + alpha) * (start - alpha)) / b
+    r *= r
+    np.sqrt(1.0 - r, out=r)
+    r += 1.0
+    r *= b
+    np.divide(2.0 * (start - alpha), r, out=r)
     for p in range(start, 0, -1):
         # r_p = (alpha - p) / ((p + 1 + alpha) r_{p+1} - (2p + 1) c), both sides
         # over 2p + 1: three in-place operations and no temporary

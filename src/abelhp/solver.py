@@ -142,8 +142,18 @@ class PiecewiseSolution:
 def _residual_norm(residual_fn, u):
     """The residual at u, its max-norm and the merit r @ r; a NaN or inf entry makes both inf."""
     r = np.asarray(residual_fn(u), dtype=float)
-    norm = float(np.abs(r).max(initial=0.0))
+    # the ufunc's own reduce: ndarray.max adds a Python layer on every iterate
+    norm = float(np.maximum.reduce(np.abs(r), initial=0.0))
     return (r, norm, float(r @ r)) if norm < math.inf else (r, math.inf, math.inf)
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of a is finite, from one sum where that sum is finite.
+
+    A sum that is not finite may only have overflowed, so the entries are
+    checked then.  Call it with floating-point warnings off.
+    """
+    return math.isfinite(np.add.reduce(a, axis=None)) or bool(np.isfinite(a).all())
 
 
 def _residual_rows(residual_fn, U):
@@ -199,13 +209,13 @@ def newton(residual_fn, jacobian_fn, init, options: SolverOptions, n: int | None
             J = jacobian_fn(u)
             if getattr(J, "dtype", None) != float or J.ndim != 2:
                 J = np.atleast_2d(np.asarray(J, dtype=float))
-            if not np.isfinite(J).all():
+            if not _finite(J):
                 raise SingularJacobianError(n, it)
             try:
                 step = np.linalg.solve(J, -r)
             except np.linalg.LinAlgError:
                 raise SingularJacobianError(n, it) from None
-            if not np.isfinite(step).all():
+            if not _finite(step):
                 raise SingularJacobianError(n, it)
 
             cand = u + step

@@ -9,7 +9,7 @@ import abelhp.bench as bench
 import abelhp.discretization
 import abelhp.problems as problems
 import abelhp.solver
-from abelhp.mesh import uniform_mesh
+from abelhp.mesh import Mesh, uniform_mesh
 from abelhp.quadrature import HistoryAccuracyError
 from abelhp.solver import SolverError, evaluate, forward_apply, solve
 
@@ -378,3 +378,28 @@ def test_ex6_reference_baseline_usable():
     assert not report.any_failed
     row = report.rows[0]
     assert row.E2 is not None and row.E2 < 0.1
+
+
+def test_reference_solution_follows_the_spec():
+    # the baseline used to be cached by id alone, so a record with ex6's id and
+    # a doubled f was judged against the solution of the undoubled problem
+    import gc
+
+    b = bench.make_benchmark("ex6")
+    b2 = dataclasses.replace(b, spec=dataclasses.replace(b.spec, f=lambda t: 2 * b.spec.f(t)))
+    ref, ref2 = bench.reference_solution(b), bench.reference_solution(b2)
+    assert ref2 is not ref
+    assert bench.reference_solution(b) is ref and bench.reference_solution(b2) is ref2
+    # ref2 is b2's own baseline: a solve of its spec on the baseline mesh
+    baseline = solve(b2.spec, Mesh([0.0, 0.5, 1.0, 1.5], [12] * 3),
+                     b2.solver_options())
+    t = np.linspace(0.1, 1.5, 8)
+    np.testing.assert_array_equal(ref2(t), evaluate(baseline, t))
+    assert np.max(np.abs(ref2(t) - ref(t))) > 1e-3
+    # rebuilt records do not grow the cache for good
+    gc.collect()
+    held = len(bench._BASELINE_CACHE)
+    for _ in range(3):
+        bench.reference_solution(bench.make_benchmark("ex6"))
+    gc.collect()
+    assert len(bench._BASELINE_CACHE) == held

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -21,18 +23,27 @@ def test_uniform_mesh_basics():
 
 
 def test_mesh_validation():
-    with pytest.raises(ValueError):
-        Mesh(np.array([0.1, 1.0]), np.array([1]))
-    with pytest.raises(ValueError):
-        Mesh(np.array([0.0, 0.5, 0.5]), np.array([1, 1]))
-    with pytest.raises(ValueError):
-        Mesh(np.array([0.0, 1.0]), np.array([0]))
-    with pytest.raises(ValueError):
-        Mesh(np.array([0.0, 1.0]), np.array([1, 1]))
-    # non-finite breakpoints used to construct; a NaN one then failed deep in the moments
-    for bp in ([0.0, np.nan, 1.0], [0.0, 0.5, np.inf], [0.0, np.inf, np.inf], [0.0, np.nan]):
-        with pytest.raises(ValueError, match="finite"):
-            Mesh(bp, [2] * (len(bp) - 1))
+    # each bad mesh raises its own message, and no check warns on the way
+    table = [
+        ([0.0, np.nan, 1.0], [2, 2], "breakpoints must be finite"),
+        ([0.0, 0.5, np.inf], [2, 2], "breakpoints must be finite"),
+        # inf - inf would warn, so finiteness is checked before any width
+        ([0.0, np.inf, np.inf], [2, 2], "breakpoints must be finite"),
+        ([0.0, np.nan], [2], "breakpoints must be finite"),
+        ([0.0, 0.6, 0.4, 1.0], [1, 1, 1], "breakpoints must be strictly increasing"),
+        ([0.0, 0.5, 0.5], [1, 1], "breakpoints must be strictly increasing"),
+        ([0.1, 1.0], [1], "mesh must start at t = 0"),
+        ([0.0, 1.0], [1, 1], "need one degree per element"),
+        ([0.0, 1.0], [0], "element degrees must be >= 1"),
+        ([0.0, 0.5, 1.0], [2, 2.5], "element degrees must be integers, got [2, 2.5]"),
+        # the int conversion itself refuses a NaN degree, before any cast warns
+        ([0.0, 1.0], [np.nan], "cannot convert float NaN to integer"),
+    ]
+    for breakpoints, degrees, message in table:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Mesh(np.array(breakpoints), degrees)
 
 
 def test_non_integral_degrees_raise():

@@ -26,6 +26,7 @@ from oracles import (
     jacobi_norm,
     lagrange_history_integral,
     legendre_history_integrals,
+    miller_from_zero,
     polynomial_history_integral,
     weighted_poly_integral,
 )
@@ -312,6 +313,27 @@ def test_moment_branches_agree_at_the_miller_seam():
                 assert np.all(np.abs(forward - miller) <= 1.2e-15 * forward[0])
                 chosen = _nu_batch(c, alpha, pmax)[0]
                 assert np.array_equal(chosen, forward if c[0] <= seam else miller)
+
+
+def test_miller_fixed_point_start_matches_a_longer_zero_start():
+    # Miller's branch starts at the recurrence's local fixed point, fewer steps
+    # above pmax than the start from r = 0 it replaced (_MILLER_DECAY was 19.5);
+    # its moments must agree with that r = 0 start run 40 steps longer, from the
+    # seam to c = 1e8
+    rng = np.random.default_rng(33)
+    for pmax in range(1, 65):
+        seam = math.cosh(_FORWARD_GROWTH / pmax)
+        c = np.concatenate([
+            [seam * (1.0 + 1e-12)],
+            seam * (1.0 + rng.uniform(0.0, 1e-3, 8)),
+            1.0 + (seam - 1.0) * np.exp(rng.uniform(0.0, math.log((1e8 - 1.0) / (seam - 1.0)), 12)),
+        ])
+        alphas = (0.05, 0.3, 0.5, 0.8, 1.0)
+        got = np.hstack([_miller_moments(c, alpha, pmax) for alpha in alphas])
+        # one reference run for every alpha, column by column
+        start = pmax + math.ceil(19.5 / np.arccosh(c.min())) + 40
+        want = miller_from_zero(np.tile(c, len(alphas)), np.repeat(alphas, c.size), start, got[0])
+        assert np.all(np.abs(got - want[: pmax + 1]) <= 1e-15 * got[0]), pmax
 
 
 def test_history_weights_reject_bad_sum():

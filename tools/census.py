@@ -11,6 +11,11 @@ the hash its coefficients (raw bytes), E1 and E2 (``float.hex``), every
 adaptive step's degrees and estimate, and a failure's class and message.
 Two checkouts whose last lines agree produce the same outputs bit for bit;
 the per-case lines above it show which case differs when they do not.
+
+Each per-case line also prints what a change that moves last bits is judged
+by: the outcome (``ok``, or the failure's class and the element it names),
+the adaptive step count (``-`` on a fixed mesh), and E2 to 4 significant
+digits (an adaptive failure's last estimate, ``-`` where there is none).
 """
 
 from __future__ import annotations
@@ -30,12 +35,13 @@ def _steps(trace) -> list[str]:
     return [f"{s.mesh.degrees.tolist()} {float(s.estimate).hex()}" for s in trace.steps]
 
 
-def case_record(case) -> list[str]:
-    """Every output of one case, as text; the coefficients as their hex bytes."""
+def case_record(case) -> tuple[list[str], str]:
+    """Every output of one case as text, the coefficients as their hex bytes,
+    and its summary: outcome, adaptive steps and E2."""
     from abelhp import adaptive, bench, solver, uniform_mesh
     from workloads import FixedCase
 
-    out, trace = [case.label], None
+    out, trace, outcome, E2 = [case.label], None, "ok", None
     try:
         problem = bench.make_benchmark(case.problem, case.alpha)
         if isinstance(case, FixedCase):
@@ -51,11 +57,17 @@ def case_record(case) -> list[str]:
     except Exception as exc:  # a failure is an output too
         out.append(f"{type(exc).__name__}: {exc}")
         trace = getattr(exc, "trace", None)
+        element = getattr(exc, "n", None)
+        outcome = type(exc).__name__ + ("" if element is None else f" on element {element}")
+        E2 = getattr(exc, "estimate", None)
     else:
         out.append(solution.coeffs.tobytes().hex())
         for metric in (bench.error_E1, bench.error_E2):
-            out.append(float(metric(solution, problem.exact)).hex())
-    return out + ([] if trace is None else _steps(trace))
+            E2 = metric(solution, problem.exact)
+            out.append(float(E2).hex())
+    steps = "-" if isinstance(case, FixedCase) else len(trace.steps) if trace else 0
+    summary = f"{outcome} steps={steps} E2={'-' if E2 is None else f'{E2:.4g}'}"
+    return out + ([] if trace is None else _steps(trace)), summary
 
 
 def main() -> None:
@@ -74,9 +86,10 @@ def main() -> None:
                 cases.setdefault(case, name)
     total = hashlib.sha256()
     for case, name in cases.items():
-        digest = hashlib.sha256("\n".join(case_record(case)).encode()).hexdigest()
+        record, summary = case_record(case)
+        digest = hashlib.sha256("\n".join(record).encode()).hexdigest()
         total.update(digest.encode())
-        print(f"{name:16} {case.label:40} {digest[:16]}")
+        print(f"{name:16} {case.label:40} {digest[:16]}  {summary}")
     print(f"census {len(cases)} cases {total.hexdigest()}")
 
 
