@@ -183,14 +183,14 @@ def _shift_rows(nodes: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> np.
 #   smaller root r of (p+1+alpha) r^2 - (2p+1) c r + (p-alpha) = 0, so far
 #   above pmax that the start's error, which shrinks by exp(-2 arccosh c) a
 #   step, is spent by pmax: _MILLER_DECAY / arccosh c steps above it.  The
-#   fixed point is closer than r = 0, so 17 serves where r = 0 needs 19.5:
+#   fixed point is closer than r = 0, so 15 serves where r = 0 needs 19.5:
 #   every nu_p stays within 1e-15 nu_0 of an r = 0 start 40 steps further
 #   up, for pmax up to 64.  Then nu_p = nu_0 r_1 ... r_p.  At
 #   alpha = 1, r_1 = 0 and every nu_p, p >= 1, vanishes exactly.
 # ---------------------------------------------------------------------------
 
 _FORWARD_GROWTH = math.log(4.0)
-_MILLER_DECAY = 17.0
+_MILLER_DECAY = 15.0
 
 
 def _kernel_mass(gap, width, alpha: float, orders: int = 1) -> list:
@@ -241,14 +241,19 @@ def _miller_moments(c: np.ndarray, alpha: float, pmax: int) -> np.ndarray:
     r += 1.0
     r *= b
     np.divide(2.0 * (start - alpha), r, out=r)
-    for p in range(start, 0, -1):
-        # r_p = (alpha - p) / ((p + 1 + alpha) r_{p+1} - (2p + 1) c), both sides
-        # over 2p + 1: three in-place operations and no temporary
-        r *= (p + 1.0 + alpha) / (2.0 * p + 1.0)
-        r -= c
-        np.divide((alpha - p) / (2.0 * p + 1.0), r, out=r)
-        if p <= pmax:
-            nu[p] = r
+    # the loop runs on q_{p+1} = a_p r_{p+1}, a_p = (p + 1 + alpha) / (2p + 1),
+    # so that r_p = b_p / (q_{p+1} - c) with b_p = (alpha - p) / (2p + 1).
+    # Above pmax, q_p = a_{p-1} b_p / (q_{p+1} - c) takes two in-place
+    # operations a step; from pmax down each r_p is kept and gives q_p
+    q = r
+    q *= (start + 1.0 + alpha) / (2.0 * start + 1.0)
+    for p in range(start, pmax, -1):
+        q -= c
+        np.divide((p + alpha) * (alpha - p) / ((2.0 * p - 1.0) * (2.0 * p + 1.0)), q, out=q)
+    for p in range(pmax, 0, -1):
+        q -= c
+        np.divide((alpha - p) / (2.0 * p + 1.0), q, out=nu[p])
+        np.multiply(nu[p], (p + alpha) / (2.0 * p - 1.0), out=q)
     return np.cumprod(nu, axis=0, out=nu)
 
 

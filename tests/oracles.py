@@ -388,19 +388,23 @@ def newton_by_halving(residual_fn, jacobian_fn, init, options):
     return u if norm <= options.newton_tol else None
 
 
-def miller_from_zero(c, alpha, start, nu0):
-    """nu_p(c), p = 0..start, by Miller's recurrence started from r = 0 at ``start``.
+def miller_from_zero(c, alpha, start, nu0, pmax):
+    """nu_p(c), p = 0..pmax, by Miller's recurrence started from r = 0 at ``start``.
 
-    The loop form of the package's backward branch as it was before its
-    fixed-point start, from the given nu_0: each ratio
-    r_p = (alpha - p) / ((p + 1 + alpha) r_{p+1} - (2p + 1) c), both sides over
-    2p + 1 and rounded as the package rounds them, then nu_p = nu_0 r_1 ... r_p.
-    ``alpha`` may be one value per column of c.
+    The loop form of the package's backward branch with the start it had
+    before its fixed-point start, from the given nu_0.  With
+    a_p = (p + 1 + alpha) / (2p + 1) and b_p = (alpha - p) / (2p + 1), it runs
+    q_p = a_{p-1} r_p = a_{p-1} b_p / (q_{p+1} - c) above pmax and
+    r_p = b_p / (a_p r_{p+1} - c) from pmax down, each rounded as the package
+    rounds it, then nu_p = nu_0 r_1 ... r_p.  ``alpha`` may be one value per
+    column of c.
     """
-    nu = np.empty((start + 1, c.size))
+    nu = np.empty((pmax + 1, c.size))
     nu[0] = nu0
-    r = np.zeros(c.size)
-    for p in range(start, 0, -1):
-        r = ((alpha - p) / (2.0 * p + 1.0)) / (r * ((p + 1.0 + alpha) / (2.0 * p + 1.0)) - c)
-        nu[p] = r
+    q = np.zeros(c.size)
+    for p in range(start, pmax, -1):
+        q = ((p + alpha) * (alpha - p) / ((2.0 * p - 1.0) * (2.0 * p + 1.0))) / (q - c)
+    for p in range(pmax, 0, -1):
+        nu[p] = ((alpha - p) / (2.0 * p + 1.0)) / (q - c)
+        q = nu[p] * ((p + alpha) / (2.0 * p - 1.0))
     return np.cumprod(nu, axis=0)

@@ -50,25 +50,31 @@ def test_error_E2_values():
     assert bench.error_E2(sol, ramp) == pytest.approx(1.0, rel=1e-3)
 
 
-@pytest.mark.parametrize("case", ["mixed", "degree23"])
+@pytest.mark.parametrize("case", ["mixed", "degree23", "blocks"])
 def test_error_E2_matches_per_point_evaluation(case):
     # E2's table path against evaluate at each grid point: on interleaved
-    # degrees, and on one element of ex1 p_first's top degree
+    # degrees, on one element of ex1 p_first's top degree, and on more
+    # elements than one block of the grid, whose blocks cut across degrees
     from abelhp.mesh import Mesh
 
     if case == "mixed":
         b = bench.make_benchmark("ex3")
         mesh = Mesh(np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 9)]),
                     [1, 3, 2, 5, 1, 8, 2, 4, 6])
-    else:
+    elif case == "degree23":
         b = bench.make_benchmark("ex1", 0.3)
         mesh = uniform_mesh(1, 1.0, 23)
+    else:
+        b = bench.make_benchmark("ex2")
+        mesh = Mesh(np.linspace(0.0, 1.0, 601), np.tile([1, 2, 2], 200))
     sol = solve(b.spec, mesh, b.solver_options())
     pts = _e2_grid(mesh)
     u = evaluate(sol, pts)
     per_point = np.max(np.abs(b.exact(pts) - u))
     got = bench.error_E2(sol, b.exact)
     assert abs(got - per_point) <= 4 * np.finfo(float).eps * np.max(np.abs(u))
+    # a NaN anywhere on the grid, here in its last element, makes E2 NaN
+    assert np.isnan(bench.error_E2(sol, lambda t: np.where(t > mesh.breakpoints[-2], np.nan, t)))
 
 
 def test_error_E1_two_path_consistency():
