@@ -176,7 +176,8 @@ def perturb_rhs(problem: ProblemSpec, delta: float) -> ProblemSpec:
 
 # baselines by problem record, compared by its fields (its spec, mesh hints
 # and initial constant decide the baseline), so a record rebuilt with another
-# spec gets its own; an entry goes with the last record equal to its key
+# spec gets its own.  An entry keeps the first record stored under it as its
+# key and goes when that record does, though an equal record may live on
 _BASELINE_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 

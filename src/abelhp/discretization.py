@@ -10,7 +10,6 @@ of the history accumulated over elements 1..n-1.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -350,47 +349,27 @@ def _gap_table(mesh: Mesh, alpha: float) -> np.ndarray | None:
     return table
 
 
-# one index per m, for the longest run of m-node elements that history_runs
-# closes under _HISTORY_BLOCK (or a longer R once asked for): a run of R
-# elements reads its prefix, so the runs of an adaptive pass, whose lengths
-# change on every step, build each m's index once.  Each list is kept in the
-# smallest integer type that holds it (uint8, and int8 or int16 for the
-# gaps, at the default block), so that the indexes of every degree stay
-# smaller than the arrays of one run
-_near_index: dict[int, tuple] = {}
-
-
 # a march's runs shrink as it goes, so consecutive runs mostly share one
-# shape: the last shape's slices and mask are kept too
+# shape; keeping only the last index serves them without holding a first
+# run's large one, or each of the dozens of shapes an adaptive pass meets
 @functools.lru_cache(maxsize=1)
 def _near_pairs(R: int, m: int):
     """Where a run of R elements of m Gauss nodes each pairs a node with an earlier run element.
 
     The pairs (row, k) of a Gauss node and a run element k before the node's
-    element, row-major: element j's pairs are the j m entries after the first
-    j (j - 1) / 2 m.  Returns, read-only: the rows, the ks, each row's node
-    within its element, each pair's gap in elements, negated (its column of a
-    gap table, from the end), and the mask of the pairs' m-wide blocks in the
-    (R m)^2 near matrix of :meth:`HistoryRun.solve_linear`.  A longer run's
-    lists start with these, so the first four are slices of the kept index.
+    element, row-major: element j's pairs are the j m^2 entries after the
+    first j (j - 1) / 2 m^2.  Returns, read-only: the rows, the ks, each
+    row's node within its element, each pair's gap in elements, and the mask
+    of the pairs' m-wide blocks in the (R m)^2 near matrix of
+    :meth:`HistoryRun.solve_linear`.
     """
-    pairs = m * R * (R - 1) // 2
-    index = _near_index.get(m)
-    if index is None or index[0].size < pairs:
-        # a run's element j has at least j m earlier points in the run, so
-        # m^2 R (R - 1) / 2 <= _HISTORY_BLOCK, and R - 1 < sqrt(2 _HISTORY_BLOCK) / m
-        longest = max(R, math.isqrt(2 * _HISTORY_BLOCK) // m + 1)
-        owner = np.arange(longest * m) // m
-        rows, ks = np.nonzero(np.arange(longest) < owner[:, None])
-        small = np.min_scalar_type(longest * m)
-        index = _near_index[m] = (rows.astype(small), ks.astype(small), (rows % m).astype(small),
-                                  (ks - owner[rows]).astype(np.min_scalar_type(-longest)))
-    # a boolean scatter is several times faster than one by (row, k)
-    mask = np.repeat(np.arange(R) < np.arange(R * m)[:, None] // m, m, axis=1)
-    out = *(a[:pairs] for a in index), mask
-    for a in out:
+    owner = np.arange(R * m) // m
+    lower = np.arange(R) < owner[:, None]
+    rows, ks = np.nonzero(lower)
+    index = rows, ks, rows % m, owner[rows] - ks, np.repeat(lower, m, axis=1)
+    for a in index:
         a.flags.writeable = False
-    return out
+    return index
 
 
 class HistoryRun:
@@ -474,13 +453,12 @@ class HistoryRun:
                 w *= psi
                 self.far += np.sum(w, axis=(2, 3)).ravel()
 
-        rows, ks, node, back, self._mask = _near_pairs(R, m)
+        rows, ks, node, gap, self._mask = _near_pairs(R, m)
         self.near = np.empty((0, m))
         if rows.size:
             t = self.t[rows]
-            # the pairs' small integer type would wrap in a sum, so ks index slices
-            w = (history_weights_batch(bp[n0 - 1 :][ks], bp[n0:][ks], d, t, alpha) if table is None
-                 else table[node, :, back])
+            w = (history_weights_batch(bp[n0 - 1 + ks], bp[n0 + ks], d, t, alpha) if table is None
+                 else table[node, :, N - 1 - gap])
             w *= problem.kappa(t[:, None], self.s.reshape(-1, m)[ks])
             self.near = w
 

@@ -73,21 +73,14 @@ class Mesh:
         L = int(offsets[-1])
         # the degrees come from a Python set: np.unique's first call imports
         # numpy.ma, over a MB of memory no solve needs
-        degrees = sorted(set(deg.tolist()))
-        if len(degrees) == 1:  # one degree, as on every adaptive mesh: one group in mesh order
-            d = degrees[0]
-            groups = [(d, np.arange(m.size), np.arange(L).reshape(m.size, d + 1))]
-            points = _shift_rows(_lobatto_nodes(d), bp[:-1], bp[1:]).ravel()
-        else:
-            groups, points = [], np.empty(L)
-            for d in degrees:
-                idx = np.flatnonzero(deg == d)
-                cols = offsets[idx, None] + np.arange(d + 1)
-                # a degree group's Lobatto nodes, placed on all its elements at once
-                points[cols] = _shift_rows(_lobatto_nodes(d), bp[idx], bp[idx + 1])
-                groups.append((d, idx, cols))
-        for _, idx, cols in groups:
+        groups, points = [], np.empty(L)
+        for d in sorted(set(deg.tolist())):
+            idx = np.flatnonzero(deg == d)
+            cols = offsets[idx, None] + np.arange(d + 1)
+            # a degree group's Lobatto nodes, placed on all its elements at once
+            points[cols] = _shift_rows(_lobatto_nodes(d), bp[idx], bp[idx + 1])
             idx.flags.writeable = cols.flags.writeable = False
+            groups.append((d, idx, cols))
         points[offsets[1:-1]] = np.nextafter(bp[1:-1], bp[2:])
         points[offsets[1:] - 1] = np.nextafter(bp[1:], bp[:-1])
         for name, arr in (("breakpoints", bp), ("degrees", deg), ("widths", widths),

@@ -97,18 +97,15 @@ def _ex1_rhs(alpha: float):
     return f
 
 
-# (a + b sigma - sigma^2)^5 is the sum over k0 + k1 + k2 = 5 of
-# 5! / (k0! k1! k2!) a^k0 b^k1 (-1)^k2 sigma^(k1 + 2 k2): each term's powers
-# of a and b, and its coefficient in the row of its power of sigma.  Only
-# flat lists become arrays here: numpy's first array from a nested list
-# raised the peak memory of every process importing this module by 0.1 MB
-_EX5_TERMS = [(5 - k1 - k2, k1, k2) for k1 in range(6) for k2 in range(6 - k1)]
-_EX5_A = np.array([k0 for k0, _, _ in _EX5_TERMS])
-_EX5_B = np.array([k1 for _, k1, _ in _EX5_TERMS])
-_EX5_SIGMA = np.zeros((11, len(_EX5_TERMS)))
-_EX5_SIGMA[np.array([k1 + 2 * k2 for _, k1, k2 in _EX5_TERMS]), np.arange(len(_EX5_TERMS))] = [
-    120.0 / math.prod(map(math.factorial, k)) * (-1) ** k[2] for k in _EX5_TERMS
-]
+def _times(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Coefficients of p times q, lowest power first, for each column of p and q.
+
+    One array operation for each coefficient of q, so q is the shorter factor.
+    """
+    out = np.zeros((len(p) + len(q) - 1, *p.shape[1:]))
+    for i, qi in enumerate(q):
+        out[i : i + len(p)] += qi * p
+    return out
 
 
 def _ex5_rhs(t):
@@ -134,19 +131,18 @@ def _ex5_rhs(t):
     late = t > 0.5
     if late.any():
         tl, x = t[late], x0[late]
+        # (2 - (t - sigma)^2)^5 by powers of sigma, as q^4 q from q^2 q^2
+        q = np.stack([2.0 - tl * tl, 2.0 * tl, np.full_like(tl, -1.0)])
+        q2 = _times(q, q)
+        u5 = _times(_times(q2, q2), q)
+        # sigma^-1 sin(sigma) = sum_n s_n sigma^n, so with each sigma^(i+n)
+        # integrated to x^(i+n+alpha+1) / (i+n+alpha+1) the integral is
+        # x^(alpha+1) sum_i u5_i x^i S_i, S_i = sum_n s_n x^n / (i+n+alpha+1)
         j = np.arange(_series_length(float(x.max())))
-        sine = np.where(j % 2 == 1, (-1.0) ** (j // 2) / np.cumprod(np.maximum(j, 1)), 0.0)
-        # u5[i]: the coefficient of sigma^i in (2 - (t - sigma)^2)^5, a = 2 - t^2, b = 2t
-        a, b = _powers(2.0 - tl * tl, 6), _powers(2.0 * tl, 6)
-        u5 = _EX5_SIGMA @ (a[_EX5_A] * b[_EX5_B])
-        # times sigma^-1 sin(sigma), whose series row i of this Toeplitz view
-        # holds from column i on, and each sigma^n integrated to
-        # x^(n + alpha + 1) / (n + alpha + 1)
-        n = np.arange(j.size + 9)
-        padded = np.concatenate([np.zeros(10), sine[1:], np.zeros(10)])
-        shifts = np.lib.stride_tricks.sliding_window_view(padded, n.size)[::-1]
-        d = (shifts / (n + alpha + 1.0)).T @ u5
-        out[late] += x * x**alpha * np.vecdot(d, _powers(x, n.size), axis=0)
+        sine = np.where(j % 2 == 1, (-1.0) ** (j // 2) / np.cumprod(np.maximum(j, 1)), 0.0)[1:]
+        powers = _powers(x, max(len(u5), sine.size))
+        S = (sine / (np.arange(len(u5))[:, None] + j[:-1] + alpha + 1.0)) @ powers[: sine.size]
+        out[late] += x * x**alpha * np.sum(u5 * powers[: len(u5)] * S, axis=0)
     return out.reshape(shape)
 
 

@@ -142,8 +142,7 @@ class PiecewiseSolution:
 def _residual_norm(residual_fn, u):
     """The residual at u, its max-norm and the merit r @ r; a NaN or inf entry makes both inf."""
     r = np.asarray(residual_fn(u), dtype=float)
-    # the ufunc's own reduce: ndarray.max adds a Python layer on every iterate
-    norm = float(np.maximum.reduce(np.abs(r), initial=0.0))
+    norm = float(np.abs(r).max(initial=0.0))
     return (r, norm, float(r @ r)) if norm < math.inf else (r, math.inf, math.inf)
 
 
