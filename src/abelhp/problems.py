@@ -7,6 +7,7 @@ form, ex1's and ex5's as series accurate to about 1e-15 relative.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -108,6 +109,30 @@ def _times(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
+_EX5_ALPHA, _EX5_Z = 0.8, 5.0 + 1.0j
+
+
+@functools.lru_cache(maxsize=None)
+def _ex5_phi_row(count: int) -> np.ndarray:
+    """Im(z^k / k!) / (k + alpha), k = 0..count - 1: ex5's Phi series, read-only."""
+    k = np.arange(count)
+    z_pow = np.cumprod(np.concatenate(([1.0], _EX5_Z / k[1:])))  # z^k / k!
+    row = z_pow.imag / (k + _EX5_ALPHA)
+    row.flags.writeable = False
+    return row
+
+
+@functools.lru_cache(maxsize=None)
+def _ex5_sine_table(rows: int, count: int) -> np.ndarray:
+    """s_n / (i + n + alpha + 1), i < rows by row, n = 0..count - 2 by column, read-only,
+    with sin(sigma) / sigma = sum_n s_n sigma^n kept to ``count - 1`` terms."""
+    j = np.arange(count)
+    sine = np.where(j % 2 == 1, (-1.0) ** (j // 2) / np.cumprod(np.maximum(j, 1)), 0.0)[1:]
+    table = sine / (np.arange(rows)[:, None] + j[:-1] + _EX5_ALPHA + 1.0)
+    table.flags.writeable = False
+    return table
+
+
 def _ex5_rhs(t):
     """ex5's f: int_0^t (t-s)^(alpha-1) sin(t-s) u(s)^5 ds with alpha = 0.8, 0 for t <= 0.
 
@@ -117,16 +142,16 @@ def _ex5_rhs(t):
     (2 - (t - sigma)^2)^5 is a polynomial in sigma; times the series of
     sin(sigma) / sigma it integrates term by term over [0, t - 1/2].  Each
     series is summed against a table of powers, so a call takes the same
-    few array operations however many terms it keeps.
+    few array operations however many terms it keeps; the t-independent
+    rows are cached by series length.
     """
-    alpha, z = 0.8, 5.0 + 1.0j
+    alpha = _EX5_ALPHA
     t = np.maximum(np.asarray(t, dtype=float), 0.0)
     shape, t = t.shape, t.ravel()
-    k = np.arange(_series_length(abs(z) * float(t.max(initial=0.0))))
-    z_pow = np.cumprod(np.concatenate(([1.0], z / k[1:])))  # z^k / k!
+    phi_row = _ex5_phi_row(_series_length(abs(_EX5_Z) * float(t.max(initial=0.0))))
     x0 = np.maximum(t - 0.5, 0.0)
     ends = np.concatenate([t, x0])
-    im_phi = ends**alpha * ((z_pow.imag / (k + alpha)) @ _powers(ends, k.size))
+    im_phi = ends**alpha * (phi_row @ _powers(ends, phi_row.size))
     out = np.exp(-5.0 * t) * (im_phi[: t.size] - im_phi[t.size :])
     late = t > 0.5
     if late.any():
@@ -138,10 +163,9 @@ def _ex5_rhs(t):
         # sigma^-1 sin(sigma) = sum_n s_n sigma^n, so with each sigma^(i+n)
         # integrated to x^(i+n+alpha+1) / (i+n+alpha+1) the integral is
         # x^(alpha+1) sum_i u5_i x^i S_i, S_i = sum_n s_n x^n / (i+n+alpha+1)
-        j = np.arange(_series_length(float(x.max())))
-        sine = np.where(j % 2 == 1, (-1.0) ** (j // 2) / np.cumprod(np.maximum(j, 1)), 0.0)[1:]
-        powers = _powers(x, max(len(u5), sine.size))
-        S = (sine / (np.arange(len(u5))[:, None] + j[:-1] + alpha + 1.0)) @ powers[: sine.size]
+        table = _ex5_sine_table(len(u5), _series_length(float(x.max())))
+        powers = _powers(x, max(len(u5), table.shape[1]))
+        S = table @ powers[: table.shape[1]]
         out[late] += x * x**alpha * np.sum(u5 * powers[: len(u5)] * S, axis=0)
     return out.reshape(shape)
 
@@ -253,7 +277,7 @@ def make_benchmark(problem_id: str, alpha: float | None = None) -> BenchmarkProb
             return np.where(t <= 0.5, np.exp(-t), 2.0 - t**2)
 
         spec = ProblemSpec(
-            alpha=0.8,
+            alpha=_EX5_ALPHA,
             T=1.0,
             kappa=lambda t, s: np.sin(t - s),
             psi=lambda t, s, u: u**5,

@@ -58,6 +58,48 @@ def test_newton_singular_jacobian():
     assert err.value.iteration == 0
 
 
+def test_lapack_gufuncs_match_numpy_linalg_bit_for_bit():
+    # newton and the stretches' inverses call the gufuncs np.linalg.solve and
+    # np.linalg.inv wrap; on every size an element system takes they give the
+    # wrapper's bits, for a transposed (non-contiguous) J and an int-valued J too
+    rng = np.random.default_rng(34)
+    for size in range(1, 26):
+        J = rng.standard_normal((size, size)) + size * np.eye(size)
+        b = rng.standard_normal(size)
+        stack = rng.standard_normal((3, size, size))
+        ints = rng.integers(-9, 10, (size, size)) + 20 * np.eye(size, dtype=int)
+        for a in (J, J.T, ints):
+            assert abelhp.solver._lu_solve(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
+        assert (size == 1 or not J.T.flags.c_contiguous) and ints.dtype.kind == "i"
+        for a in (stack, stack.transpose(0, 2, 1), J.T, ints):
+            assert abelhp.solver._lu_inv(a).tobytes() == np.linalg.inv(a).tobytes()
+
+
+def test_newton_singular_jacobian_names_its_iteration():
+    # r = u - 1 with J = 4 I takes two accepted steps (r shrinks by 3/4 each);
+    # the third Jacobian is singular, so LAPACK's step is NaN
+    jacobians = [4.0 * np.eye(2), 4.0 * np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]])]
+    calls = []
+
+    def jac(u):
+        calls.append(len(calls))
+        return jacobians[len(calls) - 1]
+
+    with pytest.raises(SingularJacobianError) as err:
+        newton(lambda u: u - 1.0, jac, np.zeros(2), SolverOptions(), n=7)
+    assert (err.value.n, err.value.iteration, len(calls)) == (7, 2, 3)
+
+    # a J holding inf is singular too, though LAPACK's step from it can be
+    # finite: 0 for both of these
+    for J in (np.array([[np.inf, 0.0], [0.0, 1.0]]), np.array([[np.inf]])):
+        init = np.zeros(len(J))
+        with np.errstate(all="ignore"):
+            assert np.isfinite(abelhp.solver._lu_solve(J, init - 1.0)).all()
+        with pytest.raises(SingularJacobianError) as err:
+            newton(lambda u: u - 1.0, lambda u, J=J: J, init, SolverOptions())
+        assert err.value.iteration == 0
+
+
 def test_newton_divergence_reports_norm():
     res = lambda u: np.arctan(u) - 2.0  # no root
     jac = lambda u: np.atleast_2d(1.0 / (1.0 + u**2))
@@ -669,35 +711,41 @@ def test_failed_newton_propagates_from_its_first_try(monkeypatch):
 
 
 def test_linear_solve_names_the_first_singular_element(monkeypatch):
-    # kappa vanishes for t > 0.5, so the second half of a uniform mesh has
-    # zero system matrices; a stretch's systems are inverted in one batched
-    # call, which must still name the first of them wherever it sits in its
-    # run and stretch: of eight degree-1 elements, element 5 opens its run
-    # but is second in its stretch
-    problem = ProblemSpec(
-        alpha=0.5,
-        T=1.0,
-        kappa=lambda t, s: np.where(t + 0.0 * s > 0.5, 0.0, 1.0),
-        psi=lambda t, s, u: u,
-        dpsi_du=lambda t, s, u: np.ones_like(np.asarray(u, dtype=float)),
-        f=lambda t: np.asarray(t, dtype=float),
-        linear=True,
-    )
+    # kappa vanishes for 0.5 < t < upper, so those elements of a uniform mesh
+    # have zero system matrices: the second half of the mesh, or a band in
+    # its middle with regular elements after it.  A stretch's systems are
+    # inverted in one batched call, which must still name the first of them
+    # wherever it sits in its run and stretch: of eight degree-1 elements,
+    # element 5 opens its run but is second in its stretch
+    problems = [
+        ProblemSpec(
+            alpha=0.5,
+            T=1.0,
+            kappa=lambda t, s, upper=upper: np.where((t + 0.0 * s > 0.5) & (t < upper), 0.0, 1.0),
+            psi=lambda t, s, u: u,
+            dpsi_du=lambda t, s, u: np.ones_like(np.asarray(u, dtype=float)),
+            f=lambda t: np.asarray(t, dtype=float),
+            linear=True,
+        )
+        for upper in (np.inf, 0.75)
+    ]
     default = abelhp.discretization._HISTORY_BLOCK
     cases = [
         (uniform_mesh(4, 1.0, 2), 3, default, (1, 4), (1, 4)),
         (uniform_mesh(4, 1.0, 2), 3, 30, (1, 3), (1, 3)),
         (uniform_mesh(4, 1.0, 2), 3, 20, (3, 3), (3, 3)),
         (uniform_mesh(8, 1.0, 1), 5, 16, (5, 5), (4, 5)),
+        (uniform_mesh(8, 1.0, 1), 5, default, (1, 8), (1, 8)),
     ]
     for mesh, first, block, run, stretch in cases:
         monkeypatch.setattr(abelhp.discretization, "_HISTORY_BLOCK", block)
         assert [(n0, n1) for n0, n1 in history_runs(mesh) if n0 <= first <= n1] == [run]
         stretches = [(s[0][0], s[-1][1]) for s in operator_stretches(mesh)]
         assert [(n0, n1) for n0, n1 in stretches if n0 <= first <= n1] == [stretch]
-        with pytest.warns(ProblemAssumptionWarning), pytest.raises(SingularJacobianError) as err:
-            solve(problem, mesh)
-        assert (err.value.n, err.value.iteration) == (first, 0)
+        for problem in problems:
+            with pytest.warns(ProblemAssumptionWarning), pytest.raises(SingularJacobianError) as err:
+                solve(problem, mesh)
+            assert (err.value.n, err.value.iteration) == (first, 0)
 
 
 @pytest.mark.parametrize("pid", ["ex2", "ex3"])

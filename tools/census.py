@@ -2,15 +2,21 @@
 
 Run from a checkout's root::
 
-    python3 tools/census.py
+    python3 tools/census.py [CHECKOUT]
 
-It imports ``src`` and ``perfbench/workloads.py`` of the checkout it sits
-in, writes nothing there, and solves every distinct case of the three
-workloads for seeds 1-10, as the benchmark's worker does.  Each case adds to
-the hash its coefficients (raw bytes), E1 and E2 (``float.hex``), every
-adaptive step's degrees and estimate, and a failure's class and message.
-Two checkouts whose last lines agree produce the same outputs bit for bit;
-the per-case lines above it show which case differs when they do not.
+It imports ``src`` and ``perfbench/workloads.py`` of ``CHECKOUT`` (by
+default the checkout it sits in), writes nothing there, and solves every
+distinct case of the three workloads for seeds 1-10, as the benchmark's
+worker does, and then the coarse ex5 meshes ``mesh_for(ex5, N, M)`` for
+N in {2, 4, 6} and M in {2, 3, 4}, which the benchmark's grid leaves out and
+on which ex5 can return a wrong answer without raising (label
+``coarse_ex5``).  Each case adds to the hash its coefficients (raw bytes),
+E1 and E2 (``float.hex``), every adaptive step's degrees and estimate, and a
+failure's class and message.  Two checkouts whose last lines agree, run by
+the same census file, produce the same outputs bit for bit; the per-case
+lines above it show which case differs when they do not.  A census file
+that lists other cases gives another hash, so compare two checkouts by
+running one file on both (pass the other checkout as ``CHECKOUT``).
 
 Each per-case line also prints what a change that moves last bits is judged
 by: the outcome (``ok``, or the failure's class and the element it names),
@@ -21,14 +27,16 @@ digits (an adaptive failure's last estimate, ``-`` where there is none).
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import sys
 import warnings
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
 #: the benchmark's seeds; a seed only picks ex1's alpha, and 1-4 all pick 0.3
 SEEDS = range(1, 11)
+#: (N, M) of the coarse ex5 meshes solved after the workloads' cases
+COARSE_EX5 = [(N, M) for N in (2, 4, 6) for M in (2, 3, 4)]
 
 
 def _steps(trace) -> list[str]:
@@ -72,18 +80,21 @@ def case_record(case) -> tuple[list[str], str]:
 
 def main() -> None:
     sys.dont_write_bytecode = True  # leave the checkout as it is
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent.parent).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import abelhp
-    from workloads import WORKLOADS
+    from workloads import WORKLOADS, FixedCase
 
-    if Path(abelhp.__file__).resolve().parent != ROOT / "src" / "abelhp":
-        raise SystemExit(f"abelhp imported from {abelhp.__file__}, not from {ROOT / 'src'}")
+    if Path(abelhp.__file__).resolve().parent != root / "src" / "abelhp":
+        raise SystemExit(f"abelhp imported from {abelhp.__file__}, not from {root / 'src'}")
     warnings.simplefilter("ignore")
     cases = {}  # distinct cases in first-seen order; the seeds only pick ex1's alpha
     for name, make in WORKLOADS.items():
         for seed in SEEDS:
             for case in make(random.Random(seed)):
                 cases.setdefault(case, name)
+    for N, M in COARSE_EX5:  # no target: the census judges no case
+        cases.setdefault(FixedCase("ex5", N, M, math.inf), "coarse_ex5")
     total = hashlib.sha256()
     for case, name in cases.items():
         record, summary = case_record(case)
