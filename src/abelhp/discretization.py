@@ -349,10 +349,6 @@ def _gap_table(mesh: Mesh, alpha: float) -> np.ndarray | None:
     return table
 
 
-# a march's runs shrink as it goes, so consecutive runs mostly share one
-# shape; keeping only the last index serves them without holding a first
-# run's large one, or each of the dozens of shapes an adaptive pass meets
-@functools.lru_cache(maxsize=1)
 def _near_pairs(R: int, m: int):
     """Where a run of R elements of m Gauss nodes each pairs a node with an earlier run element.
 
@@ -361,7 +357,9 @@ def _near_pairs(R: int, m: int):
     first j (j - 1) / 2 m^2.  Returns, read-only: the rows, the ks, each
     row's node within its element, each pair's gap in elements, and the mask
     of the pairs' m-wide blocks in the (R m)^2 near matrix of
-    :meth:`HistoryRun.solve_linear`.
+    :meth:`HistoryRun.near_matrix`.  Built for a solve's longest run of a
+    degree, it serves every shorter run of that degree through
+    :func:`_near_prefix`.
     """
     owner = np.arange(R * m) // m
     lower = np.arange(R) < owner[:, None]
@@ -370,6 +368,13 @@ def _near_pairs(R: int, m: int):
     for a in index:
         a.flags.writeable = False
     return index
+
+
+def _near_prefix(index, R: int, m: int):
+    """``_near_pairs(R, m)`` as views of an index built for R or more elements of m nodes."""
+    rows, ks, node, gap, mask = index
+    count = R * (R - 1) // 2 * m
+    return rows[:count], ks[:count], node[:count], gap[:count], mask[: R * m, : R * m]
 
 
 class HistoryRun:
@@ -394,15 +399,22 @@ class HistoryRun:
     contract weights times kernel with it as one matrix-vector product; they
     multiply and sum otherwise.
 
+    Which pairs those are comes from ``pairs``, a :func:`_near_pairs` index
+    built for at least the run's R elements of its degree, of which the run
+    reads a prefix; :func:`~abelhp.solver.solve` builds one per degree per
+    solve, sized for that degree's longest run.  Without it the run builds
+    its own.
+
     ``at_nodes(n, lobatto_u)`` adds element n's near sum to its far part; it
-    needs only the values of run elements n0..n-1.  ``solve_linear`` solves
-    the whole run at once where psi = u, by forward substitution.
+    needs only the values of run elements n0..n-1.  Where psi = u,
+    :func:`~abelhp.solver.solve` solves the whole run at once from
+    ``near_matrix()``, by a forward substitution in blocks of elements.
 
     ``ops`` is the :class:`OperatorRun` of a stretch that holds n0..n1: the run
     takes its problem, mesh, degree and placed Gauss nodes from it.
     """
 
-    def __init__(self, ops: OperatorRun, n0: int, n1: int, prior_u, table=None):
+    def __init__(self, ops: OperatorRun, n0: int, n1: int, prior_u, table=None, pairs=None):
         last = ops.n0 + len(ops.t_nodes) - 1
         if not ops.n0 <= n0 <= n1 <= last:
             raise IndexError(f"elements {n0}..{n1} outside the operators of {ops.n0}..{last}")
@@ -417,9 +429,8 @@ class HistoryRun:
                 f"elements 1..{n0 - 1}, got shape {prior_u.shape}"
             )
         self.problem, self.n0, self.lo, self.m = problem, n0, lo, m
-        self._stack_rows = slice(n0 - ops.n0, n1 - ops.n0 + 1)  # the run's rows of the stacks
         # Gauss nodes and history sample points of the run, flat like mesh.offsets
-        nodes = ops.t_nodes[self._stack_rows]
+        nodes = ops.t_nodes[n0 - ops.n0 : n1 - ops.n0 + 1]
         self.t = nodes.ravel()
         # element 1 alone has no history, so it needs no sample points
         self.s = mesh.history_points[lo : offsets[n1]] if n1 > 1 else np.empty(0)
@@ -453,7 +464,8 @@ class HistoryRun:
                 w *= psi
                 self.far += np.sum(w, axis=(2, 3)).ravel()
 
-        rows, ks, node, gap, self._mask = _near_pairs(R, m)
+        index = _near_pairs(R, m) if pairs is None else pairs
+        rows, ks, node, gap, self._mask = _near_prefix(index, R, m)
         self.near = np.empty((0, m))
         if rows.size:
             t = self.t[rows]
@@ -478,29 +490,10 @@ class HistoryRun:
         psi = self.problem.psi(self.t[j * m : (j + 1) * m, None], self.s[: j * m], u)
         return far + (near @ psi if np.shape(psi) == u.shape else (near * psi).sum(axis=1))
 
-    def solve_linear(self, solvers, lob_maps, f_nodes):
-        """The run's coefficients and Lobatto values where psi = u, by forward substitution.
-
-        The arguments stack the elements of the run's :class:`OperatorRun`, of
-        which the run reads its rows: ``solvers`` map an element's f - history
-        at its Gauss nodes to its coefficients, ``lob_maps`` to its Lobatto
-        values, and ``f_nodes`` holds f there.  ``near`` is scattered once into
-        the run's dense, strictly block-lower (R (d+1))^2 matrix A, so element
-        j's history is ``far_j + A_j lob`` and its values are
-        ``lob_maps[j] (f_j - far_j - A_j lob)``, where A_j reads only the
-        elements before j: one small product per element against the values
-        already found completes them, and one batched product gives all the
-        coefficients, ``solvers[j] (f_j - far_j - A_j lob)``.
-        """
-        rows = self._stack_rows
-        solvers, lob_maps, f_nodes = solvers[rows], lob_maps[rows], f_nodes[rows]
-        R, m = f_nodes.shape
-        A = np.zeros((R * m, R * m))
+    def near_matrix(self) -> np.ndarray:
+        """``near`` scattered into the run's dense, strictly block-lower (R (d+1))^2
+        matrix A, so that element j's history is ``far_j + A_j lob`` where psi = u,
+        lob holding the run's Lobatto values."""
+        A = np.zeros(self._mask.shape)
         A[self._mask] = self.near.ravel()  # the mask's row-major order is the pairs'
-        rhs = f_nodes.ravel() - self.far
-        lob = np.matvec(lob_maps, rhs.reshape(R, m)).ravel()
-        lob_near = lob_maps @ A.reshape(R, m, R * m)
-        for j, row in enumerate(lob_near[1:], start=1):
-            lob[j * m : (j + 1) * m] -= row[:, : j * m] @ lob[: j * m]
-        coeffs = np.matvec(solvers, (rhs - A @ lob).reshape(R, m))
-        return coeffs.ravel(), lob
+        return A

@@ -321,8 +321,9 @@ def _check_constant_sum(weights, lefts, rights, t, alpha: float):
     # degree + 1 long costs over ten times more on thousands of rows
     ones = np.ones(weights.shape[-1])
     err = np.abs(weights @ ones - expected)
-    bad = err > 1e-10 * expected + 1e-16 * (np.abs(weights) @ ones)
-    if np.any(bad):
+    # not (err <= bound): a NaN row, or an inf row with an inf bound, fails too
+    bad = ~(err <= 1e-10 * expected + 1e-16 * (np.abs(weights) @ ones))
+    if bad.any():
         k = np.unravel_index(np.argmax(err / expected), err.shape)
         left, right, at = (np.broadcast_to(v, err.shape)[k] for v in (lefts, rights, t))
         raise HistoryAccuracyError(

@@ -6,9 +6,9 @@ the shifted Lobatto points into one contiguous array, from which later
 elements assemble their history term without re-expanding earlier solutions.
 f is sampled once per stretch of elements that share their operators.  A
 linear problem solves each run of elements at once, by forward substitution
-in those values.  On a nonlinear one, each element is one damped Newton from
-a warm start, whose error propagates; it evaluates all the halvings of a
-rejected step in one residual call.  The warm start is the implicitly linear
+in those values, a block of elements at a time.  On a nonlinear one, each
+element is one damped Newton from a warm start, whose error propagates; it
+evaluates all the halvings of a rejected step in one residual call.  The warm start is the implicitly linear
 solution where psi has a declared inverse, else the previous element's
 coefficients.
 
@@ -40,6 +40,7 @@ from .discretization import (
     ProblemAssumptionWarning,
     ProblemSpec,
     _gap_table,
+    _near_pairs,
     operator_stretches,
 )
 from .mesh import Mesh, locate
@@ -321,6 +322,38 @@ def _linear_solvers(ops: OperatorRun) -> np.ndarray:
     return (_system_inverses(ops) * ref.proj_scale) @ (ref.P * ref.gl.weights)
 
 
+# a linear run's forward substitution takes whole elements of about this
+# many unknowns at a time: max(1, 32 // (degree + 1)) elements
+_SUBSTITUTION_BLOCK = 32
+
+
+def _solve_linear_run(run: HistoryRun, solvers, lob_maps, f_nodes):
+    """The coefficients and Lobatto values of a linear run, by forward substitution.
+
+    ``solvers`` map each run element's f - history at its Gauss nodes to its
+    coefficients, ``lob_maps`` to its Lobatto values, and ``f_nodes`` holds f
+    there, one row per element.  With A the run's ``near_matrix()`` and H the
+    stack of ``lob_maps``, the Lobatto values lob solve (I + H A) lob =
+    H (f - far), a unit lower-triangular system.  It is solved a block of
+    whole elements at a time: one product with the values already found, then
+    one LAPACK solve of the block's diagonal block.  One batched product then
+    gives all the coefficients, ``solvers (f - far - A lob)``.
+    """
+    R, m = f_nodes.shape
+    A, rhs = run.near_matrix(), f_nodes.ravel() - run.far
+    lob = np.matvec(lob_maps, rhs.reshape(R, m)).ravel()
+    L = (lob_maps @ A.reshape(R, m, R * m)).reshape(R * m, R * m)
+    L.ravel()[:: R * m + 1] = 1.0  # A's diagonal blocks are zero
+    step = max(1, _SUBSTITUTION_BLOCK // m) * m
+    for s in range(0, R * m, step):
+        block = slice(s, s + step)
+        if s:
+            lob[block] -= L[block, :s] @ lob[:s]
+        lob[block] = _lu_solve(L[block, block], lob[block])
+    coeffs = np.matvec(solvers, (rhs - A @ lob).reshape(R, m))
+    return coeffs.ravel(), lob
+
+
 def _f_at_nodes(problem: ProblemSpec, ops: OperatorRun) -> np.ndarray:
     """f at the Gauss nodes of the elements of ``ops``, one row each, from one f call.
 
@@ -345,10 +378,12 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
     once, on all its Gauss nodes, so a march that fails on an element has
     sampled f on the rest of its stretch too.  A linear stretch inverts all
     its system matrices in one batched call; each of its runs is then solved
-    at once (``HistoryRun.solve_linear``), a forward substitution with one
-    small product per element.  Nonlinear elements project their row of f,
-    add their near history to the run's far part (``HistoryRun.at_nodes``)
-    and run damped Newton from a warm start.  Where the problem declares
+    at once (:func:`_solve_linear_run`), a forward substitution in blocks of
+    elements.  One near-pair index per degree, sized for that degree's
+    longest run, serves every run of the solve, and goes when it returns.
+    Nonlinear elements project their row of f, add their near history to the
+    run's far part (``HistoryRun.at_nodes``) and run damped Newton from a
+    warm start.  Where the problem declares
     ``psi_inv``, the warm start is the implicitly linear solution: the
     element equation is solved for z = psi(u) as if psi were u, with the
     stretch's system inverses from one batched call, and u = psi_inv(z) at
@@ -368,7 +403,14 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
     lobatto_u = np.empty(mesh.L)
     # a uniform mesh's weights by gap serve every run; they go when solve returns
     table = _gap_table(mesh, problem.alpha)
-    for stretch in operator_stretches(mesh):
+    # one near-pair index per degree, sized for its longest run; every run
+    # reads a prefix of it, and it goes when solve returns
+    stretches, longest = operator_stretches(mesh), {}
+    for n0, n1 in (run for stretch in stretches for run in stretch):
+        d = int(mesh.degrees[n0 - 1])
+        longest[d] = max(longest.get(d, 0), n1 - n0 + 1)
+    pairs = {d: _near_pairs(R, d + 1) for d, R in longest.items()}
+    for stretch in stretches:
         ops = OperatorRun(problem, mesh, stretch[0][0], stretch[-1][1])
         dim, f_nodes = ops.degree + 1, _f_at_nodes(problem, ops)
         if problem.linear:
@@ -377,10 +419,11 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
         elif problem.psi_inv is not None:
             inverses = _system_inverses(ops)
         for n0, n1 in stretch:
-            run = HistoryRun(ops, n0, n1, lobatto_u[: offsets[n0 - 1]], table)
+            run = HistoryRun(ops, n0, n1, lobatto_u[: offsets[n0 - 1]], table, pairs[ops.degree])
             if problem.linear:
-                lo, hi = offsets[n0 - 1], offsets[n1]
-                coeffs[lo:hi], lobatto_u[lo:hi] = run.solve_linear(solvers, lob_maps, f_nodes)
+                lo, hi, rows = offsets[n0 - 1], offsets[n1], slice(n0 - ops.n0, n1 - ops.n0 + 1)
+                coeffs[lo:hi], lobatto_u[lo:hi] = _solve_linear_run(
+                    run, solvers[rows], lob_maps[rows], f_nodes[rows])
                 continue
             for n in range(n0, n1 + 1):
                 lo, hi = offsets[n - 1], offsets[n]

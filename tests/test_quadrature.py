@@ -352,6 +352,13 @@ def test_history_weights_reject_bad_sum():
         with pytest.raises(HistoryAccuracyError) as err:
             _check_constant_sum(w, lefts, rights, t, 0.5)
         assert f"element [{lefts[k]}, {rights[k]}] at t={ts[i]}:" in str(err.value)
+        # a row that is not finite fails too: "err > bound" let a NaN pass
+        w[i, k] = np.nan
+        with pytest.raises(HistoryAccuracyError, match=f"at t={ts[i]}: error nan"):
+            _check_constant_sum(w, lefts, rights, t, 0.5)
+    # an infinite t gives a NaN row, whose error and bound are not finite
+    with np.errstate(all="ignore"), pytest.raises(HistoryAccuracyError, match="at t=inf"):
+        history_weights_batch([0.0], [0.5], 3, [np.inf], 0.5)
 
 
 def test_zeroth_moment_far_from_element_matches_mpmath():

@@ -766,10 +766,14 @@ def test_non_finite_f_is_a_solver_error_naming_the_stretch(pid):
 
 def test_linear_runs_match_the_per_element_march(monkeypatch):
     # each linear run is solved by one forward substitution over its near
-    # matrix; the per-element march it replaced must agree: on a gap-table
-    # mesh of several runs, graded mixed-degree meshes, a one-element mesh,
-    # a mesh whose runs are one element each, and ex4
+    # matrix, in blocks of elements; the per-element march it replaced must
+    # agree: on a gap-table mesh of several runs, graded mixed-degree meshes,
+    # a one-element mesh, a mesh whose runs are one element each, and ex4,
+    # once on a run of several blocks whose last block is ragged
     ex2, ex4 = bench.make_benchmark("ex2"), bench.make_benchmark("ex4")
+    ragged = bench.mesh_for(ex4, 37, 4)
+    block = abelhp.solver._SUBSTITUTION_BLOCK // 4  # elements of degree 3
+    assert history_runs(ragged) == [(1, 37)] and 37 // block > 1 and 37 % block
     degrees = np.repeat(np.arange(1, 9), 3)
     graded = Mesh(np.concatenate([[0.0], 0.6 ** np.arange(degrees.size - 1, -1, -1)]), degrees)
     several = bench.mesh_for(ex2, 300, 2)
@@ -783,6 +787,7 @@ def test_linear_runs_match_the_per_element_march(monkeypatch):
         (ex2, uniform_mesh(1, 1.0, 3), default),
         (ex4, uniform_mesh(12, 1.0, 3), 1),
         (ex4, bench.mesh_for(ex4, 200, 3), default),
+        (ex4, ragged, default),
     ]
     for b, mesh, block in cases:
         monkeypatch.setattr(abelhp.discretization, "_HISTORY_BLOCK", block)
@@ -791,6 +796,35 @@ def test_linear_runs_match_the_per_element_march(monkeypatch):
         got = solve(b.spec, mesh).coeffs
         want = linear_march_by_element(b.spec, mesh)
         assert np.max(np.abs(got - want)) <= 5e-13 * np.max(np.abs(want))
+
+
+def test_one_near_pair_index_per_degree_per_solve(monkeypatch):
+    # solve builds one index per degree, sized for its longest run, and every
+    # run reads a prefix of it; a cache of the last run's index built one per
+    # change of run length (21 on ex2 N=1024 M=2)
+    ex2 = bench.make_benchmark("ex2")
+    degrees = np.repeat(np.arange(1, 9), 3)
+    graded = Mesh(np.concatenate([[0.0], 0.6 ** np.arange(degrees.size - 1, -1, -1)]), degrees)
+    uniform = bench.mesh_for(ex2, 1024, 2)
+    assert len(history_runs(uniform)) > 100
+    build, built = abelhp.discretization._near_pairs, []
+
+    def counting(R, m):
+        built.append((R, m))
+        return build(R, m)
+
+    monkeypatch.setattr(abelhp.discretization, "_near_pairs", counting)
+    monkeypatch.setattr(abelhp.solver, "_near_pairs", counting)
+    for mesh, want in ((uniform, [(91, 2)]), (graded, [(3, m) for m in range(2, 10)])):
+        built.clear()
+        solve(ex2.spec, mesh)
+        assert sorted(built) == want
+        assert max(n1 - n0 + 1 for n0, n1 in history_runs(mesh)) == want[-1][0]
+    for R_max, m in ((91, 2), (12, 4), (1, 3)):
+        index = build(R_max, m)
+        for R in range(1, R_max + 1):
+            for got, fresh in zip(abelhp.discretization._near_prefix(index, R, m), build(R, m)):
+                assert got.dtype == fresh.dtype and np.array_equal(got, fresh)
 
 
 def test_linear_solve_never_calls_at_nodes(monkeypatch):
