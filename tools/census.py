@@ -10,7 +10,10 @@ distinct case of the three workloads for seeds 1-10, as the benchmark's
 worker does, and then the coarse ex5 meshes ``mesh_for(ex5, N, M)`` for
 N in {2, 4, 6} and M in {2, 3, 4}, which the benchmark's grid leaves out and
 on which ex5 can return a wrong answer without raising (label
-``coarse_ex5``).  Each case adds to the hash its coefficients (raw bytes),
+``coarse_ex5``), and then ``abelhp.forward_apply`` of each registered exact
+solution (ex1 at each alpha of ``AUDIT_ALPHAS``, ex2 to ex5) at ``AUDIT_TIMES``
+times k T / 8, with its ``mesh_hints`` as breakpoints (label ``audit``; its
+values as raw bytes).  Each case adds to the hash its coefficients (raw bytes),
 E1 and E2 (``float.hex``), every adaptive step's degrees and estimate, and a
 failure's class and message.  Two checkouts whose last lines agree, run by
 the same census file, produce the same outputs bit for bit; the per-case
@@ -37,6 +40,9 @@ from pathlib import Path
 SEEDS = range(1, 11)
 #: (N, M) of the coarse ex5 meshes solved after the workloads' cases
 COARSE_EX5 = [(N, M) for N in (2, 4, 6) for M in (2, 3, 4)]
+#: ex1's alphas and the number of times of the forward_apply audit
+AUDIT_ALPHAS = (0.3, 0.5, 0.7)
+AUDIT_TIMES = 8
 
 
 def _steps(trace) -> list[str]:
@@ -78,6 +84,22 @@ def case_record(case) -> tuple[list[str], str]:
     return out + ([] if trace is None else _steps(trace)), summary
 
 
+def audit_record(problem_id: str, alpha: float | None) -> tuple[list[str], str]:
+    """forward_apply of one registered exact solution at the audit times, as
+    text with the values as their hex bytes, and its outcome."""
+    import numpy as np
+    import abelhp
+
+    label = problem_id + ("" if alpha is None else f" a={alpha}")
+    try:
+        b = abelhp.make_benchmark(problem_id, alpha)
+        times = b.spec.T * np.arange(1, AUDIT_TIMES + 1) / AUDIT_TIMES
+        values = abelhp.forward_apply(b.spec, b.exact, times, breakpoints=b.mesh_hints)
+    except Exception as exc:
+        return [label, f"{type(exc).__name__}: {exc}"], type(exc).__name__
+    return [label, values.tobytes().hex()], "ok"
+
+
 def main() -> None:
     sys.dont_write_bytecode = True  # leave the checkout as it is
     root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent.parent).resolve()
@@ -95,13 +117,15 @@ def main() -> None:
                 cases.setdefault(case, name)
     for N, M in COARSE_EX5:  # no target: the census judges no case
         cases.setdefault(FixedCase("ex5", N, M, math.inf), "coarse_ex5")
+    audits = [("ex1", a) for a in AUDIT_ALPHAS] + [(f"ex{k}", None) for k in range(2, 6)]
+    records = [(name, *case_record(case)) for case, name in cases.items()]
+    records += [("audit", *audit_record(*audit)) for audit in audits]
     total = hashlib.sha256()
-    for case, name in cases.items():
-        record, summary = case_record(case)
+    for name, record, summary in records:
         digest = hashlib.sha256("\n".join(record).encode()).hexdigest()
         total.update(digest.encode())
-        print(f"{name:16} {case.label:40} {digest[:16]}  {summary}")
-    print(f"census {len(cases)} cases {total.hexdigest()}")
+        print(f"{name:16} {record[0]:40} {digest[:16]}  {summary}")
+    print(f"census {len(records)} cases {total.hexdigest()}")
 
 
 if __name__ == "__main__":
