@@ -25,6 +25,7 @@ from .bench import (
     convergence_order,
     error_E1,
     error_E2,
+    forward_apply,
     perturb_rhs,
     run_sweep,
 )
@@ -40,7 +41,6 @@ from .solver import (
     SolverError,
     SolverOptions,
     evaluate,
-    forward_apply,
     newton,
     solve,
 )

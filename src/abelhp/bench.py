@@ -7,6 +7,7 @@ table-style sweeps and the CLI; the mesh API itself works with degrees.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import json
@@ -29,12 +30,12 @@ from .problems import (
 from .quadrature import HistoryAccuracyError, RuleKind, _shift_rows, gauss_rule
 from .solver import (
     PiecewiseSolution,
+    QuadratureConvergenceError,
     SolverError,
     SolverOptions,
     _EVAL_BLOCK,
     _evaluate_on,
     evaluate,
-    forward_apply,  # unused; perfbench/tracing.py wraps it here, and it goes with that target
     solve,
 )
 
@@ -44,6 +45,7 @@ __all__ = [
     "BenchmarkWarning",
     "error_E1",
     "error_E2",
+    "forward_apply",
     "convergence_order",
     "perturb_rhs",
     "run_sweep",
@@ -172,6 +174,62 @@ def perturb_rhs(problem: ProblemSpec, delta: float) -> ProblemSpec:
         raise ValueError(f"delta must be finite and nonnegative, got {delta}")
     f0 = problem.f
     return replace(problem, f=lambda t: f0(t) + delta)
+
+
+def _forward_at(problem: ProblemSpec, u_fn, t: float, cuts: list[float]) -> float:
+    """:func:`forward_apply` at one time t > 0, by depth-first panel bisection."""
+    alpha, budget = problem.alpha, [4000]
+
+    def F(s):
+        # a real array: a dot product sums a stride-0 operand in another order
+        u = np.asarray(u_fn(s), dtype=float)
+        return np.broadcast_to(problem.kappa(t, s) * problem.psi(t, s, u), s.shape).copy()
+
+    def rule_sum(G, a, b, order):
+        # Gauss-Jacobi absorbs the singular factor on the panel ending at t
+        if b == t:
+            r = gauss_rule(RuleKind.GAUSS_JACOBI, alpha - 1.0, order)
+            s = t - 0.5 * (t - a) * (1.0 - r.nodes)
+            return (0.5 * (t - a)) ** alpha * float(r.weights @ G(s))
+        r = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, order)
+        s = 0.5 * (a + b) + 0.5 * (b - a) * r.nodes
+        return 0.5 * (b - a) * float(r.weights @ ((t - s) ** (alpha - 1.0) * G(s)))
+
+    def panel(a, b, tol, depth):
+        # 16 against 32 nodes, bisected with half the tolerance until they agree
+        budget[0] -= 1
+        if budget[0] < 0 or depth < 0:
+            raise QuadratureConvergenceError("panel refinement did not converge")
+        i1, i2 = rule_sum(F, a, b, 15), rule_sum(F, a, b, 31)
+        if abs(i2 - i1) <= tol or b - a < 1e-15 * max(1.0, abs(b)):
+            return i2
+        m = 0.5 * (a + b)
+        return panel(a, m, 0.5 * tol, depth - 1) + panel(m, b, 0.5 * tol, depth - 1)
+
+    edges = [0.0, *cuts[: bisect.bisect_left(cuts, t)], t]
+    panels = list(zip(edges, edges[1:]))
+    coarse = sum(rule_sum(lambda s: np.abs(F(s)), a, b, 16) for a, b in panels)
+    tol = 1e-10 * max(coarse, 1e-30) / len(panels)
+    return sum(panel(a, b, tol, 40) for a, b in panels)
+
+
+def forward_apply(problem: ProblemSpec, u_fn, t, breakpoints: Sequence[float] = ()):
+    """Apply the integral operator to an arbitrary function at the times t.
+
+    Computes ``int_0^t (t-s)^(alpha-1) kappa(t, s) psi(t, s, u(s)) ds`` at each
+    time on its own: a 17-point pass over the absolute integrand sets the
+    tolerance, and each panel compares 16 against 32 nodes and is bisected until
+    they agree, up to depth 40 and 4000 panels per time.  ``breakpoints`` force
+    panel edges, e.g. at kinks of u or of the kernel.  A tool for manufactured
+    right-hand sides and residual audits, on no benchmark's path.  The result
+    has the shape of t (a float for a 0-d t), and is 0 where t <= 0.
+    """
+    t_arr = np.asarray(t, dtype=float)
+    cuts = sorted({float(x) for x in breakpoints if x > 0.0})
+    # Python floats: numpy's power on a float64 t can differ from libm's by 1 ulp
+    times = t_arr.ravel().tolist()
+    out = [0.0 if v <= 0.0 else _forward_at(problem, u_fn, v, cuts) for v in times]
+    return float(out[0]) if t_arr.ndim == 0 else np.array(out, dtype=float).reshape(t_arr.shape)
 
 
 # baselines by problem record, compared by its fields (its spec, mesh hints

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import dblquad
 
 import abelhp.discretization
-from abelhp.bench import make_benchmark
+from abelhp.bench import forward_apply, make_benchmark
 from abelhp.discretization import (
     ElementOperator,
     HistoryRun,
@@ -21,7 +21,7 @@ from abelhp.discretization import (
 from abelhp.mesh import Mesh, uniform_mesh
 from abelhp.orthopoly import legendre_table
 from abelhp.quadrature import RuleKind, _shift_rows, gauss_rule
-from abelhp.solver import _lobatto_values, forward_apply, newton, solve
+from abelhp.solver import _lobatto_values, newton, solve
 
 from oracles import (
     fused_matrix_einsum,

@@ -8,6 +8,7 @@ from scipy.special import gamma, gammainc
 import abelhp.bench as bench
 import abelhp.discretization
 import abelhp.solver
+from abelhp.bench import forward_apply
 from abelhp.discretization import (
     ProblemAssumptionWarning,
     ProblemSpec,
@@ -21,7 +22,6 @@ from abelhp.solver import (
     SolverError,
     SolverOptions,
     evaluate,
-    forward_apply,
     newton,
     solve,
     steepest_descent_init,
