@@ -199,7 +199,9 @@ def _forward_at(problem: ProblemSpec, u_fn, t: float, cuts: list[float]) -> floa
         # 16 against 32 nodes, bisected with half the tolerance until they agree
         budget[0] -= 1
         if budget[0] < 0 or depth < 0:
-            raise QuadratureConvergenceError("panel refinement did not converge")
+            limit = "its 4000-panel budget" if budget[0] < 0 else "the depth limit of 40"
+            raise QuadratureConvergenceError(
+                f"panel refinement did not converge at t={t} on [{a}, {b}]: {limit} ran out")
         i1, i2 = rule_sum(F, a, b, 15), rule_sum(F, a, b, 31)
         if abs(i2 - i1) <= tol or b - a < 1e-15 * max(1.0, abs(b)):
             return i2
@@ -222,12 +224,18 @@ def forward_apply(problem: ProblemSpec, u_fn, t, breakpoints: Sequence[float] = 
     they agree, up to depth 40 and 4000 panels per time.  ``breakpoints`` force
     panel edges, e.g. at kinks of u or of the kernel.  A tool for manufactured
     right-hand sides and residual audits, on no benchmark's path.  The result
-    has the shape of t (a float for a 0-d t), and is 0 where t <= 0.
+    has the shape of t (a float for a 0-d t), and is 0 where t <= 0.  A time
+    that is not finite raises ``ValueError``, and one whose panels do not
+    converge ``QuadratureConvergenceError``, naming the time, the panel and
+    the limit that ran out.
     """
     t_arr = np.asarray(t, dtype=float)
     cuts = sorted({float(x) for x in breakpoints if x > 0.0})
     # Python floats: numpy's power on a float64 t can differ from libm's by 1 ulp
     times = t_arr.ravel().tolist()
+    for v in times:
+        if not math.isfinite(v):
+            raise ValueError(f"forward_apply needs finite times, got t={v}")
     out = [0.0 if v <= 0.0 else _forward_at(problem, u_fn, v, cuts) for v in times]
     return float(out[0]) if t_arr.ndim == 0 else np.array(out, dtype=float).reshape(t_arr.shape)
 

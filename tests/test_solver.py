@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -487,8 +488,15 @@ def test_forward_apply_nonconvergence_raises():
     b = bench.make_benchmark("ex2")
     rng = np.random.default_rng(0)
     noisy_u = lambda s: rng.normal(size=np.shape(s))
-    with pytest.raises(QuadratureConvergenceError):
+    # depth first: the first panel, at s = 0, halves until the depth limit
+    with pytest.raises(QuadratureConvergenceError,
+                       match=r"at t=0\.9 on \[0\.0, .*\]: the depth limit of 40 ran out"):
         forward_apply(b.spec, noisy_u, 0.9)
+    # 90 kinks in (0, 0.9), each refined some 30 levels deep, overrun the budget
+    kinked = lambda s: np.abs(np.sin(100.0 * np.pi * s))
+    with pytest.raises(QuadratureConvergenceError,
+                       match=r"at t=0\.9 on .*: its 4000-panel budget ran out"):
+        forward_apply(b.spec, kinked, 0.9)
     # noise above s = 0.5 only: the batch fails on its one time past it
     noisy_late = lambda s: np.where(s > 0.5, rng.normal(size=np.shape(s)), 1.0)
     calm = forward_apply(b.spec, noisy_late, np.array([0.2, 0.4]))
@@ -499,8 +507,11 @@ def test_forward_apply_nonconvergence_raises():
     # the depth limit of 40 levels, well inside the panel budget
     c = 0.3141592653589793
     jump = lambda s: np.where(s < c, 1.0, 2.0)
-    with pytest.raises(QuadratureConvergenceError):
+    with pytest.raises(QuadratureConvergenceError, match="depth limit") as err:
         forward_apply(b.spec, jump, np.array([0.2, 0.9]))
+    # the message names the time past the jump and the panel across it
+    lo, hi = map(float, re.search(r"at t=0\.9 on \[(.*), (.*)\]", str(err.value)).groups())
+    assert lo < c < hi and hi - lo < 1e-11
     cut = forward_apply(b.spec, jump, np.array([0.2, 0.9]), breakpoints=(c,))
     assert cut.tolist() == [forward_apply(b.spec, jump, t, breakpoints=(c,)) for t in (0.2, 0.9)]
     # with kappa = e^(s - t) the integral is gamma(1/2, t) + gamma(1/2, t - c)
@@ -559,6 +570,10 @@ def test_forward_apply_shapes():
         out = forward_apply(b.spec, b.exact, empty)
         assert out.shape == empty.shape and out.dtype == float
     assert forward_apply(b.spec, b.exact, -0.5) == 0.0
+    # a time that is not finite is named, where it was a convergence error
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"t={bad}"):
+            forward_apply(b.spec, b.exact, np.array([0.25, bad]))
 
 
 def test_forward_apply_panel_budget_is_per_time():
