@@ -260,8 +260,9 @@ def _miller_moments(c: np.ndarray, alpha: float, pmax: int) -> np.ndarray:
 def _nu_batch(c: np.ndarray, alpha: float, pmax: int) -> np.ndarray:
     """Moments nu_p(c), p = 0..pmax, for a 1-d array of offsets c >= 1."""
     c = np.maximum(c, 1.0)  # clamp rounding below 1 at t ~ right
-    # pmax arccosh c <= _FORWARD_GROWTH, without an arccosh per row
-    forward = c <= (math.cosh(_FORWARD_GROWTH / pmax) if pmax else math.inf)
+    # pmax arccosh c <= _FORWARD_GROWTH, without an arccosh per row; a NaN
+    # offset goes forward too, to a NaN row that the constant-sum check refuses
+    forward = ~(c > (math.cosh(_FORWARD_GROWTH / pmax) if pmax else math.inf))
     nu = np.empty((c.size, pmax + 1))
     for rows, moments in ((forward, _forward_moments), (~forward, _miller_moments)):
         if np.any(rows):

@@ -359,6 +359,9 @@ def test_history_weights_reject_bad_sum():
     # an infinite t gives a NaN row, whose error and bound are not finite
     with np.errstate(all="ignore"), pytest.raises(HistoryAccuracyError, match="at t=inf"):
         history_weights_batch([0.0], [0.5], 3, [np.inf], 0.5)
+    # so does a NaN t, which Miller's step count could not convert to an integer
+    with np.errstate(all="ignore"), pytest.raises(HistoryAccuracyError, match="at t=nan"):
+        history_weights_batch([0.0], [0.5], 3, [np.nan], 0.5)
 
 
 def test_zeroth_moment_far_from_element_matches_mpmath():
