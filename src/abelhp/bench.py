@@ -211,6 +211,10 @@ def _forward_at(problem: ProblemSpec, u_fn, t: float, cuts: list[float]) -> floa
     edges = [0.0, *cuts[: bisect.bisect_left(cuts, t)], t]
     panels = list(zip(edges, edges[1:]))
     coarse = sum(rule_sum(lambda s: np.abs(F(s)), a, b, 16) for a, b in panels)
+    # a NaN tolerance would reject every panel, and the depth limit would then
+    # be blamed on the panel at s = 0, however far from the bad value
+    if not math.isfinite(coarse):
+        raise ValueError(f"forward_apply needs a finite integrand, got {coarse} on [0, {t}]")
     tol = 1e-10 * max(coarse, 1e-30) / len(panels)
     return sum(panel(a, b, tol, 40) for a, b in panels)
 
@@ -225,7 +229,8 @@ def forward_apply(problem: ProblemSpec, u_fn, t, breakpoints: Sequence[float] = 
     panel edges, e.g. at kinks of u or of the kernel.  A tool for manufactured
     right-hand sides and residual audits, on no benchmark's path.  The result
     has the shape of t (a float for a 0-d t), and is 0 where t <= 0.  A time
-    that is not finite raises ``ValueError``, and one whose panels do not
+    that is not finite raises ``ValueError``, as does an integrand that is not
+    finite at the nodes of the 17-point pass, and a time whose panels do not
     converge ``QuadratureConvergenceError``, naming the time, the panel and
     the limit that ran out.
     """

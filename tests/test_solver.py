@@ -503,6 +503,12 @@ def test_forward_apply_nonconvergence_raises():
     assert calm.tolist() == [forward_apply(b.spec, noisy_late, t) for t in (0.2, 0.4)]
     with pytest.raises(QuadratureConvergenceError):
         forward_apply(b.spec, noisy_late, np.array([0.2, 0.9, 0.4]))
+    # a u that is not finite past s = 0.5 is named, not blamed on the panel at 0
+    for bad in (np.nan, np.inf):
+        late_bad = lambda s: np.where(s > 0.5, bad, 1.0)
+        assert forward_apply(b.spec, late_bad, 0.4) == calm[1]
+        with pytest.raises(ValueError, match=rf"finite integrand, got {bad} on \[0, 0\.9\]"):
+            forward_apply(b.spec, late_bad, 0.9)
     # a jump off the breakpoints keeps one panel per level rejected until
     # the depth limit of 40 levels, well inside the panel budget
     c = 0.3141592653589793
