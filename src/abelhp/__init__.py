@@ -25,6 +25,7 @@ from .bench import (
     convergence_order,
     error_E1,
     error_E2,
+    QuadratureConvergenceError,
     forward_apply,
     perturb_rhs,
     run_sweep,
@@ -36,7 +37,6 @@ from .quadrature import QuadRule, RuleKind, gauss_rule
 from .solver import (
     NewtonDivergedError,
     PiecewiseSolution,
-    QuadratureConvergenceError,
     SingularJacobianError,
     SolverError,
     SolverOptions,

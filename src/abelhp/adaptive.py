@@ -17,7 +17,6 @@ import numpy as np
 from . import bench
 from .discretization import ProblemSpec
 from .mesh import Mesh
-from .quadrature import HistoryAccuracyError
 # evaluate is unused; perfbench/tracing.py wraps it here, and it goes with that target
 from .solver import PiecewiseSolution, SolverError, SolverOptions, evaluate, solve
 
@@ -136,9 +135,9 @@ def adaptive_solve(
     ``reference`` when one is given, otherwise against the previous step's
     solution, with ``inf`` on the first step.
 
-    A ``SolverError`` or ``HistoryAccuracyError`` raised by a solve leaves
-    with two attributes added: ``trace``, the steps solved before it, and
-    ``mesh``, the mesh whose solve raised.
+    A ``SolverError`` raised by a solve leaves with two attributes added:
+    ``trace``, the steps solved before it, and ``mesh``, the mesh whose solve
+    raised.
     """
     if options.max_L < initial_mesh.L:
         raise ValueError("max_L is below the initial unknown count")
@@ -150,7 +149,7 @@ def adaptive_solve(
         tic = time.perf_counter()
         try:
             solution = solve(problem, mesh, solver_options)
-        except (SolverError, HistoryAccuracyError) as exc:
+        except SolverError as exc:
             exc.trace, exc.mesh = trace, mesh
             raise
         against = previous if reference is None else reference

@@ -33,7 +33,6 @@ from .bench import (
 )
 from .mesh import DOMAIN_TOL, Mesh
 from .problems import PROBLEM_IDS, make_benchmark
-from .quadrature import HistoryAccuracyError
 from .solver import SolverError
 
 
@@ -183,7 +182,7 @@ def _adaptive_report(bench, mesh: Mesh, options, adapt: AdaptiveOptions) -> Benc
         )
     except BudgetExceededError as exc:
         trace, budget_hit = exc.trace, True
-    except (SolverError, HistoryAccuracyError) as exc:
+    except SolverError as exc:
         trace, failure = exc.trace, exc
     for step in trace.steps:
         E2 = step.estimate if np.isfinite(step.estimate) else None

@@ -48,7 +48,12 @@ class RuleKind(str, enum.Enum):
     GAUSS_LOBATTO = "gauss_lobatto"
 
 
-class HistoryAccuracyError(ArithmeticError):
+class SolverError(RuntimeError):
+    """Base class of every failure a solve raises; defined here, the lowest
+    module that raises one, and re-exported by ``abelhp.solver``."""
+
+
+class HistoryAccuracyError(SolverError):
     """Raised when product-integration weights fail the constant-sum check."""
 
 

@@ -44,7 +44,7 @@ from .discretization import (
 from .mesh import Mesh, locate
 from .orthopoly import legendre_table
 # gauss_rule is unused here; perfbench/tracing.py wraps it here, and it goes with that target
-from .quadrature import _lobatto_table, gauss_rule
+from .quadrature import SolverError, _lobatto_table, gauss_rule
 
 __all__ = [
     "SolverOptions",
@@ -52,15 +52,10 @@ __all__ = [
     "SolverError",
     "NewtonDivergedError",
     "SingularJacobianError",
-    "QuadratureConvergenceError",
     "solve",
     "newton",
     "evaluate",
 ]
-
-
-class SolverError(RuntimeError):
-    pass
 
 
 class NewtonDivergedError(SolverError):
@@ -80,10 +75,6 @@ class SingularJacobianError(SolverError):
         self.iteration = iteration
         where = f" on element {n}" if n is not None else ""
         super().__init__(f"singular Jacobian{where} at Newton iteration {iteration}")
-
-
-class QuadratureConvergenceError(SolverError):
-    pass
 
 
 @dataclass(frozen=True)

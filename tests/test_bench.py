@@ -342,6 +342,9 @@ def test_run_mesh_marks_history_failure(monkeypatch):
     b = bench.make_benchmark("ex2")
     row = bench.run_mesh(b, uniform_mesh(3, b.spec.T, 1))
     assert row.failed and row.error == "rejected" and row.E2 is None
+    # the weights' failure is one of the solver's
+    with pytest.raises(SolverError, match="rejected"):
+        solve(b.spec, uniform_mesh(3, b.spec.T, 1))
 
 
 def test_mesh_for_inserts_required_breakpoints():

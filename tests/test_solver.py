@@ -483,7 +483,7 @@ def test_residual_audit_decreases_under_refinement():
 
 
 def test_forward_apply_nonconvergence_raises():
-    from abelhp.solver import QuadratureConvergenceError
+    from abelhp.bench import QuadratureConvergenceError
 
     b = bench.make_benchmark("ex2")
     rng = np.random.default_rng(0)
