@@ -286,29 +286,21 @@ def _lobatto_values(coeffs: np.ndarray, degree: int) -> np.ndarray:
     return coeffs @ _lobatto_table(degree)
 
 
-def _system_inverses(ops: OperatorRun) -> np.ndarray:
-    """The inverses of the elements' systems ``B @ Qflat.T`` for psi = u, from one call.
-
-    Raises ``SingularJacobianError`` naming the first element whose inverse
-    is not finite.
-    """
-    systems = ops.B @ ops.ref.Qflat.T
-    with np.errstate(all="ignore"):
-        inverses = _lu_inv(systems)
-        if _finite(inverses):
-            return inverses
-    first = int(np.isfinite(inverses).all(axis=(1, 2)).argmin())
-    raise SingularJacobianError(ops.n0 + first, 0)
-
-
 def _linear_solvers(ops: OperatorRun) -> np.ndarray:
     """The stack of matrices that map f - history at the Gauss nodes of each
-    element of ``ops`` to its coefficients, from one inverse.
+    element of ``ops`` to its coefficients for psi = u, from one inverse.
 
-    dpsi_du == 1, so ``B @ Qflat.T`` is each element's system matrix.
+    With psi = u, ``B @ Qflat.T`` is each element's system matrix.  Raises
+    ``SingularJacobianError`` naming the first element whose inverse is not
+    finite.
     """
     ref = ops.ref
-    return (_system_inverses(ops) * ref.proj_scale) @ (ref.P * ref.gl.weights)
+    with np.errstate(all="ignore"):
+        inverses = _lu_inv(ops.B @ ref.Qflat.T)
+        if not _finite(inverses):
+            first = int(np.isfinite(inverses).all(axis=(1, 2)).argmin())
+            raise SingularJacobianError(ops.n0 + first, 0)
+    return (inverses * ref.proj_scale) @ (ref.P * ref.gl.weights)
 
 
 # a linear run's forward substitution takes whole elements of about this
@@ -316,20 +308,21 @@ def _linear_solvers(ops: OperatorRun) -> np.ndarray:
 _SUBSTITUTION_BLOCK = 32
 
 
-def _solve_linear_run(run: HistoryRun, solvers, lob_maps, f_nodes):
+def _solve_linear_run(run: HistoryRun, solvers, f_nodes):
     """The coefficients and Lobatto values of a linear run, by forward substitution.
 
     ``solvers`` map each run element's f - history at its Gauss nodes to its
-    coefficients, ``lob_maps`` to its Lobatto values, and ``f_nodes`` holds f
-    there, one row per element.  With A the run's ``near_matrix()`` and H the
-    stack of ``lob_maps``, the Lobatto values lob solve (I + H A) lob =
-    H (f - far), a unit lower-triangular system.  It is solved a block of
+    coefficients, and ``f_nodes`` holds f there, one row per element.  With A
+    the run's ``near_matrix()`` and H the stack of maps from f - history to
+    Lobatto values, the Lobatto values lob solve (I + H A) lob = H (f - far),
+    a unit lower-triangular system.  It is solved a block of
     whole elements at a time: one product with the values already found, then
     one LAPACK solve of the block's diagonal block.  One batched product then
     gives all the coefficients, ``solvers (f - far - A lob)``.
     """
     R, m = f_nodes.shape
     A, rhs = run.near_matrix(), f_nodes.ravel() - run.far
+    lob_maps = _lobatto_table(m - 1).T @ solvers
     lob = np.matvec(lob_maps, rhs.reshape(R, m)).ravel()
     L = (lob_maps @ A.reshape(R, m, R * m)).reshape(R * m, R * m)
     L.ravel()[:: R * m + 1] = 1.0  # A's diagonal blocks are zero
@@ -375,7 +368,7 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
     warm start.  Where the problem declares
     ``psi_inv``, the warm start is the implicitly linear solution: the
     element equation is solved for z = psi(u) as if psi were u, with the
-    stretch's system inverses from one batched call, and u = psi_inv(z) at
+    stretch's linear solvers (:func:`_linear_solvers`), and u = psi_inv(z) at
     the Gauss nodes is projected to coefficients.  Otherwise it is the
     previous element's coefficients, zero-padded or truncated to this
     element's degree (the constant ``init_constant`` on the first element).
@@ -402,17 +395,14 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
     for stretch in stretches:
         ops = OperatorRun(problem, mesh, stretch[0][0], stretch[-1][1])
         dim, f_nodes = ops.degree + 1, _f_at_nodes(problem, ops)
-        if problem.linear:
+        if problem.linear or problem.psi_inv is not None:
             solvers = _linear_solvers(ops)
-            lob_maps = _lobatto_table(ops.degree).T @ solvers
-        elif problem.psi_inv is not None:
-            inverses = _system_inverses(ops)
         for n0, n1 in stretch:
             run = HistoryRun(ops, n0, n1, lobatto_u[: offsets[n0 - 1]], table, pairs[ops.degree])
             if problem.linear:
                 lo, hi, rows = offsets[n0 - 1], offsets[n1], slice(n0 - ops.n0, n1 - ops.n0 + 1)
                 coeffs[lo:hi], lobatto_u[lo:hi] = _solve_linear_run(
-                    run, solvers[rows], lob_maps[rows], f_nodes[rows])
+                    run, solvers[rows], f_nodes[rows])
                 continue
             for n in range(n0, n1 + 1):
                 lo, hi = offsets[n - 1], offsets[n]
@@ -420,11 +410,12 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
                 # the accumulated history enters the element equation on the
                 # right-hand side: current-element moments = rhs - history,
                 # rhs as ElementOperator.rhs projects it
-                target = op.project(f_nodes[n - ops.n0]) - op.project(run.at_nodes(n, lobatto_u))
+                f_row, hist = f_nodes[n - ops.n0], run.at_nodes(n, lobatto_u)
+                target = op.project(f_row) - op.project(hist)
                 if problem.psi_inv is not None:
                     # the implicitly linear solution: z = psi(u) solves the
                     # element equation as if it were linear, u = psi_inv(z)
-                    z = inverses[n - ops.n0] @ target @ ops.ref.P
+                    z = solvers[n - ops.n0] @ (f_row - hist) @ ops.ref.P
                     warm = op.project(problem.psi_inv(op.t_nodes, z))
                 else:
                     warm = np.zeros(dim)
