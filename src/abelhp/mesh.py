@@ -119,7 +119,8 @@ DOMAIN_TOL = 1e-12
 def locate(t, mesh: Mesh):
     """Element index n (1-based) with t in (t_{n-1}, t_n]."""
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0.0) or np.any(t_arr > mesh.T + DOMAIN_TOL * max(1.0, mesh.T)):
+    # not (0 < t <= end): a NaN point fails too
+    if not ((t_arr > 0.0) & (t_arr <= mesh.T + DOMAIN_TOL * max(1.0, mesh.T))).all():
         raise ValueError(f"point outside (0, {mesh.T}]: {t!r}")
     idx = np.searchsorted(mesh.breakpoints, t_arr, side="left")
     idx = np.minimum(idx, mesh.N)

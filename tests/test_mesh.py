@@ -126,6 +126,9 @@ def test_locate_right_inclusive():
         locate(0.0, m)
     with pytest.raises(ValueError):
         locate(1.1, m)
+    for t in (np.nan, np.array([0.5, np.nan])):
+        with pytest.raises(ValueError, match="point outside"):
+            locate(t, m)
 
 
 def test_locate_breakpoint_consistency():
