@@ -133,7 +133,8 @@ def adaptive_solve(
 
     Each step's estimate is ``bench.error_E2`` of its solution against
     ``reference`` when one is given, otherwise against the previous step's
-    solution, with ``inf`` on the first step.
+    solution, with ``inf`` on the first step.  A NaN estimate raises
+    ``ValueError`` naming the step.
 
     A ``SolverError`` raised by a solve leaves with two attributes added:
     ``trace``, the steps solved before it, and ``mesh``, the mesh whose solve
@@ -154,6 +155,9 @@ def adaptive_solve(
             raise
         against = previous if reference is None else reference
         estimate = np.inf if against is None else bench.error_E2(solution, against)
+        if np.isnan(estimate):  # no refinement makes it meet the tolerance
+            raise ValueError(f"error estimate of step {len(trace.steps)} is NaN "
+                             f"(N={mesh.N}, L={mesh.L})")
         trace.append(AdaptiveStep(mesh, estimate, time.perf_counter() - tic))
         if estimate <= options.tol:
             return solution, trace

@@ -98,6 +98,16 @@ def test_successive_diff_metric_runs_without_reference():
     assert np.isinf(trace.steps[0].estimate)
 
 
+def test_nan_estimate_raises_at_its_step():
+    # a reference that is NaN on part of the E2 grid stops the first step,
+    # where refining until the budget ran out could never meet the tolerance
+    b = bench.make_benchmark("ex4")
+    opts = AdaptiveOptions(tol=1e-8, strategy="p_first", max_L=60)
+    reference = lambda t: np.where(t < 0.1, np.nan, t)
+    with pytest.raises(ValueError, match=r"estimate of step 0 is NaN \(N=1, L=2\)"):
+        adaptive_solve(b.spec, uniform_mesh(1, 1.0, 1), opts, reference=reference)
+
+
 def test_max_L_below_initial_rejected():
     b = bench.make_benchmark("ex4")
     opts = AdaptiveOptions(tol=1e-8, strategy="p_first", max_L=3)
