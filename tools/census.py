@@ -100,21 +100,38 @@ def audit_record(problem_id: str, alpha: float | None) -> tuple[list[str], str]:
     return [label, values.tobytes().hex()], "ok"
 
 
-def main() -> None:
+def checkout_root() -> Path:
+    """The checkout named by the first argument, by default the one this file
+    sits in, with its ``src`` and ``perfbench`` first on ``sys.path``; writes
+    no bytecode there."""
     sys.dont_write_bytecode = True  # leave the checkout as it is
     root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent.parent).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    import abelhp
-    from workloads import WORKLOADS, FixedCase
+    return root
 
-    if Path(abelhp.__file__).resolve().parent != root / "src" / "abelhp":
-        raise SystemExit(f"abelhp imported from {abelhp.__file__}, not from {root / 'src'}")
-    warnings.simplefilter("ignore")
-    cases = {}  # distinct cases in first-seen order; the seeds only pick ex1's alpha
+
+def workload_cases() -> dict:
+    """Each distinct case of the three workloads for ``SEEDS``, in first-seen
+    order, mapped to its workload's name; the seeds only pick ex1's alpha."""
+    from workloads import WORKLOADS
+
+    cases = {}
     for name, make in WORKLOADS.items():
         for seed in SEEDS:
             for case in make(random.Random(seed)):
                 cases.setdefault(case, name)
+    return cases
+
+
+def main() -> None:
+    root = checkout_root()
+    import abelhp
+    from workloads import FixedCase
+
+    if Path(abelhp.__file__).resolve().parent != root / "src" / "abelhp":
+        raise SystemExit(f"abelhp imported from {abelhp.__file__}, not from {root / 'src'}")
+    warnings.simplefilter("ignore")
+    cases = workload_cases()
     for N, M in COARSE_EX5:  # no target: the census judges no case
         cases.setdefault(FixedCase("ex5", N, M, math.inf), "coarse_ex5")
     audits = [("ex1", a) for a in AUDIT_ALPHAS] + [(f"ex{k}", None) for k in range(2, 6)]
