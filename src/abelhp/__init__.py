@@ -22,10 +22,10 @@ from .adaptive import (
 )
 from .bench import (
     BenchReport,
+    QuadratureConvergenceError,
     convergence_order,
     error_E1,
     error_E2,
-    QuadratureConvergenceError,
     forward_apply,
     perturb_rhs,
     run_sweep,

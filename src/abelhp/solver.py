@@ -315,9 +315,9 @@ def _solve_linear_run(run: HistoryRun, solvers, f_nodes):
     coefficients, and ``f_nodes`` holds f there, one row per element.  With A
     the run's ``near_matrix()`` and H the stack of maps from f - history to
     Lobatto values, the Lobatto values lob solve (I + H A) lob = H (f - far),
-    a unit lower-triangular system.  It is solved a block of
-    whole elements at a time: one product with the values already found, then
-    one LAPACK solve of the block's diagonal block.  One batched product then
+    a unit lower-triangular system.  It is solved a block of whole elements at
+    a time: one product with the values already found, then one LAPACK solve
+    of the block's diagonal block.  One batched product then
     gives all the coefficients, ``solvers (f - far - A lob)``.
     """
     R, m = f_nodes.shape
