@@ -8,6 +8,7 @@ otherwise against the previous iterate (``inf`` on the first step).
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -49,6 +50,9 @@ class AdaptiveOptions:
             raise ValueError("tolerance must be positive")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
+        # a bool would pass for 0 or 1, and a float is no count of unknowns
+        if isinstance(self.max_L, bool) or not isinstance(self.max_L, numbers.Integral):
+            raise TypeError(f"max_L must be an integer, got {self.max_L!r}")
 
 
 @dataclass

@@ -156,15 +156,18 @@ def error_E2(solution: PiecewiseSolution, exact_fn) -> float:
     for k in range(0, mesh.N, step):
         rows = slice(k, k + step)
         pts = lefts[rows] + widths[rows] * i / (E2_SAMPLES - 0.5)
-        diff = approx[rows] - np.asarray(exact_fn(pts.ravel()), dtype=float).reshape(pts.shape)
+        # flat, so that a scalar from exact_fn broadcasts
+        diff = approx[rows].ravel() - np.asarray(exact_fn(pts.ravel()), dtype=float)
         err = np.maximum.reduce(np.abs(diff, out=diff), axis=None, initial=err)
     return float(err)
 
 
 def convergence_order(E_coarse: float, E_fine: float) -> float:
     """Observed order under mesh doubling: log2 of the error ratio."""
-    if E_coarse <= 0.0 or E_fine <= 0.0:
-        raise ValueError("errors must be positive to take the order")
+    # a NaN fails both comparisons
+    if not (0.0 < E_coarse < math.inf and 0.0 < E_fine < math.inf):
+        raise ValueError(f"errors must be positive and finite to take the order, "
+                         f"got {E_coarse} and {E_fine}")
     return math.log2(E_coarse / E_fine)
 
 

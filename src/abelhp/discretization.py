@@ -28,7 +28,6 @@ from .quadrature import (
 __all__ = [
     "ProblemSpec",
     "ElementOperator",
-    "OperatorRun",
     "HistoryRun",
     "history_runs",
     "operator_stretches",
@@ -174,94 +173,77 @@ def _run_degree(mesh: Mesh, n0: int, n1: int) -> int:
     return d
 
 
-class OperatorRun:
+class ElementOperator:
     """Collocation operators of the equal-degree elements n0..n1, as stacks.
 
     :func:`~abelhp.solver.solve` builds one per stretch of
     :func:`operator_stretches`.  Row j of each stack belongs to element
-    n0 + j.  The tensor grid (``t_grid``, ``sigma_grid``: a row of (M+1)^2
-    points per element) takes one kernel call, and ``B`` of shape
-    (R, M+1, (M+1)^2) one product:
+    n0 + j, and each method that reads one element takes its number n.  The
+    tensor grid (a row of (M+1)^2 points per element: the Gauss nodes
+    repeated against the inner nodes) takes one kernel call, and ``B`` of
+    shape (R, M+1, (M+1)^2) one product:
     ``B[j, p, (i, k)] = sys_scale_p P_pi prefac_i kappa(t_i, sigma_ik) w_k``.
+    A residual evaluation is the one product ``B[j] @ psi`` and a Jacobian
+    the one product ``(B[j] * dpsi_du) @ Qflat.T``, with psi and dpsi_du
+    taken on element n's row of the grid.
     """
 
     def __init__(self, problem: ProblemSpec, mesh: Mesh, n0: int, n1: int):
         self.degree = d = _run_degree(mesh, n0, n1)
-        self.problem, self.mesh, self.n0 = problem, mesh, n0
+        self.problem, self.mesh, self.n0, self.n1 = problem, mesh, n0, n1
         self.ref = ref = _reference_tables(d, problem.alpha)
-        self.lefts, self.rights = mesh.breakpoints[n0 - 1 : n1], mesh.breakpoints[n0 : n1 + 1]
-        widths, R, m = (self.rights - self.lefts)[:, None], n1 - n0 + 1, d + 1
-        self.t_nodes = _shift_rows(ref.gl.nodes, self.lefts, self.rights)
-        self.t_grid = np.repeat(self.t_nodes, m, axis=1)
-        self.sigma_grid = self.lefts[:, None] + 0.25 * widths * ref.node_product.ravel()
+        lefts, rights = mesh.breakpoints[n0 - 1 : n1], mesh.breakpoints[n0 : n1 + 1]
+        widths, R, m = (rights - lefts)[:, None], n1 - n0 + 1, d + 1
+        self.t_nodes = _shift_rows(ref.gl.nodes, lefts, rights)
+        sigma_grid = lefts[:, None] + 0.25 * widths * ref.node_product.ravel()
         # the 2-d call of a single element: Gauss nodes against inner nodes
-        grid = self.sigma_grid.reshape(-1, m)
+        grid = sigma_grid.reshape(-1, m)
         kappa = np.broadcast_to(problem.kappa(self.t_nodes.reshape(-1, 1), grid), grid.shape)
         # (t_i - t_{n-1})^alpha from the width, not a difference of times
         prefac = (0.5 * widths * (1.0 + ref.gl.nodes)) ** problem.alpha * ref.gl.weights
         outer = ref.sys_scale[:, None] * ref.P * prefac[:, None, :]  # (R, p, i)
         inner = (kappa * ref.gj.weights).reshape(R, 1, m, m)  # (R, 1, i, k)
         self.B = (outer[..., None] * inner).reshape(R, m, m * m)
+        # element n's rows of the Gauss nodes, the grid and B, by n: an
+        # element outside n0..n1 raises KeyError
+        rows = zip(self.t_nodes, np.repeat(self.t_nodes, m, axis=1), sigma_grid, self.B)
+        self._rows = dict(zip(range(n0, n1 + 1), rows))
 
-    def operator(self, n: int) -> "ElementOperator":
-        """Element n's operator, a view of row n - n0 of the stacks."""
-        op = ElementOperator.__new__(ElementOperator)
-        op._view(self, n)
-        return op
-
-
-class ElementOperator:
-    """Collocation operator of one element: one row of an :class:`OperatorRun`.
-
-    ``ElementOperator(problem, mesh, n)`` builds the one-element run, and
-    ``OperatorRun.operator(n)`` views a row of a longer one.  A residual
-    evaluation is the one product ``B @ psi`` and a Jacobian the one product
-    ``(B * dpsi_du) @ Qflat.T``, with psi and dpsi_du taken on the flattened
-    grid ``(t_grid, sigma_grid)``.
-    """
-
-    def __init__(self, problem: ProblemSpec, mesh: Mesh, n: int):
-        self._view(OperatorRun(problem, mesh, n, n), n)
-
-    def _view(self, run: OperatorRun, n: int):
-        j = n - run.n0
-        self.problem, self.mesh, self.n, self._ref = run.problem, run.mesh, n, run.ref
-        self._run = run  # the history of element n reads its Gauss nodes from it
-        self.Qflat, self.t_nodes, self.t_grid = run.ref.Qflat, run.t_nodes[j], run.t_grid[j]
-        self.sigma_grid, self.B = run.sigma_grid[j], run.B[j]
-
-    def weighted_moments(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coefficient-space image of the current-element singular integral.
+    def weighted_moments(self, n: int, coeffs: np.ndarray) -> np.ndarray:
+        """Coefficient-space image of element n's current-element singular integral.
 
         A (K, M+1) stack of ``coeffs`` gives K rows from one psi call on the (K, (M+1)^2)
         grid and row-by-row matrix-vector products, so each row rounds as a lone vector does.
         """
-        u = np.vecmat(coeffs, self.Qflat)
-        psi = self.problem.psi(self.t_grid, self.sigma_grid, u)
+        _, t_grid, sigma_grid, B = self._rows[n]
+        u = np.vecmat(coeffs, self.ref.Qflat)
+        psi = self.problem.psi(t_grid, sigma_grid, u)
         if np.shape(psi) != u.shape:
             psi = np.broadcast_to(psi, u.shape)
-        return np.matvec(self.B, psi)
+        return np.matvec(B, psi)
 
-    def jacobian(self, coeffs: np.ndarray) -> np.ndarray:
-        """Derivative of the element residual with respect to the coefficients."""
-        dpsi = self.problem.dpsi_du(self.t_grid, self.sigma_grid, coeffs @ self.Qflat)
-        return (self.B * dpsi) @ self.Qflat.T
+    def jacobian(self, n: int, coeffs: np.ndarray) -> np.ndarray:
+        """Derivative of element n's residual with respect to its coefficients."""
+        _, t_grid, sigma_grid, B = self._rows[n]
+        Qflat = self.ref.Qflat
+        return (B * self.problem.dpsi_du(t_grid, sigma_grid, coeffs @ Qflat)) @ Qflat.T
 
     def project(self, values_at_nodes: np.ndarray) -> np.ndarray:
-        """Discrete Legendre coefficients of values sampled at the Gauss nodes."""
-        ref = self._ref
+        """Discrete Legendre coefficients of values sampled at an element's Gauss nodes."""
+        ref = self.ref
         return ref.proj_scale * (ref.P @ (ref.gl.weights * values_at_nodes))
 
-    def rhs(self) -> np.ndarray:
-        """Legendre moments of f on the element (Gauss-point projection).
+    def rhs(self, n: int) -> np.ndarray:
+        """Legendre moments of f on element n (Gauss-point projection).
 
         f is called at this element's nodes alone.  :func:`~abelhp.solver.solve`
         does not call it: it samples f once per stretch, on all the stretch's
         Gauss nodes, and projects each element's row as this does.
         """
-        return self.project(np.broadcast_to(self.problem.f(self.t_nodes), self.t_nodes.shape))
+        t = self._rows[n][0]
+        return self.project(np.broadcast_to(self.problem.f(t), t.shape))
 
-    def history(self, prior_u: np.ndarray) -> np.ndarray:
+    def history(self, n: int, prior_u: np.ndarray) -> np.ndarray:
         """Legendre moments of the history integral over elements 1..n-1.
 
         ``prior_u`` holds the solution values at the shifted Lobatto points of
@@ -269,8 +251,8 @@ class ElementOperator:
         the one-element run of :class:`HistoryRun`, on the weights solve uses.
         """
         table = _gap_table(self.mesh, self.problem.alpha)
-        run = HistoryRun(self._run, self.n, self.n, prior_u, table)
-        return self.project(run.at_nodes(self.n, prior_u))
+        run = HistoryRun(self, n, n, prior_u, table)
+        return self.project(run.at_nodes(n, prior_u))
 
 
 # solve assembles the history in runs of consecutive elements; a run closes
@@ -304,7 +286,7 @@ def history_runs(mesh: Mesh) -> list[tuple[int, int]]:
 def operator_stretches(mesh: Mesh) -> list[list[tuple[int, int]]]:
     """The runs of :func:`history_runs`, grouped into stretches of equal degree.
 
-    The R elements of degree d of a stretch share one :class:`OperatorRun`,
+    The R elements of degree d of a stretch share one :class:`ElementOperator`,
     whose ``B`` holds R (d + 1)^3 entries.  A stretch closes at a change of
     degree, or before these entries would exceed ``_HISTORY_BLOCK``, as runs
     close on pairs; a run whose own entries exceed it is a stretch alone.
@@ -410,14 +392,13 @@ class HistoryRun:
     :func:`~abelhp.solver.solve` solves the whole run at once from
     ``near_matrix()``, by a forward substitution in blocks of elements.
 
-    ``ops`` is the :class:`OperatorRun` of a stretch that holds n0..n1: the run
+    ``ops`` is the :class:`ElementOperator` of a stretch that holds n0..n1: the run
     takes its problem, mesh, degree and placed Gauss nodes from it.
     """
 
-    def __init__(self, ops: OperatorRun, n0: int, n1: int, prior_u, table=None, pairs=None):
-        last = ops.n0 + len(ops.t_nodes) - 1
-        if not ops.n0 <= n0 <= n1 <= last:
-            raise IndexError(f"elements {n0}..{n1} outside the operators of {ops.n0}..{last}")
+    def __init__(self, ops: ElementOperator, n0: int, n1: int, prior_u, table=None, pairs=None):
+        if not ops.n0 <= n0 <= n1 <= ops.n1:
+            raise IndexError(f"elements {n0}..{n1} outside the operators of {ops.n0}..{ops.n1}")
         problem, mesh, d = ops.problem, ops.mesh, ops.degree
         offsets, bp, alpha = mesh.offsets, mesh.breakpoints, problem.alpha
         m, N, R = d + 1, mesh.N, n1 - n0 + 1

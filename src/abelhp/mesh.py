@@ -107,8 +107,9 @@ def uniform_mesh(N: int, T: float, M: int) -> Mesh:
     """N equal elements on [0, T], all with polynomial degree M."""
     if N < 1 or M < 1:
         raise ValueError("need N >= 1 and M >= 1")
-    if not T > 0.0:
-        raise ValueError("T must be positive")
+    # linspace would spread an infinite T as NaN breakpoints
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"T must be finite and positive, got {T}")
     return Mesh(np.linspace(0.0, T, N + 1), np.full(N, M))
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,9 @@ def gauss_rule(kind: RuleKind | str, a: float | None, order: int) -> QuadRule:
     2*order-1, both endpoints included) take ``None``.
     """
     kind = RuleKind(kind)
+    # a bool would be cached as the equal int (True == 1), and a float reach numpy
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral):
+        raise TypeError(f"rule order must be an integer, got {order!r}")
     if order < 1:
         raise ValueError("rule order must be >= 1")
     if kind is RuleKind.GAUSS_JACOBI:

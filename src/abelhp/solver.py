@@ -33,8 +33,8 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .discretization import (
+    ElementOperator,
     HistoryRun,
-    OperatorRun,
     ProblemAssumptionWarning,
     ProblemSpec,
     _gap_table,
@@ -286,7 +286,7 @@ def _lobatto_values(coeffs: np.ndarray, degree: int) -> np.ndarray:
     return coeffs @ _lobatto_table(degree)
 
 
-def _linear_solvers(ops: OperatorRun) -> np.ndarray:
+def _linear_solvers(ops: ElementOperator) -> np.ndarray:
     """The stack of matrices that map f - history at the Gauss nodes of each
     element of ``ops`` to its coefficients for psi = u, from one inverse.
 
@@ -336,16 +336,15 @@ def _solve_linear_run(run: HistoryRun, solvers, f_nodes):
     return coeffs.ravel(), lob
 
 
-def _f_at_nodes(problem: ProblemSpec, ops: OperatorRun) -> np.ndarray:
+def _f_at_nodes(ops: ElementOperator) -> np.ndarray:
     """f at the Gauss nodes of the elements of ``ops``, one row each, from one f call.
 
     Raises ``SolverError`` when any of these values is not finite.
     """
     t = ops.t_nodes
-    f = np.broadcast_to(problem.f(t.ravel()), (t.size,)).reshape(t.shape)
+    f = np.broadcast_to(ops.problem.f(t.ravel()), (t.size,)).reshape(t.shape)
     if not np.isfinite(f).all():
-        raise SolverError(f"f is not finite at the Gauss nodes of elements "
-                          f"{ops.n0}..{ops.n0 + t.shape[0] - 1}")
+        raise SolverError(f"f is not finite at the Gauss nodes of elements {ops.n0}..{ops.n1}")
     return f
 
 
@@ -353,7 +352,7 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
     """March elements 1..N, solving each local collocation system.
 
     Each stretch of :func:`operator_stretches` builds its stacked element
-    operators once (:class:`OperatorRun`), and each run of
+    operators once (:class:`ElementOperator`), and each run of
     :func:`history_runs` in it the history of its elements from everything
     solved before it (:class:`HistoryRun`), all from one table of weights by
     gap when the mesh is uniform with one degree.  Every stretch calls f
@@ -393,8 +392,8 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
         longest[d] = max(longest.get(d, 0), n1 - n0 + 1)
     pairs = {d: _near_pairs(R, d + 1) for d, R in longest.items()}
     for stretch in stretches:
-        ops = OperatorRun(problem, mesh, stretch[0][0], stretch[-1][1])
-        dim, f_nodes = ops.degree + 1, _f_at_nodes(problem, ops)
+        ops = ElementOperator(problem, mesh, stretch[0][0], stretch[-1][1])
+        dim, f_nodes = ops.degree + 1, _f_at_nodes(ops)
         if problem.linear or problem.psi_inv is not None:
             solvers = _linear_solvers(ops)
         for n0, n1 in stretch:
@@ -405,18 +404,17 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
                     run, solvers[rows], f_nodes[rows])
                 continue
             for n in range(n0, n1 + 1):
-                lo, hi = offsets[n - 1], offsets[n]
-                op = ops.operator(n)
+                lo, hi, j = offsets[n - 1], offsets[n], n - ops.n0
                 # the accumulated history enters the element equation on the
                 # right-hand side: current-element moments = rhs - history,
                 # rhs as ElementOperator.rhs projects it
-                f_row, hist = f_nodes[n - ops.n0], run.at_nodes(n, lobatto_u)
-                target = op.project(f_row) - op.project(hist)
+                f_row, hist = f_nodes[j], run.at_nodes(n, lobatto_u)
+                target = ops.project(f_row) - ops.project(hist)
                 if problem.psi_inv is not None:
                     # the implicitly linear solution: z = psi(u) solves the
                     # element equation as if it were linear, u = psi_inv(z)
-                    z = solvers[n - ops.n0] @ (f_row - hist) @ ops.ref.P
-                    warm = op.project(problem.psi_inv(op.t_nodes, z))
+                    z = solvers[j] @ (f_row - hist) @ ops.ref.P
+                    warm = ops.project(problem.psi_inv(ops.t_nodes[j], z))
                 else:
                     warm = np.zeros(dim)
                     if n == 1:
@@ -427,9 +425,12 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
                         warm[:k] = prev[:k]
 
                 def residual(c):
-                    return op.weighted_moments(c) - target
+                    return ops.weighted_moments(n, c) - target
 
-                u = newton(residual, op.jacobian, warm, options, n=n)
+                def jacobian(c):
+                    return ops.jacobian(n, c)
+
+                u = newton(residual, jacobian, warm, options, n=n)
                 coeffs[lo:hi] = u
                 lobatto_u[lo:hi] = _lobatto_values(u, ops.degree)
     return PiecewiseSolution(mesh, coeffs)
@@ -444,16 +445,18 @@ _EVAL_BLOCK = 2**14
 def evaluate(solution: PiecewiseSolution, t):
     """Value of the piecewise expansion at t in (0, T] (vectorized).
 
-    t = 0 is evaluated as the limit from inside the first element.
+    A scalar t gives a float and an array an array of its shape.  t = 0 is
+    evaluated as the limit from inside the first element.
     """
     mesh = solution.mesh
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    t_in = np.asarray(t, dtype=float)
+    t_arr = t_in.ravel()
     # 0-based element of each point; t <= 0 is sent to element 1
     elem_idx = locate(np.where(t_arr <= 0.0, mesh.breakpoints[1], t_arr), mesh) - 1
     if np.any(t_arr < 0.0):
         raise ValueError("evaluation point below 0")
     out = _evaluate_on(solution, t_arr, elem_idx)
-    return float(out[0]) if np.ndim(t) == 0 else out
+    return float(out[0]) if t_in.ndim == 0 else out.reshape(t_in.shape)
 
 
 def _evaluate_on(solution: PiecewiseSolution, t_arr: np.ndarray, elem_idx: np.ndarray):

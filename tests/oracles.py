@@ -200,8 +200,8 @@ def uniform_history_mpmath(N, T, nodes, gap, coeffs, alpha):
         ])
 
 
-def history_by_node(op, prior_u):
-    """History moments of element ``op.n`` by the plain per-node loop.
+def history_by_node(ops, n, prior_u):
+    """History moments of element n of ``ops`` by the plain per-node loop.
 
     ``prior_u`` holds the Lobatto values of elements 1..n-1 in the
     ``mesh.offsets`` layout.  For each Gauss node t it walks the solved
@@ -212,14 +212,15 @@ def history_by_node(op, prior_u):
     """
     from abelhp.quadrature import RuleKind, _shift_rows, gauss_rule, history_weights_batch
 
-    problem, mesh = op.problem, op.mesh
-    bp, offsets, prior = mesh.breakpoints, mesh.offsets, op.n - 1
+    problem, mesh = ops.problem, ops.mesh
+    bp, offsets, prior = mesh.breakpoints, mesh.offsets, n - 1
     degrees = [int(d) for d in mesh.degrees[:prior]]
     nodes = [gauss_rule(RuleKind.GAUSS_LOBATTO, None, d).nodes for d in degrees]
     points = [_shift_rows(x, bp[k : k + 1], bp[k + 1 : k + 2])[0] for k, x in enumerate(nodes)]
     values = [prior_u[offsets[k] : offsets[k + 1]] for k in range(prior)]
-    vals = np.zeros(op.t_nodes.size)
-    for i, t in enumerate(op.t_nodes):
+    t_nodes = ops.t_nodes[n - ops.n0]
+    vals = np.zeros(t_nodes.size)
+    for i, t in enumerate(t_nodes):
         k = 0
         while k < prior:
             d = degrees[k]
@@ -231,7 +232,7 @@ def history_by_node(op, prior_u):
             U = np.stack(values[k:k_end])
             vals[i] += float(np.sum(w * problem.kappa(t, S) * problem.psi(t, S, U)))
             k = k_end
-    return op.project(vals)
+    return ops.project(vals)
 
 
 def linear_march_by_element(problem, mesh):
@@ -242,7 +243,7 @@ def linear_march_by_element(problem, mesh):
     maps f minus that to coefficients with its stretch's batched inverse, and
     writes its Lobatto values before the next element starts.
     """
-    from abelhp.discretization import HistoryRun, OperatorRun, _gap_table, operator_stretches
+    from abelhp.discretization import ElementOperator, HistoryRun, _gap_table, operator_stretches
     from abelhp.quadrature import _lobatto_table
     from abelhp.solver import _f_at_nodes, _linear_solvers
 
@@ -250,8 +251,8 @@ def linear_march_by_element(problem, mesh):
     coeffs, lobatto_u = np.empty(mesh.L), np.empty(mesh.L)
     table = _gap_table(mesh, problem.alpha)
     for stretch in operator_stretches(mesh):
-        ops = OperatorRun(problem, mesh, stretch[0][0], stretch[-1][1])
-        solvers, f_nodes = _linear_solvers(ops), _f_at_nodes(problem, ops)
+        ops = ElementOperator(problem, mesh, stretch[0][0], stretch[-1][1])
+        solvers, f_nodes = _linear_solvers(ops), _f_at_nodes(ops)
         for n0, n1 in stretch:
             run = HistoryRun(ops, n0, n1, lobatto_u[: offsets[n0 - 1]], table)
             for n in range(n0, n1 + 1):
@@ -283,8 +284,8 @@ def evaluate_by_degree(solution, t, elem_idx):
     return out
 
 
-def _element_grid(op):
-    """Tables of element ``op.n`` rebuilt from its rules, as separate factors.
+def _element_grid(ops, n):
+    """Tables of element n of ``ops`` rebuilt from its rules, as separate factors.
 
     Returns the Gauss nodes t_i, the inner nodes sigma_ij, the kernel there,
     the Legendre tables P (Gauss nodes) and Q (inner nodes), the singular
@@ -293,8 +294,8 @@ def _element_grid(op):
     from abelhp.orthopoly import legendre_table
     from abelhp.quadrature import RuleKind, _shift_rows, gauss_rule
 
-    problem, n, bp = op.problem, op.n, op.mesh.breakpoints
-    M, alpha, h = op.mesh.degrees[n - 1], problem.alpha, bp[n] - bp[n - 1]
+    problem, bp = ops.problem, ops.mesh.breakpoints
+    M, alpha, h = ops.mesh.degrees[n - 1], problem.alpha, bp[n] - bp[n - 1]
     gl = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, M)
     gj = gauss_rule(RuleKind.GAUSS_JACOBI, alpha - 1.0, M)
     node_product = (1.0 + gl.nodes)[:, None] * (1.0 + gj.nodes)[None, :]
@@ -308,44 +309,44 @@ def _element_grid(op):
     return t, sigma, kappa, P, Q, prefac, gj.weights, sys_scale
 
 
-def weighted_moments_einsum(op, coeffs):
+def weighted_moments_einsum(ops, n, coeffs):
     """Current-element moments by separate contractions, factor by factor."""
-    t, sigma, kappa, P, Q, prefac, w_inner, sys_scale = _element_grid(op)
+    t, sigma, kappa, P, Q, prefac, w_inner, sys_scale = _element_grid(ops, n)
     u = np.einsum("q,qij->ij", coeffs, Q)
-    psi = op.problem.psi(t[:, None], sigma, u)
+    psi = ops.problem.psi(t[:, None], sigma, u)
     inner = (kappa * psi) @ w_inner
     return sys_scale * (P @ (prefac * inner))
 
 
-def jacobian_einsum(op, coeffs):
+def jacobian_einsum(ops, n, coeffs):
     """Element Jacobian by one three-factor einsum over the (i, j) grid."""
-    t, sigma, kappa, P, Q, prefac, w_inner, sys_scale = _element_grid(op)
+    t, sigma, kappa, P, Q, prefac, w_inner, sys_scale = _element_grid(ops, n)
     u = np.einsum("q,qij->ij", coeffs, Q)
-    dpsi = op.problem.dpsi_du(t[:, None], sigma, u)
+    dpsi = ops.problem.dpsi_du(t[:, None], sigma, u)
     core = kappa * dpsi * w_inner[None, :]
     J = np.einsum("pi,ij,qij->pq", P * prefac[None, :], core, Q)
     return sys_scale[:, None] * J
 
 
-def fused_matrix_einsum(op):
+def fused_matrix_einsum(ops, n):
     """Element matrix B[p, (i, j)] = sys_scale_p P_pi prefac_i kappa_ij w_j, factor by factor."""
-    t, sigma, kappa, P, Q, prefac, w_inner, sys_scale = _element_grid(op)
+    t, sigma, kappa, P, Q, prefac, w_inner, sys_scale = _element_grid(ops, n)
     B = np.einsum("p,pi,i,ij,j->pij", sys_scale, P, prefac, kappa, w_inner)
     return B.reshape(B.shape[0], -1)
 
 
-def rhs_by_node(op):
-    """Legendre moments of f on element ``op.n``, one Gauss node at a time."""
+def rhs_by_node(ops, n):
+    """Legendre moments of f on element n of ``ops``, one Gauss node at a time."""
     from abelhp.orthopoly import legendre_table
     from abelhp.quadrature import RuleKind, _shift_rows, gauss_rule
 
-    n, bp = op.n, op.mesh.breakpoints
-    degree = op.mesh.degrees[n - 1]
+    bp = ops.mesh.breakpoints
+    degree = ops.mesh.degrees[n - 1]
     gl = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, degree)
     out = np.zeros(degree + 1)
     ts = _shift_rows(gl.nodes, bp[n - 1 : n], bp[n : n + 1])[0]
     for x, w, t in zip(gl.nodes, gl.weights, ts):
-        fx = float(np.asarray(op.problem.f(np.array([t])), dtype=float).ravel()[0])
+        fx = float(np.asarray(ops.problem.f(np.array([t])), dtype=float).ravel()[0])
         out += w * fx * legendre_table(degree, x)
     return (2.0 * np.arange(degree + 1) + 1.0) / 2.0 * out
 

@@ -226,17 +226,17 @@ def test_criterion_8_property_suite():
 
     m = uniform_mesh(2, 1.0, 3)
     c1 = np.array([0.01, 0.02, 0.0, 0.0])
-    op = ElementOperator(b3.spec, m, 2)
-    target = op.rhs() - op.history(_lobatto_values(c1, 3))
+    op = ElementOperator(b3.spec, m, 2, 2)
+    target = op.rhs(2) - op.history(2, _lobatto_values(c1, 3))
 
     def residual(u):
-        return op.weighted_moments(u) - target
+        return op.weighted_moments(2, u) - target
 
     rng = np.random.default_rng(3)
     worst_jac = 0.0
     for _ in range(3):
         u = rng.uniform(-0.5, 0.5, 4)
-        J = op.jacobian(u)
+        J = op.jacobian(2, u)
         fd = np.empty_like(J)
         for q in range(4):
             hstep = 1e-7 * (1.0 + abs(u[q]))

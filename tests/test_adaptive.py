@@ -134,6 +134,14 @@ def test_options_validation():
         AdaptiveOptions(tol=1e-8, strategy="bogus")
 
 
+def test_max_L_must_be_an_integer():
+    # as SolverOptions refuses such a newton_max_iter, and the CLI such a max_L
+    for max_L in (2.5, 200.0, True):
+        with pytest.raises(TypeError, match="max_L must be an integer"):
+            AdaptiveOptions(1e-3, "p_first", max_L)
+    assert AdaptiveOptions(1e-3, "p_first", np.int64(40)).max_L == 40
+
+
 def _steps(spec, mesh, opts, **kwargs):
     """The trace's steps, whether or not the run meets its tolerance within max_L."""
     try:

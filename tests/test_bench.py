@@ -50,6 +50,15 @@ def test_error_E2_values():
     assert bench.error_E2(sol, ramp) == pytest.approx(1.0, rel=1e-3)
 
 
+def test_error_metrics_broadcast_a_scalar_exact_fn():
+    # an exact_fn that returns one number for all points, as error_E1 takes it
+    b = bench.make_benchmark("ex3")
+    sol = solve(b.spec, uniform_mesh(4, 1.0, 2), b.solver_options())
+    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+    for error in (bench.error_E1, bench.error_E2):
+        assert error(sol, lambda t: 0.0) == error(sol, zero) > 0.0
+
+
 @pytest.mark.parametrize("case", ["mixed", "degree23", "blocks"])
 def test_error_E2_matches_per_point_evaluation(case):
     # E2's table path against evaluate at each grid point: on interleaved
@@ -125,6 +134,13 @@ def test_convergence_order():
     assert bench.convergence_order(3e-4, 7e-5) == pytest.approx(
         bench.convergence_order(3e-9, 7e-10)
     )
+
+
+def test_convergence_order_refuses_non_finite_errors():
+    # a NaN fails the positivity test too, which inf passes
+    for pair in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match=f"positive and finite.*got {pair[0]} and {pair[1]}"):
+            bench.convergence_order(*pair)
 
 
 def test_perturb_rhs():
@@ -288,7 +304,8 @@ def test_history_projection_matches_quadrature_oracle():
     from abelhp.discretization import ElementOperator
     from abelhp.solver import _lobatto_values
 
-    got = ElementOperator(b2.spec, mesh, 2).history(_lobatto_values(sol.coefficients(1), 5))
+    op = ElementOperator(b2.spec, mesh, 2, 2)
+    got = op.history(2, _lobatto_values(sol.coefficients(1), 5))
     u1 = lambda s: evaluate(sol, s)
     x, w = leggauss(6)
     pts = 0.75 + 0.25 * x  # Gauss points of element 2, [0.5, 1]

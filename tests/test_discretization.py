@@ -12,7 +12,6 @@ from abelhp.bench import forward_apply, make_benchmark
 from abelhp.discretization import (
     ElementOperator,
     HistoryRun,
-    OperatorRun,
     ProblemAssumptionWarning,
     ProblemSpec,
     history_runs,
@@ -58,16 +57,16 @@ def _prior(mesh, *coeffs):
     return np.concatenate(vals) if vals else np.empty(0)
 
 
-def _element_residual(op, prior_u):
-    """Residual of element op.n as solve forms it: moments - (rhs - history)."""
-    target = op.rhs() - op.history(prior_u)
-    return lambda u: op.weighted_moments(np.asarray(u, dtype=float)) - target
+def _element_residual(ops, n, prior_u):
+    """Residual of element n as solve forms it: moments - (rhs - history)."""
+    target = ops.rhs(n) - ops.history(n, prior_u)
+    return lambda u: ops.weighted_moments(n, np.asarray(u, dtype=float)) - target
 
 
 def test_rhs_constant_and_mode_pickoff():
     p = _identity_problem(0.5, 1.0, lambda t: np.ones_like(np.asarray(t, dtype=float)))
     m = uniform_mesh(2, 1.0, 3)
-    f0 = ElementOperator(p, m, 1).rhs()
+    f0 = ElementOperator(p, m, 1, 1).rhs(1)
     assert f0[0] == pytest.approx(1.0, abs=1e-14)
     assert np.max(np.abs(f0[1:])) < 1e-14
 
@@ -75,7 +74,7 @@ def test_rhs_constant_and_mode_pickoff():
     left, right = m.breakpoints[1:3]
     f2 = lambda t: legendre_table(2, (2 * np.asarray(t) - left - right) / (right - left))[2]
     fh = ElementOperator(ProblemSpec(0.5, 1.0, _ones, lambda t, s, u: u,
-                                     lambda t, s, u: np.ones_like(u), f2, True), m, 2).rhs()
+                                     lambda t, s, u: np.ones_like(u), f2, True), m, 2, 2).rhs(2)
     expected = np.zeros(4)
     expected[2] = 1.0
     assert fh == pytest.approx(expected, abs=1e-13)
@@ -84,21 +83,21 @@ def test_rhs_constant_and_mode_pickoff():
 def test_rhs_linear_function():
     p = _identity_problem(0.5, 1.0, lambda t: np.asarray(t, dtype=float))
     m = uniform_mesh(1, 1.0, 3)
-    fh = ElementOperator(p, m, 1).rhs()
+    fh = ElementOperator(p, m, 1, 1).rhs(1)
     assert fh == pytest.approx([0.5, 0.5, 0.0, 0.0], abs=1e-14)
 
 
 def test_history_empty_for_first_element():
     p = _identity_problem(0.5, 1.0, lambda t: np.asarray(t, dtype=float))
     m = uniform_mesh(3, 1.0, 2)
-    assert np.array_equal(ElementOperator(p, m, 1).history(np.empty(0)), np.zeros(3))
+    assert np.array_equal(ElementOperator(p, m, 1, 1).history(1, np.empty(0)), np.zeros(3))
 
 
 def test_history_constant_prior_alpha_one():
     p = _identity_problem(1.0, 1.0, lambda t: np.asarray(t, dtype=float))
     m = uniform_mesh(2, 1.0, 2)
     c = 3.0
-    b = ElementOperator(p, m, 2).history(_prior(m, [c, 0.0, 0.0]))
+    b = ElementOperator(p, m, 2, 2).history(2, _prior(m, [c, 0.0, 0.0]))
     assert b == pytest.approx([c * 0.5, 0.0, 0.0], abs=1e-13)
 
 
@@ -107,7 +106,7 @@ def test_history_closed_form_projection():
     # 2 (sqrt(t) - sqrt(t-1)); its Gauss-point projection is the reference
     p = _identity_problem(0.5, 2.0, lambda t: np.asarray(t, dtype=float))
     m = uniform_mesh(2, 2.0, 4)
-    b = ElementOperator(p, m, 2).history(_prior(m, [1.0, 0.0, 0.0, 0.0, 0.0]))
+    b = ElementOperator(p, m, 2, 2).history(2, _prior(m, [1.0, 0.0, 0.0, 0.0, 0.0]))
 
     rule = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, 4)
     ti = _shift_rows(rule.nodes, m.breakpoints[1:2], m.breakpoints[2:3])[0]
@@ -123,26 +122,26 @@ def test_history_superposition():
     rng = np.random.default_rng(0)
     c1 = rng.uniform(0, 0.1, 4)
     c2 = rng.uniform(0, 0.1, 4)
-    op = ElementOperator(b3.spec, m, 3)
-    both = op.history(_prior(m, c1, c2))
+    op = ElementOperator(b3.spec, m, 3, 3)
+    both = op.history(3, _prior(m, c1, c2))
     # additivity over prior elements: zeroing one element's values removes
     # exactly its contribution
-    only2 = op.history(_prior(m, c1 * 0.0, c2))
-    only1 = op.history(_prior(m, c1, c2 * 0.0))
+    only2 = op.history(3, _prior(m, c1 * 0.0, c2))
+    only1 = op.history(3, _prior(m, c1, c2 * 0.0))
     assert both == pytest.approx(only1 + only2, abs=1e-12)
 
 
 def test_local_residual_vanishes_on_exact_polynomial_alpha_one():
     p = _identity_problem(1.0, 1.0, lambda t: np.asarray(t, dtype=float) ** 2 / 2.0)
     m = uniform_mesh(1, 1.0, 1)
-    r = _element_residual(ElementOperator(p, m, 1), np.empty(0))([0.5, 0.5])
+    r = _element_residual(ElementOperator(p, m, 1, 1), 1, np.empty(0))([0.5, 0.5])
     assert np.max(np.abs(r)) < 1e-13
 
 
 def test_local_residual_vanishes_on_constant_sqrt_rhs():
     p = _identity_problem(0.5, 1.0, lambda t: 2.0 * np.sqrt(np.asarray(t, dtype=float)))
     m = uniform_mesh(1, 1.0, 1)
-    r = _element_residual(ElementOperator(p, m, 1), np.empty(0))([1.0, 0.0])
+    r = _element_residual(ElementOperator(p, m, 1, 1), 1, np.empty(0))([1.0, 0.0])
     assert np.max(np.abs(r)) < 1e-13
 
 
@@ -150,9 +149,9 @@ def test_linear_consistency_of_residual():
     bench = pytest.importorskip("abelhp.bench").make_benchmark("ex2")
     m = uniform_mesh(2, 1.0, 3)
     prior = _prior(m, [0.3, -0.1, 0.05, 0.0])
-    op = ElementOperator(bench.spec, m, 2)
-    residual = _element_residual(op, prior)
-    A, b, c = op.jacobian(np.zeros(4)), op.history(prior), op.rhs()
+    op = ElementOperator(bench.spec, m, 2, 2)
+    residual = _element_residual(op, 2, prior)
+    A, b, c = op.jacobian(2, np.zeros(4)), op.history(2, prior), op.rhs(2)
     rng = np.random.default_rng(1)
     for _ in range(5):
         u = rng.uniform(-1.0, 1.0, 4)
@@ -163,11 +162,11 @@ def test_linear_consistency_of_residual():
 def test_jacobian_matches_finite_differences():
     bench = pytest.importorskip("abelhp.bench").make_benchmark("ex3")
     m = uniform_mesh(2, 1.0, 3)
-    op = ElementOperator(bench.spec, m, 2)
-    residual = _element_residual(op, _prior(m, [0.01, 0.02, 0.0, 0.0]))
+    op = ElementOperator(bench.spec, m, 2, 2)
+    residual = _element_residual(op, 2, _prior(m, [0.01, 0.02, 0.0, 0.0]))
     rng = np.random.default_rng(2)
     u = rng.uniform(-0.5, 0.5, 4)
-    J = op.jacobian(u)
+    J = op.jacobian(2, u)
     fd = np.empty_like(J)
     for q in range(4):
         h = 1e-7 * (1.0 + abs(u[q]))
@@ -181,12 +180,12 @@ def test_jacobian_matches_finite_differences():
 def test_jacobian_constant_for_linear_problems():
     bench = pytest.importorskip("abelhp.bench").make_benchmark("ex2")
     m = uniform_mesh(2, 1.0, 3)
-    op = ElementOperator(bench.spec, m, 1)
-    A = op.jacobian(np.zeros(4))
+    op = ElementOperator(bench.spec, m, 1, 1)
+    A = op.jacobian(1, np.zeros(4))
     rng = np.random.default_rng(9)
     for _ in range(3):
         u = rng.uniform(-1, 1, 4)
-        assert op.jacobian(u) == pytest.approx(A, abs=1e-13)
+        assert op.jacobian(1, u) == pytest.approx(A, abs=1e-13)
 
 
 def test_jacobian_zero_at_zero_for_square_nonlinearity():
@@ -199,22 +198,22 @@ def test_jacobian_zero_at_zero_for_square_nonlinearity():
         f=lambda t: np.asarray(t, dtype=float),
     )
     m = uniform_mesh(1, 1.0, 3)
-    J = ElementOperator(p, m, 1).jacobian(np.zeros(4))
+    J = ElementOperator(p, m, 1, 1).jacobian(1, np.zeros(4))
     assert np.max(np.abs(J)) < 1e-14
 
 
 def test_assemble_linear_matrix_action_and_independence():
     p = _identity_problem(1.0, 1.0, lambda t: np.asarray(t, dtype=float) ** 2 / 2.0)
     m = uniform_mesh(1, 1.0, 1)
-    op = ElementOperator(p, m, 1)
-    A, b, c = op.jacobian(np.zeros(2)), op.history(np.empty(0)), op.rhs()
+    op = ElementOperator(p, m, 1, 1)
+    A, b, c = op.jacobian(1, np.zeros(2)), op.history(1, np.empty(0)), op.rhs(1)
     # A maps the coefficients of u = t onto those of t^2/2 (degree <= 1 part)
     assert A @ [0.5, 0.5] == pytest.approx([1 / 6, 1 / 4], rel=1e-12)
     assert b == pytest.approx(np.zeros(2), abs=1e-15)
 
     p_other = _identity_problem(1.0, 1.0, lambda t: np.cos(np.asarray(t, dtype=float)))
-    op_other = ElementOperator(p_other, m, 1)
-    A2, c2 = op_other.jacobian(np.zeros(2)), op_other.rhs()
+    op_other = ElementOperator(p_other, m, 1, 1)
+    A2, c2 = op_other.jacobian(1, np.zeros(2)), op_other.rhs(1)
     assert np.array_equal(A, A2)
     assert not np.allclose(c, c2)
 
@@ -224,7 +223,7 @@ def test_assemble_linear_entries_against_2d_quadrature():
     # int_0^t L_q, exact for these degrees, so it matches the 2-D integral
     p = _identity_problem(1.0, 1.0, lambda t: np.asarray(t, dtype=float))
     m = uniform_mesh(1, 1.0, 2)
-    A = ElementOperator(p, m, 1).jacobian(np.zeros(3))
+    A = ElementOperator(p, m, 1, 1).jacobian(1, np.zeros(3))
     for pp in range(3):
         for q in range(3):
             unit_p = np.zeros(pp + 1)
@@ -257,11 +256,11 @@ def test_quadrature_consistency_low_degree_integrand():
         linear=True,
     )
     m = uniform_mesh(1, 1.0, 3)
-    op = ElementOperator(p, m, 1)
+    op = ElementOperator(p, m, 1, 1)
     coeffs = np.array([0.5, 0.5, 0.0, 0.0])  # u(t) = t
-    mine = op.weighted_moments(coeffs)
-    vals = np.empty_like(op.t_nodes)
-    for i, t in enumerate(op.t_nodes):
+    mine = op.weighted_moments(1, coeffs)
+    vals = np.empty_like(op.t_nodes[0])
+    for i, t in enumerate(op.t_nodes[0]):
         vals[i] = singular_history_integral(
             lambda s: (1.0 + s) * s, 0.0, float(t), float(t), 0.4
         )
@@ -280,22 +279,22 @@ def test_fused_operator_matches_factorwise_contractions():
         T = bench.spec.T
         mesh = Mesh(np.linspace(0.0, T, len(degrees) + 1), degrees)
         for n, d in enumerate(degrees, start=1):
-            op = ElementOperator(bench.spec, mesh, n)
+            op = ElementOperator(bench.spec, mesh, n, n)
             # |L_k| <= 1, so u = 1 + sum of terms below 0.1 in size stays
             # positive, as ex6's log and square root of u require
             coeffs = np.concatenate(([1.0], rng.uniform(-0.1, 0.1, d) / d))
             for fused, oracle in (
-                (op.weighted_moments(coeffs), weighted_moments_einsum(op, coeffs)),
-                (op.jacobian(coeffs), jacobian_einsum(op, coeffs)),
+                (op.weighted_moments(n, coeffs), weighted_moments_einsum(op, n, coeffs)),
+                (op.jacobian(n, coeffs), jacobian_einsum(op, n, coeffs)),
             ):
                 assert fused.shape == oracle.shape
                 assert np.max(np.abs(fused - oracle)) <= 1e-14 * np.max(np.abs(oracle))
             # a (K, d + 1) stack of rows gives one row of moments each
             stack = np.column_stack((np.ones(5), rng.uniform(-0.1, 0.1, (5, d)) / d))
-            moments = op.weighted_moments(stack)
+            moments = op.weighted_moments(n, stack)
             assert moments.shape == stack.shape
             for row, c in zip(moments, stack):
-                for oracle in (op.weighted_moments(c), weighted_moments_einsum(op, c)):
+                for oracle in (op.weighted_moments(n, c), weighted_moments_einsum(op, n, c)):
                     assert np.max(np.abs(row - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
@@ -321,10 +320,11 @@ def test_broadcasting_callables_solve_like_full_arrays():
     twin = dataclasses.replace(const, psi=lambda t, s, u: np.full_like(u, 2.0))
     for n in (1, 3):
         c = np.array([0.3, -0.2, 0.1, 0.05])[: mesh.degrees[n - 1] + 1]
-        got = ElementOperator(const, mesh, n).weighted_moments(c)
-        want = ElementOperator(twin, mesh, n).weighted_moments(c)
+        got = ElementOperator(const, mesh, n, n).weighted_moments(n, c)
+        want = ElementOperator(twin, mesh, n, n).weighted_moments(n, c)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-        assert np.array_equal(ElementOperator(const, mesh, n).jacobian(c), np.zeros((c.size, c.size)))
+        zero = np.zeros((c.size, c.size))
+        assert np.array_equal(ElementOperator(const, mesh, n, n).jacobian(n, c), zero)
 
 
 def test_degenerate_kernel_warns_never_raises():
@@ -415,11 +415,11 @@ def test_missing_prior_raises():
     p = _identity_problem(0.5, 1.0, lambda t: np.asarray(t, dtype=float))
     m = uniform_mesh(3, 1.0, 2)
     with pytest.raises(ValueError):
-        ElementOperator(p, m, 3).history(_prior(m, [1.0, 0.0, 0.0]))
+        ElementOperator(p, m, 3, 3).history(3, _prior(m, [1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
-        ElementOperator(p, m, 3).history(np.empty(0))
+        ElementOperator(p, m, 3, 3).history(3, np.empty(0))
     with pytest.raises(ValueError):  # element 3's own values are not history
-        ElementOperator(p, m, 3).history(np.ones(m.L))
+        ElementOperator(p, m, 3, 3).history(3, np.ones(m.L))
 
 
 def test_history_matches_per_node_loop_on_mixed_degrees():
@@ -432,10 +432,10 @@ def test_history_matches_per_node_loop_on_mixed_degrees():
     rng = np.random.default_rng(11)
     prior = _prior(mesh, *(rng.uniform(-1.0, 1.0, d + 1) for d in degrees[:-1]))
     for n in range(2, len(degrees) + 1):
-        op = ElementOperator(problem, mesh, n)
+        op = ElementOperator(problem, mesh, n, n)
         prior_u = prior[: mesh.offsets[n - 1]]
-        batched = op.history(prior_u)
-        looped = history_by_node(op, prior_u)
+        batched = op.history(n, prior_u)
+        looped = history_by_node(op, n, prior_u)
         assert np.max(np.abs(batched - looped)) <= 1e-14 * np.max(np.abs(looped))
 
 
@@ -450,10 +450,10 @@ def test_history_matches_per_node_loop_on_graded_hp_mesh():
     rng = np.random.default_rng(5)
     prior = _prior(mesh, *(rng.uniform(-1.0, 1.0, d + 1) for d in degrees[:-1]))
     for n in range(2, mesh.N + 1):
-        op = ElementOperator(ex1.spec, mesh, n)
+        op = ElementOperator(ex1.spec, mesh, n, n)
         prior_u = prior[: mesh.offsets[n - 1]]
-        batched = op.history(prior_u)
-        looped = history_by_node(op, prior_u)
+        batched = op.history(n, prior_u)
+        looped = history_by_node(op, n, prior_u)
         assert np.max(np.abs(batched - looped)) <= 1e-14 * np.max(np.abs(looped))
 
 
@@ -508,11 +508,11 @@ def test_blocked_history_matches_per_node_loop(monkeypatch):
     rng = np.random.default_rng(7)
     prior = _prior(mesh, *(rng.uniform(-1.0, 1.0, d + 1) for d in mesh.degrees))
     for n0, n1 in runs:
-        run = HistoryRun(OperatorRun(problem, mesh, n0, n1), n0, n1, prior[: mesh.offsets[n0 - 1]])
+        ops = ElementOperator(problem, mesh, n0, n1)
+        run = HistoryRun(ops, n0, n1, prior[: mesh.offsets[n0 - 1]])
         for n in range(n0, n1 + 1):
-            op = ElementOperator(problem, mesh, n)
-            blocked = op.project(run.at_nodes(n, prior))
-            looped = history_by_node(op, prior[: mesh.offsets[n - 1]])
+            blocked = ops.project(run.at_nodes(n, prior))
+            looped = history_by_node(ops, n, prior[: mesh.offsets[n - 1]])
             assert np.max(np.abs(blocked - looped)) <= 1e-14 * np.max(np.abs(looped))
 
 
@@ -536,18 +536,16 @@ def test_stacked_operators_match_factorwise_forms(monkeypatch):
     rng = np.random.default_rng(23)
     for problem in problems + [scalars]:
         for n0, n1 in runs:
-            run = OperatorRun(problem, mesh, n0, n1)
+            ops = ElementOperator(problem, mesh, n0, n1)
             for n in range(n0, n1 + 1):
-                op = run.operator(n)
-                assert op.n == n
                 d = int(mesh.degrees[n - 1])
                 # u = 1 + terms below 0.1 stays positive, as ex6's log needs
                 coeffs = np.concatenate(([1.0], rng.uniform(-0.1, 0.1, d) / d))
                 for stacked, oracle in (
-                    (op.B, fused_matrix_einsum(op)),
-                    (op.rhs(), rhs_by_node(op)),
-                    (op.weighted_moments(coeffs), weighted_moments_einsum(op, coeffs)),
-                    (op.jacobian(coeffs), jacobian_einsum(op, coeffs)),
+                    (ops.B[n - n0], fused_matrix_einsum(ops, n)),
+                    (ops.rhs(n), rhs_by_node(ops, n)),
+                    (ops.weighted_moments(n, coeffs), weighted_moments_einsum(ops, n, coeffs)),
+                    (ops.jacobian(n, coeffs), jacobian_einsum(ops, n, coeffs)),
                 ):
                     assert stacked.shape == oracle.shape
                     assert np.max(np.abs(stacked - oracle)) <= 1e-14 * np.max(np.abs(oracle))
@@ -557,10 +555,26 @@ def test_operator_run_rejects_bad_ranges():
     p = _identity_problem(0.5, 1.0, lambda t: np.asarray(t, dtype=float))
     m = Mesh(np.linspace(0.0, 1.0, 4), [2, 2, 3])
     with pytest.raises(ValueError):
-        OperatorRun(p, m, 2, 3)
+        ElementOperator(p, m, 2, 3)
     for n in (0, 4):
         with pytest.raises(IndexError):
-            ElementOperator(p, m, n)
+            ElementOperator(p, m, n, n)
+
+
+def test_operator_methods_reject_elements_outside_their_stretch():
+    # each method reads element n's rows of the stacks; there are none for
+    # an element outside n0..n1, on either side
+    p = _identity_problem(0.5, 1.0, lambda t: np.asarray(t, dtype=float))
+    m = uniform_mesh(4, 1.0, 2)
+    ops = ElementOperator(p, m, 2, 3)
+    c = np.array([0.1, 0.2, 0.3])
+    for n in (1, 4):
+        for call in (lambda: ops.weighted_moments(n, c), lambda: ops.jacobian(n, c),
+                     lambda: ops.rhs(n)):
+            with pytest.raises(KeyError):
+                call()
+        with pytest.raises(IndexError, match="outside the operators of 2..3"):
+            ops.history(n, _prior(m, *[c] * (n - 1)))
 
 
 def test_solve_calls_f_once_per_stretch(monkeypatch):
@@ -621,7 +635,7 @@ def test_uniform_history_against_mpmath_near_t_end(N, degree, bound):
     # moments, hold the same bound at both degrees.
     problem = _identity_problem(0.5, 1.0, lambda t: np.asarray(t, dtype=float))
     mesh = uniform_mesh(N, 1.0, degree)
-    op = ElementOperator(problem, mesh, N)
+    ops = ElementOperator(problem, mesh, N, N)
     nodes = gauss_rule(RuleKind.GAUSS_LEGENDRE, None, degree).nodes
     coeffs = np.random.default_rng(3).uniform(-1.0, 1.0, degree + 1)
     for gap in (1, 3, N - 1):
@@ -629,9 +643,9 @@ def test_uniform_history_against_mpmath_near_t_end(N, degree, bound):
         prior = np.zeros(mesh.offsets[N - 1])
         prior[mesh.offsets[k - 1] : mesh.offsets[k]] = _lobatto_values(coeffs, degree)
         table = abelhp.discretization._gap_table(mesh, 0.5)
-        run = HistoryRun(OperatorRun(problem, mesh, N, N), N, N, prior, table)
-        got = op.project(run.at_nodes(N, prior))
-        want = op.project(uniform_history_mpmath(N, 1.0, nodes, gap, coeffs, 0.5))
+        run = HistoryRun(ops, N, N, prior, table)
+        got = ops.project(run.at_nodes(N, prior))
+        want = ops.project(uniform_history_mpmath(N, 1.0, nodes, gap, coeffs, 0.5))
         assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want)), gap
 
 
@@ -653,12 +667,11 @@ def test_uniform_history_matches_per_node_loop(monkeypatch, N):
     assert any(n1 > n0 > 1 for n0, n1 in runs)
     prior = 1.0 + 0.5 * np.cos(3.0 * mesh.history_points)
     for n0, n1 in runs:
-        ops = OperatorRun(problem, mesh, n0, n1)
+        ops = ElementOperator(problem, mesh, n0, n1)
         run = HistoryRun(ops, n0, n1, prior[: mesh.offsets[n0 - 1]], table)
         for n in range(n0, n1 + 1):
-            op = ElementOperator(problem, mesh, n)
-            blocked = op.project(run.at_nodes(n, prior))
-            looped = history_by_node(op, prior[: mesh.offsets[n - 1]])
+            blocked = ops.project(run.at_nodes(n, prior))
+            looped = history_by_node(ops, n, prior[: mesh.offsets[n - 1]])
             assert np.max(np.abs(blocked - looped)) <= 1e-14 * np.max(np.abs(looped))
 
 
@@ -681,12 +694,11 @@ def test_far_contraction_matches_per_node_loop(monkeypatch):
         for psi in psis:
             problem = dataclasses.replace(ex3.spec, psi=psi)
             for n0, n1 in runs:
-                ops = OperatorRun(problem, mesh, n0, n1)
+                ops = ElementOperator(problem, mesh, n0, n1)
                 run = HistoryRun(ops, n0, n1, prior[: mesh.offsets[n0 - 1]], table)
                 for n in range(max(n0, 2), n1 + 1):
-                    op = ElementOperator(problem, mesh, n)
-                    blocked = op.project(run.at_nodes(n, prior))
-                    looped = history_by_node(op, prior[: mesh.offsets[n - 1]])
+                    blocked = ops.project(run.at_nodes(n, prior))
+                    looped = history_by_node(ops, n, prior[: mesh.offsets[n - 1]])
                     assert np.max(np.abs(blocked - looped)) <= 1e-14 * np.max(np.abs(looped))
 
 
@@ -767,8 +779,8 @@ def test_history_takes_a_kernel_seam_as_the_limit_from_inside():
     prior = np.linspace(1.0, 2.0, mesh.L)
     for n in range(2, mesh.N + 1):
         u = prior[: mesh.offsets[n - 1]]
-        want = ElementOperator(b.spec, mesh, n).history(u)
-        got = ElementOperator(closed, mesh, n).history(u)
+        want = ElementOperator(b.spec, mesh, n, n).history(n, u)
+        got = ElementOperator(closed, mesh, n, n).history(n, u)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
@@ -779,8 +791,8 @@ def test_history_run_rejects_mixed_degrees_and_short_prior():
     p = _identity_problem(0.5, 1.0, lambda t: np.asarray(t, dtype=float))
     m = Mesh(np.linspace(0.0, 1.0, 4), [2, 2, 3])
     with pytest.raises(ValueError):
-        OperatorRun(p, m, 2, 3)
-    ops = OperatorRun(p, m, 1, 2)
+        ElementOperator(p, m, 2, 3)
+    ops = ElementOperator(p, m, 1, 2)
     with pytest.raises(IndexError):
         HistoryRun(ops, 2, 3, _prior(m, [1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
@@ -800,12 +812,12 @@ def test_solve_store_matches_list_march():
         sol = solve(bench.spec, mesh, options)
         prior = _prior(mesh, *(sol.coefficients(n) for n in range(1, mesh.N + 1)))
         for n in range(1, mesh.N + 1):
-            op = ElementOperator(bench.spec, mesh, n)
+            op = ElementOperator(bench.spec, mesh, n, n)
             prior_u = prior[: mesh.offsets[n - 1]]
             dim = mesh.degrees[n - 1] + 1
             if bench.spec.linear:
-                A = op.jacobian(np.zeros(dim))
-                coeffs = np.linalg.solve(A, op.rhs() - op.history(prior_u))
+                A = op.jacobian(n, np.zeros(dim))
+                coeffs = np.linalg.solve(A, op.rhs(n) - op.history(n, prior_u))
             else:
                 warm = np.zeros(dim)
                 if n == 1:
@@ -813,8 +825,8 @@ def test_solve_store_matches_list_march():
                 else:
                     prev = sol.coefficients(n - 1)
                     warm[: min(dim, prev.size)] = prev[:dim]
-                residual = _element_residual(op, prior_u)
-                coeffs = newton(residual, op.jacobian, warm, options, n=n)
+                residual = _element_residual(op, n, prior_u)
+                coeffs = newton(residual, lambda c: op.jacobian(n, c), warm, options, n=n)
             mine = sol.coefficients(n)
             assert np.max(np.abs(coeffs - mine)) <= 1e-14 * np.max(np.abs(mine))
 

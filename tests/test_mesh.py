@@ -22,6 +22,12 @@ def test_uniform_mesh_basics():
     assert uniform_mesh(4, 1.0, 1).L == 8
 
 
+def test_uniform_mesh_needs_a_finite_positive_T():
+    for T in (np.inf, np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match=f"T must be finite and positive, got {T}"):
+            uniform_mesh(2, T, 2)
+
+
 def test_mesh_validation():
     # each bad mesh raises its own message, and no check warns on the way
     table = [

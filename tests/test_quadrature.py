@@ -481,6 +481,15 @@ def test_rule_cache_returns_same_object():
     assert r1 is r2
 
 
+def test_rule_order_must_be_an_integer():
+    # True == 1 would be cached as order 1, and 2.5 reach numpy; a numpy
+    # integer is an order like any other
+    for order in (True, False, 2.5, 3.0):
+        with pytest.raises(TypeError, match="rule order must be an integer"):
+            gauss_rule("gauss_legendre", None, order)
+    assert gauss_rule("gauss_legendre", None, np.int64(3)) is gauss_rule("gauss_legendre", None, 3)
+
+
 def test_invalid_rules():
     # Gauss-Jacobi needs an exponent (its domain: test_orthopoly); the
     # others take none

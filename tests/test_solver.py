@@ -279,6 +279,22 @@ def test_evaluate_basics():
         evaluate(sol, -0.1)
 
 
+def test_evaluate_keeps_the_shape_of_t():
+    # the flat call is the reference; 2-d and 3-d arrays and a one-point
+    # array come back in their own shapes
+    b = bench.make_benchmark("ex3")
+    sol = solve(b.spec, uniform_mesh(4, 1.0, 2), b.solver_options())
+    t = np.array([[0.1, 0.2], [0.3, 1.0]])
+    flat = evaluate(sol, t.ravel())
+    for shaped in (t, t.reshape(1, 2, 2), t.tolist()):
+        got = evaluate(sol, shaped)
+        assert got.shape == np.shape(shaped)
+        assert np.array_equal(got.ravel(), flat)
+        assert np.array_equal(sol(shaped), got)
+    assert evaluate(sol, [[0.3]]).shape == (1, 1)
+    assert evaluate(sol, [[0.3]])[0, 0] == evaluate(sol, 0.3)
+
+
 def test_evaluate_legendre_coefficients():
     b = bench.make_benchmark("ex4")
     mesh = uniform_mesh(1, 1.0, 3)
@@ -648,9 +664,9 @@ def test_implicitly_linear_start_saves_newton_steps(monkeypatch):
     jacobians = []
     original = abelhp.discretization.ElementOperator.jacobian
 
-    def counted(self, coeffs):
-        jacobians.append(self.n)
-        return original(self, coeffs)
+    def counted(self, n, coeffs):
+        jacobians.append(n)
+        return original(self, n, coeffs)
 
     monkeypatch.setattr(abelhp.discretization.ElementOperator, "jacobian", counted)
     b = bench.make_benchmark("ex1", 0.3)
@@ -690,9 +706,9 @@ def test_ex5_line_search_stays_stacked(monkeypatch):
     for name in calls:
         original = getattr(abelhp.discretization.ElementOperator, name)
 
-        def counted(self, coeffs, original=original, name=name):
+        def counted(self, n, coeffs, original=original, name=name):
             calls[name] += 1
-            return original(self, coeffs)
+            return original(self, n, coeffs)
 
         monkeypatch.setattr(abelhp.discretization.ElementOperator, name, counted)
     per_newton = []

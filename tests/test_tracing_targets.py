@@ -62,6 +62,9 @@ def test_tracer_sees_newton_without_descent():
     newton = summary["solver.newton"]
     assert summary["discretization.residual"]["calls"] == newton["residual_evals"] > 0
     assert summary["discretization.jacobian"]["calls"] == newton["jacobian_evals"] > 0
+    # one ElementOperator build per stretch, counted through its patched __init__
+    builds = summary.get("discretization.operator_build", {"calls": 0})["calls"]
+    assert builds == len(abelhp.discretization.operator_stretches(mesh)) > 0
 
 
 def test_tracer_records_history_weights_during_solve():
