@@ -179,9 +179,9 @@ class ElementOperator:
     :func:`~abelhp.solver.solve` builds one per stretch of
     :func:`operator_stretches`.  Row j of each stack belongs to element
     n0 + j, and each method that reads one element takes its number n.  The
-    tensor grid (a row of (M+1)^2 points per element: the Gauss nodes
-    repeated against the inner nodes) takes one kernel call, and ``B`` of
-    shape (R, M+1, (M+1)^2) one product:
+    tensor grid (``sigma_grid``: a row of (M+1)^2 points per element, each
+    paired with its Gauss node) takes one kernel call, and ``B`` of shape
+    (R, M+1, (M+1)^2) one product:
     ``B[j, p, (i, k)] = sys_scale_p P_pi prefac_i kappa(t_i, sigma_ik) w_k``.
     A residual evaluation is the one product ``B[j] @ psi`` and a Jacobian
     the one product ``(B[j] * dpsi_du) @ Qflat.T``, with psi and dpsi_du
@@ -195,19 +195,23 @@ class ElementOperator:
         lefts, rights = mesh.breakpoints[n0 - 1 : n1], mesh.breakpoints[n0 : n1 + 1]
         widths, R, m = (rights - lefts)[:, None], n1 - n0 + 1, d + 1
         self.t_nodes = _shift_rows(ref.gl.nodes, lefts, rights)
-        sigma_grid = lefts[:, None] + 0.25 * widths * ref.node_product.ravel()
+        self.sigma_grid = lefts[:, None] + 0.25 * widths * ref.node_product.ravel()
         # the 2-d call of a single element: Gauss nodes against inner nodes
-        grid = sigma_grid.reshape(-1, m)
+        grid = self.sigma_grid.reshape(-1, m)
         kappa = np.broadcast_to(problem.kappa(self.t_nodes.reshape(-1, 1), grid), grid.shape)
         # (t_i - t_{n-1})^alpha from the width, not a difference of times
         prefac = (0.5 * widths * (1.0 + ref.gl.nodes)) ** problem.alpha * ref.gl.weights
         outer = ref.sys_scale[:, None] * ref.P * prefac[:, None, :]  # (R, p, i)
         inner = (kappa * ref.gj.weights).reshape(R, 1, m, m)  # (R, 1, i, k)
         self.B = (outer[..., None] * inner).reshape(R, m, m * m)
-        # element n's rows of the Gauss nodes, the grid and B, by n: an
-        # element outside n0..n1 raises KeyError
-        rows = zip(self.t_nodes, np.repeat(self.t_nodes, m, axis=1), sigma_grid, self.B)
-        self._rows = dict(zip(range(n0, n1 + 1), rows))
+
+    @functools.cached_property
+    def _rows(self) -> dict:
+        """Element n's rows of the Gauss nodes, the grid and ``B``, by n (KeyError
+        outside n0..n1); built on first use, as the linear march reads none."""
+        t_grid = np.repeat(self.t_nodes, self.degree + 1, axis=1)
+        rows = zip(self.t_nodes, t_grid, self.sigma_grid, self.B)
+        return dict(zip(range(self.n0, self.n1 + 1), rows))
 
     def weighted_moments(self, n: int, coeffs: np.ndarray) -> np.ndarray:
         """Coefficient-space image of element n's current-element singular integral.

@@ -427,10 +427,7 @@ def solve(problem: ProblemSpec, mesh: Mesh, options: SolverOptions | None = None
                 def residual(c):
                     return ops.weighted_moments(n, c) - target
 
-                def jacobian(c):
-                    return ops.jacobian(n, c)
-
-                u = newton(residual, jacobian, warm, options, n=n)
+                u = newton(residual, lambda c: ops.jacobian(n, c), warm, options, n=n)
                 coeffs[lo:hi] = u
                 lobatto_u[lo:hi] = _lobatto_values(u, ops.degree)
     return PiecewiseSolution(mesh, coeffs)
