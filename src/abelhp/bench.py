@@ -368,13 +368,13 @@ def run_sweep(
         mesh = mesh_for(bench, int(N), int(M))
         row = run_mesh(bench, mesh, opts, noise)
         row.N = int(N)
-        # a failed row's E2 is None, so the last two terms also skip failures
+        # a failed row's E2 is None, so the last term also skips failures; an
+        # E2 of 0, inf or NaN has no order
         if (
             prev is not None
             and prev.M == row.M
             and prev.N * 2 == row.N
-            and prev.E2
-            and row.E2
+            and all(e and math.isfinite(e) for e in (prev.E2, row.E2))
         ):
             row.rho_N = convergence_order(prev.E2, row.E2)
         report.rows.append(row)

@@ -338,6 +338,16 @@ def test_run_sweep_basics():
     assert [r.E1 for r in again.rows] == [r.E1 for r in report.rows]
 
 
+def test_run_sweep_takes_no_order_of_non_finite_errors():
+    # convergence_order refuses them; the sweep leaves rho_N empty instead
+    b = bench.make_benchmark("ex3")
+    for value in (np.nan, np.inf):
+        bad = dataclasses.replace(b, exact=lambda t, v=value: np.full(np.shape(t), v))
+        report = bench.run_sweep(bad, [(2, 3), (4, 3)])
+        assert not report.any_failed
+        assert [r.rho_N for r in report.rows] == [None, None]
+
+
 def test_run_sweep_marks_failed_rows_and_continues():
     b = bench.make_benchmark("ex3")
     # an absurd iteration budget forces a divergence failure
