@@ -8,7 +8,6 @@ otherwise against the previous iterate (``inf`` on the first step).
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -18,6 +17,7 @@ import numpy as np
 from . import bench
 from .discretization import ProblemSpec
 from .mesh import Mesh
+from .quadrature import _integer
 # evaluate is unused; perfbench/tracing.py wraps it here, and it goes with that target
 from .solver import PiecewiseSolution, SolverError, SolverOptions, evaluate, solve
 
@@ -50,9 +50,7 @@ class AdaptiveOptions:
             raise ValueError("tolerance must be positive")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
-        # a bool would pass for 0 or 1, and a float is no count of unknowns
-        if isinstance(self.max_L, bool) or not isinstance(self.max_L, numbers.Integral):
-            raise TypeError(f"max_L must be an integer, got {self.max_L!r}")
+        _integer("max_L", self.max_L)
 
 
 @dataclass

@@ -190,7 +190,7 @@ class ElementOperator:
 
     def __init__(self, problem: ProblemSpec, mesh: Mesh, n0: int, n1: int):
         self.degree = d = _run_degree(mesh, n0, n1)
-        self.problem, self.mesh, self.n0, self.n1 = problem, mesh, n0, n1
+        self.problem, self.mesh, self.n0, self.n1, self._rows = problem, mesh, n0, n1, {}
         self.ref = ref = _reference_tables(d, problem.alpha)
         lefts, rights = mesh.breakpoints[n0 - 1 : n1], mesh.breakpoints[n0 : n1 + 1]
         widths, R, m = (rights - lefts)[:, None], n1 - n0 + 1, d + 1
@@ -205,13 +205,14 @@ class ElementOperator:
         inner = (kappa * ref.gj.weights).reshape(R, 1, m, m)  # (R, 1, i, k)
         self.B = (outer[..., None] * inner).reshape(R, m, m * m)
 
-    @functools.cached_property
-    def _rows(self) -> dict:
-        """Element n's rows of the Gauss nodes, the grid and ``B``, by n (KeyError
-        outside n0..n1); built on first use, as the linear march reads none."""
+    def _stack_rows(self) -> dict:
+        """``_rows``: element n's rows of the Gauss nodes, the grid and ``B``, by n
+        (KeyError outside n0..n1), set on first use, as the linear march reads none.
+        A plain attribute: a cached_property would slow every evaluation's load of it."""
         t_grid = np.repeat(self.t_nodes, self.degree + 1, axis=1)
         rows = zip(self.t_nodes, t_grid, self.sigma_grid, self.B)
-        return dict(zip(range(self.n0, self.n1 + 1), rows))
+        self._rows = dict(zip(range(self.n0, self.n1 + 1), rows))
+        return self._rows
 
     def weighted_moments(self, n: int, coeffs: np.ndarray) -> np.ndarray:
         """Coefficient-space image of element n's current-element singular integral.
@@ -219,7 +220,7 @@ class ElementOperator:
         A (K, M+1) stack of ``coeffs`` gives K rows from one psi call on the (K, (M+1)^2)
         grid and row-by-row matrix-vector products, so each row rounds as a lone vector does.
         """
-        _, t_grid, sigma_grid, B = self._rows[n]
+        _, t_grid, sigma_grid, B = (self._rows or self._stack_rows())[n]
         u = np.vecmat(coeffs, self.ref.Qflat)
         psi = self.problem.psi(t_grid, sigma_grid, u)
         if np.shape(psi) != u.shape:
@@ -228,7 +229,7 @@ class ElementOperator:
 
     def jacobian(self, n: int, coeffs: np.ndarray) -> np.ndarray:
         """Derivative of element n's residual with respect to its coefficients."""
-        _, t_grid, sigma_grid, B = self._rows[n]
+        _, t_grid, sigma_grid, B = (self._rows or self._stack_rows())[n]
         Qflat = self.ref.Qflat
         return (B * self.problem.dpsi_du(t_grid, sigma_grid, coeffs @ Qflat)) @ Qflat.T
 
@@ -244,7 +245,7 @@ class ElementOperator:
         does not call it: it samples f once per stretch, on all the stretch's
         Gauss nodes, and projects each element's row as this does.
         """
-        t = self._rows[n][0]
+        t = (self._rows or self._stack_rows())[n][0]
         return self.project(np.broadcast_to(self.problem.f(t), t.shape))
 
     def history(self, n: int, prior_u: np.ndarray) -> np.ndarray:

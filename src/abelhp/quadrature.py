@@ -125,6 +125,14 @@ def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _integer(name: str, value):
+    """``value``, if it is an integer and not a bool, which would pass for 0 or 1;
+    else a TypeError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def gauss_rule(kind: RuleKind | str, a: float | None, order: int) -> QuadRule:
     """Construct (and memoize) a quadrature rule with order+1 nodes.
 
@@ -135,9 +143,7 @@ def gauss_rule(kind: RuleKind | str, a: float | None, order: int) -> QuadRule:
     """
     kind = RuleKind(kind)
     # a bool would be cached as the equal int (True == 1), and a float reach numpy
-    if isinstance(order, bool) or not isinstance(order, numbers.Integral):
-        raise TypeError(f"rule order must be an integer, got {order!r}")
-    if order < 1:
+    if _integer("rule order", order) < 1:
         raise ValueError("rule order must be >= 1")
     if kind is RuleKind.GAUSS_JACOBI:
         if a is None or not a > -1.0:

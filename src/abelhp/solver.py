@@ -25,7 +25,6 @@ where the wrapper raises ``LinAlgError``, and the callers raise
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -44,7 +43,7 @@ from .discretization import (
 from .mesh import Mesh, locate
 from .orthopoly import legendre_table
 # gauss_rule is unused here; perfbench/tracing.py wraps it here, and it goes with that target
-from .quadrature import SolverError, _lobatto_table, gauss_rule
+from .quadrature import SolverError, _integer, _lobatto_table, gauss_rule
 
 __all__ = [
     "SolverOptions",
@@ -96,11 +95,8 @@ class SolverOptions:
         # a NaN fails both comparisons; an infinite tolerance would accept the unsolved start
         if not 0.0 < self.newton_tol < math.inf:
             raise ValueError("newton_tol must be positive and finite")
-        # a float count would reach range() and a bool would pass for 0 or 1
-        count = self.newton_max_iter
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-            raise TypeError("newton_max_iter must be an integer")
-        if count < 1:
+        # a float count would reach range()
+        if _integer("newton_max_iter", self.newton_max_iter) < 1:
             raise ValueError("newton_max_iter must be at least 1")
         if not math.isfinite(self.init_constant):
             raise ValueError("init_constant must be finite")
